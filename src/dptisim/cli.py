@@ -76,17 +76,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     variant = _VARIANT_FLAG[args.variant] if args.variant else sc.variant
 
     mode = "exhaustive" if (args.exhaustive or sc.schedule["mode"] == "exhaustive") else "seeded"
+    seed = args.seed if args.seed is not None else sc.schedule.get("seed", 0)
     try:
-        build_simulation(sc, variant_override=variant, cost_table=table)
+        # build_simulation raises what only building can find (overlapping
+        # mappings, undefined alias labels) on its first call.
+        if mode == "exhaustive":
+            result = explore(
+                lambda: build_simulation(sc, variant_override=variant, cost_table=table),
+                max_steps=args.max_steps or sc.schedule.get("max_steps", 24),
+            )
+        else:
+            sim = build_simulation(sc, variant_override=variant, cost_table=table)
+            result = sim.run_seeded(
+                seed=seed, max_steps=args.max_steps or sc.schedule.get("max_steps", 1000)
+            )
     except ScenarioError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
     if mode == "exhaustive":
-        max_steps = args.max_steps or sc.schedule.get("max_steps", 24)
-        result = explore(
-            lambda: build_simulation(sc, variant_override=variant, cost_table=table),
-            max_steps=max_steps,
-        )
         print(
             f"scenario {sc.name}: explored {result.paths} interleavings "
             f"({result.truncated_paths} truncated), witnesses={result.witnesses} "
@@ -97,19 +104,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  first witness: {result.example_witness}")
         payload = result.to_dict()
     else:
-        seed = args.seed if args.seed is not None else sc.schedule.get("seed", 0)
-        max_steps = args.max_steps or sc.schedule.get("max_steps", 1000)
-        sim = build_simulation(sc, variant_override=variant, cost_table=table)
-        report = sim.run_seeded(seed=seed, max_steps=max_steps)
-        result = report
-        cycles = report.cycles["total"] if report.cycles else 0
+        cycles = result.cycles["total"] if result.cycles else 0
         print(
-            f"scenario {sc.name}: seed={seed} steps={report.steps} "
-            f"kills={[k['cause'] for k in report.kills]} witnesses={len(report.witnesses)} "
-            f"deadlocked={report.deadlocked} cycles={cycles}"
+            f"scenario {sc.name}: seed={seed} steps={result.steps} "
+            f"kills={[k['cause'] for k in result.kills]} witnesses={len(result.witnesses)} "
+            f"deadlocked={result.deadlocked} cycles={cycles}"
         )
-        payload = report.to_dict()
-        payload["hash"] = report.hash_hex()
+        payload = result.to_dict()
+        payload["hash"] = result.hash_hex()
 
     failures = check_expectations(sc, result, variant)
     for failure in failures:
@@ -165,7 +167,11 @@ def _scenario_matrix(path: str, table: CostTable):
         return None
     rows = []
     for label, variant in (("none", None), ("stash", Variant.STASH), ("freeze", Variant.FREEZE)):
-        sim = build_simulation(sc, variant_override=variant, cost_table=table)
+        try:
+            sim = build_simulation(sc, variant_override=variant, cost_table=table)
+        except ScenarioError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return None
         sim.run_seeded(seed=sc.schedule.get("seed", 0), max_steps=sc.schedule.get("max_steps", 1000))
         rows.append((label, accumulate(sim.events, table)))
     return [bench_report(f"{sc.name}: variant cost matrix (cycles)", rows, baseline="none")]

@@ -37,11 +37,14 @@ from .events import (
 )
 from .filters import SYSCALL_NAMES, Disposition, FilterRule, StringFilter
 from .vmem import (
+    PAGE_SIZE,
     AccessMode,
     FaultReason,
     PageFault,
     PteBit,
     Vmem,
+    page_offset,
+    pages_spanned,
     vpn_of,
 )
 
@@ -268,11 +271,11 @@ class DptiEngine:
                 return False
             space = vmem.spaces[task.asid]
             frame = vmem.frames[space.entries[vpn].frame_id]
-            chunk = frame.data[addr - vpn * 4096 :]
+            chunk = frame.data[page_offset(addr) :]
             if 0 in chunk:
                 terminated = True
                 break
-            addr = (vpn + 1) * 4096
+            addr = (vpn + 1) * PAGE_SIZE
         if not terminated:
             self._unwind_record(record)
             self.kill(
@@ -524,21 +527,29 @@ class DptiEngine:
         else:
             vmem: Vmem = self.sim.vmem
             space = vmem.spaces.get(target.asid)
-            vpn = vpn_of(vaddr)
-            pte = space.entries.get(vpn) if space is not None else None
-            if pte is None or not pte.present:
+            first = vpn_of(vaddr)
+            vpns = range(first, first + pages_spanned(vaddr, len(data)))
+            if space is None or not all(
+                vpn in space.entries and space.entries[vpn].present for vpn in vpns
+            ):
                 outcome = "denied"
             else:
-                if pte.cow:
-                    old = pte.frame_id
-                    new = vmem.cow_resolve(target.asid, vpn)
-                    self.sim.emit(
-                        CowEvent(tid=writer.tid, asid=target.asid, vpn=vpn, old_frame=old, new_frame=new)
-                    )
+                # Page by page: each page resolves its own copy-on-write.
+                addr, pos = vaddr, 0
+                for vpn in vpns:
                     pte = space.entries[vpn]
-                frame = vmem.frames[pte.frame_id]
-                off = vaddr % 4096
-                frame.data[off : off + len(data)] = data
+                    if pte.cow:
+                        old = pte.frame_id
+                        new = vmem.cow_resolve(target.asid, vpn)
+                        self.sim.emit(
+                            CowEvent(tid=writer.tid, asid=target.asid, vpn=vpn, old_frame=old, new_frame=new)
+                        )
+                        pte = space.entries[vpn]
+                    off = page_offset(addr)
+                    chunk = data[pos : pos + PAGE_SIZE - off]
+                    vmem.frames[pte.frame_id].data[off : off + len(chunk)] = chunk
+                    addr += len(chunk)
+                    pos += len(chunk)
                 outcome = "executed"
         self.sim.emit(
             ProcMemWriteEvent(

@@ -8,11 +8,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from types import MappingProxyType
+from typing import Any, Mapping, Optional, Union
 
 from .costmodel import CostTable, calibrate_default
 from .dpti import Variant
-from .filters import CmpOp, FilterBuilder, FilterError, syscall_nr
+from .filters import CmpOp, FilterBuilder, FilterError, FilterRule, FilterTable, syscall_nr
 from .sgxdom import (
     EnclaveEexit,
     EnclaveInterrupt,
@@ -21,6 +22,7 @@ from .sgxdom import (
     EnclaveRead,
     EnclaveSetReg,
     EnclaveWrite,
+    SgxError,
     build_isolated_mapping,
 )
 from .tasks import (
@@ -41,7 +43,7 @@ from .tasks import (
     ThreadOp,
     WriteOp,
 )
-from .vmem import vpn_of
+from .vmem import PAGE_SIZE, DoubleMapError, vpn_of
 
 SCHEMA_VERSION = 1
 
@@ -86,6 +88,7 @@ def _op_bytes(obj: dict, where: str) -> bytes:
 
 
 _VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
+_DENY_MODES = ("kill", "errno")
 
 # default for variant overrides: "use the variant the scenario declares"
 _SCENARIO_VARIANT = object()
@@ -104,6 +107,9 @@ class Scenario:
     enclaves: list[dict[str, Any]] = field(default_factory=list)
     costs: Optional[dict[str, Any]] = None
     expectations: Optional[dict[str, Any]] = None
+    # The filter policy, compiled once at load; every build installs its own
+    # FilterTable over these shared, immutable rules.
+    rules: Optional[Mapping[int, FilterRule]] = None
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
@@ -113,6 +119,34 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(exc.msg, line=exc.lineno, col=exc.colno) from None
     return scenario_from_dict(raw)
+
+
+def _address(obj: dict, key: str, where: str) -> None:
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ScenarioError(f"{where}.{key}: expected a non-negative integer, got {value!r}")
+
+
+def _count(obj: dict, key: str, where: str) -> None:
+    value = obj.get(key, 1)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ScenarioError(f"{where}.{key}: expected a positive integer, got {value!r}")
+
+
+def _validate_mapping(m: Any, where: str) -> None:
+    _require_keys(
+        m,
+        allowed={
+            "vaddr", "pages", "write", "exec", "user", "shared",
+            "label", "alias_of", "data",
+        },
+        required=set() if "alias_of" in m else {"vaddr"},
+        where=where,
+    )
+    if "vaddr" not in m:
+        raise ScenarioError(f"{where}: alias mappings still need 'vaddr'")
+    _address(m, "vaddr", where)
+    _count(m, "pages", where)
 
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
@@ -132,6 +166,10 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     variant_name = raw.get("variant", "none")
     if variant_name not in _VARIANTS:
         raise ScenarioError(f"variant must be one of {sorted(_VARIANTS)}")
+    _count(raw, "cores", "scenario")
+    deny_mode = raw.get("deny_mode", "kill")
+    if deny_mode not in _DENY_MODES:
+        raise ScenarioError(f"deny_mode must be one of {list(_DENY_MODES)}, got {deny_mode!r}")
     schedule = raw.get("schedule", {"mode": "seeded", "seed": 0})
     _require_keys(
         schedule, allowed={"mode", "seed", "max_steps"}, required={"mode"}, where="schedule"
@@ -139,36 +177,8 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     if schedule["mode"] not in ("seeded", "exhaustive"):
         raise ScenarioError("schedule.mode must be 'seeded' or 'exhaustive'")
 
-    processes = raw["processes"]
-    if not isinstance(processes, list) or not processes:
-        raise ScenarioError("processes must be a non-empty list")
-    for i, proc in enumerate(processes):
-        _require_keys(
-            proc,
-            allowed={"name", "sandboxed", "mappings", "threads"},
-            required={"name", "threads"},
-            where=f"processes[{i}]",
-        )
-        for j, m in enumerate(proc.get("mappings", [])):
-            _require_keys(
-                m,
-                allowed={
-                    "vaddr", "pages", "write", "exec", "user", "shared",
-                    "label", "alias_of", "data",
-                },
-                required=set() if "alias_of" in m else {"vaddr"},
-                where=f"processes[{i}].mappings[{j}]",
-            )
-            if "alias_of" in m and "vaddr" not in m:
-                raise ScenarioError(f"processes[{i}].mappings[{j}]: alias mappings still need 'vaddr'")
-        for j, t in enumerate(proc["threads"]):
-            _require_keys(
-                t, allowed={"name", "rsp", "rbp", "ops"}, required={"name", "ops"},
-                where=f"processes[{i}].threads[{j}]",
-            )
-            _validate_ops(t["ops"], f"processes[{i}].threads[{j}].ops")
-
     filters = raw.get("filters")
+    rules = None
     if filters is not None:
         _require_keys(filters, allowed={"rules"}, required={"rules"}, where="filters")
         for k, rule in enumerate(filters["rules"]):
@@ -176,9 +186,39 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
                 rule, allowed={"nr", "arg", "op", "value", "strings", "allow"},
                 required={"nr"}, where=f"filters.rules[{k}]",
             )
+        rules = MappingProxyType(build_filters(filters).build_rules())
+
+    processes = raw["processes"]
+    if not isinstance(processes, list) or not processes:
+        raise ScenarioError("processes must be a non-empty list")
+    thread_names: set[str] = set()
+    ecalls: list[tuple[str, str]] = []  # (where, enclave name)
+    for i, proc in enumerate(processes):
+        _require_keys(
+            proc,
+            allowed={"name", "sandboxed", "mappings", "threads"},
+            required={"name", "threads"},
+            where=f"processes[{i}]",
+        )
+        if proc.get("sandboxed", False) and filters is None:
+            raise ScenarioError(
+                f"processes[{i}]: process {proc['name']!r} is sandboxed but no filters are defined"
+            )
+        for j, m in enumerate(proc.get("mappings", [])):
+            _validate_mapping(m, f"processes[{i}].mappings[{j}]")
+        for j, t in enumerate(proc["threads"]):
+            where = f"processes[{i}].threads[{j}]"
+            _require_keys(t, allowed={"name", "rsp", "rbp", "ops"}, required={"name", "ops"}, where=where)
+            if t["name"] in thread_names:
+                raise ScenarioError(f"{where}: duplicate thread name {t['name']!r}")
+            thread_names.add(t["name"])
+            _validate_ops(t["ops"], f"{where}.ops", ecalls)
 
     enclaves = raw.get("enclaves", [])
+    process_names = {proc["name"] for proc in processes}
+    enclave_names: set[str] = set()
     for i, enc in enumerate(enclaves):
+        where = f"enclaves[{i}]"
         _require_keys(
             enc,
             allowed={
@@ -186,12 +226,25 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
                 "syscall_exit", "script",
             },
             required={"name", "process", "pages", "cbp_vaddr"},
-            where=f"enclaves[{i}]",
+            where=where,
         )
         _require_keys(
             enc["pages"], allowed={"vaddr", "pages"}, required={"vaddr"},
-            where=f"enclaves[{i}].pages",
+            where=f"{where}.pages",
         )
+        _address(enc["pages"], "vaddr", f"{where}.pages")
+        _count(enc["pages"], "pages", f"{where}.pages")
+        _address(enc, "cbp_vaddr", where)
+        if enc["process"] not in process_names:
+            raise ScenarioError(f"{where}: unknown process {enc['process']!r}")
+        if enc.get("variant", "none") not in _VARIANTS:
+            raise ScenarioError(f"{where}.variant must be one of {sorted(_VARIANTS)}")
+        if enc["name"] in enclave_names:
+            raise ScenarioError(f"{where}: duplicate enclave name {enc['name']!r}")
+        enclave_names.add(enc["name"])
+    for where, name in ecalls:
+        if name not in enclave_names:
+            raise ScenarioError(f"{where}: ecall to undefined enclave {name!r}")
 
     expectations = raw.get("expectations")
     if expectations is not None:
@@ -213,13 +266,14 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         name=raw["name"],
         variant=_VARIANTS[variant_name],
         cores=raw.get("cores", 2),
-        deny_mode=raw.get("deny_mode", "kill"),
+        deny_mode=deny_mode,
         schedule=schedule,
         processes=processes,
         filters=filters,
         enclaves=enclaves,
         costs=raw.get("costs"),
         expectations=expectations,
+        rules=rules,
     )
 
 
@@ -235,28 +289,51 @@ _OP_KEYS: dict[str, set[str]] = {
     "proc_mem_write": {"target", "vaddr", "string", "bytes"},
     "ecall": {"enclave"},
 }
+_OP_REQUIRED: dict[str, set[str]] = {
+    "read": {"vaddr"},
+    "write": {"vaddr"},
+    "syscall": {"nr"},
+    "mmap": {"vaddr"},
+    "mprotect": {"vaddr"},
+    "exec": {"path_vaddr"},
+    "proc_mem_write": {"target", "vaddr"},
+    "ecall": {"enclave"},
+}
 
 
-def _validate_ops(ops: list, where: str) -> None:
+def _validate_ops(ops: list, where: str, ecalls: list[tuple[str, str]]) -> None:
     if not isinstance(ops, list):
         raise ScenarioError(f"{where}: expected a list")
     for n, op in enumerate(ops):
+        at = f"{where}[{n}]"
         if not isinstance(op, dict) or "op" not in op:
-            raise ScenarioError(f"{where}[{n}]: expected an object with an 'op' key")
+            raise ScenarioError(f"{at}: expected an object with an 'op' key")
         kind = op["op"]
         if kind not in _OP_KEYS:
-            raise ScenarioError(f"{where}[{n}]: unknown op {kind!r}")
+            raise ScenarioError(f"{at}: unknown op {kind!r}")
         unknown = set(op) - _OP_KEYS[kind] - {"op"}
         if unknown:
-            raise ScenarioError(f"{where}[{n}]: unknown key(s) {sorted(unknown)} for op {kind!r}")
+            raise ScenarioError(f"{at}: unknown key(s) {sorted(unknown)} for op {kind!r}")
+        missing = _OP_REQUIRED.get(kind, set()) - set(op)
+        if missing:
+            raise ScenarioError(f"{at}: missing required key(s) {sorted(missing)} for op {kind!r}")
+        for key in ("vaddr", "path_vaddr"):
+            if key in op:
+                _address(op, key, at)
+        if "pages" in op:
+            _count(op, "pages", at)
         if kind == "fork":
-            _validate_ops(op.get("child", []), f"{where}[{n}].child")
+            _validate_ops(op.get("child", []), f"{at}.child", ecalls)
         if kind == "exec" and "image" in op:
             _require_keys(
                 op["image"], allowed={"mappings", "ops"}, required=set(),
-                where=f"{where}[{n}].image",
+                where=f"{at}.image",
             )
-            _validate_ops(op["image"].get("ops", []), f"{where}[{n}].image.ops")
+            for j, m in enumerate(op["image"].get("mappings", [])):
+                _validate_mapping(m, f"{at}.image.mappings[{j}]")
+            _validate_ops(op["image"].get("ops", []), f"{at}.image.ops", ecalls)
+        if kind == "ecall":
+            ecalls.append((at, op["enclave"]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +342,23 @@ def _validate_ops(ops: list, where: str) -> None:
 
 def build_filters(spec: dict[str, Any]) -> FilterBuilder:
     fb = FilterBuilder()
-    try:
-        for rule in spec["rules"]:
+    for k, rule in enumerate(spec["rules"]):
+        try:
             nr = rule["nr"]
             if "strings" in rule:
                 for s in rule["strings"]:
                     fb.add_rule_string(nr, rule["arg"], CmpOp.EQ, s)
             elif "arg" in rule:
-                fb.add_rule_primitive(nr, rule["arg"], CmpOp[rule.get("op", "EQ")], rule["value"])
+                op = rule.get("op", "EQ")
+                if op not in CmpOp.__members__:
+                    raise FilterError(f"unknown comparison {op!r}")
+                fb.add_rule_primitive(nr, rule["arg"], CmpOp[op], rule["value"])
             else:
                 fb.add_rule(nr)
-    except FilterError as exc:
-        raise ScenarioError(f"filters: {exc}") from None
+        except FilterError as exc:
+            raise ScenarioError(f"filters.rules[{k}]: {exc}") from None
+        except KeyError as exc:
+            raise ScenarioError(f"filters.rules[{k}]: missing or unknown {exc}") from None
     return fb
 
 
@@ -300,21 +382,21 @@ def build_simulation(
     )
     labels: dict[str, list[int]] = {}
     proc_infos = []
-    for proc in sc.processes:
+    for i, proc in enumerate(sc.processes):
         sandboxed = proc.get("sandboxed", False)
-        table = None
-        if sandboxed:
-            if sc.filters is None:
-                raise ScenarioError(f"process {proc['name']!r} is sandboxed but no filters are defined")
-            table = build_filters(sc.filters).install()
+        # Each process gets its own table (own refcount) over the shared rules.
+        table = FilterTable(sc.rules) if sandboxed else None
         info = sim.add_process(proc["name"], sandboxed=sandboxed, filters=table)
         proc_infos.append(info)
-        for m in proc.get("mappings", []):
+        for j, m in enumerate(proc.get("mappings", [])):
             spec = _map_spec(m, labels)
-            frames = sim.map_region(info.asid, spec)
+            try:
+                frames = sim.map_region(info.asid, spec)
+            except DoubleMapError as exc:
+                raise ScenarioError(f"processes[{i}].mappings[{j}]: overlaps an earlier mapping: {exc}") from None
             if m.get("label"):
                 labels[m["label"]] = frames
-    for enc in sc.enclaves:
+    for i, enc in enumerate(sc.enclaves):
         host = next(p for p in proc_infos if p.name == enc["process"])
         enc_variant = (
             _VARIANTS[enc["variant"]] if "variant" in enc else variant
@@ -322,17 +404,20 @@ def build_simulation(
         pages = enc["pages"]
         start = vpn_of(pages["vaddr"])
         enclave_vpns = set(range(start, start + pages.get("pages", 1)))
-        domain = build_isolated_mapping(
-            sim.vmem,
-            sim.vmem.spaces[host.asid],
-            enc["name"],
-            enclave_vpns,
-            vpn_of(enc["cbp_vaddr"]),
-            enc.get("dbp_vaddrs", []),
-            enc_variant,
-            syscall_exit=enc.get("syscall_exit", False),
-            script=[_enclave_op(o) for o in enc.get("script", [])],
-        )
+        try:
+            domain = build_isolated_mapping(
+                sim.vmem,
+                sim.vmem.spaces[host.asid],
+                enc["name"],
+                enclave_vpns,
+                vpn_of(enc["cbp_vaddr"]),
+                enc.get("dbp_vaddrs", []),
+                enc_variant,
+                syscall_exit=enc.get("syscall_exit", False),
+                script=[_enclave_op(o) for o in enc.get("script", [])],
+            )
+        except SgxError as exc:
+            raise ScenarioError(f"enclaves[{i}]: {exc}") from None
         sim.enclaves[enc["name"]] = domain
     for proc, info in zip(sc.processes, proc_infos):
         for t in proc["threads"]:
@@ -357,7 +442,7 @@ def _map_spec(m: dict[str, Any], labels: dict[str, list[int]]) -> MapSpec:
         (d["at"], _data_bytes(d, "mapping data")) for d in m.get("data", [])
     )
     pages = m.get("pages", len(alias_frames) if alias_frames else 1)
-    lo, hi = m["vaddr"], m["vaddr"] + pages * 4096
+    lo, hi = m["vaddr"], m["vaddr"] + pages * PAGE_SIZE
     for at, raw in data:
         if not (lo <= at and at + len(raw) <= hi):
             raise ScenarioError(

@@ -36,6 +36,7 @@ from .vmem import (
     PteBit,
     Vmem,
     PAGE_SIZE,
+    pages_spanned,
     vpn_of,
 )
 
@@ -346,7 +347,8 @@ class SgxRuntime:
                 length: int, data: Optional[bytes]) -> str:
         vmem: Vmem = self.sim.vmem
         domain = ctx.domain
-        for _ in range(4):  # retries after lazy maps, one per spanned page
+        # retries after lazy maps, one per spanned page
+        for _ in range(pages_spanned(vaddr, length) + 1):
             if kind is AccessKind.READ:
                 _, fault = vmem.read_bytes(self.sim.core_of(task), task.asid,
                                            AccessMode.USER, vaddr, length)

@@ -34,7 +34,7 @@ from .events import (
 )
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveContext, EnclaveDomain, SgxRuntime
-from .vmem import AccessMode, PAGE_SIZE, Vmem, vpn_of
+from .vmem import AccessMode, PAGE_SIZE, Vmem, pages_spanned, vpn_of
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +634,9 @@ class Simulation:
         return f"{state}:done"
 
     def _mem_op(self, task: Task, op: Union[ReadOp, WriteOp]) -> str:
-        for _ in range(4):  # copy-on-write resolution retries, one per page
+        length = op.length if isinstance(op, ReadOp) else len(op.data)
+        # one fault per spanned page, each resolved before the retry
+        for _ in range(pages_spanned(op.vaddr, length) + 1):
             if isinstance(op, ReadOp):
                 _, fault = self.vmem.read_bytes(
                     self.core_of(task), task.asid, AccessMode.USER, op.vaddr, op.length
@@ -799,6 +801,11 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     A branch point is a step with more than one runnable thread; forced steps
     don't branch, so the number of explored paths equals the number of
     distinct interleavings of the scenario.
+
+    The search is depth-first and builds one simulation per path: at a branch
+    point the live simulation carries on into the first choice, which is
+    explored next, and only the later choices are rebuilt from ``factory``
+    and replayed from the root.
     """
     paths = 0
     truncated = 0
@@ -808,14 +815,20 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     deadlock_paths = 0
     example: Optional[dict[str, Any]] = None
     per_path: list[dict[str, Any]] = []
-    stack: list[tuple[int, ...]] = [()]
+    # (decisions, the simulation already stopped at the last decision's
+    # branch point, or None to rebuild and replay the whole prefix)
+    stack: list[tuple[tuple[int, ...], Optional[Simulation]]] = [((), None)]
     while stack:
-        prefix = stack.pop()
-        sim = factory()
-        frontier = sim.run_prefix(prefix, max_steps)
+        prefix, sim = stack.pop()
+        if sim is None:
+            sim = factory()
+            frontier = sim.run_prefix(prefix, max_steps)
+        else:
+            frontier = sim.run_prefix(prefix[-1:], max_steps)
         if frontier is not None:
-            for tid in reversed(frontier):
-                stack.append(prefix + (tid,))
+            for tid in reversed(frontier[1:]):
+                stack.append((prefix + (tid,), None))
+            stack.append((prefix + (frontier[0],), sim))
             continue
         paths += 1
         if sim.truncated:

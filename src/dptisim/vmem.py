@@ -28,6 +28,11 @@ def page_offset(vaddr: int) -> int:
     return vaddr % PAGE_SIZE
 
 
+def pages_spanned(vaddr: int, length: int) -> int:
+    """Number of pages an access of ``length`` bytes at ``vaddr`` touches."""
+    return vpn_of(vaddr + max(length, 1) - 1) - vpn_of(vaddr) + 1
+
+
 class VmemError(Exception):
     """API misuse. Simulated faults are values (PageFault), never exceptions."""
 

@@ -3,6 +3,7 @@ import pytest
 from dptisim import (
     CmpOp,
     FilterBuilder,
+    ForkOp,
     MapSpec,
     MprotectOp,
     ProcMemWriteOp,
@@ -384,6 +385,41 @@ class TestProcMem:
         assert ev.outcome == "executed"
         data, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, PATH, 2)
         assert data == b"WR"
+
+    def test_write_across_a_page_end_fills_both_pages(self):
+        sim = Simulation(variant=None)
+        proc = sim.add_process("app")
+        sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=2))
+        vaddr = PATH + PAGE_SIZE - 4
+        sim.add_thread(proc, [ProcMemWriteOp("t1", vaddr, b"0123456789")], name="t1")
+        sim.run_seeded(0)
+        assert all(len(frame.data) == PAGE_SIZE for frame in sim.vmem.frames.values())
+        tail, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, PATH + PAGE_SIZE, 6)
+        assert tail == b"456789"
+        data, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, vaddr, 10)
+        assert data == b"0123456789"
+
+    def test_write_across_a_page_end_resolves_cow_on_each_page(self):
+        sim = Simulation(variant=None)
+        proc = sim.add_process("app")
+        sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=2, data=((PATH + PAGE_SIZE - 2, b"orig"),)))
+        vaddr = PATH + PAGE_SIZE - 2
+        sim.add_thread(proc, [ForkOp(()), ProcMemWriteOp("t1", vaddr, b"NEW!")], name="t1")
+        sim.run_seeded(0)
+        parent, child = sim.tasks[1], sim.tasks[2]
+        assert sim.vmem.read_bytes(0, parent.asid, AccessMode.KERNEL, vaddr, 4)[0] == b"NEW!"
+        assert sim.vmem.read_bytes(0, child.asid, AccessMode.KERNEL, vaddr, 4)[0] == b"orig"
+        assert sum(e.to_dict()["type"] == "CowEvent" for e in sim.events) == 2
+
+    def test_write_into_an_unmapped_next_page_denied_whole(self):
+        sim = Simulation(variant=None)
+        proc = sim.add_process("app")
+        sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1))
+        sim.add_thread(proc, [ProcMemWriteOp("t1", PATH + PAGE_SIZE - 2, b"XXXX")], name="t1")
+        sim.run_seeded(0)
+        ev = next(e for e in sim.events if e.to_dict()["type"] == "ProcMemWriteEvent")
+        assert ev.outcome == "denied"
+        assert sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, PATH, PAGE_SIZE)[0] == bytes(PAGE_SIZE)
 
     def test_write_to_dead_task_denied(self):
         sim = Simulation(variant=None)

@@ -181,6 +181,57 @@ class TestCliRun:
         assert data["paths"] > 0 and data["witnesses"] >= 1
 
 
+def _add_thread(raw, **thread):
+    raw["processes"][0]["threads"].append(thread)
+
+
+def _set_op(raw, **op):
+    raw["processes"][0]["threads"][0]["ops"] = [op]
+
+
+MALFORMED = {
+    "zero cores": (lambda raw: raw.update(cores=0), "cores"),
+    "unknown deny mode": (lambda raw: raw.update(deny_mode="bogus"), "deny_mode"),
+    "ecall to undefined enclave": (
+        lambda raw: _set_op(raw, op="ecall", enclave="ghost"), "threads[0].ops[0]"),
+    "duplicate thread name": (
+        lambda raw: _add_thread(raw, name="t", ops=[]), "processes[0].threads[1]"),
+    "overlapping mappings": (
+        lambda raw: raw["processes"][0]["mappings"].append({"vaddr": 65536 + 8}),
+        "processes[0].mappings[1]"),
+    "string vaddr": (
+        lambda raw: _set_op(raw, op="read", vaddr="0x10000"), "ops[0].vaddr"),
+    "negative vaddr": (
+        lambda raw: raw["processes"][0]["mappings"][0].update(vaddr=-4096), "mappings[0].vaddr"),
+    "op missing a required key": (lambda raw: _set_op(raw, op="write"), "ops[0]"),
+    "string rule without arg": (
+        lambda raw: raw.update(filters={"rules": [{"nr": "openat", "strings": ["x"]}]}),
+        "filters.rules[0]"),
+    "unknown comparison": (
+        lambda raw: raw.update(filters={"rules": [{"nr": 1, "arg": 0, "op": "XX", "value": 1}]}),
+        "filters.rules[0]"),
+    "enclave on unknown process": (
+        lambda raw: raw.update(enclaves=[{
+            "name": "e", "process": "ghost", "pages": {"vaddr": 1 << 20}, "cbp_vaddr": 2 << 20,
+        }]),
+        "enclaves[0]"),
+}
+
+
+class TestCliMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_located_message(self, case, tmp_path, capsys):
+        mutate, where = MALFORMED[case]
+        raw = minimal_scenario()
+        mutate(raw)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["run", str(path)], ["run", str(path), "--exhaustive"], ["bench", str(path)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert where in err and "Traceback" not in err
+
+
 class TestCliBench:
     def test_getppid_suite_table(self, capsys):
         assert main(["bench", "getppid"]) == 0

@@ -36,19 +36,18 @@ SECRET = 0x80000
 STACK = 0x300000
 RSP = STACK + 2 * PAGE_SIZE  # two permitted stack pages below, two protected above
 
-ENCLAVE_VPNS = {ENCLAVE // PAGE_SIZE, ENCLAVE // PAGE_SIZE + 1}
 
-
-def host_sim(variant, script, *, syscall_exit=False, rsp=RSP, extra_threads=()):
+def host_sim(variant, script, *, syscall_exit=False, rsp=RSP, extra_threads=(), enclave_pages=2):
     sim = Simulation(variant=variant)
     proc = sim.add_process("host")
     sim.map_region(proc.asid, MapSpec(vaddr=SECRET, pages=1, data=((SECRET, b"host secret"),)))
-    sim.map_region(proc.asid, MapSpec(vaddr=ENCLAVE, pages=2))
+    sim.map_region(proc.asid, MapSpec(vaddr=ENCLAVE, pages=enclave_pages))
     sim.map_region(proc.asid, MapSpec(vaddr=CBP, pages=1, writable=False, executable=True))
     sim.map_region(proc.asid, MapSpec(vaddr=DBP, pages=1))
     sim.map_region(proc.asid, MapSpec(vaddr=STACK, pages=4))
+    first = ENCLAVE // PAGE_SIZE
     domain = build_isolated_mapping(
-        sim.vmem, sim.vmem.spaces[proc.asid], "e1", set(ENCLAVE_VPNS),
+        sim.vmem, sim.vmem.spaces[proc.asid], "e1", set(range(first, first + enclave_pages)),
         CBP // PAGE_SIZE, [DBP], variant, syscall_exit=syscall_exit, script=script,
     )
     sim.enclaves["e1"] = domain
@@ -284,6 +283,16 @@ class TestIsolatedFaults:
         assert any(isinstance(e, EnclaveLazyMapEvent) for e in sim.events)
         isolated = sim.vmem.spaces[domain.isolated_asid]
         assert ENCLAVE // PAGE_SIZE in isolated.entries
+
+    def test_write_across_five_lazy_pages_completes(self):
+        data = b"e" * (5 * PAGE_SIZE)
+        script = [EnclaveWrite(ENCLAVE, data), EnclaveEexit()]
+        sim, proc, domain = host_sim(Variant.STASH, script, enclave_pages=5)
+        sim.run_seeded(0)
+        assert not sim.kills
+        assert sum(isinstance(e, EnclaveLazyMapEvent) for e in sim.events) == 5
+        written, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, ENCLAVE, len(data))
+        assert written == data
 
     def test_stash_denies_reads_of_unmapped_host_pages(self):
         script = [EnclaveRead(SECRET, 4)]

@@ -168,6 +168,17 @@ class TestForkExit:
         data, _ = sim.vmem.read_bytes(0, child.asid, AccessMode.KERNEL, PATH, 4)
         assert data == b"orig"
 
+    def test_write_across_five_cow_pages_after_fork_completes(self):
+        # one copy-on-write fault per page, each resolved before the retry
+        data = bytes(range(256)) * (5 * PAGE_SIZE // 256)
+        sim = plain_sim([[ForkOp(()), WriteOp(PATH, data)]], pages=5)
+        sim.run_seeded(0)
+        assert not sim.kills
+        written, _ = sim.vmem.read_bytes(0, sim.tasks[1].asid, AccessMode.KERNEL, PATH, len(data))
+        assert written == data
+        child, _ = sim.vmem.read_bytes(0, sim.tasks[2].asid, AccessMode.KERNEL, PATH, len(data))
+        assert child == bytes(len(data))
+
     def test_unsandboxed_exit_has_no_filter_bookkeeping(self):
         sim = plain_sim([[ExitOp()]])
         report = sim.run_seeded(0)

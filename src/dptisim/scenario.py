@@ -242,6 +242,15 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         if enc["name"] in enclave_names:
             raise ScenarioError(f"{where}: duplicate enclave name {enc['name']!r}")
         enclave_names.add(enc["name"])
+        for k, op in enumerate(enc.get("script", [])):
+            if not isinstance(op, dict):
+                raise ScenarioError(f"{where}.script[{k}]: expected an object")
+            try:
+                _enclave_op(op)
+            except KeyError as exc:
+                raise ScenarioError(f"{where}.script[{k}]: missing key {exc}") from None
+            except ScenarioError as exc:
+                raise ScenarioError(f"{where}.script[{k}]: {exc}") from None
     for where, name in ecalls:
         if name not in enclave_names:
             raise ScenarioError(f"{where}: ecall to undefined enclave {name!r}")

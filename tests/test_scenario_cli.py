@@ -215,6 +215,16 @@ MALFORMED = {
             "name": "e", "process": "ghost", "pages": {"vaddr": 1 << 20}, "cbp_vaddr": 2 << 20,
         }]),
         "enclaves[0]"),
+    "enclave op missing a key": (
+        lambda raw: (
+            raw["processes"][0]["mappings"].extend(
+                [{"vaddr": 1 << 20}, {"vaddr": 2 << 20, "exec": True}]),
+            raw.update(enclaves=[{
+                "name": "e", "process": "p", "pages": {"vaddr": 1 << 20},
+                "cbp_vaddr": 2 << 20, "script": [{"op": "read"}],
+            }]),
+        ),
+        "enclaves[0].script[0]"),
 }
 
 

@@ -140,11 +140,9 @@ def _validate_mapping(m: Any, where: str) -> None:
             "vaddr", "pages", "write", "exec", "user", "shared",
             "label", "alias_of", "data",
         },
-        required=set() if "alias_of" in m else {"vaddr"},
+        required={"vaddr"},  # alias mappings too
         where=where,
     )
-    if "vaddr" not in m:
-        raise ScenarioError(f"{where}: alias mappings still need 'vaddr'")
     _address(m, "vaddr", where)
     _count(m, "pages", where)
 

@@ -4,11 +4,13 @@
         --workload explore-independent --workload explore-race --out BENCH_explore.json
 
 Each commit is exported with ``git archive`` into its own temporary
-directory, and ``perfbench/run.py`` runs there with ``--trace 0``, so both
-sides use their own committed benchmark and sources. For every workload the
-script runs ``--pairs`` pairs, alternating which commit goes first, and
-writes, per end-to-end metric, each side's median and quartiles, every run's
-value, and the number of pairs the head commit won (ties count for neither).
+directory, and ``perfbench/run.py`` runs there with ``--trace 0`` for the
+``run_seconds`` that BENCHMARK.json sets, so both sides use their own
+committed benchmark and sources. For every workload (by default every one
+BENCHMARK.json lists) the script runs ``PAIRS`` pairs, alternating which
+commit goes first, and writes, per end-to-end metric, each side's median and
+quartiles, every run's value, and the number of pairs the head commit won
+(ties count for neither).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -86,36 +89,37 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="parent commit")
     parser.add_argument("--head", default="HEAD", help="commit holding the change")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="workload to run (repeatable; default: all in BENCHMARK.json)")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     result: dict[str, Any] = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "commits": commits,
         "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, commit in commits.items():
             export(commit, checkouts[side])
-        for workload in args.workload:
+        for workload in workloads:
             runs: dict[str, list[dict[str, Any]]] = {"base": [], "head": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
-                    runs[side].append(run_once(checkouts[side], workload, args.seed, args.seconds))
-                print(f"{workload} pair {i + 1}/{args.pairs}: verdict_s base "
+                    runs[side].append(run_once(checkouts[side], workload, args.seed, seconds))
+                print(f"{workload} pair {i + 1}/{PAIRS}: verdict_s base "
                       f"{runs['base'][-1]['metrics']['verdict_s']['value']:.3f} head "
                       f"{runs['head'][-1]['metrics']['verdict_s']['value']:.3f}", file=sys.stderr)
             result["workloads"][workload] = summarise(runs, better)
@@ -123,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, summary in result["workloads"].items():
         for name, m in summary["metrics"].items():
             print(f"{workload:20s} {name:15s} base {m['base']['median']:12.6g} "
-                  f"head {m['head']['median']:12.6g} {m['unit']:6s} head wins {m['head_wins']}/{args.pairs}")
+                  f"head {m['head']['median']:12.6g} {m['unit']:6s} head wins {m['head_wins']}/{PAIRS}")
     return 0
 
 

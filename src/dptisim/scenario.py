@@ -68,27 +68,31 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ScenarioError(f"{where}: missing required key(s) {sorted(missing)}")
 
 
-def _data_bytes(obj: dict, where: str) -> bytes:
-    if "string" in obj:
-        raw = obj["string"].encode()
-        if obj.get("nul", True):
-            raw += b"\x00"
-        return raw
-    if "bytes" in obj:
-        return bytes(obj["bytes"])
-    raise ScenarioError(f"{where}: needs 'string' or 'bytes'")
-
-
 def _op_bytes(obj: dict, where: str) -> bytes:
     if "string" in obj:
+        if not isinstance(obj["string"], str):
+            raise ScenarioError(f"{where}.string: expected a string, got {obj['string']!r}")
         return obj["string"].encode()
     if "bytes" in obj:
-        return bytes(obj["bytes"])
+        value = obj["bytes"]
+        if not isinstance(value, list) or not all(
+            isinstance(b, int) and not isinstance(b, bool) and 0 <= b < 256 for b in value
+        ):
+            raise ScenarioError(f"{where}.bytes: expected a list of byte values, got {value!r}")
+        return bytes(value)
     raise ScenarioError(f"{where}: needs 'string' or 'bytes'")
+
+
+def _data_bytes(obj: dict, where: str) -> bytes:
+    raw = _op_bytes(obj, where)
+    if "string" in obj and obj.get("nul", True):
+        raw += b"\x00"
+    return raw
 
 
 _VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
 _DENY_MODES = ("kill", "errno")
+_REGISTERS = ("rax", "rbx", "rsp", "rbp")  # the fields of tasks.CpuState
 
 # default for variant overrides: "use the variant the scenario declares"
 _SCENARIO_VARIANT = object()
@@ -121,10 +125,9 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     return scenario_from_dict(raw)
 
 
-def _address(obj: dict, key: str, where: str) -> None:
-    value = obj[key]
+def _address(value: Any, where: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ScenarioError(f"{where}.{key}: expected a non-negative integer, got {value!r}")
+        raise ScenarioError(f"{where}: expected a non-negative integer, got {value!r}")
 
 
 def _count(obj: dict, key: str, where: str) -> None:
@@ -143,8 +146,16 @@ def _validate_mapping(m: Any, where: str) -> None:
         required={"vaddr"},  # alias mappings too
         where=where,
     )
-    _address(m, "vaddr", where)
+    _address(m["vaddr"], f"{where}.vaddr")
     _count(m, "pages", where)
+    data = m.get("data", [])
+    if not isinstance(data, list):
+        raise ScenarioError(f"{where}.data: expected a list")
+    for k, d in enumerate(data):
+        at = f"{where}.data[{k}]"
+        _require_keys(d, allowed={"at", "string", "bytes", "nul"}, required={"at"}, where=at)
+        _address(d["at"], f"{at}.at")
+        _data_bytes(d, at)
 
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
@@ -230,9 +241,14 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
             enc["pages"], allowed={"vaddr", "pages"}, required={"vaddr"},
             where=f"{where}.pages",
         )
-        _address(enc["pages"], "vaddr", f"{where}.pages")
+        _address(enc["pages"]["vaddr"], f"{where}.pages.vaddr")
         _count(enc["pages"], "pages", f"{where}.pages")
-        _address(enc, "cbp_vaddr", where)
+        _address(enc["cbp_vaddr"], f"{where}.cbp_vaddr")
+        dbp_vaddrs = enc.get("dbp_vaddrs", [])
+        if not isinstance(dbp_vaddrs, list):
+            raise ScenarioError(f"{where}.dbp_vaddrs: expected a list")
+        for k, vaddr in enumerate(dbp_vaddrs):
+            _address(vaddr, f"{where}.dbp_vaddrs[{k}]")
         if enc["process"] not in process_names:
             raise ScenarioError(f"{where}: unknown process {enc['process']!r}")
         if enc.get("variant", "none") not in _VARIANTS:
@@ -240,15 +256,16 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         if enc["name"] in enclave_names:
             raise ScenarioError(f"{where}: duplicate enclave name {enc['name']!r}")
         enclave_names.add(enc["name"])
-        for k, op in enumerate(enc.get("script", [])):
-            if not isinstance(op, dict):
-                raise ScenarioError(f"{where}.script[{k}]: expected an object")
-            try:
-                _enclave_op(op)
-            except KeyError as exc:
-                raise ScenarioError(f"{where}.script[{k}]: missing key {exc}") from None
-            except ScenarioError as exc:
-                raise ScenarioError(f"{where}.script[{k}]: {exc}") from None
+        script = enc.get("script", [])
+        if not isinstance(script, list):
+            raise ScenarioError(f"{where}.script: expected a list")
+        for k, op in enumerate(script):
+            at = f"{where}.script[{k}]"
+            kind = _check_op(op, _ENCLAVE_OP_KEYS, at)
+            if kind == "set_reg" and op["reg"] not in _REGISTERS:
+                raise ScenarioError(f"{at}.reg must be one of {list(_REGISTERS)}, got {op['reg']!r}")
+            if kind == "eexit" and op.get("target", "legal") != "legal":
+                _address(op["target"], f"{at}.target")
     for where, name in ecalls:
         if name not in enclave_names:
             raise ScenarioError(f"{where}: ecall to undefined enclave {name!r}")
@@ -284,28 +301,45 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     )
 
 
-_OP_KEYS: dict[str, set[str]] = {
-    "read": {"vaddr", "len"},
-    "write": {"vaddr", "string", "bytes"},
-    "syscall": {"nr", "args"},
-    "mmap": {"vaddr", "pages", "write", "exec", "shared", "alias_of"},
-    "mprotect": {"vaddr", "pages", "user", "write", "exec"},
-    "fork": {"child"},
-    "exec": {"path_vaddr", "image"},
-    "exit": {"code", "group"},
-    "proc_mem_write": {"target", "vaddr", "string", "bytes"},
-    "ecall": {"enclave"},
+# op kind -> (allowed keys, required keys), besides "op" itself; one table
+# for thread ops and one for enclave script ops, both checked by _check_op.
+_OP_KEYS: dict[str, tuple[set[str], set[str]]] = {
+    "read": ({"vaddr", "len"}, {"vaddr"}),
+    "write": ({"vaddr", "string", "bytes"}, {"vaddr"}),
+    "syscall": ({"nr", "args"}, {"nr"}),
+    "mmap": ({"vaddr", "pages", "write", "exec", "shared", "alias_of"}, {"vaddr"}),
+    "mprotect": ({"vaddr", "pages", "user", "write", "exec"}, {"vaddr"}),
+    "fork": ({"child"}, set()),
+    "exec": ({"path_vaddr", "image"}, {"path_vaddr"}),
+    "exit": ({"code", "group"}, set()),
+    "proc_mem_write": ({"target", "vaddr", "string", "bytes"}, {"target", "vaddr"}),
+    "ecall": ({"enclave"}, {"enclave"}),
 }
-_OP_REQUIRED: dict[str, set[str]] = {
-    "read": {"vaddr"},
-    "write": {"vaddr"},
-    "syscall": {"nr"},
-    "mmap": {"vaddr"},
-    "mprotect": {"vaddr"},
-    "exec": {"path_vaddr"},
-    "proc_mem_write": {"target", "vaddr"},
-    "ecall": {"enclave"},
+_ENCLAVE_OP_KEYS: dict[str, tuple[set[str], set[str]]] = {
+    "read": ({"vaddr", "len"}, {"vaddr"}),
+    "write": ({"vaddr", "string", "bytes"}, {"vaddr"}),
+    "set_reg": ({"reg", "value"}, {"reg", "value"}),
+    "eexit": ({"target"}, set()),
+    "ocall": (set(), set()),
+    "interrupt": (set(), set()),
 }
+
+
+def _check_op(op: Any, table: dict[str, tuple[set[str], set[str]]], at: str) -> str:
+    """Check one op's keys, addresses and payload against ``table``; return its kind."""
+    if not isinstance(op, dict) or "op" not in op:
+        raise ScenarioError(f"{at}: expected an object with an 'op' key")
+    kind = op["op"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ScenarioError(f"{at}: unknown op {kind!r}")
+    allowed, required = table[kind]
+    _require_keys(op, allowed=allowed | {"op"}, required=required, where=f"{at} ({kind})")
+    for key in ("vaddr", "path_vaddr"):
+        if key in op:
+            _address(op[key], f"{at}.{key}")
+    if "string" in allowed:
+        _op_bytes(op, at)
+    return kind
 
 
 def _validate_ops(ops: list, where: str, ecalls: list[tuple[str, str]]) -> None:
@@ -313,20 +347,7 @@ def _validate_ops(ops: list, where: str, ecalls: list[tuple[str, str]]) -> None:
         raise ScenarioError(f"{where}: expected a list")
     for n, op in enumerate(ops):
         at = f"{where}[{n}]"
-        if not isinstance(op, dict) or "op" not in op:
-            raise ScenarioError(f"{at}: expected an object with an 'op' key")
-        kind = op["op"]
-        if kind not in _OP_KEYS:
-            raise ScenarioError(f"{at}: unknown op {kind!r}")
-        unknown = set(op) - _OP_KEYS[kind] - {"op"}
-        if unknown:
-            raise ScenarioError(f"{at}: unknown key(s) {sorted(unknown)} for op {kind!r}")
-        missing = _OP_REQUIRED.get(kind, set()) - set(op)
-        if missing:
-            raise ScenarioError(f"{at}: missing required key(s) {sorted(missing)} for op {kind!r}")
-        for key in ("vaddr", "path_vaddr"):
-            if key in op:
-                _address(op, key, at)
+        kind = _check_op(op, _OP_KEYS, at)
         if "pages" in op:
             _count(op, "pages", at)
         if kind == "fork":

@@ -189,6 +189,15 @@ def _set_op(raw, **op):
     raw["processes"][0]["threads"][0]["ops"] = [op]
 
 
+def _add_enclave(raw, **enclave):
+    """An enclave at 1 MiB with its code bridge page at 2 MiB, plus ``enclave``."""
+    raw["processes"][0]["mappings"].extend([{"vaddr": 1 << 20}, {"vaddr": 2 << 20, "exec": True}])
+    raw["enclaves"] = [{
+        "name": "e", "process": "p", "pages": {"vaddr": 1 << 20}, "cbp_vaddr": 2 << 20,
+        **enclave,
+    }]
+
+
 MALFORMED = {
     "zero cores": (lambda raw: raw.update(cores=0), "cores"),
     "unknown deny mode": (lambda raw: raw.update(deny_mode="bogus"), "deny_mode"),
@@ -216,15 +225,17 @@ MALFORMED = {
         }]),
         "enclaves[0]"),
     "enclave op missing a key": (
-        lambda raw: (
-            raw["processes"][0]["mappings"].extend(
-                [{"vaddr": 1 << 20}, {"vaddr": 2 << 20, "exec": True}]),
-            raw.update(enclaves=[{
-                "name": "e", "process": "p", "pages": {"vaddr": 1 << 20},
-                "cbp_vaddr": 2 << 20, "script": [{"op": "read"}],
-            }]),
-        ),
-        "enclaves[0].script[0]"),
+        lambda raw: _add_enclave(raw, script=[{"op": "read"}]), "enclaves[0].script[0]"),
+    "enclave eexit to a named target": (
+        lambda raw: _add_enclave(raw, script=[{"op": "eexit", "target": "home"}]),
+        "enclaves[0].script[0].target"),
+    "enclave string bridge address": (
+        lambda raw: _add_enclave(raw, dbp_vaddrs=["0x300000"]), "enclaves[0].dbp_vaddrs[0]"),
+    "mapping data without an address": (
+        lambda raw: raw["processes"][0]["mappings"][0].update(data=[{"string": "x"}]),
+        "mappings[0].data[0]"),
+    "write op with out-of-range bytes": (
+        lambda raw: _set_op(raw, op="write", vaddr=65536, bytes=[256]), "ops[0].bytes"),
 }
 
 

@@ -8,7 +8,7 @@ the mechanism, its attack surface, and a calibrated cycle-cost model at desk
 scale.
 """
 
-from .costmodel import BenchReport, CostTable, accumulate, calibrate_default
+from .costmodel import BenchReport, CostTable, accumulate
 from .dpti import DptiEngine, Variant
 from .filters import (
     CmpOp,
@@ -66,7 +66,6 @@ __all__ = [
     "Vmem",
     "WriteOp",
     "accumulate",
-    "calibrate_default",
     "explore",
     "seccomp_eval",
 ]

@@ -17,7 +17,6 @@ from .costmodel import (
     CycleTotals,
     accumulate,
     bench_report,
-    calibrate_default,
 )
 from .dpti import Variant
 from .events import EcallEvent, OcallEvent, SeccompEvalEvent
@@ -106,7 +105,7 @@ def _totals(sim: Simulation, table: CostTable, only: Optional[type] = None) -> C
 
 def getppid_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     """Latency of one fast, side-effect-free syscall under the three regimes."""
-    table = table or calibrate_default()
+    table = table or CostTable()
     getppid = SyscallOp(SYSCALL_NRS["getppid"], ())
 
     vanilla = _run_events(variant=None, sandboxed=False, builder=None, ops=[getppid])
@@ -155,7 +154,7 @@ def string_sweep_suite(
 ) -> list[BenchReport]:
     """Deep-filter cost versus the position of the matching string: the
     correct value sits last, so n strings cost n comparisons."""
-    table = table or calibrate_default()
+    table = table or CostTable()
     arg = 1
     target = BENCH_PATH if syscall == "openat" else WRITE_PAYLOAD
     args = (0, PATH_VADDR, len(target)) if syscall == "write" else (0, PATH_VADDR, 0)
@@ -195,7 +194,7 @@ def alias_sweep_suite(
     """Deep-filter cost versus the number of mappings of the argument page,
     including the one the syscall uses; every alias pays its own page-table
     manipulation and shootdown, twice."""
-    table = table or calibrate_default()
+    table = table or CostTable()
     mapping = MapSpec(
         vaddr=PATH_VADDR, pages=1, shared=True,
         data=((PATH_VADDR, BENCH_PATH.encode() + b"\x00"),),
@@ -245,7 +244,7 @@ def _sgx_sim(variant: Optional[Variant], syscall_exit: bool, with_ocall: bool) -
 
 def sgx_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     """Domain-transition latency: unconfined, page-fault exit, syscall exit."""
-    table = table or calibrate_default()
+    table = table or CostTable()
     reports = []
     for call, with_ocall, only in (("ecall", False, EcallEvent), ("ocall", True, OcallEvent)):
         rows = []
@@ -271,7 +270,7 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str], table: Optional[CostTable] = None) -> list[BenchReport]:
-    table = table or calibrate_default()
+    table = table or CostTable()
     reports: list[BenchReport] = []
     for name in names:
         reports.extend(SUITES[name](table))

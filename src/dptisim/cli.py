@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import SUITES, run_suites
-from .costmodel import CostTable, accumulate, calibrate_default
+from .costmodel import CostTable, accumulate
 from .dpti import Variant
 from .scenario import (
     ScenarioError,
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_costs(path: Optional[str]) -> CostTable:
-    table = calibrate_default()
+    table = CostTable()
     if path:
         overrides = json.loads(Path(path).read_text())
         table = table.with_overrides(overrides)

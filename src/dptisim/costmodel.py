@@ -121,10 +121,6 @@ def _to_cycles(value: Any) -> Cycles:
     raise TypeError(f"cannot interpret cost value {value!r}")
 
 
-def calibrate_default() -> CostTable:
-    return CostTable()
-
-
 def charge(event: Event, table: CostTable) -> dict[str, Cycles]:
     """Component charges for one event; empty for uncharged event types."""
     if isinstance(event, SyscallEvent):

@@ -319,28 +319,7 @@ class DptiEngine:
             return False
         frame_id = pte.frame_id
         for asid, a_vpn, _perms in vmem.aliases_of(frame_id):
-            a_space = vmem.spaces[asid]
-            a_pte = a_space.entries[a_vpn]
-            vma = a_space.vma_for(a_vpn)
-            record.mappings.append(
-                MappingPrior(
-                    asid,
-                    a_vpn,
-                    frame_id,
-                    a_pte.user,
-                    a_pte.writable,
-                    a_pte.executable,
-                    vma.vm_write if vma is not None else a_pte.writable,
-                )
-            )
-            if record.variant is Variant.STASH:
-                vmem.set_bit(asid, a_vpn, PteBit.USER, False)
-                vmem.set_bit(asid, a_vpn, PteBit.EXECUTABLE, False)
-            else:
-                vmem.set_bit(asid, a_vpn, PteBit.WRITABLE, False)
-                if vma is not None:
-                    vma.vm_write = False
-            vmem.tlb_flush(asid, a_vpn)
+            self._close_mapping(record, asid, a_vpn)
         record.frames.append(frame_id)
         record.pages += 1
         return True
@@ -350,13 +329,16 @@ class DptiEngine:
         protection window (an alias mapped mid-syscall): fold it into the
         covering record so the window stays complete and restore returns the
         mapping to the permissions it was created with."""
+        ids = self.by_frame.get(self.sim.vmem.spaces[asid].entries[vpn].frame_id)
+        if ids:
+            self._close_mapping(self.records[max(ids)], asid, vpn)
+
+    def _close_mapping(self, record: ProtectionRecord, asid: int, vpn: int) -> None:
+        """Save one mapping's bits in ``record``, then stash or freeze it."""
         vmem: Vmem = self.sim.vmem
-        pte = vmem.spaces[asid].entries[vpn]
-        ids = self.by_frame.get(pte.frame_id)
-        if not ids:
-            return
-        record = self.records[max(ids)]
-        vma = vmem.spaces[asid].vma_for(vpn)
+        space = vmem.spaces[asid]
+        pte = space.entries[vpn]
+        vma = space.vma_for(vpn)
         record.mappings.append(
             MappingPrior(
                 asid, vpn, pte.frame_id,
@@ -637,7 +619,7 @@ class DptiEngine:
     def _body_mmap(self, task, ctx: SyscallContext) -> str:
         spec = ctx.payload
         ctx.result = self.sim.do_mmap(task, spec)
-        if self.variant is not None:
+        if self.variant is not None and ctx.result != -1:
             start = vpn_of(spec.vaddr)
             count = len(spec.alias_frames) if spec.alias_frames else spec.pages
             for vpn in range(start, start + count):

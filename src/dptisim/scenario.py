@@ -9,19 +9,16 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
-from .costmodel import CostTable, calibrate_default
+from .costmodel import CostTable
 from .dpti import Variant
 from .filters import CmpOp, FilterBuilder, FilterError, FilterRule, FilterTable, syscall_nr
 from .sgxdom import (
     EnclaveEexit,
     EnclaveInterrupt,
     EnclaveOcall,
-    EnclaveOp,
-    EnclaveRead,
     EnclaveSetReg,
-    EnclaveWrite,
     SgxError,
     build_isolated_mapping,
 )
@@ -40,7 +37,6 @@ from .tasks import (
     SimReport,
     Simulation,
     SyscallOp,
-    ThreadOp,
     WriteOp,
 )
 from .vmem import PAGE_SIZE, DoubleMapError, vpn_of
@@ -261,7 +257,7 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
             raise ScenarioError(f"{where}.script: expected a list")
         for k, op in enumerate(script):
             at = f"{where}.script[{k}]"
-            kind = _check_op(op, _ENCLAVE_OP_KEYS, at)
+            kind = _check_op(op, _ENCLAVE_OPS, at)
             if kind == "set_reg" and op["reg"] not in _REGISTERS:
                 raise ScenarioError(f"{at}.reg must be one of {list(_REGISTERS)}, got {op['reg']!r}")
             if kind == "eexit" and op.get("target", "legal") != "legal":
@@ -301,38 +297,79 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     )
 
 
-# op kind -> (allowed keys, required keys), besides "op" itself; one table
-# for thread ops and one for enclave script ops, both checked by _check_op.
-_OP_KEYS: dict[str, tuple[set[str], set[str]]] = {
-    "read": ({"vaddr", "len"}, {"vaddr"}),
-    "write": ({"vaddr", "string", "bytes"}, {"vaddr"}),
-    "syscall": ({"nr", "args"}, {"nr"}),
-    "mmap": ({"vaddr", "pages", "write", "exec", "shared", "alias_of"}, {"vaddr"}),
-    "mprotect": ({"vaddr", "pages", "user", "write", "exec"}, {"vaddr"}),
-    "fork": ({"child"}, set()),
-    "exec": ({"path_vaddr", "image"}, {"path_vaddr"}),
-    "exit": ({"code", "group"}, set()),
-    "proc_mem_write": ({"target", "vaddr", "string", "bytes"}, {"target", "vaddr"}),
-    "ecall": ({"enclave"}, {"enclave"}),
+def _build_syscall(op: dict[str, Any], labels: dict[str, list[int]]) -> SyscallOp:
+    try:
+        nr = syscall_nr(op["nr"])
+    except FilterError as exc:
+        raise ScenarioError(str(exc)) from None
+    return SyscallOp(nr, tuple(op.get("args", [])))
+
+
+def _build_exec(op: dict[str, Any], labels: dict[str, list[int]]) -> ExecOp:
+    image = op.get("image", {})
+    return ExecOp(
+        op["path_vaddr"],
+        ExecImage(
+            mappings=tuple(_map_spec(m, labels) for m in image.get("mappings", [])),
+            ops=_build_ops(image.get("ops", []), _OPS, labels),
+        ),
+    )
+
+
+# op kind -> (allowed keys, required keys, builder), keys besides "op" itself.
+# _check_op validates against a table and _build_ops builds from the same one;
+# thread ops and enclave script ops each have one.
+_OpTable = dict[str, tuple[set[str], set[str], Callable[..., Any]]]
+
+_OPS: _OpTable = {
+    "read": ({"vaddr", "len"}, {"vaddr"}, lambda op, labels: ReadOp(op["vaddr"], op.get("len", 1))),
+    "write": (
+        {"vaddr", "string", "bytes"}, {"vaddr"},
+        lambda op, labels: WriteOp(op["vaddr"], _op_bytes(op, "write op")),
+    ),
+    "syscall": ({"nr", "args"}, {"nr"}, _build_syscall),
+    "mmap": (
+        {"vaddr", "pages", "write", "exec", "shared", "alias_of"}, {"vaddr"},
+        lambda op, labels: MmapOp(_map_spec(op, labels)),
+    ),
+    "mprotect": (
+        {"vaddr", "pages", "user", "write", "exec"}, {"vaddr"},
+        lambda op, labels: MprotectOp(
+            op["vaddr"], op.get("pages", 1), user=op.get("user", True),
+            writable=op.get("write", False), executable=op.get("exec", False),
+        ),
+    ),
+    "fork": ({"child"}, set(), lambda op, labels: ForkOp(_build_ops(op.get("child", []), _OPS, labels))),
+    "exec": ({"path_vaddr", "image"}, {"path_vaddr"}, _build_exec),
+    "exit": ({"code", "group"}, set(), lambda op, labels: ExitOp(op.get("code", 0), op.get("group", True))),
+    "proc_mem_write": (
+        {"target", "vaddr", "string", "bytes"}, {"target", "vaddr"},
+        lambda op, labels: ProcMemWriteOp(op["target"], op["vaddr"], _op_bytes(op, "proc_mem_write op")),
+    ),
+    "ecall": ({"enclave"}, {"enclave"}, lambda op, labels: EcallOp(op["enclave"])),
 }
-_ENCLAVE_OP_KEYS: dict[str, tuple[set[str], set[str]]] = {
-    "read": ({"vaddr", "len"}, {"vaddr"}),
-    "write": ({"vaddr", "string", "bytes"}, {"vaddr"}),
-    "set_reg": ({"reg", "value"}, {"reg", "value"}),
-    "eexit": ({"target"}, set()),
-    "ocall": (set(), set()),
-    "interrupt": (set(), set()),
+_ENCLAVE_OPS: _OpTable = {
+    "read": _OPS["read"],
+    "write": _OPS["write"],
+    "set_reg": ({"reg", "value"}, {"reg", "value"}, lambda op, labels: EnclaveSetReg(op["reg"], op["value"])),
+    "eexit": ({"target"}, set(), lambda op, labels: EnclaveEexit(op.get("target", "legal"))),
+    "ocall": (set(), set(), lambda op, labels: EnclaveOcall()),
+    "interrupt": (set(), set(), lambda op, labels: EnclaveInterrupt()),
 }
 
 
-def _check_op(op: Any, table: dict[str, tuple[set[str], set[str]]], at: str) -> str:
+def _build_ops(ops: list[dict[str, Any]], table: _OpTable, labels: dict[str, list[int]]) -> tuple:
+    return tuple(table[op["op"]][2](op, labels) for op in ops)
+
+
+def _check_op(op: Any, table: _OpTable, at: str) -> str:
     """Check one op's keys, addresses and payload against ``table``; return its kind."""
     if not isinstance(op, dict) or "op" not in op:
         raise ScenarioError(f"{at}: expected an object with an 'op' key")
     kind = op["op"]
     if not isinstance(kind, str) or kind not in table:
         raise ScenarioError(f"{at}: unknown op {kind!r}")
-    allowed, required = table[kind]
+    allowed, required, _ = table[kind]
     _require_keys(op, allowed=allowed | {"op"}, required=required, where=f"{at} ({kind})")
     for key in ("vaddr", "path_vaddr"):
         if key in op:
@@ -347,7 +384,7 @@ def _validate_ops(ops: list, where: str, ecalls: list[tuple[str, str]]) -> None:
         raise ScenarioError(f"{where}: expected a list")
     for n, op in enumerate(ops):
         at = f"{where}[{n}]"
-        kind = _check_op(op, _OP_KEYS, at)
+        kind = _check_op(op, _OPS, at)
         if "pages" in op:
             _count(op, "pages", at)
         if kind == "fork":
@@ -397,7 +434,7 @@ def build_simulation(
 ) -> Simulation:
     variant = sc.variant if variant_override is _SCENARIO_VARIANT else variant_override
     if cost_table is None:
-        cost_table = calibrate_default()
+        cost_table = CostTable()
         if sc.costs:
             cost_table = cost_table.with_overrides(sc.costs)
     sim = Simulation(
@@ -442,7 +479,7 @@ def build_simulation(
                 enc.get("dbp_vaddrs", []),
                 enc_variant,
                 syscall_exit=enc.get("syscall_exit", False),
-                script=[_enclave_op(o) for o in enc.get("script", [])],
+                script=list(_build_ops(enc.get("script", []), _ENCLAVE_OPS, labels)),
             )
         except SgxError as exc:
             raise ScenarioError(f"enclaves[{i}]: {exc}") from None
@@ -451,7 +488,7 @@ def build_simulation(
         for t in proc["threads"]:
             sim.add_thread(
                 info,
-                [_thread_op(o, labels) for o in t["ops"]],
+                _build_ops(t["ops"], _OPS, labels),
                 name=t["name"],
                 rsp=t.get("rsp", 0),
                 rbp=t.get("rbp", 0),
@@ -487,64 +524,6 @@ def _map_spec(m: dict[str, Any], labels: dict[str, list[int]]) -> MapSpec:
         data=data,
         label=m.get("label"),
     )
-
-
-def _thread_op(op: dict[str, Any], labels: dict[str, list[int]]) -> ThreadOp:
-    kind = op["op"]
-    if kind == "read":
-        return ReadOp(op["vaddr"], op.get("len", 1))
-    if kind == "write":
-        return WriteOp(op["vaddr"], _op_bytes(op, "write op"))
-    if kind == "syscall":
-        try:
-            nr = syscall_nr(op["nr"])
-        except FilterError as exc:
-            raise ScenarioError(str(exc)) from None
-        return SyscallOp(nr, tuple(op.get("args", [])))
-    if kind == "mmap":
-        return MmapOp(_map_spec(op, labels))
-    if kind == "mprotect":
-        return MprotectOp(
-            op["vaddr"], op.get("pages", 1),
-            user=op.get("user", True),
-            writable=op.get("write", False),
-            executable=op.get("exec", False),
-        )
-    if kind == "fork":
-        return ForkOp(tuple(_thread_op(o, labels) for o in op.get("child", [])))
-    if kind == "exec":
-        image = op.get("image", {})
-        return ExecOp(
-            op["path_vaddr"],
-            ExecImage(
-                mappings=tuple(_map_spec(m, labels) for m in image.get("mappings", [])),
-                ops=tuple(_thread_op(o, labels) for o in image.get("ops", [])),
-            ),
-        )
-    if kind == "exit":
-        return ExitOp(op.get("code", 0), op.get("group", True))
-    if kind == "proc_mem_write":
-        return ProcMemWriteOp(op["target"], op["vaddr"], _op_bytes(op, "proc_mem_write op"))
-    if kind == "ecall":
-        return EcallOp(op["enclave"])
-    raise ScenarioError(f"unknown op {kind!r}")
-
-
-def _enclave_op(op: dict[str, Any]) -> EnclaveOp:
-    kind = op.get("op")
-    if kind == "read":
-        return EnclaveRead(op["vaddr"], op.get("len", 1))
-    if kind == "write":
-        return EnclaveWrite(op["vaddr"], _op_bytes(op, "enclave write"))
-    if kind == "set_reg":
-        return EnclaveSetReg(op["reg"], op["value"])
-    if kind == "eexit":
-        return EnclaveEexit(op.get("target", "legal"))
-    if kind == "ocall":
-        return EnclaveOcall()
-    if kind == "interrupt":
-        return EnclaveInterrupt()
-    raise ScenarioError(f"unknown enclave op {kind!r}")
 
 
 # ---------------------------------------------------------------------------

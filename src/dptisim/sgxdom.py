@@ -16,7 +16,7 @@ than decoded instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .dpti import Variant
 from .events import (
@@ -28,17 +28,10 @@ from .events import (
     SgxFaultEvent,
     StatEvent,
 )
-from .vmem import (
-    AccessKind,
-    AccessMode,
-    AddressSpace,
-    PageFault,
-    PteBit,
-    Vmem,
-    PAGE_SIZE,
-    pages_spanned,
-    vpn_of,
-)
+from .vmem import AddressSpace, PageFault, PteBit, Vmem, PAGE_SIZE, vpn_of
+
+if TYPE_CHECKING:  # tasks imports this module
+    from .tasks import ReadOp, WriteOp
 
 
 class SgxError(Exception):
@@ -98,19 +91,7 @@ class CbpContents:
 
 
 # ---------------------------------------------------------------------------
-# scripted enclave ops
-
-
-@dataclass(frozen=True)
-class EnclaveRead:
-    vaddr: int
-    length: int = 1
-
-
-@dataclass(frozen=True)
-class EnclaveWrite:
-    vaddr: int
-    data: bytes
+# scripted enclave ops: a thread's ReadOp and WriteOp, plus these
 
 
 @dataclass(frozen=True)
@@ -135,7 +116,7 @@ class EnclaveInterrupt:
 
 
 EnclaveOp = Union[
-    EnclaveRead, EnclaveWrite, EnclaveSetReg, EnclaveEexit, EnclaveOcall, EnclaveInterrupt
+    "ReadOp", "WriteOp", EnclaveSetReg, EnclaveEexit, EnclaveOcall, EnclaveInterrupt
 ]
 
 
@@ -321,10 +302,6 @@ class SgxRuntime:
         if ctx.state == "exiting" or ctx.ip >= len(domain.script):
             return self._ecall_return(task, ctx)
         op = domain.script[ctx.ip]
-        if isinstance(op, EnclaveRead):
-            return self._mem_op(task, ctx, op.vaddr, AccessKind.READ, op.length, None)
-        if isinstance(op, EnclaveWrite):
-            return self._mem_op(task, ctx, op.vaddr, AccessKind.WRITE, len(op.data), op.data)
         if isinstance(op, EnclaveSetReg):
             setattr(task.cpu, op.reg, op.value)
             ctx.ip += 1
@@ -341,29 +318,13 @@ class SgxRuntime:
             return self._ocall(task, ctx)
         if isinstance(op, EnclaveEexit):
             return self._eexit(task, ctx, op.target)
-        raise SgxError(f"unknown enclave op {op!r}")
-
-    def _mem_op(self, task, ctx: EnclaveContext, vaddr: int, kind: AccessKind,
-                length: int, data: Optional[bytes]) -> str:
-        vmem: Vmem = self.sim.vmem
-        domain = ctx.domain
-        # retries after lazy maps, one per spanned page
-        for _ in range(pages_spanned(vaddr, length) + 1):
-            if kind is AccessKind.READ:
-                _, fault = vmem.read_bytes(self.sim.core_of(task), task.asid,
-                                           AccessMode.USER, vaddr, length)
-            else:
-                fault = vmem.write_bytes(self.sim.core_of(task), task.asid,
-                                         AccessMode.USER, vaddr, data)
-            if fault is None:
-                ctx.ip += 1
-                return "again"
-            action = self.on_isolated_fault(task, domain, fault)
-            if action == "retry":
-                continue
+        # a read or write, through the same access loop as thread code
+        outcome = self.sim.user_access(task, op, domain)
+        if outcome == "killed":
             return "done"
-        self.sim.kill_group(task.tgid, KillCause.ISOLATION_VIOLATION, "fault retry limit")
-        return "done"
+        if outcome == "ok":
+            ctx.ip += 1
+        return "again"
 
     def on_isolated_fault(self, task, domain: EnclaveDomain, fault: PageFault) -> str:
         """Faults from isolated threads: enclave pages map lazily; anything

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -34,11 +34,15 @@ from .events import (
 )
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveContext, EnclaveDomain, SgxRuntime
-from .vmem import AccessMode, PAGE_SIZE, Vmem, pages_spanned, vpn_of
+from .vmem import AccessMode, DoubleMapError, PAGE_SIZE, Vmem, pages_spanned, vpn_of
 
 
 # ---------------------------------------------------------------------------
 # thread programs
+
+
+# Each op names itself in the trace with label(); an op that enters the
+# kernel gives its syscall form, (nr, args, payload), with syscall().
 
 
 @dataclass(frozen=True)
@@ -46,17 +50,29 @@ class ReadOp:
     vaddr: int
     length: int = 1
 
+    def label(self) -> str:
+        return f"read@{self.vaddr:#x}"
+
 
 @dataclass(frozen=True)
 class WriteOp:
     vaddr: int
     data: bytes
 
+    def label(self) -> str:
+        return f"write@{self.vaddr:#x}"
+
 
 @dataclass(frozen=True)
 class SyscallOp:
     nr: int
     args: tuple[int, ...] = ()
+
+    def label(self) -> str:
+        return f"syscall:{SYSCALL_NAMES.get(self.nr, self.nr)}"
+
+    def syscall(self) -> tuple[int, list[int], Any]:
+        return self.nr, list(self.args), None
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,12 @@ class MapSpec:
 class MmapOp:
     spec: MapSpec
 
+    def label(self) -> str:
+        return f"mmap@{self.spec.vaddr:#x}"
+
+    def syscall(self) -> tuple[int, list[int], Any]:
+        return SYSCALL_NRS["mmap"], [self.spec.vaddr, self.spec.pages * PAGE_SIZE], self.spec
+
 
 @dataclass(frozen=True)
 class MprotectOp:
@@ -96,10 +118,22 @@ class MprotectOp:
         start = vpn_of(self.vaddr)
         return list(range(start, start + self.pages))
 
+    def label(self) -> str:
+        return f"mprotect@{self.vaddr:#x}"
+
+    def syscall(self) -> tuple[int, list[int], Any]:
+        return SYSCALL_NRS["mprotect"], [self.vaddr, self.pages * PAGE_SIZE], self
+
 
 @dataclass(frozen=True)
 class ForkOp:
     child_ops: tuple = ()
+
+    def label(self) -> str:
+        return "fork"
+
+    def syscall(self) -> tuple[int, list[int], Any]:
+        return SYSCALL_NRS["fork"], [], list(self.child_ops)
 
 
 @dataclass(frozen=True)
@@ -113,11 +147,23 @@ class ExecOp:
     path_vaddr: int
     image: ExecImage = ExecImage()
 
+    def label(self) -> str:
+        return "exec"
+
+    def syscall(self) -> tuple[int, list[int], Any]:
+        return SYSCALL_NRS["execve"], [self.path_vaddr], self.image
+
 
 @dataclass(frozen=True)
 class ExitOp:
     code: int = 0
     group: bool = True
+
+    def label(self) -> str:
+        return "exit_group" if self.group else "exit"
+
+    def syscall(self) -> tuple[int, list[int], Any]:
+        return SYSCALL_NRS[self.label()], [self.code], (self.code, self.group)
 
 
 @dataclass(frozen=True)
@@ -126,40 +172,22 @@ class ProcMemWriteOp:
     vaddr: int
     data: bytes
 
+    def label(self) -> str:
+        return f"proc_mem_write@{self.vaddr:#x}"
+
 
 @dataclass(frozen=True)
 class EcallOp:
     enclave: str
+
+    def label(self) -> str:
+        return f"ecall:{self.enclave}"
 
 
 ThreadOp = Union[
     ReadOp, WriteOp, SyscallOp, MmapOp, MprotectOp, ForkOp, ExecOp, ExitOp,
     ProcMemWriteOp, EcallOp,
 ]
-
-
-def _op_label(op: ThreadOp) -> str:
-    if isinstance(op, ReadOp):
-        return f"read@{op.vaddr:#x}"
-    if isinstance(op, WriteOp):
-        return f"write@{op.vaddr:#x}"
-    if isinstance(op, SyscallOp):
-        return f"syscall:{SYSCALL_NAMES.get(op.nr, op.nr)}"
-    if isinstance(op, MmapOp):
-        return f"mmap@{op.spec.vaddr:#x}"
-    if isinstance(op, MprotectOp):
-        return f"mprotect@{op.vaddr:#x}"
-    if isinstance(op, ForkOp):
-        return "fork"
-    if isinstance(op, ExecOp):
-        return "exec"
-    if isinstance(op, ExitOp):
-        return "exit_group" if op.group else "exit"
-    if isinstance(op, ProcMemWriteOp):
-        return f"proc_mem_write@{op.vaddr:#x}"
-    if isinstance(op, EcallOp):
-        return f"ecall:{op.enclave}"
-    return type(op).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +247,21 @@ class ProcessInfo:
 # reports
 
 
+class _Report:
+    """JSON form and hash of a report dataclass, built from its fields."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    def hash_hex(self) -> str:
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
 @dataclass
-class SimReport:
+class SimReport(_Report):
     name: str
     variant: Optional[str]
     schedule: dict[str, Any]
@@ -234,29 +275,6 @@ class SimReport:
     filters: dict[str, dict[str, Any]]
     cycles: Optional[dict[str, Any]] = None
     config: Optional[dict[str, Any]] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "variant": self.variant,
-            "schedule": self.schedule,
-            "steps": self.steps,
-            "truncated": self.truncated,
-            "trace": self.trace,
-            "events": self.events,
-            "kills": self.kills,
-            "witnesses": self.witnesses,
-            "deadlocked": self.deadlocked,
-            "filters": self.filters,
-            "cycles": self.cycles,
-            "config": self.config,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def hash_hex(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def extract_witnesses(events: Sequence[Event]) -> list[dict[str, Any]]:
@@ -331,7 +349,6 @@ class Simulation:
         *,
         sandboxed: bool = False,
         filters: Optional[FilterTable] = None,
-        parent_pid: int = 0,
     ) -> ProcessInfo:
         pid = self._next_pid
         self._next_pid += 1
@@ -374,7 +391,14 @@ class Simulation:
         return task
 
     def map_region(self, asid: int, spec: MapSpec) -> list[int]:
+        """Map every page of ``spec``, or raise DoubleMapError, having mapped
+        and allocated nothing, if any of them is already mapped."""
         start = vpn_of(spec.vaddr)
+        count = len(spec.alias_frames) if spec.alias_frames is not None else spec.pages
+        entries = self.vmem.spaces[asid].entries
+        for vpn in range(start, start + count):
+            if vpn in entries:
+                raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
         if spec.alias_frames is not None:
             frame_ids = list(spec.alias_frames)
         else:
@@ -528,7 +552,12 @@ class Simulation:
         return 0, False
 
     def do_mmap(self, task: Task, spec: MapSpec) -> int:
-        self.map_region(task.asid, spec)
+        """Map ``spec`` without replacing anything: like MAP_FIXED_NOREPLACE,
+        the call returns -1 and maps nothing if any target page is taken."""
+        try:
+            self.map_region(task.asid, spec)
+        except DoubleMapError:
+            return -1
         return spec.vaddr
 
     # ------------------------------------------------------------------
@@ -557,7 +586,7 @@ class Simulation:
                 outcome = self._step_enclave(task)
         else:
             op = task.ops[task.ip]
-            label = _op_label(op)
+            label = op.label()
             outcome = self._exec_op(task, op)
         self.trace.append([self.step_count, tid, label, outcome])
         self.step_count += 1
@@ -565,7 +594,10 @@ class Simulation:
 
     def _exec_op(self, task: Task, op: ThreadOp) -> str:
         if isinstance(op, (ReadOp, WriteOp)):
-            return self._mem_op(task, op)
+            outcome = self.user_access(task, op)
+            if outcome == "ok":
+                self._advance(task)
+            return outcome
         if isinstance(op, ProcMemWriteOp):
             target = (
                 self.tasks.get(op.target)
@@ -581,30 +613,8 @@ class Simulation:
             self.sgx.enter(task, domain)
             return "enclave_enter"
         # Everything else enters the kernel as a syscall.
-        task.micro = self._syscall_context_for(task, op)
+        task.micro = make_syscall_context(*op.syscall(), tid=task.tid)
         return self._step_syscall(task)
-
-    def _syscall_context_for(self, task: Task, op: ThreadOp) -> SyscallContext:
-        if isinstance(op, SyscallOp):
-            return make_syscall_context(op.nr, list(op.args), tid=task.tid)
-        if isinstance(op, ForkOp):
-            return make_syscall_context(SYSCALL_NRS["fork"], [], payload=list(op.child_ops), tid=task.tid)
-        if isinstance(op, ExecOp):
-            return make_syscall_context(SYSCALL_NRS["execve"], [op.path_vaddr], payload=op.image, tid=task.tid)
-        if isinstance(op, ExitOp):
-            nr = SYSCALL_NRS["exit_group"] if op.group else SYSCALL_NRS["exit"]
-            return make_syscall_context(nr, [op.code], payload=(op.code, op.group), tid=task.tid)
-        if isinstance(op, MmapOp):
-            return make_syscall_context(
-                SYSCALL_NRS["mmap"], [op.spec.vaddr, op.spec.pages * PAGE_SIZE],
-                payload=op.spec, tid=task.tid,
-            )
-        if isinstance(op, MprotectOp):
-            return make_syscall_context(
-                SYSCALL_NRS["mprotect"], [op.vaddr, op.pages * PAGE_SIZE],
-                payload=op, tid=task.tid,
-            )
-        raise TypeError(f"op {op!r} has no syscall form")
 
     def _step_syscall(self, task: Task) -> str:
         ctx: SyscallContext = task.micro
@@ -633,7 +643,17 @@ class Simulation:
             self._advance(task)
         return f"{state}:done"
 
-    def _mem_op(self, task: Task, op: Union[ReadOp, WriteOp]) -> str:
+    def user_access(
+        self, task: Task, op: Union[ReadOp, WriteOp], domain: Optional[EnclaveDomain] = None,
+    ) -> str:
+        """One user-mode read or write by thread code or, given ``domain``, by
+        that enclave's code: 'ok', 'stalled' or 'killed'. On 'ok' the caller
+        advances its own instruction pointer.
+
+        A confined enclave's faults go to the enclave runtime; all others, an
+        unconfined enclave's included, go to the engine.
+        """
+        confined = domain is not None and domain.variant is not None
         length = op.length if isinstance(op, ReadOp) else len(op.data)
         # one fault per spanned page, each resolved before the retry
         for _ in range(pages_spanned(op.vaddr, length) + 1):
@@ -646,12 +666,9 @@ class Simulation:
                     self.core_of(task), task.asid, AccessMode.USER, op.vaddr, op.data
                 )
             if fault is None:
-                self._advance(task)
                 return "ok"
-            if task.micro is None and self._in_isolation(task):
-                domain = self._domain_of(task)
-                action = self.sgx.on_isolated_fault(task, domain, fault)
-                if action == "retry":
+            if confined:
+                if self.sgx.on_isolated_fault(task, domain, fault) == "retry":
                     continue
                 return "killed"
             action = self.engine.on_page_fault(task, fault)
@@ -662,20 +679,9 @@ class Simulation:
                 return "stalled"
             self.kill_group(task.tgid, action[1], f"fault {fault.reason.value} at {fault.vaddr:#x}")
             return "killed"
-        self.kill_group(task.tgid, KillCause.SEGFAULT, "fault retry limit")
+        cause = KillCause.ISOLATION_VIOLATION if confined else KillCause.SEGFAULT
+        self.kill_group(task.tgid, cause, "fault retry limit")
         return "killed"
-
-    def _in_isolation(self, task: Task) -> bool:
-        return any(
-            d.isolated_asid is not None and d.isolated_asid == task.asid
-            for d in self.enclaves.values()
-        )
-
-    def _domain_of(self, task: Task) -> EnclaveDomain:
-        for d in self.enclaves.values():
-            if d.isolated_asid == task.asid:
-                return d
-        raise KeyError("task not in any isolated mapping")
 
     # ------------------------------------------------------------------
     # drivers
@@ -766,7 +772,7 @@ class Simulation:
 
 
 @dataclass
-class ExplorationReport:
+class ExplorationReport(_Report):
     paths: int
     truncated_paths: int
     witnesses: int
@@ -775,24 +781,6 @@ class ExplorationReport:
     deadlock_paths: int
     example_witness: Optional[dict[str, Any]]
     per_path: list[dict[str, Any]]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "paths": self.paths,
-            "truncated_paths": self.truncated_paths,
-            "witnesses": self.witnesses,
-            "witness_paths": self.witness_paths,
-            "kills": self.kills,
-            "deadlock_paths": self.deadlock_paths,
-            "example_witness": self.example_witness,
-            "per_path": self.per_path,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def hash_hex(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:

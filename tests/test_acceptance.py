@@ -8,16 +8,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
-from dptisim import EcallOp, MapSpec, Simulation, Variant
+from dptisim import EcallOp, MapSpec, ReadOp, Simulation, Variant, WriteOp
 from dptisim.bench import alias_sweep_suite, getppid_suite, sgx_suite, string_sweep_suite
-from dptisim.costmodel import calibrate_default
+from dptisim.costmodel import CostTable
 from dptisim.dpti import make_syscall_context
 from dptisim.events import KillCause, SyscallEvent
 from dptisim.filters import SYSCALL_NRS, FilterBuilder
 from dptisim.scenario import build_simulation, check_expectations, load_scenario
 from dptisim.sgxdom import (
-    EnclaveRead,
-    EnclaveWrite,
     build_isolated_mapping,
     classify_eexit,
 )
@@ -175,7 +173,7 @@ def test_criterion_3_filter_scaling_law():
         assert report.row("seccomp").cycles == 395
         assert report.row("dpti").cycles == 360
 
-        table = calibrate_default()
+        table = CostTable()
         totals = []
         for rule_count in (1, 349):
             fb = FilterBuilder()
@@ -217,7 +215,7 @@ def test_criterion_4_deep_filter_cost_shape():
         assert abs(ten.cycles - 2351) <= 0.02 * 2351, ten.cycles
         added = {k: v for k, v in one.components.items() if k != "base"}
         assert max(added, key=added.get) == "tlb_flush"
-        assert calibrate_default().tlb_flush == 458
+        assert CostTable().tlb_flush == 458
         assert time.monotonic() - start < 5.0
 
 
@@ -229,7 +227,7 @@ def test_criterion_5_alias_cost_shape():
         slope = totals[2] - totals[1]
         assert totals[5] == totals[1] + 4 * slope
         assert totals[10] == totals[1] + 9 * slope
-        table = calibrate_default()
+        table = CostTable()
         assert slope == 2 * (table.pte_manipulate + table.tlb_flush)
         assert 2 * table.tlb_flush / slope > 0.5  # flush share dominates
 
@@ -318,7 +316,7 @@ def test_criterion_7_sgx_confinement():
             addr = 0x80000 + page * PAGE_SIZE
             for kind in ("read", "write"):
                 for variant in (Variant.STASH, Variant.FREEZE):
-                    op = EnclaveRead(addr, 1) if kind == "read" else EnclaveWrite(addr, b"!")
+                    op = ReadOp(addr, 1) if kind == "read" else WriteOp(addr, b"!")
                     sim, _ = _confinement_sim(variant, [op], host_pages=16)
                     sim.run_seeded(0)
                     killed = bool(sim.kills)

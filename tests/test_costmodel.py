@@ -10,7 +10,7 @@ from dptisim.bench import (
     simple_filter_program,
     string_sweep_suite,
 )
-from dptisim.costmodel import CostTable, accumulate, calibrate_default
+from dptisim.costmodel import CostTable, accumulate
 from dptisim.events import SeccompEvalEvent
 from dptisim.filters import SYSCALL_NRS, Disposition, FilterBuilder, seccomp_eval
 from dptisim.tasks import Simulation, SyscallOp
@@ -19,7 +19,7 @@ from dptisim.dpti import Variant
 
 class TestDefaults:
     def test_canonical_component_constants(self):
-        table = calibrate_default()
+        table = CostTable()
         assert table.tlb_flush == 458
         assert table.pt_resolve == 86
         assert table.pte_manipulate == 27
@@ -33,14 +33,14 @@ class TestDefaults:
                 assert row.cycles == 0
 
     def test_overrides(self):
-        table = calibrate_default().with_overrides(
+        table = CostTable().with_overrides(
             {"tlb_flush": 500, "base_syscall": {"getppid": 300}}
         )
         assert table.tlb_flush == 500
         assert table.base_for("getppid") == 300
         assert table.base_for("openat") == 855  # untouched entries survive
         with pytest.raises(KeyError):
-            calibrate_default().with_overrides({"no_such_field": 1})
+            CostTable().with_overrides({"no_such_field": 1})
 
 
 class TestSimpleFilterBench:
@@ -53,7 +53,7 @@ class TestSimpleFilterBench:
         assert report.row("dpti").overhead == 22.0
 
     def test_lookup_cost_constant_in_installed_rule_count(self):
-        table = calibrate_default()
+        table = CostTable()
         totals = []
         for rule_count in (1, 349):
             fb = FilterBuilder()
@@ -75,7 +75,7 @@ class TestSimpleFilterBench:
         assert totals[0] == totals[1] == 360
 
     def test_seccomp_cost_strictly_increases_with_scan_position(self):
-        table = calibrate_default()
+        table = CostTable()
         totals = []
         for position in (1, 100, 349):
             scanned_event = SeccompEvalEvent(nr=110, decision="allow", scanned=position)
@@ -83,7 +83,7 @@ class TestSimpleFilterBench:
         assert totals[0] < totals[1] < totals[2]
 
     def test_full_scan_of_349_rules_costs_exactly_100(self):
-        table = calibrate_default()
+        table = CostTable()
         program = simple_filter_program("getppid")
         assert len(program) == 349
         decision, scanned = seccomp_eval(program, SYSCALL_NRS["getppid"], [0] * 6)
@@ -128,7 +128,7 @@ class TestDeepFilterBench:
 
     def test_write_sweep_uses_longer_string_check(self):
         report = string_sweep_suite(syscall="write")[0]
-        table = calibrate_default()
+        table = CostTable()
         check = report.row("1-string").components["string_check"]
         assert check == table.string_compare_cost(204, 1, True) == 137
 
@@ -143,7 +143,7 @@ class TestAliasBench:
             assert totals[b] - totals[a] == slope * (b - a)
 
     def test_slope_dominated_by_manipulate_and_flush(self):
-        table = calibrate_default()
+        table = CostTable()
         report = alias_sweep_suite(table=table)[0]
         slope = report.row("2-mapping").cycles - report.row("1-mapping").cycles
         per_alias = 2 * (table.pte_manipulate + table.tlb_flush)  # protect and restore

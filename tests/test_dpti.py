@@ -5,6 +5,7 @@ from dptisim import (
     FilterBuilder,
     ForkOp,
     MapSpec,
+    MmapOp,
     MprotectOp,
     ProcMemWriteOp,
     ReadOp,
@@ -456,8 +457,6 @@ class TestWindowInvariants:
     def test_alias_mapped_mid_window_is_covered_and_restored(self):
         """An alias created while the window is open is protected under the
         covering record; restore returns it to its creation permissions."""
-        from dptisim import MmapOp
-
         for variant in (Variant.STASH, Variant.FREEZE):
             sim = Simulation(variant=variant)
             proc = sim.add_process("app", sandboxed=True,
@@ -506,6 +505,25 @@ class TestWindowInvariants:
                     res = sim.vmem.access(core, asid, AccessMode.USER,
                                           AccessKind.WRITE, vpn * PAGE_SIZE)
                     assert not res.ok, (variant, asid)
+
+
+class TestMmap:
+    def test_mmap_over_a_mapped_page_fails_and_maps_nothing(self, monkeypatch):
+        """Like MAP_FIXED_NOREPLACE: a 2-page mmap at 0xF000 over the mapping
+        at 0x10000 returns -1 before it maps or allocates anything, and no
+        mapping is handed to the protection windows."""
+        for variant in (None, Variant.STASH, Variant.FREEZE):
+            sim = one_proc_sim(variant, [[MmapOp(MapSpec(vaddr=0xF000, pages=2))]], sandboxed=False)
+            covered = []
+            monkeypatch.setattr(sim.engine, "cover_new_mapping", lambda asid, vpn: covered.append(vpn))
+            frames = len(sim.vmem.frames)
+            sim.run_seeded(0)
+            assert not sim.kills
+            assert 0xF not in sim.vmem.spaces[sim.tasks[1].asid].entries
+            assert len(sim.vmem.frames) == frames
+            ev = next(e for e in sim.events if isinstance(e, SyscallEvent))
+            assert (ev.name, ev.result) == ("mmap", -1)
+            assert covered == []
 
 
 class TestSyscallPhases:

@@ -253,6 +253,36 @@ class TestCliMalformed:
             assert where in err and "Traceback" not in err
 
 
+class TestCliRunTimeFaults:
+    def _run(self, raw, tmp_path):
+        path, out = tmp_path / "s.json", tmp_path / "r.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--report-out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_mmap_over_an_existing_mapping_fails_the_call(self, tmp_path, capsys):
+        raw = minimal_scenario()
+        _set_op(raw, op="mmap", vaddr=0xF000, pages=2)
+        report = self._run(raw, tmp_path)
+        assert report["kills"] == []
+        mmap = [e for e in report["events"] if e["type"] == "SyscallEvent"]
+        assert [(e["name"], e["result"]) for e in mmap] == [("mmap", -1)]
+
+    def test_unconfined_enclave_fault_on_its_own_page_is_a_segfault(
+        self, scenarios_dir, tmp_path, capsys
+    ):
+        raw = json.loads((scenarios_dir / "sgx_data_only.json").read_text())
+        raw["variant"] = "none"
+        del raw["expectations"]
+        pages = next(m for m in raw["processes"][0]["mappings"] if m.get("label") == "enclave-pages")
+        pages["write"] = False
+        raw["enclaves"][0]["script"] = [
+            {"op": "write", "vaddr": pages["vaddr"], "string": "x"}, {"op": "eexit"},
+        ]
+        report = self._run(raw, tmp_path)
+        assert [k["cause"] for k in report["kills"]] == ["segfault"]
+
+
 class TestCliBench:
     def test_getppid_suite_table(self, capsys):
         assert main(["bench", "getppid"]) == 0

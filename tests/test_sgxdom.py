@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dptisim import EcallOp, MapSpec, Simulation, Variant
+from dptisim import EcallOp, MapSpec, ReadOp, Simulation, Variant, WriteOp
 from dptisim.events import (
     EcallEvent,
     EnclaveLazyMapEvent,
@@ -18,9 +18,7 @@ from dptisim.sgxdom import (
     EXIT_STUB_START,
     EnclaveEexit,
     EnclaveOcall,
-    EnclaveRead,
     EnclaveSetReg,
-    EnclaveWrite,
     OverlapWithEnclaveError,
     SYSCALL_INSN_START,
     UnalignedDbpError,
@@ -109,7 +107,7 @@ class TestEnterExit:
         assert sim.tasks[1].cpu.rsp == RSP
 
     def test_pages_below_aligned_sp_stay_writable(self):
-        script = [EnclaveWrite(RSP - 8, b"arg")]
+        script = [WriteOp(RSP - 8, b"arg")]
         sim, proc, domain = host_sim(Variant.STASH, script)
         report = sim.run_seeded(0)
         assert not sim.kills
@@ -117,7 +115,7 @@ class TestEnterExit:
 
     def test_pages_at_or_above_aligned_sp_protected(self):
         for variant in (Variant.STASH, Variant.FREEZE):
-            script = [EnclaveWrite(RSP + 8, b"ret")]
+            script = [WriteOp(RSP + 8, b"ret")]
             sim, proc, domain = host_sim(variant, script)
             sim.run_seeded(0)
             assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
@@ -276,7 +274,7 @@ class TestSyscallExitOptimization:
 
 class TestIsolatedFaults:
     def test_enclave_pages_map_lazily(self):
-        script = [EnclaveWrite(ENCLAVE + 8, b"mine"), EnclaveEexit()]
+        script = [WriteOp(ENCLAVE + 8, b"mine"), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
         assert not sim.kills
@@ -286,7 +284,7 @@ class TestIsolatedFaults:
 
     def test_write_across_five_lazy_pages_completes(self):
         data = b"e" * (5 * PAGE_SIZE)
-        script = [EnclaveWrite(ENCLAVE, data), EnclaveEexit()]
+        script = [WriteOp(ENCLAVE, data), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script, enclave_pages=5)
         sim.run_seeded(0)
         assert not sim.kills
@@ -295,13 +293,13 @@ class TestIsolatedFaults:
         assert written == data
 
     def test_stash_denies_reads_of_unmapped_host_pages(self):
-        script = [EnclaveRead(SECRET, 4)]
+        script = [ReadOp(SECRET, 4)]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
         assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
 
     def test_freeze_permits_reads_denies_writes(self):
-        script = [EnclaveRead(SECRET, 4), EnclaveWrite(SECRET, b"x")]
+        script = [ReadOp(SECRET, 4), WriteOp(SECRET, b"x")]
         sim, proc, domain = host_sim(Variant.FREEZE, script)
         sim.run_seeded(0)
         assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
@@ -311,7 +309,7 @@ class TestIsolatedFaults:
 
     def test_dbp_writes_allowed_under_both_variants(self):
         for variant in (Variant.STASH, Variant.FREEZE):
-            script = [EnclaveWrite(DBP, b"exchange"), EnclaveEexit()]
+            script = [WriteOp(DBP, b"exchange"), EnclaveEexit()]
             sim, proc, domain = host_sim(variant, script)
             sim.run_seeded(0)
             assert not sim.kills
@@ -339,7 +337,7 @@ class TestWriteConfinement:
                 itertools.product(self.TARGETS, repeat=1),
                 itertools.product(self.TARGETS, repeat=2),
             ):
-                script = [EnclaveWrite(self.TARGETS[t], b"!") for t in program]
+                script = [WriteOp(self.TARGETS[t], b"!") for t in program]
                 script.append(EnclaveEexit())
                 sim, proc, domain = host_sim(variant, script)
                 before = {fid: bytes(f.data) for fid, f in sim.vmem.frames.items()}
@@ -363,7 +361,7 @@ class TestInterrupt:
     def test_async_exit_resumes_via_bridge_page(self):
         from dptisim.sgxdom import EnclaveInterrupt
 
-        script = [EnclaveInterrupt(), EnclaveWrite(DBP, b"after"), EnclaveEexit()]
+        script = [EnclaveInterrupt(), WriteOp(DBP, b"after"), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
         assert not sim.kills

@@ -179,13 +179,12 @@ class CycleTotals:
 
 
 def accumulate(events: Iterable[Event], table: CostTable) -> CycleTotals:
-    total: Cycles = 0
     components: dict[str, Cycles] = {}
     for event in events:
         for component, cycles in charge(event, table).items():
             components[component] = components.get(component, 0) + cycles
-            total = total + cycles
-    return CycleTotals(total, components)
+    # Exact sums, so the total of the components is the total of the charges.
+    return CycleTotals(sum(components.values()), components)
 
 
 # ---------------------------------------------------------------------------

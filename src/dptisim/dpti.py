@@ -271,8 +271,7 @@ class DptiEngine:
                 return False
             space = vmem.spaces[task.asid]
             frame = vmem.frames[space.entries[vpn].frame_id]
-            chunk = frame.data[page_offset(addr) :]
-            if 0 in chunk:
+            if frame.data.find(0, page_offset(addr)) >= 0:
                 terminated = True
                 break
             addr = (vpn + 1) * PAGE_SIZE
@@ -347,8 +346,7 @@ class DptiEngine:
             )
         )
         if record.variant is Variant.STASH:
-            vmem.set_bit(asid, vpn, PteBit.USER, False)
-            vmem.set_bit(asid, vpn, PteBit.EXECUTABLE, False)
+            vmem.set_perms(asid, vpn, False, pte.writable, False)
         else:
             vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
             if vma is not None:
@@ -367,13 +365,13 @@ class DptiEngine:
             self.kill(task, KillCause.BAD_POINTER, "argument vanished during check")
             return False
         ctx.checked[sf.arg_index] = s
-        comparisons = 0
-        matched = False
-        for candidate in sf.allowed:
-            comparisons += 1
-            if candidate == s:
-                matched = True
-                break
+        # Candidates are compared in order up to the first match.
+        try:
+            comparisons = sf.allowed.index(s) + 1
+            matched = True
+        except ValueError:
+            comparisons = len(sf.allowed)
+            matched = False
         self.sim.emit(
             StringCheckEvent(
                 tid=task.tid,
@@ -416,9 +414,7 @@ class DptiEngine:
             pte = space.entries.get(prior.vpn)
             if pte is None or pte.frame_id != prior.frame_id:
                 continue
-            vmem.set_bit(prior.asid, prior.vpn, PteBit.USER, prior.user)
-            vmem.set_bit(prior.asid, prior.vpn, PteBit.WRITABLE, prior.writable)
-            vmem.set_bit(prior.asid, prior.vpn, PteBit.EXECUTABLE, prior.executable)
+            vmem.set_perms(prior.asid, prior.vpn, prior.user, prior.writable, prior.executable)
             vma = space.vma_for(prior.vpn)
             if vma is not None:
                 vma.vm_write = prior.vm_write
@@ -639,9 +635,7 @@ class DptiEngine:
             space = vmem.spaces[task.asid]
             if vpn not in space.entries:
                 continue
-            vmem.set_bit(task.asid, vpn, PteBit.USER, spec.user)
-            vmem.set_bit(task.asid, vpn, PteBit.WRITABLE, spec.writable)
-            vmem.set_bit(task.asid, vpn, PteBit.EXECUTABLE, spec.executable)
+            vmem.set_perms(task.asid, vpn, spec.user, spec.writable, spec.executable)
             vma = space.vma_for(vpn)
             if vma is not None:
                 vma.vm_write = spec.writable

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Any, Optional
 
 
@@ -25,6 +26,25 @@ class KillCause(Enum):
     ISOLATION_VIOLATION = "isolation_violation"
 
 
+# field values of these exact types go into the report unchanged
+_PLAIN = frozenset({int, bool, str, float, list, dict, type(None)})
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value).decode("latin-1")
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    return value
+
+
 @dataclass
 class Event:
     step: int = field(default=-1, init=False)
@@ -32,15 +52,9 @@ class Event:
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"type": type(self).__name__}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Enum):
-                value = value.value
-            elif isinstance(value, (bytes, bytearray)):
-                value = bytes(value).decode("latin-1")
-            elif isinstance(value, (set, frozenset)):
-                value = sorted(value)
-            out[f.name] = value
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
+            out[name] = value if type(value) in _PLAIN else _plain(value)
         return out
 
 

@@ -139,6 +139,13 @@ class FilterTable:
         self.refcount = 1
         self.freed = False
 
+    def fresh(self) -> FilterTable:
+        """A newly installed table over the same immutable rules, with its
+        own reference count."""
+        table = object.__new__(FilterTable)
+        table.__dict__.update(self.__dict__, installed=True, refcount=1, freed=False)
+        return table
+
     def lookup(self, nr: int) -> FilterRule:
         if 0 <= nr < len(self._rules):
             return self._rules[nr]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional, Union
@@ -110,6 +111,15 @@ class Scenario:
     # The filter policy, compiled once at load; every build installs its own
     # FilterTable over these shared, immutable rules.
     rules: Optional[Mapping[int, FilterRule]] = None
+    # The default cost table with the scenario's overrides, made at load.
+    cost_table: CostTable = field(default_factory=CostTable)
+
+    @cached_property
+    def compiled(self) -> CompiledScenario:
+        """What every build of this scenario shares, compiled on the first
+        build (so that errors only building can find keep surfacing there)
+        and read-only after."""
+        return _compile(self)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
@@ -266,6 +276,12 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         if name not in enclave_names:
             raise ScenarioError(f"{where}: ecall to undefined enclave {name!r}")
 
+    costs = raw.get("costs")
+    try:
+        cost_table = CostTable().with_overrides(costs) if costs else CostTable()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"costs: {exc}") from None
+
     expectations = raw.get("expectations")
     if expectations is not None:
         _EXP_KEYS = {"witnesses", "kills", "no_kills", "deadlocks", "paths"}
@@ -291,9 +307,10 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         processes=processes,
         filters=filters,
         enclaves=enclaves,
-        costs=raw.get("costs"),
+        costs=costs,
         expectations=expectations,
         rules=rules,
+        cost_table=cost_table,
     )
 
 
@@ -427,72 +444,141 @@ def build_filters(spec: dict[str, Any]) -> FilterBuilder:
     return fb
 
 
+@dataclass(frozen=True)
+class _ProcessPlan:
+    name: str
+    sandboxed: bool
+    mappings: tuple[MapSpec, ...]
+    threads: tuple[tuple[str, tuple, int, int], ...]  # (name, ops, rsp, rbp)
+
+
+@dataclass(frozen=True)
+class _EnclavePlan:
+    name: str
+    host: int  # index into CompiledScenario.processes
+    variant: Optional[Variant]
+    own_variant: bool  # False: the enclave takes the variant of the build
+    vpns: frozenset[int]
+    cbp_vpn: int
+    dbp_vaddrs: tuple[int, ...]
+    syscall_exit: bool
+    script: tuple
+
+
+@dataclass(frozen=True)
+class CompiledScenario:
+    """A scenario parsed into the immutable pieces every build shares: mapping
+    specs, op tuples, one filter table to copy, and the config's JSON text."""
+
+    processes: tuple[_ProcessPlan, ...]
+    enclaves: tuple[_EnclavePlan, ...]
+    filters: Optional[FilterTable]  # never installed itself; builds take fresh() copies
+    config_json: str
+
+
+def _compile(sc: Scenario) -> CompiledScenario:
+    labels: dict[str, list[int]] = {}
+    # A build allocates frames 1, 2, ... in this order, one per page of each
+    # mapping that is not an alias, so a label's frame ids are known here.
+    next_frame = 1
+    mappings = []
+    for proc in sc.processes:
+        specs = []
+        for m in proc.get("mappings", []):
+            spec = _map_spec(m, labels)
+            if spec.alias_frames is not None:
+                frames = list(spec.alias_frames)
+            else:
+                frames = list(range(next_frame, next_frame + spec.pages))
+                next_frame += spec.pages
+            if m.get("label"):
+                labels[m["label"]] = frames
+            specs.append(spec)
+        mappings.append(tuple(specs))
+    # Ops may alias any labelled mapping, so they are built once all are known.
+    processes = tuple(
+        _ProcessPlan(
+            name=proc["name"],
+            sandboxed=proc.get("sandboxed", False),
+            mappings=specs,
+            threads=tuple(
+                (t["name"], _build_ops(t["ops"], _OPS, labels), t.get("rsp", 0), t.get("rbp", 0))
+                for t in proc["threads"]
+            ),
+        )
+        for proc, specs in zip(sc.processes, mappings)
+    )
+    enclaves = []
+    for enc in sc.enclaves:
+        pages = enc["pages"]
+        start = vpn_of(pages["vaddr"])
+        enclaves.append(
+            _EnclavePlan(
+                name=enc["name"],
+                host=next(i for i, p in enumerate(processes) if p.name == enc["process"]),
+                variant=_VARIANTS[enc.get("variant", "none")],
+                own_variant="variant" in enc,
+                vpns=frozenset(range(start, start + pages.get("pages", 1))),
+                cbp_vpn=vpn_of(enc["cbp_vaddr"]),
+                dbp_vaddrs=tuple(enc.get("dbp_vaddrs", [])),
+                syscall_exit=enc.get("syscall_exit", False),
+                script=_build_ops(enc.get("script", []), _ENCLAVE_OPS, labels),
+            )
+        )
+    return CompiledScenario(
+        processes=processes,
+        enclaves=tuple(enclaves),
+        filters=FilterTable(sc.rules) if sc.rules is not None else None,
+        config_json=json.dumps(sc.raw, sort_keys=True, separators=(",", ":")),
+    )
+
+
 def build_simulation(
     sc: Scenario,
     variant_override: object = _SCENARIO_VARIANT,
     cost_table: Optional[CostTable] = None,
 ) -> Simulation:
+    plan = sc.compiled
     variant = sc.variant if variant_override is _SCENARIO_VARIANT else variant_override
-    if cost_table is None:
-        cost_table = CostTable()
-        if sc.costs:
-            cost_table = cost_table.with_overrides(sc.costs)
     sim = Simulation(
         variant=variant,
         cores=sc.cores,
         deny_mode=sc.deny_mode,
         name=sc.name,
-        cost_table=cost_table,
+        cost_table=sc.cost_table if cost_table is None else cost_table,
         config=sc.raw,
+        config_json=plan.config_json,
     )
-    labels: dict[str, list[int]] = {}
     proc_infos = []
-    for i, proc in enumerate(sc.processes):
-        sandboxed = proc.get("sandboxed", False)
+    for i, proc in enumerate(plan.processes):
         # Each process gets its own table (own refcount) over the shared rules.
-        table = FilterTable(sc.rules) if sandboxed else None
-        info = sim.add_process(proc["name"], sandboxed=sandboxed, filters=table)
+        table = plan.filters.fresh() if proc.sandboxed else None
+        info = sim.add_process(proc.name, sandboxed=proc.sandboxed, filters=table)
         proc_infos.append(info)
-        for j, m in enumerate(proc.get("mappings", [])):
-            spec = _map_spec(m, labels)
+        for j, spec in enumerate(proc.mappings):
             try:
-                frames = sim.map_region(info.asid, spec)
+                sim.map_region(info.asid, spec)
             except DoubleMapError as exc:
                 raise ScenarioError(f"processes[{i}].mappings[{j}]: overlaps an earlier mapping: {exc}") from None
-            if m.get("label"):
-                labels[m["label"]] = frames
-    for i, enc in enumerate(sc.enclaves):
-        host = next(p for p in proc_infos if p.name == enc["process"])
-        enc_variant = (
-            _VARIANTS[enc["variant"]] if "variant" in enc else variant
-        )
-        pages = enc["pages"]
-        start = vpn_of(pages["vaddr"])
-        enclave_vpns = set(range(start, start + pages.get("pages", 1)))
+    for i, enc in enumerate(plan.enclaves):
         try:
             domain = build_isolated_mapping(
                 sim.vmem,
-                sim.vmem.spaces[host.asid],
-                enc["name"],
-                enclave_vpns,
-                vpn_of(enc["cbp_vaddr"]),
-                enc.get("dbp_vaddrs", []),
-                enc_variant,
-                syscall_exit=enc.get("syscall_exit", False),
-                script=list(_build_ops(enc.get("script", []), _ENCLAVE_OPS, labels)),
+                sim.vmem.spaces[proc_infos[enc.host].asid],
+                enc.name,
+                enc.vpns,
+                enc.cbp_vpn,
+                enc.dbp_vaddrs,
+                enc.variant if enc.own_variant else variant,
+                syscall_exit=enc.syscall_exit,
+                script=enc.script,
             )
         except SgxError as exc:
             raise ScenarioError(f"enclaves[{i}]: {exc}") from None
-        sim.enclaves[enc["name"]] = domain
-    for proc, info in zip(sc.processes, proc_infos):
-        for t in proc["threads"]:
-            sim.add_thread(
-                info,
-                _build_ops(t["ops"], _OPS, labels),
-                name=t["name"],
-                rsp=t.get("rsp", 0),
-                rbp=t.get("rbp", 0),
-            )
+        sim.enclaves[enc.name] = domain
+    for proc, info in zip(plan.processes, proc_infos):
+        for name, ops, rsp, rbp in proc.threads:
+            sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp)
     return sim
 
 
@@ -563,34 +649,27 @@ def check_expectations(
             failures.append(f"witnesses: expected at least {bounds['min']}, found {witnesses}")
         if "max" in bounds and witnesses > bounds["max"]:
             failures.append(f"witnesses: expected at most {bounds['max']}, found {witnesses}")
+    # (process, cause) of every kill in the seeded run, or on some path of
+    # the exploration
+    if exploring:
+        killed = {
+            (process, cause)
+            for process, causes in result.process_kills.items() for cause in causes
+        }
+    else:
+        killed = {(k["process"], k["cause"]) for k in result.kills}
     for want in exp.get("kills", []):
-        if exploring:
-            if "process" in want:
-                failures.append("kills: per-process expectations need a seeded run")
-                continue
-            cause = want.get("cause")
-            if cause is not None and cause not in result.kills:
-                failures.append(f"kills: no path killed with cause {cause!r}")
-        else:
-            hits = [
-                k for k in result.kills
-                if ("process" not in want or k["process"] == want["process"])
-                and ("cause" not in want or k["cause"] == want["cause"])
-            ]
-            if not hits:
-                failures.append(f"kills: no kill matching {want}")
+        if not any(
+            ("process" not in want or process == want["process"])
+            and ("cause" not in want or cause == want["cause"])
+            for process, cause in killed
+        ):
+            failures.append(f"kills: no kill matching {want}{' on any path' if exploring else ''}")
     no_kills = exp.get("no_kills")
     if no_kills:
-        if exploring:
-            if result.kills:
-                failures.append(f"no_kills: kills occurred: {sorted(result.kills)}")
-        else:
-            names = None if no_kills is True else set(no_kills)
-            bad = [
-                k for k in result.kills if names is None or k["process"] in names
-            ]
-            if bad:
-                failures.append(f"no_kills: kills occurred: {bad}")
+        bad = sorted(k for k in killed if no_kills is True or k[0] in no_kills)
+        if bad:
+            failures.append(f"no_kills: kills occurred: {bad}")
     deadlocks = exp.get("deadlocks")
     if deadlocks is not None:
         count = result.deadlock_paths if exploring else len(result.deadlocked)

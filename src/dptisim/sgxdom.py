@@ -255,7 +255,7 @@ class SgxRuntime:
         self._attach_stack(domain, permitted)
         for vpn in permitted:
             frame = vmem.frames[host.entries[vpn].frame_id]
-            if any(frame.data):
+            if frame.data.count(0) != len(frame.data):  # any non-zero byte
                 self.sim.emit(
                     DiagnosticEvent(
                         tid=task.tid,
@@ -334,11 +334,7 @@ class SgxRuntime:
             isolated = vmem.spaces[domain.isolated_asid]
             host = vmem.spaces[domain.host_asid]
             if fault.vpn in isolated.entries:
-                pte = isolated.entries[fault.vpn]
-                pte.user = True
-                pte.writable = True
-                pte.executable = True
-                vmem.rmap[pte.frame_id][(domain.isolated_asid, fault.vpn)] = pte.perms()
+                vmem.set_perms(domain.isolated_asid, fault.vpn, True, True, True)
             else:
                 vmem.map(domain.isolated_asid, fault.vpn, host.entries[fault.vpn].frame_id,
                          user=True, writable=True, executable=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -247,6 +247,10 @@ class ProcessInfo:
 # reports
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 class _Report:
     """JSON form and hash of a report dataclass, built from its fields."""
 
@@ -254,7 +258,7 @@ class _Report:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _dumps(self.to_dict())
 
     def hash_hex(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -275,6 +279,19 @@ class SimReport(_Report):
     filters: dict[str, dict[str, Any]]
     cycles: Optional[dict[str, Any]] = None
     config: Optional[dict[str, Any]] = None
+    # ``config`` already encoded as to_json encodes it, or None to encode it
+    config_json: InitVar[Optional[str]] = None
+
+    def __post_init__(self, config_json: Optional[str]) -> None:
+        self._config_json = config_json
+
+    def to_json(self) -> str:
+        if self._config_json is None:
+            return super().to_json()
+        # "config" sorts before every other field, so its text leads.
+        rest = self.to_dict()
+        del rest["config"]
+        return '{"config":' + self._config_json + "," + _dumps(rest)[1:]
 
 
 def extract_witnesses(events: Sequence[Event]) -> list[dict[str, Any]]:
@@ -314,11 +331,14 @@ class Simulation:
         name: str = "sim",
         cost_table: Optional["costmodel.CostTable"] = None,
         config: Optional[dict[str, Any]] = None,
+        config_json: Optional[str] = None,
     ):
         self.name = name
         self.vmem = Vmem(cores=cores)
         self.engine = DptiEngine(self, variant, deny_mode=deny_mode)
         self.sgx = SgxRuntime(self)
+        # In ascending tid order, the order every scan of it reports: tids
+        # only grow and no task is ever removed.
         self.tasks: dict[int, Task] = {}
         self.tasks_by_name: dict[str, Task] = {}
         self.processes: dict[int, ProcessInfo] = {}
@@ -330,6 +350,7 @@ class Simulation:
         self.truncated = False
         self.cost_table = cost_table
         self.config = config
+        self.config_json = config_json
         self.schedule_info: dict[str, Any] = {}
         self._next_tid = 1
         self._next_pid = 1
@@ -442,8 +463,7 @@ class Simulation:
         self.emit(StallEvent(tid=task.tid, kind=kind, frame_id=frame_id))
 
     def wake_frame_waiters(self, frames: set[int]) -> None:
-        for tid in sorted(self.tasks):
-            task = self.tasks[tid]
+        for task in self.tasks.values():
             if task.state is TaskState.STALLED and task.stall is not None and task.stall[1] in frames:
                 task.state = TaskState.RUNNABLE
                 self.emit(WakeEvent(tid=task.tid, frame_id=task.stall[1]))
@@ -564,7 +584,7 @@ class Simulation:
     # stepping
 
     def runnable_tids(self) -> list[int]:
-        return [tid for tid in sorted(self.tasks) if self.tasks[tid].state is TaskState.RUNNABLE]
+        return [tid for tid, task in self.tasks.items() if task.state is TaskState.RUNNABLE]
 
     def _advance(self, task: Task) -> None:
         task.ip += 1
@@ -725,8 +745,7 @@ class Simulation:
         if self._finalized:
             return
         self._finalized = True
-        for tid in sorted(self.tasks):
-            task = self.tasks[tid]
+        for tid, task in self.tasks.items():
             if task.state is TaskState.STALLED and task.stall is not None:
                 self.emit(DeadlockEvent(tid=tid, kind=task.stall[0], frame_id=task.stall[1]))
 
@@ -734,10 +753,7 @@ class Simulation:
     # reporting
 
     def deadlocked_tids(self) -> list[int]:
-        return [
-            tid for tid in sorted(self.tasks)
-            if self.tasks[tid].state is TaskState.STALLED
-        ]
+        return [tid for tid, task in self.tasks.items() if task.state is TaskState.STALLED]
 
     def build_report(self) -> SimReport:
         cycles = None
@@ -764,6 +780,7 @@ class Simulation:
             filters=filters_state,
             cycles=cycles,
             config=self.config,
+            config_json=self.config_json,
         )
 
 
@@ -778,6 +795,8 @@ class ExplorationReport(_Report):
     witnesses: int
     witness_paths: int
     kills: dict[str, int]  # cause -> number of paths with at least one
+    # process -> cause -> number of paths that killed that process so
+    process_kills: dict[str, dict[str, int]]
     deadlock_paths: int
     example_witness: Optional[dict[str, Any]]
     per_path: list[dict[str, Any]]
@@ -800,6 +819,7 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     witnesses = 0
     witness_paths = 0
     kills: dict[str, int] = {}
+    process_kills: dict[str, dict[str, int]] = {}
     deadlock_paths = 0
     example: Optional[dict[str, Any]] = None
     per_path: list[dict[str, Any]] = []
@@ -827,17 +847,22 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
             witness_paths += 1
             if example is None:
                 example = dict(path_witnesses[0], decisions=list(prefix))
-        for cause in {k["cause"] for k in sim.kills}:
+        causes = {k["cause"] for k in sim.kills}
+        for cause in causes:
             kills[cause] = kills.get(cause, 0) + 1
-        if sim.deadlocked_tids():
+        for process, cause in {(k["process"], k["cause"]) for k in sim.kills}:
+            by_cause = process_kills.setdefault(process, {})
+            by_cause[cause] = by_cause.get(cause, 0) + 1
+        deadlocked = sim.deadlocked_tids()
+        if deadlocked:
             deadlock_paths += 1
         per_path.append(
             {
                 "decisions": list(prefix),
                 "steps": sim.step_count,
                 "witnesses": len(path_witnesses),
-                "kills": sorted({k["cause"] for k in sim.kills}),
-                "deadlocked": sim.deadlocked_tids(),
+                "kills": sorted(causes),
+                "deadlocked": deadlocked,
             }
         )
     return ExplorationReport(
@@ -846,6 +871,7 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
         witnesses=witnesses,
         witness_paths=witness_paths,
         kills=kills,
+        process_kills=process_kills,
         deadlock_paths=deadlock_paths,
         example_witness=example,
         per_path=per_path,

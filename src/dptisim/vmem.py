@@ -84,7 +84,9 @@ class PageTableEntry:
     cow: bool = False  # cow implies writable=False
 
     def snapshot(self) -> PageTableEntry:
-        return replace(self)
+        return PageTableEntry(
+            self.frame_id, self.present, self.user, self.writable, self.executable, self.cow
+        )
 
     def perms(self) -> tuple[bool, bool, bool]:
         return (self.user, self.writable, self.executable)
@@ -188,9 +190,6 @@ class Vmem:
     @property
     def cores(self) -> int:
         return len(self.tlbs)
-
-    def all_cores(self) -> set[int]:
-        return set(range(len(self.tlbs)))
 
     # ------------------------------------------------------------------
     # allocation
@@ -379,12 +378,12 @@ class Vmem:
             if res.fault is not None:
                 return None, res.fault, spanned
             spanned.append(vpn)
-            chunk = res.frame.data[res.offset : PAGE_SIZE]
-            nul = chunk.find(0)
+            data = res.frame.data
+            nul = data.find(0, res.offset)
             if nul >= 0:
-                out += chunk[:nul]
+                out += data[res.offset : nul]
                 return bytes(out), None, spanned
-            out += chunk
+            out += data[res.offset :]
             addr = (vpn + 1) * PAGE_SIZE
         return None, None, spanned
 
@@ -403,10 +402,17 @@ class Vmem:
         self.rmap[pte.frame_id][(asid, vpn)] = pte.perms()
         return prev
 
+    def set_perms(self, asid: int, vpn: int, user: bool, writable: bool, executable: bool) -> None:
+        """Set all three permission bits with one reverse-map write; like
+        ``set_bit``, flushes no TLB."""
+        pte = self.pte(asid, vpn)
+        pte.user, pte.writable, pte.executable = user, writable, executable
+        self.rmap[pte.frame_id][(asid, vpn)] = (user, writable, executable)
+
     def tlb_flush(self, asid: int, vpn: int, cores: Optional[Iterable[int]] = None) -> None:
-        targets = self.all_cores() if cores is None else set(cores)
-        for core in targets:
-            self.tlbs[core].flush(asid, vpn)
+        tlbs = self.tlbs if cores is None else [self.tlbs[core] for core in set(cores)]
+        for tlb in tlbs:
+            tlb.flush(asid, vpn)
 
     # ------------------------------------------------------------------
     # copy-on-write and fork

@@ -28,6 +28,7 @@ BOUNDS = {"visudo": 8}
 def reference_explore(factory, max_steps: int) -> ExplorationReport:
     paths = truncated = witnesses = witness_paths = deadlock_paths = 0
     kills: dict[str, int] = {}
+    process_kills: dict[str, dict[str, int]] = {}
     example: Optional[dict[str, Any]] = None
     per_path: list[dict[str, Any]] = []
     stack: list[tuple[int, ...]] = [()]
@@ -50,6 +51,9 @@ def reference_explore(factory, max_steps: int) -> ExplorationReport:
         causes = {k["cause"] for k in sim.kills}
         for cause in causes:
             kills[cause] = kills.get(cause, 0) + 1
+        for process, cause in {(k["process"], k["cause"]) for k in sim.kills}:
+            by_cause = process_kills.setdefault(process, {})
+            by_cause[cause] = by_cause.get(cause, 0) + 1
         deadlock_paths += bool(sim.deadlocked_tids())
         per_path.append(
             {
@@ -66,6 +70,7 @@ def reference_explore(factory, max_steps: int) -> ExplorationReport:
         witnesses=witnesses,
         witness_paths=witness_paths,
         kills=kills,
+        process_kills=process_kills,
         deadlock_paths=deadlock_paths,
         example_witness=example,
         per_path=per_path,

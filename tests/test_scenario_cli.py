@@ -115,6 +115,35 @@ class TestExpectations:
         assert check_expectations(sc, protected, None) != []
         assert check_expectations(sc, protected, Variant.STASH) == []
 
+    def test_per_process_kills_hold_on_every_path(self, scenarios_dir):
+        sc = load_scenario(scenarios_dir / "visudo.json")
+        report = explore(lambda: build_simulation(sc), 8)
+        assert set(report.process_kills) == {"override", "wrongfile"}
+        assert check_expectations(sc, report) == []
+
+    @pytest.mark.parametrize("expectations, holds", [
+        ({"kills": [{"process": "victim", "cause": "unregistered_syscall"}]}, True),
+        ({"kills": [{"process": "victim"}, {"cause": "unregistered_syscall"}]}, True),
+        ({"kills": [{"process": "bystander"}]}, False),
+        ({"kills": [{"process": "victim", "cause": "segfault"}]}, False),
+        ({"no_kills": ["bystander"]}, True),
+        ({"no_kills": ["victim"]}, False),
+        ({"no_kills": True}, False),
+    ])
+    def test_kill_expectations_name_the_process_in_runs_and_explorations(self, expectations, holds):
+        raw = minimal_scenario(filters={"rules": [{"nr": "exit_group"}]}, expectations=expectations)
+        raw["processes"][0].update(name="bystander")
+        raw["processes"].append({
+            "name": "victim", "sandboxed": True,
+            "threads": [{"name": "v", "ops": [{"op": "syscall", "nr": "getppid"}]}],
+        })
+        sc = scenario_from_dict(raw)
+        seeded = build_simulation(sc).run_seeded(0)
+        explored = explore(lambda: build_simulation(sc), 40)
+        assert explored.process_kills == {"victim": {"unregistered_syscall": explored.paths}}
+        for report in (seeded, explored):
+            assert (check_expectations(sc, report) == []) is holds
+
 
 class TestCliRun:
     def test_missing_file_exits_2(self, capsys):
@@ -179,6 +208,12 @@ class TestCliRun:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["paths"] > 0 and data["witnesses"] >= 1
+
+    def test_exhaustive_run_checks_per_process_expectations(self, scenarios_dir, capsys):
+        code = main(["run", str(scenarios_dir / "visudo.json"), "--exhaustive", "--max-steps", "8"])
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        assert "expectations: all hold" in out.out
 
 
 def _add_thread(raw, **thread):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 MAX_SYSCALL_ARGS = 6
 MAX_ARG_STRING = 4096
@@ -128,23 +128,25 @@ class FilterTable:
     with a reference count; the last exiting task frees it.
     """
 
-    def __init__(self, rules: dict[int, FilterRule]):
-        size = (max(rules) + 1) if rules else 0
-        dense: list[FilterRule] = [DENY_RULE] * size
-        for nr, rule in rules.items():
-            dense[nr] = rule
-        self._rules: tuple[FilterRule, ...] = tuple(dense)
-        self.populated = len(rules)
+    def __init__(self, dense: tuple[FilterRule, ...], populated: int):
+        self._rules = dense
+        self.populated = populated
         self.installed = True
         self.refcount = 1
         self.freed = False
 
+    @classmethod
+    def from_rules(cls, rules: Mapping[int, FilterRule]) -> FilterTable:
+        size = (max(rules) + 1) if rules else 0
+        dense: list[FilterRule] = [DENY_RULE] * size
+        for nr, rule in rules.items():
+            dense[nr] = rule
+        return cls(tuple(dense), len(rules))
+
     def fresh(self) -> FilterTable:
         """A newly installed table over the same immutable rules, with its
         own reference count."""
-        table = object.__new__(FilterTable)
-        table.__dict__.update(self.__dict__, installed=True, refcount=1, freed=False)
-        return table
+        return FilterTable(self._rules, self.populated)
 
     def lookup(self, nr: int) -> FilterRule:
         if 0 <= nr < len(self._rules):
@@ -255,7 +257,7 @@ class FilterBuilder:
     def install(self) -> FilterTable:
         """Deep-copy the rules into their installed, immutable form."""
         self._check_mutable()
-        table = FilterTable(self.build_rules())
+        table = FilterTable.from_rules(self.build_rules())
         self._installed = True
         return table
 

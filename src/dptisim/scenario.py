@@ -9,12 +9,11 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .costmodel import CostTable
 from .dpti import Variant
-from .filters import CmpOp, FilterBuilder, FilterError, FilterRule, FilterTable, syscall_nr
+from .filters import CmpOp, FilterBuilder, FilterError, FilterTable, syscall_nr
 from .sgxdom import (
     EnclaveEexit,
     EnclaveInterrupt,
@@ -108,9 +107,9 @@ class Scenario:
     enclaves: list[dict[str, Any]] = field(default_factory=list)
     costs: Optional[dict[str, Any]] = None
     expectations: Optional[dict[str, Any]] = None
-    # The filter policy, compiled once at load; every build installs its own
-    # FilterTable over these shared, immutable rules.
-    rules: Optional[Mapping[int, FilterRule]] = None
+    # The filter policy, compiled once at load into a table that is never
+    # installed itself: each sandboxed process of a build gets a fresh() copy.
+    filter_table: Optional[FilterTable] = None
     # The default cost table with the scenario's overrides, made at load.
     cost_table: CostTable = field(default_factory=CostTable)
 
@@ -193,7 +192,7 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         raise ScenarioError("schedule.mode must be 'seeded' or 'exhaustive'")
 
     filters = raw.get("filters")
-    rules = None
+    filter_table = None
     if filters is not None:
         _require_keys(filters, allowed={"rules"}, required={"rules"}, where="filters")
         for k, rule in enumerate(filters["rules"]):
@@ -201,7 +200,7 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
                 rule, allowed={"nr", "arg", "op", "value", "strings", "allow"},
                 required={"nr"}, where=f"filters.rules[{k}]",
             )
-        rules = MappingProxyType(build_filters(filters).build_rules())
+        filter_table = FilterTable.from_rules(build_filters(filters).build_rules())
 
     processes = raw["processes"]
     if not isinstance(processes, list) or not processes:
@@ -309,7 +308,7 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         enclaves=enclaves,
         costs=costs,
         expectations=expectations,
-        rules=rules,
+        filter_table=filter_table,
         cost_table=cost_table,
     )
 
@@ -449,6 +448,8 @@ class _ProcessPlan:
     name: str
     sandboxed: bool
     mappings: tuple[MapSpec, ...]
+    # per mapping: the frame ids a labelled mapping is compiled to get, else None
+    label_frames: tuple[Optional[tuple[int, ...]], ...]
     threads: tuple[tuple[str, tuple, int, int], ...]  # (name, ops, rsp, rbp)
 
 
@@ -456,8 +457,7 @@ class _ProcessPlan:
 class _EnclavePlan:
     name: str
     host: int  # index into CompiledScenario.processes
-    variant: Optional[Variant]
-    own_variant: bool  # False: the enclave takes the variant of the build
+    variant: object  # a Variant, None, or _SCENARIO_VARIANT for the build's own
     vpns: frozenset[int]
     cbp_vpn: int
     dbp_vaddrs: tuple[int, ...]
@@ -468,22 +468,22 @@ class _EnclavePlan:
 @dataclass(frozen=True)
 class CompiledScenario:
     """A scenario parsed into the immutable pieces every build shares: mapping
-    specs, op tuples, one filter table to copy, and the config's JSON text."""
+    specs, op tuples and the config's JSON text."""
 
     processes: tuple[_ProcessPlan, ...]
     enclaves: tuple[_EnclavePlan, ...]
-    filters: Optional[FilterTable]  # never installed itself; builds take fresh() copies
     config_json: str
 
 
 def _compile(sc: Scenario) -> CompiledScenario:
     labels: dict[str, list[int]] = {}
     # A build allocates frames 1, 2, ... in this order, one per page of each
-    # mapping that is not an alias, so a label's frame ids are known here.
+    # mapping that is not an alias, so a label's frame ids are known here;
+    # build_simulation checks that the labelled mappings get them.
     next_frame = 1
     mappings = []
     for proc in sc.processes:
-        specs = []
+        specs, label_frames = [], []
         for m in proc.get("mappings", []):
             spec = _map_spec(m, labels)
             if spec.alias_frames is not None:
@@ -494,19 +494,21 @@ def _compile(sc: Scenario) -> CompiledScenario:
             if m.get("label"):
                 labels[m["label"]] = frames
             specs.append(spec)
-        mappings.append(tuple(specs))
+            label_frames.append(tuple(frames) if m.get("label") else None)
+        mappings.append((tuple(specs), tuple(label_frames)))
     # Ops may alias any labelled mapping, so they are built once all are known.
     processes = tuple(
         _ProcessPlan(
             name=proc["name"],
             sandboxed=proc.get("sandboxed", False),
             mappings=specs,
+            label_frames=label_frames,
             threads=tuple(
                 (t["name"], _build_ops(t["ops"], _OPS, labels), t.get("rsp", 0), t.get("rbp", 0))
                 for t in proc["threads"]
             ),
         )
-        for proc, specs in zip(sc.processes, mappings)
+        for proc, (specs, label_frames) in zip(sc.processes, mappings)
     )
     enclaves = []
     for enc in sc.enclaves:
@@ -516,8 +518,7 @@ def _compile(sc: Scenario) -> CompiledScenario:
             _EnclavePlan(
                 name=enc["name"],
                 host=next(i for i, p in enumerate(processes) if p.name == enc["process"]),
-                variant=_VARIANTS[enc.get("variant", "none")],
-                own_variant="variant" in enc,
+                variant=_VARIANTS[enc["variant"]] if "variant" in enc else _SCENARIO_VARIANT,
                 vpns=frozenset(range(start, start + pages.get("pages", 1))),
                 cbp_vpn=vpn_of(enc["cbp_vaddr"]),
                 dbp_vaddrs=tuple(enc.get("dbp_vaddrs", [])),
@@ -528,7 +529,6 @@ def _compile(sc: Scenario) -> CompiledScenario:
     return CompiledScenario(
         processes=processes,
         enclaves=tuple(enclaves),
-        filters=FilterTable(sc.rules) if sc.rules is not None else None,
         config_json=json.dumps(sc.raw, sort_keys=True, separators=(",", ":")),
     )
 
@@ -552,14 +552,19 @@ def build_simulation(
     proc_infos = []
     for i, proc in enumerate(plan.processes):
         # Each process gets its own table (own refcount) over the shared rules.
-        table = plan.filters.fresh() if proc.sandboxed else None
+        table = sc.filter_table.fresh() if proc.sandboxed else None
         info = sim.add_process(proc.name, sandboxed=proc.sandboxed, filters=table)
         proc_infos.append(info)
-        for j, spec in enumerate(proc.mappings):
+        for j, (spec, expected) in enumerate(zip(proc.mappings, proc.label_frames)):
             try:
-                sim.map_region(info.asid, spec)
+                frames = sim.map_region(info.asid, spec)
             except DoubleMapError as exc:
                 raise ScenarioError(f"processes[{i}].mappings[{j}]: overlaps an earlier mapping: {exc}") from None
+            if expected is not None and tuple(frames) != expected:
+                raise RuntimeError(
+                    f"processes[{i}].mappings[{j}]: label {spec.label!r} got frames "
+                    f"{frames}, compiled for {list(expected)}"
+                )
     for i, enc in enumerate(plan.enclaves):
         try:
             domain = build_isolated_mapping(
@@ -569,7 +574,7 @@ def build_simulation(
                 enc.vpns,
                 enc.cbp_vpn,
                 enc.dbp_vaddrs,
-                enc.variant if enc.own_variant else variant,
+                variant if enc.variant is _SCENARIO_VARIANT else enc.variant,
                 syscall_exit=enc.syscall_exit,
                 script=enc.script,
             )

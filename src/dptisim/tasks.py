@@ -286,12 +286,11 @@ class SimReport(_Report):
         self._config_json = config_json
 
     def to_json(self) -> str:
-        if self._config_json is None:
-            return super().to_json()
+        config = self._config_json if self._config_json is not None else _dumps(self.config)
         # "config" sorts before every other field, so its text leads.
         rest = self.to_dict()
         del rest["config"]
-        return '{"config":' + self._config_json + "," + _dumps(rest)[1:]
+        return '{"config":' + config + "," + _dumps(rest)[1:]
 
 
 def extract_witnesses(events: Sequence[Event]) -> list[dict[str, Any]]:

@@ -201,6 +201,8 @@ class Vmem:
         return space
 
     def alloc_frame(self, fill: bytes = b"") -> Frame:
+        """A new frame, zeroed past ``fill``. Ids run 1, 2, ... in allocation
+        order, which compiled scenarios rely on to know their labelled frames."""
         data = bytearray(PAGE_SIZE)
         data[: len(fill)] = fill[:PAGE_SIZE]
         frame = Frame(self._next_frame, data)

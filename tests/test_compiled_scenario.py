@@ -11,7 +11,7 @@ from dptisim import scenario as scenario_module
 from dptisim.dpti import Variant
 from dptisim.events import ExecEvent, ForkEvent, MprotectEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import explore
+from dptisim.tasks import Simulation, explore
 from dptisim.vmem import PAGE_SIZE
 
 from conftest import SCENARIOS
@@ -76,16 +76,36 @@ def test_second_build_calls_no_parser(path, monkeypatch):
     assert called == []
 
 
-def test_alias_labels_resolve_to_the_frames_built(scenarios_dir):
-    sc = load_scenario(scenarios_dir / "toctou_alias.json")
+LABELLED = [p for p in PATHS if '"label"' in p.read_text()]
+
+
+@pytest.mark.parametrize("path", LABELLED, ids=lambda p: p.stem)
+def test_labels_resolve_to_the_frames_built(path):
+    sc = load_scenario(path)
     sim = build_simulation(sc)
+    checked = 0
     for proc, plan in zip(sim.processes.values(), sc.compiled.processes):
-        for spec in plan.mappings:
-            if spec.alias_frames is not None:
-                entries = sim.vmem.spaces[proc.asid].entries
+        entries = sim.vmem.spaces[proc.asid].entries
+        for spec, expected in zip(plan.mappings, plan.label_frames):
+            frames = spec.alias_frames if spec.alias_frames is not None else expected
+            if frames is not None:
                 first = spec.vaddr // PAGE_SIZE
-                built = tuple(entries[first + i].frame_id for i in range(len(spec.alias_frames)))
-                assert built == spec.alias_frames
+                assert tuple(entries[first + i].frame_id for i in range(len(frames))) == frames
+                checked += 1
+    assert checked > 0
+
+
+def test_a_label_built_on_other_frames_is_an_error(scenarios_dir, monkeypatch):
+    sc = load_scenario(scenarios_dir / "toctou_alias.json")
+    add_process = Simulation.add_process
+
+    def add_process_taking_a_frame(self, *args, **kwargs):
+        self.vmem.alloc_frame()
+        return add_process(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "add_process", add_process_taking_a_frame)
+    with pytest.raises(RuntimeError, match="compiled for"):
+        build_simulation(sc)
 
 
 def test_running_one_build_leaves_its_siblings_unchanged():

@@ -1,36 +1,23 @@
 """Benchmark suites over the calibrated cost model.
 
-Each suite runs the real simulation machinery for single-syscall or
-single-transition scenarios and folds the emitted events through the cost
-table, comparing filtering regimes side by side: no filtering, the
-sequential-scan baseline, and constant-lookup filtering with optional deep
-argument checks.
+Every row is a scenario, built and run through the same path as
+``dptisim run`` (``scenario_from_dict``, ``build_simulation``, a seeded run),
+with the emitted events folded through the cost table. The suites compare
+filtering regimes side by side: no filtering, the sequential-scan baseline,
+and constant-lookup filtering with optional deep argument checks. Each
+suite's scenarios are loaded once per process, on first use.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import cache
+from typing import Any, Optional, Sequence
 
-from .costmodel import (
-    BenchReport,
-    CostTable,
-    CycleTotals,
-    accumulate,
-    bench_report,
-)
+from .costmodel import BenchReport, CostTable, CycleTotals, accumulate, bench_report
 from .dpti import Variant
-from .events import EcallEvent, OcallEvent, SeccompEvalEvent
-from .filters import (
-    SYSCALL_NRS,
-    Disposition,
-    FilterBuilder,
-    CmpOp,
-    SeccompProgram,
-    SeccompRule,
-    seccomp_eval,
-)
-from .sgxdom import EnclaveOcall, build_isolated_mapping
-from .tasks import EcallOp, MapSpec, Simulation, SyscallOp
+from .events import EcallEvent, Event, OcallEvent, SeccompEvalEvent
+from .filters import SYSCALL_NRS, Disposition, SeccompProgram, SeccompRule, seccomp_eval
+from .scenario import _VARIANTS, Scenario, build_simulation, scenario_from_dict
 from .vmem import PAGE_SIZE
 
 # The canonical simple-filter configuration: 8 allowed syscalls against 341
@@ -54,6 +41,7 @@ def blocked_nrs(allowed: Sequence[str], count: int = BLOCKED_COUNT) -> list[int]
     return out
 
 
+@cache
 def simple_filter_program(benchmarked: str = "getppid") -> SeccompProgram:
     rules = [SeccompRule(nr, (), Disposition.DENY) for nr in blocked_nrs(ALLOWED_EIGHT)]
     for name in ALLOWED_EIGHT:
@@ -63,87 +51,84 @@ def simple_filter_program(benchmarked: str = "getppid") -> SeccompProgram:
     return SeccompProgram(rules)
 
 
-def simple_filter_builder() -> FilterBuilder:
-    fb = FilterBuilder()
-    for name in ALLOWED_EIGHT:
-        fb.add_rule(name)
-    return fb
+def _allow(names: Sequence[str]) -> list[dict[str, Any]]:
+    return [{"nr": name} for name in names]
 
 
-def _run_events(
-    *,
-    variant: Optional[Variant],
-    sandboxed: bool,
-    builder: Optional[FilterBuilder],
-    ops: Sequence,
-    mappings: Sequence[MapSpec] = (),
-    alias_count: int = 0,
-) -> Simulation:
-    sim = Simulation(variant=variant, name="bench")
-    table = builder.install() if builder is not None else None
-    proc = sim.add_process("bench", sandboxed=sandboxed, filters=table)
-    path_frames: list[int] = []
-    for spec in mappings:
-        frames = sim.map_region(proc.asid, spec)
-        if not path_frames:
-            path_frames = frames
-    for i in range(alias_count - 1):
-        sim.map_region(
-            proc.asid,
-            MapSpec(vaddr=PATH_VADDR + (i + 1) * PAGE_SIZE, pages=len(path_frames),
-                    alias_frames=tuple(path_frames), shared=True),
-        )
-    sim.add_thread(proc, list(ops), name="t1")
-    sim.run_seeded(0)
-    return sim
+def _one_thread(ops: list[dict[str, Any]], rules: Optional[list[dict[str, Any]]] = None,
+                mappings: Sequence[dict[str, Any]] = ()) -> Scenario:
+    """Process "bench" with one thread running ``ops``, sandboxed under
+    ``rules`` when given."""
+    proc = {"name": "bench", "mappings": list(mappings), "threads": [{"name": "t1", "ops": ops}]}
+    raw = {"version": 1, "name": "bench", "processes": [proc]}
+    if rules is not None:
+        proc["sandboxed"] = True
+        raw["filters"] = {"rules": rules}
+    return scenario_from_dict(raw)
 
 
-def _totals(sim: Simulation, table: CostTable, only: Optional[type] = None) -> CycleTotals:
-    events = sim.events if only is None else [e for e in sim.events if isinstance(e, only)]
-    return accumulate(events, table)
+def _events(sc: Scenario, variant: Optional[Variant]) -> list[Event]:
+    """The events of one seeded run of ``sc`` under ``variant``; no report
+    is built."""
+    sim = build_simulation(sc, variant_override=variant)
+    sim.run(seed=sc.schedule.get("seed", 0), max_steps=sc.schedule.get("max_steps", 1000))
+    return sim.events
+
+
+def _row(sc: Scenario, variant: Optional[Variant], table: CostTable,
+         only: Optional[type] = None) -> CycleTotals:
+    events = _events(sc, variant)
+    return accumulate(events if only is None else [e for e in events if isinstance(e, only)], table)
+
+
+@cache
+def _getppid_scenario(sandboxed: bool) -> Scenario:
+    return _one_thread([{"op": "syscall", "nr": "getppid"}], _allow(ALLOWED_EIGHT) if sandboxed else None)
 
 
 def getppid_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     """Latency of one fast, side-effect-free syscall under the three regimes."""
     table = table or CostTable()
-    getppid = SyscallOp(SYSCALL_NRS["getppid"], ())
+    vanilla_events = _events(_getppid_scenario(False), None)
 
-    vanilla = _run_events(variant=None, sandboxed=False, builder=None, ops=[getppid])
-    vanilla_totals = _totals(vanilla, table)
-
-    program = simple_filter_program("getppid")
-    decision, scanned = seccomp_eval(program, SYSCALL_NRS["getppid"], [0] * 6)
-    seccomp_events = list(vanilla.events)
+    decision, scanned = seccomp_eval(simple_filter_program("getppid"), SYSCALL_NRS["getppid"], [0] * 6)
     ev = SeccompEvalEvent(nr=SYSCALL_NRS["getppid"], decision=decision.value, scanned=scanned)
-    seccomp_events.append(ev)
-    seccomp_totals = accumulate(seccomp_events, table)
-
-    dpti = _run_events(
-        variant=Variant.STASH, sandboxed=True, builder=simple_filter_builder(), ops=[getppid]
-    )
-    dpti_totals = _totals(dpti, table)
-
     return [
         bench_report(
             "getppid latency (cycles)",
-            [("vanilla", vanilla_totals), ("seccomp", seccomp_totals), ("dpti", dpti_totals)],
+            [
+                ("vanilla", accumulate(vanilla_events, table)),
+                ("seccomp", accumulate(vanilla_events + [ev], table)),
+                ("dpti", _row(_getppid_scenario(True), Variant.STASH, table)),
+            ],
             baseline="vanilla",
         )
     ]
 
 
-def _deep_filter_builder(syscall: str, arg: int, strings: Sequence[str]) -> FilterBuilder:
-    fb = FilterBuilder()
-    for name in ALLOWED_EIGHT:
-        if name != syscall:
-            fb.add_rule(name)
-    for s in strings:
-        fb.add_rule_string(syscall, arg, CmpOp.EQ, s)
-    return fb
+def _deep_rules(syscall: str, strings: Sequence[str]) -> list[dict[str, Any]]:
+    """The simple filter with ``syscall``'s argument 1 checked against ``strings``."""
+    return _allow([n for n in ALLOWED_EIGHT if n != syscall]) + [
+        {"nr": syscall, "arg": 1, "strings": list(strings)}
+    ]
 
 
 def _decoys(n: int, length: int) -> list[str]:
     return [f"/no/{i:03d}".ljust(length, "z") for i in range(n)]
+
+
+@cache
+def _string_scenario(syscall: str, n: Optional[int]) -> Scenario:
+    """``syscall`` on a path (openat) or buffer page, filtered against ``n``
+    strings with the matching one last, or with no argument check for None."""
+    target = BENCH_PATH if syscall == "openat" else WRITE_PAYLOAD
+    args = [0, PATH_VADDR, len(target) if syscall == "write" else 0]
+    if n is None:
+        rules = _allow(ALLOWED_EIGHT + ([] if syscall in ALLOWED_EIGHT else [syscall]))
+    else:
+        rules = _deep_rules(syscall, _decoys(n - 1, len(target)) + [target])
+    mapping = {"vaddr": PATH_VADDR, "data": [{"at": PATH_VADDR, "string": target}]}
+    return _one_thread([{"op": "syscall", "nr": syscall, "args": args}], rules, [mapping])
 
 
 def string_sweep_suite(
@@ -155,34 +140,29 @@ def string_sweep_suite(
     """Deep-filter cost versus the position of the matching string: the
     correct value sits last, so n strings cost n comparisons."""
     table = table or CostTable()
-    arg = 1
-    target = BENCH_PATH if syscall == "openat" else WRITE_PAYLOAD
-    args = (0, PATH_VADDR, len(target)) if syscall == "write" else (0, PATH_VADDR, 0)
-    mapping = MapSpec(vaddr=PATH_VADDR, pages=1, data=((PATH_VADDR, target.encode() + b"\x00"),))
-    op = SyscallOp(SYSCALL_NRS[syscall], args)
-
-    simple = simple_filter_builder()
-    if syscall not in ALLOWED_EIGHT:
-        simple.add_rule(syscall)
-    rows = []
-    baseline = _run_events(
-        variant=variant, sandboxed=True, builder=simple, ops=[op], mappings=[mapping]
-    )
-    rows.append(("no-filter", _totals(baseline, table)))
-    for n in counts:
-        strings = _decoys(n - 1, len(target)) + [target]
-        sim = _run_events(
-            variant=variant, sandboxed=True,
-            builder=_deep_filter_builder(syscall, arg, strings),
-            ops=[op], mappings=[mapping],
-        )
-        rows.append((f"{n}-string", _totals(sim, table)))
+    rows = [("no-filter", _row(_string_scenario(syscall, None), variant, table))]
+    rows += [(f"{n}-string", _row(_string_scenario(syscall, n), variant, table)) for n in counts]
     return [
         bench_report(
             f"{syscall} deep string filtering, {variant.value} (cycles)", rows,
             baseline="no-filter",
         )
     ]
+
+
+@cache
+def _alias_scenario(syscall: str, m: int) -> Scenario:
+    """The path page mapped ``m`` times, the first mapping the one the
+    syscall reads."""
+    mappings = [{
+        "vaddr": PATH_VADDR, "shared": True, "label": "path",
+        "data": [{"at": PATH_VADDR, "string": BENCH_PATH}],
+    }]
+    mappings += [
+        {"vaddr": PATH_VADDR + i * PAGE_SIZE, "alias_of": "path", "shared": True} for i in range(1, m)
+    ]
+    op = {"op": "syscall", "nr": syscall, "args": [0, PATH_VADDR, 0]}
+    return _one_thread([op], _deep_rules(syscall, [BENCH_PATH]), mappings)
 
 
 def alias_sweep_suite(
@@ -195,19 +175,7 @@ def alias_sweep_suite(
     including the one the syscall uses; every alias pays its own page-table
     manipulation and shootdown, twice."""
     table = table or CostTable()
-    mapping = MapSpec(
-        vaddr=PATH_VADDR, pages=1, shared=True,
-        data=((PATH_VADDR, BENCH_PATH.encode() + b"\x00"),),
-    )
-    op = SyscallOp(SYSCALL_NRS[syscall], (0, PATH_VADDR, 0))
-    rows = []
-    for m in counts:
-        sim = _run_events(
-            variant=variant, sandboxed=True,
-            builder=_deep_filter_builder(syscall, 1, [BENCH_PATH]),
-            ops=[op], mappings=[mapping], alias_count=m,
-        )
-        rows.append((f"{m}-mapping", _totals(sim, table)))
+    rows = [(f"{m}-mapping", _row(_alias_scenario(syscall, m), variant, table)) for m in counts]
     return [
         bench_report(
             f"{syscall} deep filtering by alias mappings, {variant.value} (cycles)",
@@ -222,24 +190,33 @@ DBP_VADDR = 0x201000
 STACK_VADDR = 0x300000
 
 
-def _sgx_sim(variant: Optional[Variant], syscall_exit: bool, with_ocall: bool) -> Simulation:
-    sim = Simulation(variant=variant, name="sgx-bench")
-    proc = sim.add_process("host")
-    sim.map_region(proc.asid, MapSpec(vaddr=ENCLAVE_VADDR, pages=2))
-    sim.map_region(proc.asid, MapSpec(vaddr=CBP_VADDR, pages=1, writable=False, executable=True))
-    sim.map_region(proc.asid, MapSpec(vaddr=DBP_VADDR, pages=1))
-    sim.map_region(proc.asid, MapSpec(vaddr=STACK_VADDR, pages=4))
-    script = [EnclaveOcall()] if with_ocall else []
-    domain = build_isolated_mapping(
-        sim.vmem, sim.vmem.spaces[proc.asid], "e1",
-        {ENCLAVE_VADDR // PAGE_SIZE, ENCLAVE_VADDR // PAGE_SIZE + 1},
-        CBP_VADDR // PAGE_SIZE, [DBP_VADDR], variant,
-        syscall_exit=syscall_exit, script=script,
-    )
-    sim.enclaves["e1"] = domain
-    sim.add_thread(proc, [EcallOp("e1")], name="t1", rsp=STACK_VADDR + 2 * PAGE_SIZE)
-    sim.run_seeded(0)
-    return sim
+@cache
+def _sgx_scenario(with_ocall: bool, syscall_exit: bool) -> Scenario:
+    """A host thread that calls into a two-page enclave, which calls out
+    once when ``with_ocall``; the enclave takes the build's variant."""
+    raw = {
+        "version": 1,
+        "name": "sgx-bench",
+        "processes": [{
+            "name": "host",
+            "mappings": [
+                {"vaddr": ENCLAVE_VADDR, "pages": 2},
+                {"vaddr": CBP_VADDR, "write": False, "exec": True},
+                {"vaddr": DBP_VADDR},
+                {"vaddr": STACK_VADDR, "pages": 4},
+            ],
+            "threads": [{
+                "name": "t1", "rsp": STACK_VADDR + 2 * PAGE_SIZE,
+                "ops": [{"op": "ecall", "enclave": "e1"}],
+            }],
+        }],
+        "enclaves": [{
+            "name": "e1", "process": "host", "pages": {"vaddr": ENCLAVE_VADDR, "pages": 2},
+            "cbp_vaddr": CBP_VADDR, "dbp_vaddrs": [DBP_VADDR], "syscall_exit": syscall_exit,
+            "script": [{"op": "ocall"}] if with_ocall else [],
+        }],
+    }
+    return scenario_from_dict(raw)
 
 
 def sgx_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
@@ -247,14 +224,14 @@ def sgx_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     table = table or CostTable()
     reports = []
     for call, with_ocall, only in (("ecall", False, EcallEvent), ("ocall", True, OcallEvent)):
-        rows = []
-        for label, variant, sysexit in (
-            ("unprotected", None, False),
-            ("fault-exit", Variant.STASH, False),
-            ("syscall-exit", Variant.STASH, True),
-        ):
-            sim = _sgx_sim(variant, sysexit, with_ocall)
-            rows.append((label, _totals(sim, table, only=only)))
+        rows = [
+            (label, _row(_sgx_scenario(with_ocall, sysexit), variant, table, only=only))
+            for label, variant, sysexit in (
+                ("unprotected", None, False),
+                ("fault-exit", Variant.STASH, False),
+                ("syscall-exit", Variant.STASH, True),
+            )
+        ]
         reports.append(
             bench_report(f"{call} transition latency (cycles)", rows, baseline="unprotected")
         )
@@ -275,3 +252,9 @@ def run_suites(names: Sequence[str], table: Optional[CostTable] = None) -> list[
     for name in names:
         reports.extend(SUITES[name](table))
     return reports
+
+
+def scenario_matrix(sc: Scenario, table: CostTable) -> list[BenchReport]:
+    """Cost the same scenario under no protection, stashing, and freezing."""
+    rows = [(name, _row(sc, variant, table)) for name, variant in _VARIANTS.items()]
+    return [bench_report(f"{sc.name}: variant cost matrix (cycles)", rows, baseline="none")]

@@ -12,18 +12,17 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bench import SUITES, run_suites
-from .costmodel import CostTable, accumulate
-from .dpti import Variant
+from .bench import SUITES, run_suites, scenario_matrix
+from .costmodel import CostError, CostTable
 from .scenario import (
+    _VARIANTS,
+    Scenario,
     ScenarioError,
     build_simulation,
     check_expectations,
     load_scenario,
 )
 from .tasks import explore
-
-_VARIANT_FLAG = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    run_p.add_argument("--variant", choices=sorted(_VARIANT_FLAG), help="override the scenario variant")
+    run_p.add_argument("--variant", choices=sorted(_VARIANTS), help="override the scenario variant")
     run_p.add_argument("--seed", type=int, help="seed for the seeded scheduler")
     run_p.add_argument("--exhaustive", action="store_true", help="explore every interleaving")
     run_p.add_argument("--max-steps", type=int, help="scheduler step bound")
@@ -52,28 +51,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_costs(path: Optional[str]) -> CostTable:
-    table = CostTable()
-    if path:
-        overrides = json.loads(Path(path).read_text())
-        table = table.with_overrides(overrides)
-    return table
+def _load_costs(path: Optional[str]) -> Optional[CostTable]:
+    """The default table with the overrides in the ``--costs`` file, if any."""
+    if path is None:
+        return None
+    return CostTable().with_overrides(json.loads(Path(path).read_text()))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _scenario_costs(sc: Scenario, table: Optional[CostTable]) -> CostTable:
+    """The ``--costs`` table, then the scenario's own costs over it."""
+    return sc.cost_table if table is None else table.with_overrides(sc.costs or {})
+
+
+def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     try:
         sc = load_scenario(args.scenario)
     except (ScenarioError, OSError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
-    try:
-        table = _load_costs(args.costs)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: --costs: {exc}", file=sys.stderr)
-        return 2
-    if sc.costs:
-        table = table.with_overrides(sc.costs)
-    variant = _VARIANT_FLAG[args.variant] if args.variant else sc.variant
+    table = _scenario_costs(sc, costs)
+    variant = _VARIANTS[args.variant] if args.variant else sc.variant
 
     mode = "exhaustive" if (args.exhaustive or sc.schedule["mode"] == "exhaustive") else "seeded"
     seed = args.seed if args.seed is not None else sc.schedule.get("seed", 0)
@@ -125,18 +122,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        table = _load_costs(args.costs)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: --costs: {exc}", file=sys.stderr)
-        return 2
+def _cmd_bench(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     if args.target in SUITES or args.target == "all":
         names = sorted(SUITES) if args.target == "all" else [args.target]
-        reports = run_suites(names, table)
+        reports = run_suites(names, costs)
     elif Path(args.target).exists():
-        reports = _scenario_matrix(args.target, table)
-        if reports is None:
+        try:
+            sc = load_scenario(args.target)
+            # build_simulation raises what only building can find.
+            reports = scenario_matrix(sc, _scenario_costs(sc, costs))
+        except (ScenarioError, OSError) as exc:
+            print(f"error: {args.target}: {exc}", file=sys.stderr)
             return 2
     else:
         print(
@@ -156,36 +152,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_matrix(path: str, table: CostTable):
-    """Cost the same scenario under no protection, stashing, and freezing."""
-    from .costmodel import bench_report
-
-    try:
-        sc = load_scenario(path)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
-    rows = []
-    for label, variant in (("none", None), ("stash", Variant.STASH), ("freeze", Variant.FREEZE)):
-        try:
-            sim = build_simulation(sc, variant_override=variant, cost_table=table)
-        except ScenarioError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return None
-        sim.run_seeded(seed=sc.schedule.get("seed", 0), max_steps=sc.schedule.get("max_steps", 1000))
-        rows.append((label, accumulate(sim.events, table)))
-    return [bench_report(f"{sc.name}: variant cost matrix (cycles)", rows, baseline="none")]
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    try:
+        costs = _load_costs(args.costs)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, CostError) as exc:
+        print(f"error: --costs {args.costs}: {exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_bench(args)
+        return _cmd_run(args, costs)
+    return _cmd_bench(args, costs)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ totals compare with zero tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -95,30 +96,53 @@ class CostTable:
             syscall_exit=0,
         )
 
-    def with_overrides(self, overrides: dict[str, Any]) -> CostTable:
-        fields: dict[str, Any] = {}
+    def with_overrides(self, overrides: Any) -> CostTable:
+        """This table with the fields named in ``overrides`` replaced and the
+        ``base_syscall`` entries merged. Values are integers, decimals or
+        ``[numerator, denominator]`` pairs; anything else is a CostError that
+        names the field."""
+        if not isinstance(overrides, dict):
+            raise CostError(f"expected an object of cost fields, got {overrides!r}")
+        changed: dict[str, Any] = {}
         for key, value in overrides.items():
             if key == "base_syscall":
-                merged = dict(self.base_syscall)
-                merged.update({k: _to_cycles(v) for k, v in value.items()})
-                fields[key] = merged
-            elif hasattr(self, key):
-                fields[key] = _to_cycles(value)
+                if not isinstance(value, dict):
+                    raise CostError(f"base_syscall: expected an object, got {value!r}")
+                changed[key] = {
+                    **self.base_syscall,
+                    **{name: _to_cycles(v, f"base_syscall.{name}") for name, v in value.items()},
+                }
+            elif key in _FIELDS:
+                changed[key] = _to_cycles(value, key)
             else:
-                raise KeyError(f"unknown cost field {key!r}")
-        return replace(self, **fields)
+                raise CostError(f"unknown cost field {key!r}")
+        return replace(self, **changed)
 
 
-def _to_cycles(value: Any) -> Cycles:
-    if isinstance(value, bool):
-        raise TypeError("cost values must be numbers")
-    if isinstance(value, int):
+class CostError(ValueError):
+    """A malformed cost override."""
+
+
+_FIELDS = frozenset(f.name for f in fields(CostTable))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _to_cycles(value: Any, where: str) -> Cycles:
+    if _is_int(value):
         return value
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return Fraction(str(value))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
-    raise TypeError(f"cannot interpret cost value {value!r}")
+    if (
+        isinstance(value, (list, tuple)) and len(value) == 2
+        and _is_int(value[0]) and _is_int(value[1]) and value[1] != 0
+    ):
+        return Fraction(value[0], value[1])
+    raise CostError(
+        f"{where}: expected a number or [numerator, nonzero denominator], got {value!r}"
+    )
 
 
 def charge(event: Event, table: CostTable) -> dict[str, Cycles]:

@@ -109,11 +109,9 @@ class SyscallContext:
     result: Optional[int] = None
 
 
-def make_syscall_context(nr: int, args: list[int], payload: Any = None, tid: int = -1,
-                         body: Optional[str] = None) -> SyscallContext:
+def make_syscall_context(nr: int, args: list[int], payload: Any = None, tid: int = -1) -> SyscallContext:
     name = SYSCALL_NAMES.get(nr, f"sys_{nr}")
-    if body is None:
-        body = name if name in DptiEngine.BODIES else "generic"
+    body = name if name in DptiEngine.BODIES else "generic"
     padded = (list(args) + [0] * 6)[:6]
     return SyscallContext(tid=tid, nr=nr, name=name, args=padded, body=body, payload=payload)
 
@@ -308,10 +306,7 @@ class DptiEngine:
         if pte.cow:
             # Resolve sharing first so the protection stays private to this
             # process and survives an exec by the sharing sibling.
-            old = pte.frame_id
-            new = vmem.cow_resolve(task.asid, vpn)
-            self.sim.emit(CowEvent(tid=task.tid, asid=task.asid, vpn=vpn, old_frame=old, new_frame=new))
-            pte = space.entries[vpn]
+            self._resolve_cow(task.tid, task.asid, vpn)
         if record.variant is Variant.STASH and pte.executable:
             self._unwind_record(record)
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
@@ -331,6 +326,13 @@ class DptiEngine:
         ids = self.by_frame.get(self.sim.vmem.spaces[asid].entries[vpn].frame_id)
         if ids:
             self._close_mapping(self.records[max(ids)], asid, vpn)
+
+    def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
+        """Give ``asid`` its own copy of the copy-on-write page ``vpn``, in
+        place in its page-table entry, and record the copy."""
+        old = self.sim.vmem.spaces[asid].entries[vpn].frame_id
+        new = self.sim.vmem.cow_resolve(asid, vpn)
+        self.sim.emit(CowEvent(tid=tid, asid=asid, vpn=vpn, old_frame=old, new_frame=new))
 
     def _close_mapping(self, record: ProtectionRecord, asid: int, vpn: int) -> None:
         """Save one mapping's bits in ``record``, then stash or freeze it."""
@@ -455,11 +457,7 @@ class DptiEngine:
         """Classify a user-mode fault: ('retry',), ('stall', frame), or
         ('kill', cause)."""
         if fault.reason is FaultReason.COW_PENDING:
-            old = fault.frame_id
-            new = self.sim.vmem.cow_resolve(fault.asid, fault.vpn)
-            self.sim.emit(
-                CowEvent(tid=task.tid, asid=fault.asid, vpn=fault.vpn, old_frame=old, new_frame=new)
-            )
+            self._resolve_cow(task.tid, fault.asid, fault.vpn)
             return ("retry",)
         if (
             self.variant is Variant.STASH
@@ -517,12 +515,7 @@ class DptiEngine:
                 for vpn in vpns:
                     pte = space.entries[vpn]
                     if pte.cow:
-                        old = pte.frame_id
-                        new = vmem.cow_resolve(target.asid, vpn)
-                        self.sim.emit(
-                            CowEvent(tid=writer.tid, asid=target.asid, vpn=vpn, old_frame=old, new_frame=new)
-                        )
-                        pte = space.entries[vpn]
+                        self._resolve_cow(writer.tid, target.asid, vpn)
                     off = page_offset(addr)
                     chunk = data[pos : pos + PAGE_SIZE - off]
                     vmem.frames[pte.frame_id].data[off : off + len(chunk)] = chunk

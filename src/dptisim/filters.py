@@ -113,9 +113,6 @@ class FilterRule:
     primitives: tuple[PrimitiveFilter, ...] = ()
     strings: tuple[StringFilter, ...] = ()
 
-    def arg_filters(self) -> int:
-        return len(self.primitives) + len(self.strings)
-
 
 DENY_RULE = FilterRule(Disposition.DENY)
 

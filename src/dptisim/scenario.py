@@ -11,7 +11,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from .costmodel import CostTable
+from .costmodel import CostError, CostTable
 from .dpti import Variant
 from .filters import CmpOp, FilterBuilder, FilterError, FilterTable, syscall_nr
 from .sgxdom import (
@@ -277,8 +277,8 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
 
     costs = raw.get("costs")
     try:
-        cost_table = CostTable().with_overrides(costs) if costs else CostTable()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        cost_table = CostTable() if costs is None else CostTable().with_overrides(costs)
+    except CostError as exc:
         raise ScenarioError(f"costs: {exc}") from None
 
     expectations = raw.get("expectations")

@@ -451,9 +451,6 @@ class Simulation:
     def core_of(self, task: Task) -> int:
         return (task.tid - 1) % self.vmem.cores
 
-    def process_of(self, task: Task) -> ProcessInfo:
-        return self.processes[task.tgid]
-
     def stall_task(self, task: Task, kind: str, frame_id: int) -> None:
         if task.state is not TaskState.RUNNABLE:
             raise RuntimeError(f"cannot stall task {task.tid} in state {task.state.value}")
@@ -706,6 +703,11 @@ class Simulation:
     # drivers
 
     def run_seeded(self, seed: int = 0, max_steps: int = 1000) -> SimReport:
+        self.run(seed, max_steps)
+        return self.build_report()
+
+    def run(self, seed: int = 0, max_steps: int = 1000) -> None:
+        """The seeded schedule of ``run_seeded``, without building a report."""
         rng = random.Random(seed)
         while self.step_count < max_steps:
             runnable = self.runnable_tids()
@@ -717,7 +719,6 @@ class Simulation:
             self.truncated = bool(self.runnable_tids())
         self.schedule_info = {"mode": "seeded", "seed": seed, "max_steps": max_steps}
         self._finalize()
-        return self.build_report()
 
     def run_prefix(self, decisions: Sequence[int], max_steps: int) -> Optional[list[int]]:
         """Follow branch-point decisions; returns the runnable set at the

@@ -6,14 +6,13 @@ from dptisim.bench import (
     alias_sweep_suite,
     getppid_suite,
     sgx_suite,
-    simple_filter_builder,
     simple_filter_program,
     string_sweep_suite,
 )
-from dptisim.costmodel import CostTable, accumulate
+from dptisim.costmodel import CostError, CostTable, accumulate
 from dptisim.events import SeccompEvalEvent
-from dptisim.filters import SYSCALL_NRS, Disposition, FilterBuilder, seccomp_eval
-from dptisim.tasks import Simulation, SyscallOp
+from dptisim.filters import SYSCALL_NRS, Disposition, seccomp_eval
+from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.dpti import Variant
 
 
@@ -39,7 +38,7 @@ class TestDefaults:
         assert table.tlb_flush == 500
         assert table.base_for("getppid") == 300
         assert table.base_for("openat") == 855  # untouched entries survive
-        with pytest.raises(KeyError):
+        with pytest.raises(CostError, match="no_such_field"):
             CostTable().with_overrides({"no_such_field": 1})
 
 
@@ -52,27 +51,27 @@ class TestSimpleFilterBench:
         assert report.row("seccomp").overhead == 33.9
         assert report.row("dpti").overhead == 22.0
 
-    def test_lookup_cost_constant_in_installed_rule_count(self):
+    def test_lookup_cost_constant_in_installed_rule_count(self, scenarios_dir):
+        """One sandboxed getppid costs the same lookup under a 1-rule policy
+        and under the 100-rule visudo policy with getppid allowed."""
+        visudo = load_scenario(scenarios_dir / "visudo.json").filters["rules"]
         table = CostTable()
-        totals = []
-        for rule_count in (1, 349):
-            fb = FilterBuilder()
-            fb.add_rule("getppid")
-            extra = 0
-            nr = 0
-            while extra < rule_count - 1:
-                if nr != SYSCALL_NRS["getppid"]:
-                    fb.add_rule(nr)
-                    extra += 1
-                nr += 1
-            installed = fb.install()
-            assert installed.populated == rule_count
-            sim = Simulation(variant=Variant.STASH)
-            proc = sim.add_process("p", sandboxed=True, filters=installed)
-            sim.add_thread(proc, [SyscallOp(SYSCALL_NRS["getppid"], ())], name="t")
-            sim.run_seeded(0)
-            totals.append(accumulate(sim.events, table).total)
-        assert totals[0] == totals[1] == 360
+        populated, lookups = [], []
+        for rules in ([{"nr": "getppid"}], visudo + [{"nr": "getppid"}]):
+            sc = scenario_from_dict({
+                "version": 1, "name": "lookup", "filters": {"rules": rules},
+                "processes": [{
+                    "name": "p", "sandboxed": True,
+                    "threads": [{"name": "t", "ops": [{"op": "syscall", "nr": "getppid"}]}],
+                }],
+            })
+            sim = build_simulation(sc, Variant.STASH)
+            report = sim.run_seeded(0)
+            assert report.kills == []
+            populated.append(sc.filter_table.populated)
+            lookups.append(accumulate(sim.events, table).components["filter_lookup"])
+        assert populated == [1, 55]
+        assert lookups[0] == lookups[1] == table.filter_lookup_dpti
 
     def test_seccomp_cost_strictly_increases_with_scan_position(self):
         table = CostTable()

@@ -271,6 +271,23 @@ MALFORMED = {
         "mappings[0].data[0]"),
     "write op with out-of-range bytes": (
         lambda raw: _set_op(raw, op="write", vaddr=65536, bytes=[256]), "ops[0].bytes"),
+    "cost pair with a zero denominator": (
+        lambda raw: raw.update(costs={"tlb_flush": [1, 0]}), "costs: tlb_flush"),
+    "costs not an object": (lambda raw: raw.update(costs=[458]), "costs: expected an object"),
+    "unknown cost field": (lambda raw: raw.update(costs={"flush": 1}), "costs: unknown cost field"),
+    "base syscall costs not an object": (
+        lambda raw: raw.update(costs={"base_syscall": 295}), "costs: base_syscall"),
+}
+
+# --costs file contents -> text the message must contain
+MALFORMED_COSTS = {
+    "a list": ([458], "expected an object"),
+    "a zero denominator": ({"tlb_flush": [1, 0]}, "tlb_flush"),
+    "a string cost": ({"base_syscall": {"getppid": "295"}}, "base_syscall.getppid"),
+    "a boolean cost": ({"pt_resolve": True}, "pt_resolve"),
+    "an unknown field": ({"flush": 1}, "unknown cost field 'flush'"),
+    "base syscall costs not an object": ({"base_syscall": [295]}, "base_syscall"),
+    "an infinite cost": ({"tlb_flush": float("inf")}, "tlb_flush"),
 }
 
 
@@ -286,6 +303,19 @@ class TestCliMalformed:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert where in err and "Traceback" not in err
+
+
+class TestCliMalformedCosts:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COSTS))
+    def test_exits_2_with_located_message(self, case, scenarios_dir, tmp_path, capsys):
+        overrides, where = MALFORMED_COSTS[case]
+        costs = tmp_path / "c.json"
+        costs.write_text(json.dumps(overrides))
+        scenario = str(scenarios_dir / "toctou_openat.json")
+        for argv in (["run", scenario], ["bench", scenario], ["bench", "getppid"]):
+            assert main(argv + ["--costs", str(costs)]) == 2, argv
+            err = capsys.readouterr().err
+            assert "--costs" in err and where in err and "Traceback" not in err
 
 
 class TestCliRunTimeFaults:
@@ -340,6 +370,32 @@ class TestCliBench:
         costs.write_text(json.dumps({"base_syscall": {"getppid": 1000}}))
         assert main(["bench", "getppid", "--costs", str(costs)]) == 0
         assert "1000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cli_costs", [None, {"tlb_flush": 1, "pte_manipulate": 100}])
+    def test_scenario_matrix_costs_like_run(self, cli_costs, scenarios_dir, tmp_path, capsys):
+        """bench <scenario> applies --costs, then the scenario's own costs,
+        as run does."""
+        raw = json.loads((scenarios_dir / "visudo.json").read_text())
+        raw["costs"] = {"tlb_flush": 1000}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(raw))
+        extra = []
+        if cli_costs is not None:
+            (tmp_path / "c.json").write_text(json.dumps(cli_costs))
+            extra = ["--costs", str(tmp_path / "c.json")]
+        matrix = tmp_path / "m.json"
+        assert main(["bench", str(path), "--report-out", str(matrix)] + extra) == 0
+        rows = {row["label"]: row for row in json.loads(matrix.read_text())[0]["rows"]}
+        for variant in ("none", "stash", "freeze"):
+            out = tmp_path / f"{variant}.json"
+            assert main(["run", str(path), "--variant", variant, "--report-out", str(out)] + extra) == 0
+            cycles = json.loads(out.read_text())["cycles"]
+            assert rows[variant]["cycles"] == cycles["total"], variant
+            assert rows[variant]["components"] == cycles["components"], variant
+        flushes = rows["stash"]["components"]["tlb_flush"]
+        assert flushes > 0 and flushes % 1000 == 0
+        if cli_costs is not None:
+            assert rows["stash"]["components"]["pte_manipulate"] % 100 == 0
 
     def test_scenario_cost_matrix(self, scenarios_dir, capsys):
         assert main(["bench", str(scenarios_dir / "toctou_openat.json")]) == 0

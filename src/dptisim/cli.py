@@ -75,8 +75,8 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     mode = "exhaustive" if (args.exhaustive or sc.schedule["mode"] == "exhaustive") else "seeded"
     seed = args.seed if args.seed is not None else sc.schedule.get("seed", 0)
     try:
-        # build_simulation raises what only building can find (overlapping
-        # mappings, undefined alias labels) on its first call.
+        # build_simulation raises what only building can find: overlapping
+        # mappings and bad enclave bridge pages.
         if mode == "exhaustive":
             result = explore(
                 lambda: build_simulation(sc, variant_override=variant, cost_table=table),
@@ -129,7 +129,7 @@ def _cmd_bench(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     elif Path(args.target).exists():
         try:
             sc = load_scenario(args.target)
-            # build_simulation raises what only building can find.
+            # Only overlapping mappings and bad bridge pages fail at build.
             reports = scenario_matrix(sc, _scenario_costs(sc, costs))
         except (ScenarioError, OSError) as exc:
             print(f"error: {args.target}: {exc}", file=sys.stderr)

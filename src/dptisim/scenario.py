@@ -1,19 +1,21 @@
 """Scenario files: a versioned JSON schema describing processes, thread
 programs, filter rules, optional enclaves, cost overrides, and expected
-outcomes. Unknown keys are rejected so fixture typos fail loudly.
+outcomes. A scenario is parsed in one pass when it is loaded: each value is
+read once, by a typed reader that names where a bad one is, straight into
+the compiled form every build shares. Unknown keys are rejected so fixture
+typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from .costmodel import CostError, CostTable
 from .dpti import Variant
-from .filters import CmpOp, FilterBuilder, FilterError, FilterTable, syscall_nr
+from .filters import SYSCALL_NRS, CmpOp, FilterBuilder, FilterError, FilterTable, syscall_nr
 from .sgxdom import (
     EnclaveEexit,
     EnclaveInterrupt,
@@ -53,7 +55,23 @@ class ScenarioError(Exception):
         super().__init__(message)
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+# ---------------------------------------------------------------------------
+# typed readers: each reads one value, checks its type and range, and raises
+# a ScenarioError that names where the value is
+
+_REQUIRED = object()
+
+
+def _at(where: str, key: Union[str, int]) -> str:
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def _fields(obj: Any, allowed: set[str], required: set[str], where: str) -> dict:
+    """``obj`` itself, once it is an object with only ``allowed`` keys and
+    every ``required`` one."""
+    where = where or "scenario"
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object")
     unknown = set(obj) - allowed
@@ -62,385 +80,92 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
     missing = required - set(obj)
     if missing:
         raise ScenarioError(f"{where}: missing required key(s) {sorted(missing)}")
+    return obj
+
+
+def _read(obj: Any, key: Union[str, int], where: str, default: Any,
+          ok: Callable[[Any], bool], expected: str) -> Any:
+    """``obj[key]`` (an object's key or a list's index) if ``ok`` holds for
+    it; ``default`` if the object lacks the key and one is given."""
+    if isinstance(obj, dict) and key not in obj:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{_at(where, key)}: missing")
+        return default
+    value = obj[key]
+    if not ok(value):
+        raise ScenarioError(f"{_at(where, key)}: expected {expected}, got {value!r}")
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reader(ok: Callable[[Any], bool], expected: str) -> Callable[..., Any]:
+    return lambda obj, key, where, default=_REQUIRED: _read(obj, key, where, default, ok, expected)
+
+
+_flag = _reader(lambda v: isinstance(v, bool), "true or false")
+_str = _reader(lambda v: isinstance(v, str), "a string")
+_signed = _reader(_is_int, "an integer")
+_unsigned = _reader(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_positive = _reader(lambda v: _is_int(v) and v >= 1, "a positive integer")
+
+
+def _choice(obj: dict, key: str, where: str, choices: Any, default: Any = _REQUIRED) -> str:
+    return _read(obj, key, where, default,
+                 lambda v: isinstance(v, str) and v in choices, f"one of {sorted(choices)}")
+
+
+def _list(obj: dict, key: str, where: str) -> list:
+    """``obj[key]`` as a list, an empty one if the key is absent."""
+    return _read(obj, key, where, [], lambda v: isinstance(v, list), "a list")
+
+
+def _each(obj: dict, key: str, where: str) -> list[tuple[str, Any]]:
+    """(location, item) for each item of the list ``obj[key]``."""
+    return [(f"{_at(where, key)}[{k}]", item) for k, item in enumerate(_list(obj, key, where))]
+
+
+def _all(read: Callable[..., Any], obj: dict, key: str, where: str) -> tuple:
+    """The list ``obj[key]`` with each item read by ``read``."""
+    items = _list(obj, key, where)
+    return tuple(read(items, k, _at(where, key)) for k in range(len(items)))
+
+
+def _syscall_nr(obj: dict, key: str, where: str) -> int:
+    return syscall_nr(_read(
+        obj, key, where, _REQUIRED,
+        lambda v: v in SYSCALL_NRS if isinstance(v, str) else _is_int(v) and v >= 0,
+        "a known syscall name or a non-negative number",
+    ))
 
 
 def _op_bytes(obj: dict, where: str) -> bytes:
     if "string" in obj:
-        if not isinstance(obj["string"], str):
-            raise ScenarioError(f"{where}.string: expected a string, got {obj['string']!r}")
-        return obj["string"].encode()
+        return _str(obj, "string", where).encode()
     if "bytes" in obj:
-        value = obj["bytes"]
-        if not isinstance(value, list) or not all(
-            isinstance(b, int) and not isinstance(b, bool) and 0 <= b < 256 for b in value
-        ):
-            raise ScenarioError(f"{where}.bytes: expected a list of byte values, got {value!r}")
-        return bytes(value)
+        return bytes(_read(
+            obj, "bytes", where, _REQUIRED,
+            lambda v: isinstance(v, list) and all(_is_int(b) and 0 <= b < 256 for b in v),
+            "a list of byte values",
+        ))
     raise ScenarioError(f"{where}: needs 'string' or 'bytes'")
-
-
-def _data_bytes(obj: dict, where: str) -> bytes:
-    raw = _op_bytes(obj, where)
-    if "string" in obj and obj.get("nul", True):
-        raw += b"\x00"
-    return raw
 
 
 _VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
 _DENY_MODES = ("kill", "errno")
 _REGISTERS = ("rax", "rbx", "rsp", "rbp")  # the fields of tasks.CpuState
+_MAPPING_KEYS = {"vaddr", "pages", "write", "exec", "user", "shared", "label", "alias_of", "data"}
+# expectation -> the bounds it takes
+_BOUNDS = {"witnesses": {"equals", "min", "max"}, "deadlocks": {"equals"}, "paths": {"min"}}
 
 # default for variant overrides: "use the variant the scenario declares"
 _SCENARIO_VARIANT = object()
 
 
-@dataclass
-class Scenario:
-    raw: dict[str, Any]
-    name: str
-    variant: Optional[Variant]
-    cores: int
-    deny_mode: str
-    schedule: dict[str, Any]
-    processes: list[dict[str, Any]]
-    filters: Optional[dict[str, Any]]
-    enclaves: list[dict[str, Any]] = field(default_factory=list)
-    costs: Optional[dict[str, Any]] = None
-    expectations: Optional[dict[str, Any]] = None
-    # The filter policy, compiled once at load into a table that is never
-    # installed itself: each sandboxed process of a build gets a fresh() copy.
-    filter_table: Optional[FilterTable] = None
-    # The default cost table with the scenario's overrides, made at load.
-    cost_table: CostTable = field(default_factory=CostTable)
-
-    @cached_property
-    def compiled(self) -> CompiledScenario:
-        """What every build of this scenario shares, compiled on the first
-        build (so that errors only building can find keep surfacing there)
-        and read-only after."""
-        return _compile(self)
-
-
-def load_scenario(path: Union[str, Path]) -> Scenario:
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(exc.msg, line=exc.lineno, col=exc.colno) from None
-    return scenario_from_dict(raw)
-
-
-def _address(value: Any, where: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ScenarioError(f"{where}: expected a non-negative integer, got {value!r}")
-
-
-def _count(obj: dict, key: str, where: str) -> None:
-    value = obj.get(key, 1)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ScenarioError(f"{where}.{key}: expected a positive integer, got {value!r}")
-
-
-def _validate_mapping(m: Any, where: str) -> None:
-    _require_keys(
-        m,
-        allowed={
-            "vaddr", "pages", "write", "exec", "user", "shared",
-            "label", "alias_of", "data",
-        },
-        required={"vaddr"},  # alias mappings too
-        where=where,
-    )
-    _address(m["vaddr"], f"{where}.vaddr")
-    _count(m, "pages", where)
-    data = m.get("data", [])
-    if not isinstance(data, list):
-        raise ScenarioError(f"{where}.data: expected a list")
-    for k, d in enumerate(data):
-        at = f"{where}.data[{k}]"
-        _require_keys(d, allowed={"at", "string", "bytes", "nul"}, required={"at"}, where=at)
-        _address(d["at"], f"{at}.at")
-        _data_bytes(d, at)
-
-
-def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
-    _require_keys(
-        raw,
-        allowed={
-            "version", "name", "variant", "cores", "deny_mode", "schedule",
-            "processes", "filters", "enclaves", "costs", "expectations",
-        },
-        required={"version", "name", "processes"},
-        where="scenario",
-    )
-    if raw["version"] != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"schema version {raw['version']!r} not supported (expected {SCHEMA_VERSION})"
-        )
-    variant_name = raw.get("variant", "none")
-    if variant_name not in _VARIANTS:
-        raise ScenarioError(f"variant must be one of {sorted(_VARIANTS)}")
-    _count(raw, "cores", "scenario")
-    deny_mode = raw.get("deny_mode", "kill")
-    if deny_mode not in _DENY_MODES:
-        raise ScenarioError(f"deny_mode must be one of {list(_DENY_MODES)}, got {deny_mode!r}")
-    schedule = raw.get("schedule", {"mode": "seeded", "seed": 0})
-    _require_keys(
-        schedule, allowed={"mode", "seed", "max_steps"}, required={"mode"}, where="schedule"
-    )
-    if schedule["mode"] not in ("seeded", "exhaustive"):
-        raise ScenarioError("schedule.mode must be 'seeded' or 'exhaustive'")
-
-    filters = raw.get("filters")
-    filter_table = None
-    if filters is not None:
-        _require_keys(filters, allowed={"rules"}, required={"rules"}, where="filters")
-        for k, rule in enumerate(filters["rules"]):
-            _require_keys(
-                rule, allowed={"nr", "arg", "op", "value", "strings", "allow"},
-                required={"nr"}, where=f"filters.rules[{k}]",
-            )
-        filter_table = FilterTable.from_rules(build_filters(filters).build_rules())
-
-    processes = raw["processes"]
-    if not isinstance(processes, list) or not processes:
-        raise ScenarioError("processes must be a non-empty list")
-    thread_names: set[str] = set()
-    ecalls: list[tuple[str, str]] = []  # (where, enclave name)
-    for i, proc in enumerate(processes):
-        _require_keys(
-            proc,
-            allowed={"name", "sandboxed", "mappings", "threads"},
-            required={"name", "threads"},
-            where=f"processes[{i}]",
-        )
-        if proc.get("sandboxed", False) and filters is None:
-            raise ScenarioError(
-                f"processes[{i}]: process {proc['name']!r} is sandboxed but no filters are defined"
-            )
-        for j, m in enumerate(proc.get("mappings", [])):
-            _validate_mapping(m, f"processes[{i}].mappings[{j}]")
-        for j, t in enumerate(proc["threads"]):
-            where = f"processes[{i}].threads[{j}]"
-            _require_keys(t, allowed={"name", "rsp", "rbp", "ops"}, required={"name", "ops"}, where=where)
-            if t["name"] in thread_names:
-                raise ScenarioError(f"{where}: duplicate thread name {t['name']!r}")
-            thread_names.add(t["name"])
-            _validate_ops(t["ops"], f"{where}.ops", ecalls)
-
-    enclaves = raw.get("enclaves", [])
-    process_names = {proc["name"] for proc in processes}
-    enclave_names: set[str] = set()
-    for i, enc in enumerate(enclaves):
-        where = f"enclaves[{i}]"
-        _require_keys(
-            enc,
-            allowed={
-                "name", "process", "variant", "pages", "cbp_vaddr", "dbp_vaddrs",
-                "syscall_exit", "script",
-            },
-            required={"name", "process", "pages", "cbp_vaddr"},
-            where=where,
-        )
-        _require_keys(
-            enc["pages"], allowed={"vaddr", "pages"}, required={"vaddr"},
-            where=f"{where}.pages",
-        )
-        _address(enc["pages"]["vaddr"], f"{where}.pages.vaddr")
-        _count(enc["pages"], "pages", f"{where}.pages")
-        _address(enc["cbp_vaddr"], f"{where}.cbp_vaddr")
-        dbp_vaddrs = enc.get("dbp_vaddrs", [])
-        if not isinstance(dbp_vaddrs, list):
-            raise ScenarioError(f"{where}.dbp_vaddrs: expected a list")
-        for k, vaddr in enumerate(dbp_vaddrs):
-            _address(vaddr, f"{where}.dbp_vaddrs[{k}]")
-        if enc["process"] not in process_names:
-            raise ScenarioError(f"{where}: unknown process {enc['process']!r}")
-        if enc.get("variant", "none") not in _VARIANTS:
-            raise ScenarioError(f"{where}.variant must be one of {sorted(_VARIANTS)}")
-        if enc["name"] in enclave_names:
-            raise ScenarioError(f"{where}: duplicate enclave name {enc['name']!r}")
-        enclave_names.add(enc["name"])
-        script = enc.get("script", [])
-        if not isinstance(script, list):
-            raise ScenarioError(f"{where}.script: expected a list")
-        for k, op in enumerate(script):
-            at = f"{where}.script[{k}]"
-            kind = _check_op(op, _ENCLAVE_OPS, at)
-            if kind == "set_reg" and op["reg"] not in _REGISTERS:
-                raise ScenarioError(f"{at}.reg must be one of {list(_REGISTERS)}, got {op['reg']!r}")
-            if kind == "eexit" and op.get("target", "legal") != "legal":
-                _address(op["target"], f"{at}.target")
-    for where, name in ecalls:
-        if name not in enclave_names:
-            raise ScenarioError(f"{where}: ecall to undefined enclave {name!r}")
-
-    costs = raw.get("costs")
-    try:
-        cost_table = CostTable() if costs is None else CostTable().with_overrides(costs)
-    except CostError as exc:
-        raise ScenarioError(f"costs: {exc}") from None
-
-    expectations = raw.get("expectations")
-    if expectations is not None:
-        _EXP_KEYS = {"witnesses", "kills", "no_kills", "deadlocks", "paths"}
-        _require_keys(
-            expectations,
-            allowed=_EXP_KEYS | {"by_variant"},
-            required=set(),
-            where="expectations",
-        )
-        for vname, sub in expectations.get("by_variant", {}).items():
-            if vname not in _VARIANTS:
-                raise ScenarioError(f"expectations.by_variant: unknown variant {vname!r}")
-            _require_keys(sub, allowed=_EXP_KEYS, required=set(),
-                          where=f"expectations.by_variant.{vname}")
-
-    return Scenario(
-        raw=raw,
-        name=raw["name"],
-        variant=_VARIANTS[variant_name],
-        cores=raw.get("cores", 2),
-        deny_mode=deny_mode,
-        schedule=schedule,
-        processes=processes,
-        filters=filters,
-        enclaves=enclaves,
-        costs=costs,
-        expectations=expectations,
-        filter_table=filter_table,
-        cost_table=cost_table,
-    )
-
-
-def _build_syscall(op: dict[str, Any], labels: dict[str, list[int]]) -> SyscallOp:
-    try:
-        nr = syscall_nr(op["nr"])
-    except FilterError as exc:
-        raise ScenarioError(str(exc)) from None
-    return SyscallOp(nr, tuple(op.get("args", [])))
-
-
-def _build_exec(op: dict[str, Any], labels: dict[str, list[int]]) -> ExecOp:
-    image = op.get("image", {})
-    return ExecOp(
-        op["path_vaddr"],
-        ExecImage(
-            mappings=tuple(_map_spec(m, labels) for m in image.get("mappings", [])),
-            ops=_build_ops(image.get("ops", []), _OPS, labels),
-        ),
-    )
-
-
-# op kind -> (allowed keys, required keys, builder), keys besides "op" itself.
-# _check_op validates against a table and _build_ops builds from the same one;
-# thread ops and enclave script ops each have one.
-_OpTable = dict[str, tuple[set[str], set[str], Callable[..., Any]]]
-
-_OPS: _OpTable = {
-    "read": ({"vaddr", "len"}, {"vaddr"}, lambda op, labels: ReadOp(op["vaddr"], op.get("len", 1))),
-    "write": (
-        {"vaddr", "string", "bytes"}, {"vaddr"},
-        lambda op, labels: WriteOp(op["vaddr"], _op_bytes(op, "write op")),
-    ),
-    "syscall": ({"nr", "args"}, {"nr"}, _build_syscall),
-    "mmap": (
-        {"vaddr", "pages", "write", "exec", "shared", "alias_of"}, {"vaddr"},
-        lambda op, labels: MmapOp(_map_spec(op, labels)),
-    ),
-    "mprotect": (
-        {"vaddr", "pages", "user", "write", "exec"}, {"vaddr"},
-        lambda op, labels: MprotectOp(
-            op["vaddr"], op.get("pages", 1), user=op.get("user", True),
-            writable=op.get("write", False), executable=op.get("exec", False),
-        ),
-    ),
-    "fork": ({"child"}, set(), lambda op, labels: ForkOp(_build_ops(op.get("child", []), _OPS, labels))),
-    "exec": ({"path_vaddr", "image"}, {"path_vaddr"}, _build_exec),
-    "exit": ({"code", "group"}, set(), lambda op, labels: ExitOp(op.get("code", 0), op.get("group", True))),
-    "proc_mem_write": (
-        {"target", "vaddr", "string", "bytes"}, {"target", "vaddr"},
-        lambda op, labels: ProcMemWriteOp(op["target"], op["vaddr"], _op_bytes(op, "proc_mem_write op")),
-    ),
-    "ecall": ({"enclave"}, {"enclave"}, lambda op, labels: EcallOp(op["enclave"])),
-}
-_ENCLAVE_OPS: _OpTable = {
-    "read": _OPS["read"],
-    "write": _OPS["write"],
-    "set_reg": ({"reg", "value"}, {"reg", "value"}, lambda op, labels: EnclaveSetReg(op["reg"], op["value"])),
-    "eexit": ({"target"}, set(), lambda op, labels: EnclaveEexit(op.get("target", "legal"))),
-    "ocall": (set(), set(), lambda op, labels: EnclaveOcall()),
-    "interrupt": (set(), set(), lambda op, labels: EnclaveInterrupt()),
-}
-
-
-def _build_ops(ops: list[dict[str, Any]], table: _OpTable, labels: dict[str, list[int]]) -> tuple:
-    return tuple(table[op["op"]][2](op, labels) for op in ops)
-
-
-def _check_op(op: Any, table: _OpTable, at: str) -> str:
-    """Check one op's keys, addresses and payload against ``table``; return its kind."""
-    if not isinstance(op, dict) or "op" not in op:
-        raise ScenarioError(f"{at}: expected an object with an 'op' key")
-    kind = op["op"]
-    if not isinstance(kind, str) or kind not in table:
-        raise ScenarioError(f"{at}: unknown op {kind!r}")
-    allowed, required, _ = table[kind]
-    _require_keys(op, allowed=allowed | {"op"}, required=required, where=f"{at} ({kind})")
-    for key in ("vaddr", "path_vaddr"):
-        if key in op:
-            _address(op[key], f"{at}.{key}")
-    if "string" in allowed:
-        _op_bytes(op, at)
-    return kind
-
-
-def _validate_ops(ops: list, where: str, ecalls: list[tuple[str, str]]) -> None:
-    if not isinstance(ops, list):
-        raise ScenarioError(f"{where}: expected a list")
-    for n, op in enumerate(ops):
-        at = f"{where}[{n}]"
-        kind = _check_op(op, _OPS, at)
-        if "pages" in op:
-            _count(op, "pages", at)
-        if kind == "fork":
-            _validate_ops(op.get("child", []), f"{at}.child", ecalls)
-        if kind == "exec" and "image" in op:
-            _require_keys(
-                op["image"], allowed={"mappings", "ops"}, required=set(),
-                where=f"{at}.image",
-            )
-            for j, m in enumerate(op["image"].get("mappings", [])):
-                _validate_mapping(m, f"{at}.image.mappings[{j}]")
-            _validate_ops(op["image"].get("ops", []), f"{at}.image.ops", ecalls)
-        if kind == "ecall":
-            ecalls.append((at, op["enclave"]))
-
-
 # ---------------------------------------------------------------------------
-# building a runnable simulation
-
-
-def build_filters(spec: dict[str, Any]) -> FilterBuilder:
-    fb = FilterBuilder()
-    for k, rule in enumerate(spec["rules"]):
-        try:
-            nr = rule["nr"]
-            if "strings" in rule:
-                for s in rule["strings"]:
-                    fb.add_rule_string(nr, rule["arg"], CmpOp.EQ, s)
-            elif "arg" in rule:
-                op = rule.get("op", "EQ")
-                if op not in CmpOp.__members__:
-                    raise FilterError(f"unknown comparison {op!r}")
-                fb.add_rule_primitive(nr, rule["arg"], CmpOp[op], rule["value"])
-            else:
-                fb.add_rule(nr)
-        except FilterError as exc:
-            raise ScenarioError(f"filters.rules[{k}]: {exc}") from None
-        except KeyError as exc:
-            raise ScenarioError(f"filters.rules[{k}]: missing or unknown {exc}") from None
-    return fb
+# the compiled scenario
 
 
 @dataclass(frozen=True)
@@ -450,7 +175,7 @@ class _ProcessPlan:
     mappings: tuple[MapSpec, ...]
     # per mapping: the frame ids a labelled mapping is compiled to get, else None
     label_frames: tuple[Optional[tuple[int, ...]], ...]
-    threads: tuple[tuple[str, tuple, int, int], ...]  # (name, ops, rsp, rbp)
+    threads: tuple[tuple[str, tuple, int, int], ...] = ()  # (name, ops, rsp, rbp)
 
 
 @dataclass(frozen=True)
@@ -475,62 +200,366 @@ class CompiledScenario:
     config_json: str
 
 
-def _compile(sc: Scenario) -> CompiledScenario:
-    labels: dict[str, list[int]] = {}
+@dataclass
+class Scenario:
+    raw: dict[str, Any]
+    name: str
+    variant: Optional[Variant]
+    cores: int
+    deny_mode: str
+    schedule: dict[str, Any]
+    processes: list[dict[str, Any]]
+    filters: Optional[dict[str, Any]]
+    costs: Optional[dict[str, Any]]
+    expectations: Optional[dict[str, Any]]
+    # The filter policy as a table that is never installed itself: each
+    # sandboxed process of a build gets a fresh() copy.
+    filter_table: Optional[FilterTable]
+    # The default cost table with the scenario's overrides.
+    cost_table: CostTable
+    # What every build of this scenario shares, read-only.
+    compiled: CompiledScenario
+
+
+@dataclass
+class _Names:
+    """What ops refer to by name: label -> frame ids, and the enclaves."""
+
+    labels: dict[str, tuple[int, ...]]
+    enclaves: dict[str, _EnclavePlan]
+
+
+def load_scenario(path: Union[str, Path]) -> Scenario:
+    try:
+        return scenario_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(exc.msg, line=exc.lineno, col=exc.colno) from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    except RecursionError:
+        raise ScenarioError("nested too deeply") from None
+
+
+def scenario_from_dict(raw: Any) -> Scenario:
+    _fields(
+        raw,
+        allowed={
+            "version", "name", "variant", "cores", "deny_mode", "schedule",
+            "processes", "filters", "enclaves", "costs", "expectations",
+        },
+        required={"version", "name", "processes"},
+        where="",
+    )
+    _read(raw, "version", "", _REQUIRED, lambda v: _is_int(v) and v == SCHEMA_VERSION,
+          f"schema version {SCHEMA_VERSION}")
+    schedule = _fields(
+        raw.get("schedule", {"mode": "seeded", "seed": 0}),
+        allowed={"mode", "seed", "max_steps"}, required={"mode"}, where="schedule",
+    )
+    _choice(schedule, "mode", "schedule", ("seeded", "exhaustive"))
+    _signed(schedule, "seed", "schedule", 0)
+    _positive(schedule, "max_steps", "schedule", 1)
+
+    filters = raw.get("filters")
+    filter_table = None if filters is None else FilterTable.from_rules(build_filters(filters).build_rules())
+    costs = raw.get("costs")
+    try:
+        cost_table = CostTable() if costs is None else CostTable().with_overrides(costs)
+    except CostError as exc:
+        raise ScenarioError(f"costs: {exc}") from None
+    expectations = raw.get("expectations")
+    if expectations is not None:
+        _read_expectations(expectations, "expectations", nested=False)
+
+    _read(raw, "processes", "", _REQUIRED, lambda v: isinstance(v, list) and v != [], "a non-empty list")
+    names = _Names(labels={}, enclaves={})
+    plans = _processes(raw, filter_table is not None, names)
+    host = {plan.name: i for i, plan in enumerate(plans)}
+    for where, enc in _each(raw, "enclaves", ""):
+        plan = _enclave(enc, where, host, names)
+        if plan.name in names.enclaves:
+            raise ScenarioError(f"{where}: duplicate enclave name {plan.name!r}")
+        names.enclaves[plan.name] = plan
+    # Ops may alias any labelled mapping and call any enclave, so threads
+    # are built once all are known.
+    thread_names: set[str] = set()
+    for i, (where, proc) in enumerate(_each(raw, "processes", "")):
+        threads = []
+        for at, t in _each(proc, "threads", where):
+            _fields(t, allowed={"name", "rsp", "rbp", "ops"}, required={"name", "ops"}, where=at)
+            name = _str(t, "name", at)
+            if name in thread_names:
+                raise ScenarioError(f"{at}: duplicate thread name {name!r}")
+            thread_names.add(name)
+            threads.append(
+                (name, _ops(t, "ops", at, _OPS, names), _unsigned(t, "rsp", at, 0), _unsigned(t, "rbp", at, 0))
+            )
+        plans[i] = replace(plans[i], threads=tuple(threads))
+
+    return Scenario(
+        raw=raw,
+        name=_str(raw, "name", ""),
+        variant=_VARIANTS[_choice(raw, "variant", "", _VARIANTS, "none")],
+        cores=_positive(raw, "cores", "", 2),
+        deny_mode=_choice(raw, "deny_mode", "", _DENY_MODES, "kill"),
+        schedule=schedule,
+        processes=raw["processes"],
+        filters=filters,
+        costs=costs,
+        expectations=expectations,
+        filter_table=filter_table,
+        cost_table=cost_table,
+        compiled=CompiledScenario(
+            processes=tuple(plans),
+            enclaves=tuple(names.enclaves.values()),
+            config_json=json.dumps(raw, sort_keys=True, separators=(",", ":")),
+        ),
+    )
+
+
+def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPlan]:
+    """Every process with its mappings, and no threads yet."""
+    plans: list[_ProcessPlan] = []
+    seen: set[str] = set()
     # A build allocates frames 1, 2, ... in this order, one per page of each
     # mapping that is not an alias, so a label's frame ids are known here;
     # build_simulation checks that the labelled mappings get them.
     next_frame = 1
-    mappings = []
-    for proc in sc.processes:
+    for where, proc in _each(raw, "processes", ""):
+        _fields(
+            proc, allowed={"name", "sandboxed", "mappings", "threads"},
+            required={"name", "threads"}, where=where,
+        )
+        name = _str(proc, "name", where)
+        if name in seen:
+            raise ScenarioError(f"{where}: duplicate process name {name!r}")
+        seen.add(name)
+        sandboxed = _flag(proc, "sandboxed", where, False)
+        if sandboxed and not have_filters:
+            raise ScenarioError(f"{where}: process {name!r} is sandboxed but no filters are defined")
         specs, label_frames = [], []
-        for m in proc.get("mappings", []):
-            spec = _map_spec(m, labels)
+        for at, m in _each(proc, "mappings", where):
+            spec = _map_spec(_fields(m, _MAPPING_KEYS, {"vaddr"}, at), at, names.labels)
             if spec.alias_frames is not None:
-                frames = list(spec.alias_frames)
+                frames = spec.alias_frames
             else:
-                frames = list(range(next_frame, next_frame + spec.pages))
+                frames = tuple(range(next_frame, next_frame + spec.pages))
                 next_frame += spec.pages
-            if m.get("label"):
-                labels[m["label"]] = frames
+            if spec.label:
+                names.labels[spec.label] = frames
             specs.append(spec)
-            label_frames.append(tuple(frames) if m.get("label") else None)
-        mappings.append((tuple(specs), tuple(label_frames)))
-    # Ops may alias any labelled mapping, so they are built once all are known.
-    processes = tuple(
-        _ProcessPlan(
-            name=proc["name"],
-            sandboxed=proc.get("sandboxed", False),
-            mappings=specs,
-            label_frames=label_frames,
-            threads=tuple(
-                (t["name"], _build_ops(t["ops"], _OPS, labels), t.get("rsp", 0), t.get("rbp", 0))
-                for t in proc["threads"]
-            ),
-        )
-        for proc, (specs, label_frames) in zip(sc.processes, mappings)
+            label_frames.append(frames if spec.label else None)
+        plans.append(_ProcessPlan(name, sandboxed, tuple(specs), tuple(label_frames)))
+    return plans
+
+
+def _enclave(enc: Any, where: str, host: dict[str, int], names: _Names) -> _EnclavePlan:
+    _fields(
+        enc,
+        allowed={
+            "name", "process", "variant", "pages", "cbp_vaddr", "dbp_vaddrs",
+            "syscall_exit", "script",
+        },
+        required={"name", "process", "pages", "cbp_vaddr"},
+        where=where,
     )
-    enclaves = []
-    for enc in sc.enclaves:
-        pages = enc["pages"]
-        start = vpn_of(pages["vaddr"])
-        enclaves.append(
-            _EnclavePlan(
-                name=enc["name"],
-                host=next(i for i, p in enumerate(processes) if p.name == enc["process"]),
-                variant=_VARIANTS[enc["variant"]] if "variant" in enc else _SCENARIO_VARIANT,
-                vpns=frozenset(range(start, start + pages.get("pages", 1))),
-                cbp_vpn=vpn_of(enc["cbp_vaddr"]),
-                dbp_vaddrs=tuple(enc.get("dbp_vaddrs", [])),
-                syscall_exit=enc.get("syscall_exit", False),
-                script=_build_ops(enc.get("script", []), _ENCLAVE_OPS, labels),
+    pages = _fields(enc["pages"], allowed={"vaddr", "pages"}, required={"vaddr"}, where=f"{where}.pages")
+    start = vpn_of(_unsigned(pages, "vaddr", f"{where}.pages"))
+    variant = _choice(enc, "variant", where, _VARIANTS, None)
+    return _EnclavePlan(
+        name=_str(enc, "name", where),
+        host=host[_choice(enc, "process", where, host)],
+        variant=_SCENARIO_VARIANT if variant is None else _VARIANTS[variant],
+        vpns=frozenset(range(start, start + _positive(pages, "pages", f"{where}.pages", 1))),
+        cbp_vpn=vpn_of(_unsigned(enc, "cbp_vaddr", where)),
+        dbp_vaddrs=_all(_unsigned, enc, "dbp_vaddrs", where),
+        syscall_exit=_flag(enc, "syscall_exit", where, False),
+        script=_ops(enc, "script", where, _ENCLAVE_OPS, names),
+    )
+
+
+def _read_expectations(exp: Any, where: str, nested: bool) -> None:
+    """Check every value of an expectations section, which stays the raw
+    dict check_expectations reads."""
+    allowed = set(_BOUNDS) | {"kills", "no_kills"}
+    _fields(exp, allowed if nested else allowed | {"by_variant"}, set(), where)
+    for key, bound_names in _BOUNDS.items():
+        if key in exp:
+            bounds = _fields(exp[key], bound_names, set(), f"{where}.{key}")
+            for name in bounds:
+                _unsigned(bounds, name, f"{where}.{key}")
+    for at, want in _each(exp, "kills", where):
+        for key in _fields(want, {"process", "cause"}, set(), at):
+            _str(want, key, at)
+    _read(exp, "no_kills", where, True,
+          lambda v: v is True or isinstance(v, list) and all(isinstance(p, str) for p in v),
+          "true or a list of process names")
+    if not nested:
+        by_variant = _fields(exp.get("by_variant", {}), set(_VARIANTS), set(), f"{where}.by_variant")
+        for name, sub in by_variant.items():
+            _read_expectations(sub, f"{where}.by_variant.{name}", nested=True)
+
+
+def build_filters(spec: Any) -> FilterBuilder:
+    _fields(spec, allowed={"rules"}, required={"rules"}, where="filters")
+    fb = FilterBuilder()
+    for at, rule in _each(spec, "rules", "filters"):
+        _fields(rule, allowed={"nr", "arg", "op", "value", "strings", "allow"}, required={"nr"}, where=at)
+        nr = _syscall_nr(rule, "nr", at)
+        _read(rule, "allow", at, True, lambda v: v is True, "true (every rule allows)")
+        try:
+            if "strings" in rule or "arg" in rule:
+                arg = _unsigned(rule, "arg", at)
+                op = CmpOp[_choice(rule, "op", at, CmpOp.__members__, "EQ")]
+                if "strings" in rule:
+                    for s in _all(_str, rule, "strings", at):
+                        fb.add_rule_string(nr, arg, op, s)
+                else:
+                    fb.add_rule_primitive(nr, arg, op, _signed(rule, "value", at))
+            else:
+                fb.add_rule(nr)
+        except FilterError as exc:
+            raise ScenarioError(f"{at}: {exc}") from None
+    return fb
+
+
+# ---------------------------------------------------------------------------
+# mappings and ops
+
+
+def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, ...]]) -> MapSpec:
+    alias_frames = None
+    if "alias_of" in m:
+        label = _str(m, "alias_of", where)
+        if label not in labels:
+            raise ScenarioError(f"{where}.alias_of: references undefined label {label!r}")
+        alias_frames = labels[label]
+    lo = _unsigned(m, "vaddr", where)
+    pages = _positive(m, "pages", where, len(alias_frames) if alias_frames else 1)
+    hi = lo + pages * PAGE_SIZE
+    data = []
+    for at, d in _each(m, "data", where):
+        _fields(d, allowed={"at", "string", "bytes", "nul"}, required={"at"}, where=at)
+        start, raw = _unsigned(d, "at", at), _op_bytes(d, at)
+        if "string" in d and _flag(d, "nul", at, True):
+            raw += b"\x00"
+        if not (lo <= start and start + len(raw) <= hi):
+            raise ScenarioError(
+                f"{at}: data at {start:#x} (+{len(raw)}) falls outside {lo:#x}..{hi:#x}"
             )
-        )
-    return CompiledScenario(
-        processes=processes,
-        enclaves=tuple(enclaves),
-        config_json=json.dumps(sc.raw, sort_keys=True, separators=(",", ":")),
+        data.append((start, raw))
+    return MapSpec(
+        vaddr=lo,
+        pages=pages,
+        writable=_flag(m, "write", where, True),
+        executable=_flag(m, "exec", where, False),
+        user=_flag(m, "user", where, True),
+        shared=_flag(m, "shared", where, False),
+        alias_frames=alias_frames,
+        data=tuple(data),
+        label=_str(m, "label", where, None),
     )
+
+
+def _exec(op: dict[str, Any], at: str, names: _Names) -> ExecOp:
+    image = _fields(op.get("image", {}), allowed={"mappings", "ops"}, required=set(), where=f"{at}.image")
+    return ExecOp(
+        _unsigned(op, "path_vaddr", at),
+        ExecImage(
+            mappings=tuple(
+                _map_spec(_fields(m, _MAPPING_KEYS, {"vaddr"}, where), where, names.labels)
+                for where, m in _each(image, "mappings", f"{at}.image")
+            ),
+            ops=_ops(image, "ops", f"{at}.image", _OPS, names),
+        ),
+    )
+
+
+# op kind -> (allowed keys, required keys, builder), keys besides "op" itself;
+# each builder reads and checks the values of the op at a location. Thread
+# ops and enclave script ops each have one table.
+_OpTable = dict[str, tuple[set[str], set[str], Callable[[dict, str, _Names], Any]]]
+
+_OPS: _OpTable = {
+    "read": (
+        {"vaddr", "len"}, {"vaddr"},
+        lambda op, at, names: ReadOp(_unsigned(op, "vaddr", at), _positive(op, "len", at, 1)),
+    ),
+    "write": (
+        {"vaddr", "string", "bytes"}, {"vaddr"},
+        lambda op, at, names: WriteOp(_unsigned(op, "vaddr", at), _op_bytes(op, at)),
+    ),
+    "syscall": (
+        {"nr", "args"}, {"nr"},
+        lambda op, at, names: SyscallOp(_syscall_nr(op, "nr", at), _all(_signed, op, "args", at)),
+    ),
+    "mmap": (
+        {"vaddr", "pages", "write", "exec", "shared", "alias_of"}, {"vaddr"},
+        lambda op, at, names: MmapOp(_map_spec(op, at, names.labels)),
+    ),
+    "mprotect": (
+        {"vaddr", "pages", "user", "write", "exec"}, {"vaddr"},
+        lambda op, at, names: MprotectOp(
+            _unsigned(op, "vaddr", at), _positive(op, "pages", at, 1),
+            user=_flag(op, "user", at, True), writable=_flag(op, "write", at, False),
+            executable=_flag(op, "exec", at, False),
+        ),
+    ),
+    "fork": ({"child"}, set(), lambda op, at, names: ForkOp(_ops(op, "child", at, _OPS, names))),
+    "exec": ({"path_vaddr", "image"}, {"path_vaddr"}, _exec),
+    "exit": (
+        {"code", "group"}, set(),
+        lambda op, at, names: ExitOp(_signed(op, "code", at, 0), _flag(op, "group", at, True)),
+    ),
+    "proc_mem_write": (
+        {"target", "vaddr", "string", "bytes"}, {"target", "vaddr"},
+        lambda op, at, names: ProcMemWriteOp(
+            _read(op, "target", at, _REQUIRED, lambda v: isinstance(v, str) or _is_int(v) and v >= 0,
+                  "a thread name or a non-negative tid"),
+            _unsigned(op, "vaddr", at), _op_bytes(op, at),
+        ),
+    ),
+    "ecall": (
+        {"enclave"}, {"enclave"},
+        lambda op, at, names: EcallOp(_choice(op, "enclave", at, names.enclaves)),
+    ),
+}
+_ENCLAVE_OPS: _OpTable = {
+    "read": _OPS["read"],
+    "write": _OPS["write"],
+    "set_reg": (
+        {"reg", "value"}, {"reg", "value"},
+        lambda op, at, names: EnclaveSetReg(_choice(op, "reg", at, _REGISTERS), _unsigned(op, "value", at)),
+    ),
+    "eexit": (
+        {"target"}, set(),
+        lambda op, at, names: EnclaveEexit(
+            _read(op, "target", at, "legal", lambda v: v == "legal" or _is_int(v) and v >= 0,
+                  "\"legal\" or a non-negative address")
+        ),
+    ),
+    "ocall": (set(), set(), lambda op, at, names: EnclaveOcall()),
+    "interrupt": (set(), set(), lambda op, at, names: EnclaveInterrupt()),
+}
+
+
+def _ops(obj: dict, key: str, where: str, table: _OpTable, names: _Names) -> tuple:
+    """The op list ``obj[key]``, each op checked and built by ``table``."""
+    ops = []
+    for at, op in _each(obj, key, where):
+        if not isinstance(op, dict) or "op" not in op:
+            raise ScenarioError(f"{at}: expected an object with an 'op' key")
+        kind = op["op"]
+        if not isinstance(kind, str) or kind not in table:
+            raise ScenarioError(f"{at}: unknown op {kind!r}")
+        allowed, required, build = table[kind]
+        _fields(op, allowed=allowed | {"op"}, required=required, where=f"{at} ({kind})")
+        ops.append(build(op, at, names))
+    return tuple(ops)
+
+
+# ---------------------------------------------------------------------------
+# building a runnable simulation
 
 
 def build_simulation(
@@ -585,36 +614,6 @@ def build_simulation(
         for name, ops, rsp, rbp in proc.threads:
             sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp)
     return sim
-
-
-def _map_spec(m: dict[str, Any], labels: dict[str, list[int]]) -> MapSpec:
-    alias_frames = None
-    if "alias_of" in m:
-        label = m["alias_of"]
-        if label not in labels:
-            raise ScenarioError(f"alias_of references undefined label {label!r}")
-        alias_frames = tuple(labels[label])
-    data = tuple(
-        (d["at"], _data_bytes(d, "mapping data")) for d in m.get("data", [])
-    )
-    pages = m.get("pages", len(alias_frames) if alias_frames else 1)
-    lo, hi = m["vaddr"], m["vaddr"] + pages * PAGE_SIZE
-    for at, raw in data:
-        if not (lo <= at and at + len(raw) <= hi):
-            raise ScenarioError(
-                f"mapping data at {at:#x} (+{len(raw)}) falls outside {lo:#x}..{hi:#x}"
-            )
-    return MapSpec(
-        vaddr=m["vaddr"],
-        pages=pages,
-        writable=m.get("write", True),
-        executable=m.get("exec", False),
-        user=m.get("user", True),
-        shared=m.get("shared", False),
-        alias_frames=alias_frames,
-        data=data,
-        label=m.get("label"),
-    )
 
 
 # ---------------------------------------------------------------------------

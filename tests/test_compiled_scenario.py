@@ -1,4 +1,4 @@
-"""A scenario is compiled once and every build shares the result read-only;
+"""A scenario is compiled at load and every build shares the result read-only;
 reports serialise to the plain JSON of their dictionaries; and the memory
 model's reverse map and frame sizes hold after every step of every shipped
 scenario."""
@@ -62,18 +62,25 @@ def lifecycle_scenario() -> dict:
 
 @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
 def test_second_build_calls_no_parser(path, monkeypatch):
+    """Everything is parsed at load, so no build, the first included, reads
+    the scenario's JSON again."""
     sc = load_scenario(path)
-    build_simulation(sc)
     called = []
-    for name in ("_map_spec", "_build_ops", "build_filters"):
+    for name in (
+        "scenario_from_dict", "build_filters", "_processes", "_enclave", "_map_spec", "_ops",
+        "_fields", "_read",
+    ):
         original = getattr(scenario_module, name)
         monkeypatch.setattr(
             scenario_module, name,
-            lambda *args, _name=name, _original=original: called.append(_name) or _original(*args),
+            lambda *args, _name=name, _original=original, **kwargs:
+                called.append(_name) or _original(*args, **kwargs),
         )
     for variant in VARIANTS.values():
         build_simulation(sc, variant)
     assert called == []
+    scenario_module.scenario_from_dict(sc.raw)
+    assert {"scenario_from_dict", "_processes", "_map_spec", "_ops", "_fields", "_read"} <= set(called)
 
 
 LABELLED = [p for p in PATHS if '"label"' in p.read_text()]

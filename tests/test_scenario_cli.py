@@ -72,9 +72,8 @@ class TestParsing:
     def test_alias_of_requires_known_label(self):
         raw = minimal_scenario()
         raw["processes"][0]["mappings"].append({"vaddr": 131072, "alias_of": "ghost"})
-        sc = scenario_from_dict(raw)
-        with pytest.raises(ScenarioError, match="undefined label"):
-            build_simulation(sc)
+        with pytest.raises(ScenarioError, match="mappings\\[1\\].alias_of: references undefined label"):
+            scenario_from_dict(raw)
 
     def test_sandboxed_process_requires_filters(self):
         raw = minimal_scenario()
@@ -155,6 +154,20 @@ class TestCliRun:
         bad.write_text("{")
         assert main(["run", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(json.dumps(minimal_scenario(name="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+        for argv in (["run", str(bad)], ["bench", str(bad)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "not UTF-8 text: byte 0xe9" in err and "Traceback" not in err
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", str(deep)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["run"]) == 2
@@ -277,6 +290,48 @@ MALFORMED = {
     "unknown cost field": (lambda raw: raw.update(costs={"flush": 1}), "costs: unknown cost field"),
     "base syscall costs not an object": (
         lambda raw: raw.update(costs={"base_syscall": 295}), "costs: base_syscall"),
+    "rules not a list": (lambda raw: raw.update(filters={"rules": 1}), "filters.rules: expected a list"),
+    "mappings not a list": (
+        lambda raw: raw["processes"][0].update(mappings=1), "processes[0].mappings: expected a list"),
+    "threads not a list": (
+        lambda raw: raw["processes"][0].update(threads=1), "processes[0].threads: expected a list"),
+    "rule strings not a list": (
+        lambda raw: raw.update(filters={"rules": [{"nr": "openat", "arg": 1, "strings": "x"}]}),
+        "filters.rules[0].strings: expected a list"),
+    "syscall args not a list": (
+        lambda raw: _set_op(raw, op="syscall", nr="getppid", args=1), "ops[0].args: expected a list"),
+    "by_variant a list": (
+        lambda raw: raw.update(expectations={"by_variant": []}), "expectations.by_variant"),
+    "string read length": (lambda raw: _set_op(raw, op="read", vaddr=65536, len="8"), "ops[0].len"),
+    "list rule nr": (lambda raw: raw.update(filters={"rules": [{"nr": [1]}]}), "filters.rules[0].nr"),
+    "list op nr": (lambda raw: _set_op(raw, op="syscall", nr=[1]), "ops[0].nr"),
+    "list thread name": (
+        lambda raw: raw["processes"][0]["threads"][0].update(name=[1]), "threads[0].name"),
+    "list process name": (lambda raw: raw["processes"][0].update(name=[1]), "processes[0].name"),
+    "list proc_mem_write target": (
+        lambda raw: _set_op(raw, op="proc_mem_write", target=[1], vaddr=65536, string="x"),
+        "ops[0].target"),
+    "string max_steps": (
+        lambda raw: raw.update(schedule={"mode": "seeded", "max_steps": "9"}), "schedule.max_steps"),
+    "negative read length": (lambda raw: _set_op(raw, op="read", vaddr=65536, len=-1), "ops[0].len"),
+    "string exit code": (lambda raw: _set_op(raw, op="exit", code="x"), "ops[0].code"),
+    "string mprotect permission": (
+        lambda raw: _set_op(raw, op="mprotect", vaddr=65536, write="yes"), "ops[0].write"),
+    "string seed": (lambda raw: raw.update(schedule={"mode": "seeded", "seed": "x"}), "schedule.seed"),
+    "witness bounds a list": (
+        lambda raw: raw.update(expectations={"witnesses": [1]}), "expectations.witnesses"),
+    "string register value": (
+        lambda raw: _add_enclave(raw, script=[{"op": "set_reg", "reg": "rsp", "value": "x"}]),
+        "enclaves[0].script[0].value"),
+    "string rule with a string arg": (
+        lambda raw: raw.update(filters={"rules": [{"nr": "openat", "arg": "x", "strings": ["a"]}]}),
+        "filters.rules[0].arg"),
+    "list enclave process": (
+        lambda raw: _add_enclave(raw, process=[1]), "enclaves[0].process"),
+    "numeric no_kills": (lambda raw: raw.update(expectations={"no_kills": 1}), "expectations.no_kills"),
+    "duplicate process name": (
+        lambda raw: raw["processes"].append({"name": "p", "threads": []}),
+        "processes[1]: duplicate process name 'p'"),
 }
 
 # --costs file contents -> text the message must contain

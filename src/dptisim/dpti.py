@@ -93,14 +93,11 @@ class ProtectionRecord:
 class SyscallContext:
     """One in-flight syscall; phases are the schedulable preemption points."""
 
-    tid: int
+    op: Any  # the thread op that entered the kernel; bodies read operands from it
     nr: int
     name: str
     args: list[int]
-    body: str
-    payload: Any = None  # op-specific (fork child ops, exec image, mmap spec...)
     phase: SyscallPhase = SyscallPhase.LOOKUP
-    points_visited: list[str] = field(default_factory=list)
     rule: Optional[FilterRule] = None
     disposition: str = "unsandboxed"
     records: list[ProtectionRecord] = field(default_factory=list)
@@ -109,11 +106,10 @@ class SyscallContext:
     result: Optional[int] = None
 
 
-def make_syscall_context(nr: int, args: list[int], payload: Any = None, tid: int = -1) -> SyscallContext:
-    name = SYSCALL_NAMES.get(nr, f"sys_{nr}")
-    body = name if name in DptiEngine.BODIES else "generic"
-    padded = (list(args) + [0] * 6)[:6]
-    return SyscallContext(tid=tid, nr=nr, name=name, args=padded, body=body, payload=payload)
+def make_syscall_context(op: Any) -> SyscallContext:
+    """The context of the syscall ``op`` makes, from its ``syscall()`` form."""
+    nr, args = op.syscall()
+    return SyscallContext(op, nr, SYSCALL_NAMES.get(nr, f"sys_{nr}"), (list(args) + [0] * 6)[:6])
 
 
 class DptiEngine:
@@ -146,8 +142,7 @@ class DptiEngine:
         return self._restore_step(task, ctx)
 
     def _lookup_step(self, task, ctx: SyscallContext) -> str:
-        ctx.points_visited.append("pre_check")
-        if not task.sandboxed or ctx.body in ("exit", "exit_group"):
+        if not task.sandboxed or ctx.name in ("exit", "exit_group"):
             # exit/exit_group are the filter cleanup path and always proceed
             ctx.disposition = "unsandboxed" if not task.sandboxed else "allow"
             ctx.phase = SyscallPhase.BODY
@@ -196,19 +191,16 @@ class DptiEngine:
                     f"{ctx.name} arg{sf.arg_index} string not allowed",
                 )
                 return "done"
-        ctx.points_visited.append("post_check")
         ctx.phase = SyscallPhase.BODY
         return "again"
 
     def _body_step(self, task, ctx: SyscallContext) -> str:
-        body = self.BODIES.get(ctx.body, DptiEngine._body_generic)
-        status = body(self, task, ctx)
+        status = self.BODIES.get(ctx.name, DptiEngine._body_generic)(self, task, ctx)
         if status == "stalled":
             return "stalled"
         if status == "killed":
             return "done"
         if ctx.records:
-            ctx.points_visited.append("pre_restore")
             ctx.phase = SyscallPhase.RESTORE
             return "again"
         self._finish(task, ctx)
@@ -312,7 +304,7 @@ class DptiEngine:
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
         frame_id = pte.frame_id
-        for asid, a_vpn, _perms in vmem.aliases_of(frame_id):
+        for asid, a_vpn in vmem.aliases_of(frame_id):
             self._close_mapping(record, asid, a_vpn)
         record.frames.append(frame_id)
         record.pages += 1
@@ -576,7 +568,7 @@ class DptiEngine:
         path = self._use_fetch(task, ctx, 0)
         if path is None:
             return "killed"
-        restored = self.sim.exec_task(task, ctx.payload)
+        restored = self.sim.exec_task(task, ctx.op.image)
         ctx.result = 0
         self.sim.emit(
             ExecEvent(tid=task.tid, path=path.decode("latin-1"), restored_sibling_mappings=restored)
@@ -584,20 +576,20 @@ class DptiEngine:
         return "ok"
 
     def _body_fork(self, task, ctx: SyscallContext) -> str:
-        child = self.sim.fork_task(task, ctx.payload or [])
-        ctx.result = child.pid
+        child = self.sim.fork_task(task, ctx.op.child_ops)
+        ctx.result = child.tgid
         refcount = task.filters.refcount if task.filters is not None else 0
         self.sim.emit(
-            ForkEvent(tid=task.tid, child_pid=child.pid, child_tid=child.tid, refcount=refcount)
+            ForkEvent(tid=task.tid, child_pid=child.tgid, child_tid=child.tid, refcount=refcount)
         )
         return "ok"
 
     def _body_exit(self, task, ctx: SyscallContext) -> str:
-        code, group = ctx.payload if ctx.payload is not None else (0, True)
-        refcount, freed = self.sim.exit_task(task, group)
-        ctx.result = None
+        op = ctx.op
+        freed = self.sim.exit_task(task, op.group)
+        refcount = task.filters.refcount if task.filters is not None else 0
         self.sim.emit(
-            ExitEvent(tid=task.tid, code=code, group=group, refcount=refcount, freed=freed)
+            ExitEvent(tid=task.tid, code=op.code, group=op.group, refcount=refcount, freed=freed)
         )
         return "ok"
 
@@ -606,7 +598,7 @@ class DptiEngine:
         return "ok"
 
     def _body_mmap(self, task, ctx: SyscallContext) -> str:
-        spec = ctx.payload
+        spec = ctx.op.spec
         ctx.result = self.sim.do_mmap(task, spec)
         if self.variant is not None and ctx.result != -1:
             start = vpn_of(spec.vaddr)
@@ -616,7 +608,7 @@ class DptiEngine:
         return "ok"
 
     def _body_mprotect(self, task, ctx: SyscallContext) -> str:
-        spec = ctx.payload
+        spec = ctx.op
         vpns = spec.vpns
         blocking_frame = self.mprotect_decision(task, vpns, spec.writable, spec.user)
         if blocking_frame is not None:
@@ -663,5 +655,4 @@ class DptiEngine:
         "mmap": _body_mmap,
         "mprotect": _body_mprotect,
         "read": _body_read,
-        "generic": _body_generic,
     }

@@ -40,6 +40,10 @@ SYSCALL_NRS: dict[str, int] = {
 
 SYSCALL_NAMES = {nr: name for name, nr in SYSCALL_NRS.items()}
 
+# Above every x86-64 syscall number. A FilterTable has one entry per number
+# up to its largest rule's, so the bound also bounds the table.
+MAX_SYSCALL_NR = 1023
+
 
 def syscall_nr(nr: Union[int, str]) -> int:
     if isinstance(nr, str):
@@ -47,6 +51,8 @@ def syscall_nr(nr: Union[int, str]) -> int:
             return SYSCALL_NRS[nr]
         except KeyError:
             raise FilterError(f"unknown syscall name {nr!r}") from None
+    if not 0 <= nr <= MAX_SYSCALL_NR:
+        raise FilterError(f"syscall number {nr} outside 0..{MAX_SYSCALL_NR}")
     return nr
 
 

@@ -15,7 +15,10 @@ from typing import Any, Callable, Optional, Union
 
 from .costmodel import CostError, CostTable
 from .dpti import Variant
-from .filters import SYSCALL_NRS, CmpOp, FilterBuilder, FilterError, FilterTable, syscall_nr
+from .filters import (
+    MAX_SYSCALL_NR, SYSCALL_NAMES, SYSCALL_NRS, CmpOp, FilterBuilder, FilterError, FilterTable,
+    syscall_nr,
+)
 from .sgxdom import (
     EnclaveEexit,
     EnclaveInterrupt,
@@ -136,8 +139,8 @@ def _all(read: Callable[..., Any], obj: dict, key: str, where: str) -> tuple:
 def _syscall_nr(obj: dict, key: str, where: str) -> int:
     return syscall_nr(_read(
         obj, key, where, _REQUIRED,
-        lambda v: v in SYSCALL_NRS if isinstance(v, str) else _is_int(v) and v >= 0,
-        "a known syscall name or a non-negative number",
+        lambda v: v in SYSCALL_NRS if isinstance(v, str) else _is_int(v) and 0 <= v <= MAX_SYSCALL_NR,
+        f"a known syscall name or a number from 0 to {MAX_SYSCALL_NR}",
     ))
 
 
@@ -346,6 +349,8 @@ def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPla
                 frames = tuple(range(next_frame, next_frame + spec.pages))
                 next_frame += spec.pages
             if spec.label:
+                if spec.label in names.labels:
+                    raise ScenarioError(f"{at}.label: duplicate label {spec.label!r}")
                 names.labels[spec.label] = frames
             specs.append(spec)
             label_frames.append(frames if spec.label else None)
@@ -436,6 +441,10 @@ def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, ...]])
         alias_frames = labels[label]
     lo = _unsigned(m, "vaddr", where)
     pages = _positive(m, "pages", where, len(alias_frames) if alias_frames else 1)
+    if alias_frames and pages != len(alias_frames):
+        raise ScenarioError(
+            f"{where}.pages: {pages}, but an alias takes the {len(alias_frames)} page(s) of its label"
+        )
     hi = lo + pages * PAGE_SIZE
     data = []
     for at, d in _each(m, "data", where):
@@ -459,6 +468,23 @@ def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, ...]])
         data=tuple(data),
         label=_str(m, "label", where, None),
     )
+
+
+# syscall -> the op kind that makes it. A raw syscall op carries only numbers,
+# and these syscalls need more: a mapping, child ops, an image, or whether an
+# exit ends the whole group.
+_OP_SYSCALLS = {
+    "mmap": "mmap", "mprotect": "mprotect", "fork": "fork", "execve": "exec",
+    "exit": "exit", "exit_group": "exit",
+}
+
+
+def _syscall(op: dict, at: str, names: _Names) -> SyscallOp:
+    nr = _syscall_nr(op, "nr", at)
+    kind = _OP_SYSCALLS.get(SYSCALL_NAMES.get(nr))
+    if kind is not None:
+        raise ScenarioError(f"{at}.nr: a raw syscall op cannot make {SYSCALL_NAMES[nr]}; use the {kind!r} op")
+    return SyscallOp(nr, _all(_signed, op, "args", at))
 
 
 def _exec(op: dict[str, Any], at: str, names: _Names) -> ExecOp:
@@ -489,10 +515,7 @@ _OPS: _OpTable = {
         {"vaddr", "string", "bytes"}, {"vaddr"},
         lambda op, at, names: WriteOp(_unsigned(op, "vaddr", at), _op_bytes(op, at)),
     ),
-    "syscall": (
-        {"nr", "args"}, {"nr"},
-        lambda op, at, names: SyscallOp(_syscall_nr(op, "nr", at), _all(_signed, op, "args", at)),
-    ),
+    "syscall": ({"nr", "args"}, {"nr"}, _syscall),
     "mmap": (
         {"vaddr", "pages", "write", "exec", "shared", "alias_of"}, {"vaddr"},
         lambda op, at, names: MmapOp(_map_spec(op, at, names.labels)),

@@ -33,7 +33,7 @@ from .events import (
     WakeEvent,
 )
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
-from .sgxdom import EnclaveContext, EnclaveDomain, SgxRuntime
+from .sgxdom import EnclaveDomain, SgxRuntime
 from .vmem import AccessMode, DoubleMapError, PAGE_SIZE, Vmem, pages_spanned, vpn_of
 
 
@@ -42,7 +42,8 @@ from .vmem import AccessMode, DoubleMapError, PAGE_SIZE, Vmem, pages_spanned, vp
 
 
 # Each op names itself in the trace with label(); an op that enters the
-# kernel gives its syscall form, (nr, args, payload), with syscall().
+# kernel gives its syscall form, (nr, args), with syscall(); the syscall body
+# reads any other operand from the op itself.
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class SyscallOp:
     def label(self) -> str:
         return f"syscall:{SYSCALL_NAMES.get(self.nr, self.nr)}"
 
-    def syscall(self) -> tuple[int, list[int], Any]:
-        return self.nr, list(self.args), None
+    def syscall(self) -> tuple[int, Sequence[int]]:
+        return self.nr, self.args
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class MmapOp:
     def label(self) -> str:
         return f"mmap@{self.spec.vaddr:#x}"
 
-    def syscall(self) -> tuple[int, list[int], Any]:
-        return SYSCALL_NRS["mmap"], [self.spec.vaddr, self.spec.pages * PAGE_SIZE], self.spec
+    def syscall(self) -> tuple[int, Sequence[int]]:
+        return SYSCALL_NRS["mmap"], (self.spec.vaddr, self.spec.pages * PAGE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ class MprotectOp:
     def label(self) -> str:
         return f"mprotect@{self.vaddr:#x}"
 
-    def syscall(self) -> tuple[int, list[int], Any]:
-        return SYSCALL_NRS["mprotect"], [self.vaddr, self.pages * PAGE_SIZE], self
+    def syscall(self) -> tuple[int, Sequence[int]]:
+        return SYSCALL_NRS["mprotect"], (self.vaddr, self.pages * PAGE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class ForkOp:
     def label(self) -> str:
         return "fork"
 
-    def syscall(self) -> tuple[int, list[int], Any]:
-        return SYSCALL_NRS["fork"], [], list(self.child_ops)
+    def syscall(self) -> tuple[int, Sequence[int]]:
+        return SYSCALL_NRS["fork"], ()
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,8 @@ class ExecOp:
     def label(self) -> str:
         return "exec"
 
-    def syscall(self) -> tuple[int, list[int], Any]:
-        return SYSCALL_NRS["execve"], [self.path_vaddr], self.image
+    def syscall(self) -> tuple[int, Sequence[int]]:
+        return SYSCALL_NRS["execve"], (self.path_vaddr,)
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,8 @@ class ExitOp:
     def label(self) -> str:
         return "exit_group" if self.group else "exit"
 
-    def syscall(self) -> tuple[int, list[int], Any]:
-        return SYSCALL_NRS[self.label()], [self.code], (self.code, self.group)
+    def syscall(self) -> tuple[int, Sequence[int]]:
+        return SYSCALL_NRS[self.label()], (self.code,)
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,6 @@ class CpuState:
 @dataclass
 class Task:
     tid: int
-    pid: int
     tgid: int
     parent_pid: int
     name: str
@@ -385,28 +385,29 @@ class Simulation:
         rsp: int = 0,
         rbp: int = 0,
     ) -> Task:
+        name = name or f"{proc.name}.t{self._next_tid}"
+        if name in self.tasks_by_name:
+            raise ValueError(f"duplicate thread name {name!r}")
+        if proc.filters is not None and any(t.tgid == proc.tgid for t in self.tasks.values()):
+            proc.filters.acquire()  # clone shares the installed filters
+        return self._new_task(proc, ops, CpuState(rsp=rsp, rbp=rbp), name=name)
+
+    def _new_task(
+        self, proc: ProcessInfo, ops: Sequence[ThreadOp], cpu: CpuState,
+        name: Optional[str] = None, parent_pid: int = 0,
+    ) -> Task:
+        """A task of ``proc`` under the next tid, named ``name`` or after its
+        process and tid; finished at once if it has no ops."""
         tid = self._next_tid
         self._next_tid += 1
-        existing = [t for t in self.tasks.values() if t.tgid == proc.tgid]
-        if existing and proc.filters is not None:
-            proc.filters.acquire()  # clone shares the installed filters
         task = Task(
-            tid=tid,
-            pid=proc.tgid,
-            tgid=proc.tgid,
-            parent_pid=0,
-            name=name or f"{proc.name}.t{tid}",
-            asid=proc.asid,
-            ops=list(ops),
-            cpu=CpuState(rsp=rsp, rbp=rbp),
-            sandboxed=proc.sandboxed,
-            filters=proc.filters,
+            tid=tid, tgid=proc.tgid, parent_pid=parent_pid,
+            name=name or f"{proc.name}.t{tid}", asid=proc.asid, ops=list(ops), cpu=cpu,
+            sandboxed=proc.sandboxed, filters=proc.filters,
         )
         if not task.ops:
             task.state = TaskState.FINISHED
         self.tasks[tid] = task
-        if task.name in self.tasks_by_name:
-            raise ValueError(f"duplicate thread name {task.name!r}")
         self.tasks_by_name[task.name] = task
         return task
 
@@ -467,7 +468,6 @@ class Simulation:
 
     def kill_group(self, tgid: int, cause: KillCause, detail: str = "") -> None:
         proc = self.processes[tgid]
-        victims = [t for t in self.tasks.values() if t.tgid == tgid and t.alive]
         self.emit(
             KillEvent(
                 tid=self._current_tid, tgid=tgid, process=proc.name,
@@ -477,14 +477,25 @@ class Simulation:
         self.kills.append(
             {"step": self.step_count, "process": proc.name, "cause": cause.value, "detail": detail}
         )
-        self.engine.unwind_group({t.tid for t in victims})
-        for task in victims:
+        self._end_tasks(tgid, self._live(tgid))
+
+    def _live(self, tgid: int) -> list[Task]:
+        return [t for t in self.tasks.values() if t.tgid == tgid and t.alive]
+
+    def _end_tasks(self, tgid: int, tasks: list[Task]) -> bool:
+        """Tear down ``tasks`` of process ``tgid``: unwind the protection
+        windows they own, mark them dead and release their references to the
+        process's filters. Returns whether that freed the filters."""
+        self.engine.unwind_group({t.tid for t in tasks})
+        for task in tasks:
             task.state = TaskState.DEAD
             task.micro = None
             task.stall = None
-        if proc.filters is not None and victims:
-            if proc.filters.release(len(victims)):
-                self.emit(FiltersFreedEvent(tgid=tgid))
+        filters = self.processes[tgid].filters
+        if filters is None or not tasks or not filters.release(len(tasks)):
+            return False
+        self.emit(FiltersFreedEvent(tgid=tgid))
+        return True
 
     # ------------------------------------------------------------------
     # lifecycle bodies (called from the dispatch engine)
@@ -501,33 +512,10 @@ class Simulation:
         self.processes[pid] = info
         if info.filters is not None:
             info.filters.acquire()
-        tid = self._next_tid
-        self._next_tid += 1
-        child = Task(
-            tid=tid, pid=pid, tgid=pid, parent_pid=parent.pid,
-            name=f"{info.name}.t{tid}", asid=info.asid,
-            ops=list(child_ops), cpu=parent.cpu.copy(),
-            sandboxed=info.sandboxed, filters=info.filters,
-        )
-        if not child.ops:
-            child.state = TaskState.FINISHED
-        self.tasks[tid] = child
-        self.tasks_by_name[child.name] = child
-        return child
+        return self._new_task(info, child_ops, parent.cpu.copy(), parent_pid=parent.tgid)
 
-    def exec_task(self, task: Task, image: Optional[ExecImage]) -> int:
-        image = image or ExecImage()
-        siblings = [
-            t for t in self.tasks.values()
-            if t.tgid == task.tgid and t.tid != task.tid and t.alive
-        ]
-        self.engine.unwind_group({s.tid for s in siblings})
-        for sib in siblings:
-            sib.state = TaskState.DEAD
-            sib.micro = None
-            sib.stall = None
-        if task.filters is not None and siblings:
-            task.filters.release(len(siblings))
+    def exec_task(self, task: Task, image: ExecImage) -> int:
+        self._end_tasks(task.tgid, [t for t in self._live(task.tgid) if t is not task])
         old_asid = task.asid
         restored_siblings = sum(
             1
@@ -548,24 +536,10 @@ class Simulation:
         task.cpu = CpuState()
         return restored_siblings
 
-    def exit_task(self, task: Task, group: bool) -> tuple[int, bool]:
-        targets = (
-            [t for t in self.tasks.values() if t.tgid == task.tgid and t.alive]
-            if group
-            else [task]
-        )
-        self.engine.unwind_group({t.tid for t in targets})
-        for t in targets:
-            t.state = TaskState.DEAD
-            if t.tid != task.tid:
-                t.micro = None
-            t.stall = None
-        if task.filters is not None:
-            freed = task.filters.release(len(targets))
-            if freed:
-                self.emit(FiltersFreedEvent(tgid=task.tgid))
-            return task.filters.refcount, freed
-        return 0, False
+    def exit_task(self, task: Task, group: bool) -> bool:
+        """End ``task``, or with ``group`` its whole process; returns whether
+        that freed the process's filters."""
+        return self._end_tasks(task.tgid, self._live(task.tgid) if group else [task])
 
     def do_mmap(self, task: Task, spec: MapSpec) -> int:
         """Map ``spec`` without replacing anything: like MAP_FIXED_NOREPLACE,
@@ -592,14 +566,13 @@ class Simulation:
         if task.state is not TaskState.RUNNABLE:
             raise RuntimeError(f"stepping non-runnable task {tid}")
         self._current_tid = tid
-        if task.micro is not None:
-            label = "micro"
-            if isinstance(task.micro, SyscallContext):
-                label = f"syscall:{task.micro.name}"
-                outcome = self._step_syscall(task)
-            else:
-                label = f"enclave:{task.micro.domain.name}"
-                outcome = self._step_enclave(task)
+        ctx = task.micro
+        if isinstance(ctx, SyscallContext):
+            label = f"syscall:{ctx.name}"
+            outcome = self._in_flight(task, ctx.phase.value, self.engine.step_syscall(task))
+        elif ctx is not None:
+            label = f"enclave:{ctx.domain.name}"
+            outcome = self._in_flight(task, ctx.state, self.sgx.step(task))
         else:
             op = task.ops[task.ip]
             label = op.label()
@@ -629,35 +602,22 @@ class Simulation:
             self.sgx.enter(task, domain)
             return "enclave_enter"
         # Everything else enters the kernel as a syscall.
-        task.micro = make_syscall_context(*op.syscall(), tid=task.tid)
-        return self._step_syscall(task)
+        ctx = task.micro = make_syscall_context(op)
+        return self._in_flight(task, ctx.phase.value, self.engine.step_syscall(task))
 
-    def _step_syscall(self, task: Task) -> str:
-        ctx: SyscallContext = task.micro
-        phase = ctx.phase.value
-        status = self.engine.step_syscall(task)
+    def _in_flight(self, task: Task, phase: str, status: str) -> str:
+        """The trace outcome of one step of an in-flight syscall or enclave
+        call that was in ``phase`` and returned ``status``: 'again',
+        'stalled' or 'done'. A done call leaves the task, which moves on to
+        its next op if it is still runnable."""
         if status == "stalled":
             return "stalled"
         if status == "again":
             return phase
-        # done
+        task.micro = None
         if task.state is TaskState.RUNNABLE:
-            task.micro = None
             self._advance(task)
-        elif task.alive:
-            task.micro = None
         return f"{phase}:done"
-
-    def _step_enclave(self, task: Task) -> str:
-        ctx: EnclaveContext = task.micro
-        state = ctx.state
-        status = self.sgx.step(task)
-        if status == "again":
-            return state
-        if task.state is TaskState.RUNNABLE:
-            task.micro = None
-            self._advance(task)
-        return f"{state}:done"
 
     def user_access(
         self, task: Task, op: Union[ReadOp, WriteOp], domain: Optional[EnclaveDomain] = None,

@@ -88,9 +88,6 @@ class PageTableEntry:
             self.frame_id, self.present, self.user, self.writable, self.executable, self.cow
         )
 
-    def perms(self) -> tuple[bool, bool, bool]:
-        return (self.user, self.writable, self.executable)
-
 
 @dataclass(slots=True)
 class Frame:
@@ -182,8 +179,8 @@ class Vmem:
         self.frames: dict[int, Frame] = {}
         self.spaces: dict[int, AddressSpace] = {}
         self.tlbs: list[Tlb] = [Tlb(c) for c in range(cores)]
-        # frame_id -> {(asid, vpn): (user, writable, executable)}
-        self.rmap: dict[int, dict[tuple[int, int], tuple[bool, bool, bool]]] = {}
+        # frame_id -> {(asid, vpn) of every mapping of the frame}
+        self.rmap: dict[int, set[tuple[int, int]]] = {}
         self._next_asid = 1
         self._next_frame = 1
 
@@ -231,7 +228,7 @@ class Vmem:
         )
         space.entries[vpn] = pte
         self._cover_with_vma(space, vpn, writable, executable, shared)
-        self.rmap.setdefault(frame_id, {})[(asid, vpn)] = pte.perms()
+        self.rmap.setdefault(frame_id, set()).add((asid, vpn))
         return pte
 
     def _cover_with_vma(
@@ -250,22 +247,21 @@ class Vmem:
         pte = space.entries.pop(vpn, None)
         if pte is None:
             raise UnmappedError(f"vpn {vpn:#x} not mapped in asid {asid}")
-        mappings = self.rmap.get(pte.frame_id)
-        if mappings is not None:
-            mappings.pop((asid, vpn), None)
-            if not mappings:
-                del self.rmap[pte.frame_id]
+        self._unlink(pte.frame_id, asid, vpn)
 
     def destroy_address_space(self, asid: int) -> None:
         space = self.spaces.pop(asid)
         for vpn, pte in space.entries.items():
-            mappings = self.rmap.get(pte.frame_id)
-            if mappings is not None:
-                mappings.pop((asid, vpn), None)
-                if not mappings:
-                    del self.rmap[pte.frame_id]
+            self._unlink(pte.frame_id, asid, vpn)
         for tlb in self.tlbs:
             tlb.flush_asid(asid)
+
+    def _unlink(self, frame_id: int, asid: int, vpn: int) -> None:
+        """Drop one mapping of ``frame_id`` from the reverse map."""
+        mappings = self.rmap[frame_id]
+        mappings.discard((asid, vpn))
+        if not mappings:
+            del self.rmap[frame_id]
 
     # ------------------------------------------------------------------
     # translation and access
@@ -401,15 +397,12 @@ class Vmem:
         pte = self.pte(asid, vpn)
         prev = getattr(pte, bit.value)
         setattr(pte, bit.value, value)
-        self.rmap[pte.frame_id][(asid, vpn)] = pte.perms()
         return prev
 
     def set_perms(self, asid: int, vpn: int, user: bool, writable: bool, executable: bool) -> None:
-        """Set all three permission bits with one reverse-map write; like
-        ``set_bit``, flushes no TLB."""
+        """Set all three permission bits; like ``set_bit``, flushes no TLB."""
         pte = self.pte(asid, vpn)
         pte.user, pte.writable, pte.executable = user, writable, executable
-        self.rmap[pte.frame_id][(asid, vpn)] = (user, writable, executable)
 
     def tlb_flush(self, asid: int, vpn: int, cores: Optional[Iterable[int]] = None) -> None:
         tlbs = self.tlbs if cores is None else [self.tlbs[core] for core in set(cores)]
@@ -426,15 +419,12 @@ class Vmem:
             raise NotCowError(f"vpn {vpn:#x} in asid {asid} is not copy-on-write")
         old = self.frames[pte.frame_id]
         fresh = self.alloc_frame(bytes(old.data))
-        mappings = self.rmap[pte.frame_id]
-        del mappings[(asid, vpn)]
-        if not mappings:
-            del self.rmap[pte.frame_id]
+        self._unlink(pte.frame_id, asid, vpn)
         pte.frame_id = fresh.frame_id
         pte.cow = False
         vma = self.spaces[asid].vma_for(vpn)
         pte.writable = vma.vm_write if vma is not None else True
-        self.rmap.setdefault(fresh.frame_id, {})[(asid, vpn)] = pte.perms()
+        self.rmap[fresh.frame_id] = {(asid, vpn)}
         self.tlb_flush(asid, vpn)
         return fresh.frame_id
 
@@ -452,24 +442,23 @@ class Vmem:
             else:
                 ppte.cow = True
                 ppte.writable = False
-                self.rmap[ppte.frame_id][(parent_asid, vpn)] = ppte.perms()
                 self.tlb_flush(parent_asid, vpn)
                 cpte = ppte.snapshot()
             child.entries[vpn] = cpte
-            self.rmap.setdefault(cpte.frame_id, {})[(child.asid, vpn)] = cpte.perms()
+            self.rmap[cpte.frame_id].add((child.asid, vpn))
         return child
 
     # ------------------------------------------------------------------
     # reverse map queries
 
-    def aliases_of(self, frame_id: int) -> list[tuple[int, int, tuple[bool, bool, bool]]]:
-        mappings = self.rmap.get(frame_id, {})
-        return sorted((asid, vpn, perms) for (asid, vpn), perms in mappings.items())
+    def aliases_of(self, frame_id: int) -> list[tuple[int, int]]:
+        """Every (asid, vpn) mapping ``frame_id``, in order."""
+        return sorted(self.rmap.get(frame_id, ()))
 
-    def rebuild_reverse_map(self) -> dict[int, dict[tuple[int, int], tuple[bool, bool, bool]]]:
+    def rebuild_reverse_map(self) -> dict[int, set[tuple[int, int]]]:
         """Brute-force inverse of all address spaces, for soundness checks."""
-        rebuilt: dict[int, dict[tuple[int, int], tuple[bool, bool, bool]]] = {}
+        rebuilt: dict[int, set[tuple[int, int]]] = {}
         for asid, space in self.spaces.items():
             for vpn, pte in space.entries.items():
-                rebuilt.setdefault(pte.frame_id, {})[(asid, vpn)] = pte.perms()
+                rebuilt.setdefault(pte.frame_id, set()).add((asid, vpn))
         return rebuilt

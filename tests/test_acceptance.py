@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
-from dptisim import EcallOp, MapSpec, ReadOp, Simulation, Variant, WriteOp
+from dptisim import EcallOp, MapSpec, ReadOp, Simulation, SyscallOp, Variant, WriteOp
 from dptisim.bench import alias_sweep_suite, getppid_suite, sgx_suite, string_sweep_suite
 from dptisim.costmodel import CostTable
 from dptisim.dpti import make_syscall_context
@@ -139,7 +139,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
 
     before = snapshot()
     before_probe = probe()
-    ctx = make_syscall_context(SYSCALL_NRS["openat"], [0, vaddr, 0], tid=task.tid)
+    ctx = make_syscall_context(SyscallOp(SYSCALL_NRS["openat"], (0, vaddr, 0)))
     record = sim.engine.protect_argument(task, ctx, 1)
     if record is False:
         assert variant is Variant.STASH and executable, "only stash+exec may kill here"

@@ -9,6 +9,7 @@ from dptisim.filters import (
     DuplicateArgFilterError,
     FilterBuilder,
     FilterError,
+    MAX_SYSCALL_NR,
     SeccompProgram,
     SeccompRule,
     StringTooLongError,
@@ -89,6 +90,16 @@ class TestBuilder:
         fb = FilterBuilder()
         with pytest.raises(FilterError):
             fb.add_rule("frobnicate")
+
+    @pytest.mark.parametrize("nr", [MAX_SYSCALL_NR + 1, 10**30, -1])
+    def test_syscall_number_out_of_range(self, nr):
+        fb = FilterBuilder()
+        with pytest.raises(FilterError, match=f"outside 0..{MAX_SYSCALL_NR}"):
+            fb.add_rule(nr)
+        with pytest.raises(FilterError, match=f"outside 0..{MAX_SYSCALL_NR}"):
+            fb.add_rule_primitive(nr, 0, CmpOp.EQ, 0)
+        fb.add_rule(MAX_SYSCALL_NR)
+        assert fb.install().lookup(MAX_SYSCALL_NR).disposition is Disposition.ALLOW
 
 
 class TestLookup:

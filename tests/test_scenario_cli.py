@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dptisim.cli import main
+from dptisim.filters import MAX_SYSCALL_NR
 from dptisim.scenario import (
     ScenarioError,
     build_simulation,
@@ -237,6 +238,12 @@ def _set_op(raw, **op):
     raw["processes"][0]["threads"][0]["ops"] = [op]
 
 
+def _labelled(raw):
+    """``raw`` with its first mapping labelled ``x``."""
+    raw["processes"][0]["mappings"][0]["label"] = "x"
+    return raw
+
+
 def _add_enclave(raw, **enclave):
     """An enclave at 1 MiB with its code bridge page at 2 MiB, plus ``enclave``."""
     raw["processes"][0]["mappings"].extend([{"vaddr": 1 << 20}, {"vaddr": 2 << 20, "exec": True}])
@@ -332,6 +339,36 @@ MALFORMED = {
     "duplicate process name": (
         lambda raw: raw["processes"].append({"name": "p", "threads": []}),
         "processes[1]: duplicate process name 'p'"),
+    "duplicate mapping label": (
+        lambda raw: _labelled(raw)["processes"][0]["mappings"].append({"vaddr": 131072, "label": "x"}),
+        "processes[0].mappings[1].label: duplicate label 'x'"),
+    "alias mapping with more pages than its label": (
+        lambda raw: _labelled(raw)["processes"][0]["mappings"].append(
+            {"vaddr": 131072, "alias_of": "x", "pages": 2, "data": [{"at": 135168, "string": "a"}]}),
+        "mappings[1].pages: 2, but an alias takes the 1 page(s) of its label"),
+    "mmap alias with more pages than its label": (
+        lambda raw: _set_op(_labelled(raw), op="mmap", vaddr=131072, alias_of="x", pages=2),
+        "ops[0].pages: 2, but an alias takes the 1 page(s) of its label"),
+    "rule nr above the bound": (
+        lambda raw: raw.update(filters={"rules": [{"nr": MAX_SYSCALL_NR + 1}]}),
+        f"filters.rules[0].nr: expected a known syscall name or a number from 0 to {MAX_SYSCALL_NR}"),
+    "huge rule nr": (
+        lambda raw: raw.update(filters={"rules": [{"nr": 10**30}]}), "filters.rules[0].nr"),
+    "op nr above the bound": (
+        lambda raw: _set_op(raw, op="syscall", nr=MAX_SYSCALL_NR + 1), "ops[0].nr: expected"),
+    "huge op nr": (lambda raw: _set_op(raw, op="syscall", nr=10**30), "ops[0].nr: expected"),
+    **{
+        f"raw syscall op making {name}": (
+            lambda raw, name=name: _set_op(raw, op="syscall", nr=name),
+            f"ops[0].nr: a raw syscall op cannot make {name}; use the {kind!r} op")
+        for name, kind in [
+            ("mmap", "mmap"), ("mprotect", "mprotect"), ("fork", "fork"), ("execve", "exec"),
+            ("exit", "exit"), ("exit_group", "exit"),
+        ]
+    },
+    "raw syscall op making mmap by number": (
+        lambda raw: _set_op(raw, op="syscall", nr=9, args=[131072, 4096]),
+        "ops[0].nr: a raw syscall op cannot make mmap; use the 'mmap' op"),
 }
 
 # --costs file contents -> text the message must contain

@@ -44,7 +44,7 @@ from .vmem import (
     PteBit,
     Vmem,
     page_offset,
-    pages_spanned,
+    page_spans,
     vpn_of,
 )
 
@@ -79,14 +79,13 @@ class MappingPrior:
 
 @dataclass
 class ProtectionRecord:
+    """One syscall's protection window: the frames it closed, and the prior
+    bits of every mapping of them, oldest first."""
+
     record_id: int
     owner_tid: int
-    owner_tgid: int
-    variant: Variant
     frames: list[int] = field(default_factory=list)
     mappings: list[MappingPrior] = field(default_factory=list)
-    pages: int = 0
-    active: bool = True
 
 
 @dataclass
@@ -100,7 +99,7 @@ class SyscallContext:
     phase: SyscallPhase = SyscallPhase.LOOKUP
     rule: Optional[FilterRule] = None
     disposition: str = "unsandboxed"
-    records: list[ProtectionRecord] = field(default_factory=list)
+    record: Optional[ProtectionRecord] = None  # the window, once an argument opens it
     checked: dict[int, bytes] = field(default_factory=dict)
     used: dict[int, bytes] = field(default_factory=dict)
     result: Optional[int] = None
@@ -179,11 +178,8 @@ class DptiEngine:
 
     def _deep_check_step(self, task, ctx: SyscallContext) -> str:
         for sf in ctx.rule.strings:
-            record = self.protect_argument(task, ctx, sf.arg_index)
-            if record is False:
+            if self.protect_argument(task, ctx, sf.arg_index) is False:
                 return "done"  # killed while protecting
-            if record is not None:
-                ctx.records.append(record)
             if not self.check_string(task, ctx, sf):
                 self.kill(
                     task,
@@ -200,17 +196,16 @@ class DptiEngine:
             return "stalled"
         if status == "killed":
             return "done"
-        if ctx.records:
+        if ctx.record is not None:
             ctx.phase = SyscallPhase.RESTORE
             return "again"
         self._finish(task, ctx)
         return "done"
 
     def _restore_step(self, task, ctx: SyscallContext) -> str:
-        for record in list(ctx.records):
-            if record.active and not self.restore(task, record):
-                return "done"  # killed: concurrent use of a protected frame
-        self._finish(task, ctx)
+        # A kill here means concurrent use of a protected frame.
+        if self.restore(task, ctx.record):
+            self._finish(task, ctx)
         return "done"
 
     def _finish(self, task, ctx: SyscallContext, outcome: str = "executed") -> None:
@@ -232,40 +227,38 @@ class DptiEngine:
     # protection windows
 
     def protect_argument(self, task, ctx: SyscallContext, arg_index: int):
-        """Protect every page the string argument spans, aliases included.
+        """Protect every page the string argument spans, aliases included, in
+        the syscall's one window: the first argument opens it, later ones add
+        the pages it lacks.
 
         Pages are protected one by one while scanning for the terminator, so
         a byte is only trusted once its page can no longer change. Returns
-        the record, None when protection is disabled, or False if the caller
+        the window, None when protection is disabled, or False if the caller
         was killed (bad pointer, executable page under stashing).
         """
         vmem: Vmem = self.sim.vmem
         vaddr = ctx.args[arg_index]
         if self.variant is None:
-            s, fault, _ = vmem.read_cstring(
+            s, _ = vmem.read_cstring(
                 self.sim.core_of(task), task.asid, AccessMode.KERNEL, vaddr, MAX_SPAN
             )
             if s is None:
                 self.kill(task, KillCause.BAD_POINTER, f"{ctx.name} arg{arg_index} unreadable")
                 return False
             return None
-        record = ProtectionRecord(
-            self._next_record, task.tid, task.tgid, self.variant
-        )
-        self._next_record += 1
-        addr = vaddr
-        terminated = False
-        for _ in range(MAX_SPAN):
-            vpn = vpn_of(addr)
+        record = ctx.record
+        if record is None:
+            record = ctx.record = ProtectionRecord(self._next_record, task.tid)
+            self.records[record.record_id] = record
+            self._next_record += 1
+        had_frames, had_mappings = len(record.frames), len(record.mappings)
+        for vpn, offset, _, _ in page_spans(vaddr, MAX_SPAN * PAGE_SIZE - page_offset(vaddr)):
             if not self._protect_page(task, record, vpn):
                 return False
-            space = vmem.spaces[task.asid]
-            frame = vmem.frames[space.entries[vpn].frame_id]
-            if frame.data.find(0, page_offset(addr)) >= 0:
-                terminated = True
+            frame = vmem.frames[vmem.spaces[task.asid].entries[vpn].frame_id]
+            if frame.data.find(0, offset) >= 0:
                 break
-            addr = (vpn + 1) * PAGE_SIZE
-        if not terminated:
+        else:
             self._unwind_record(record)
             self.kill(
                 task,
@@ -273,16 +266,13 @@ class DptiEngine:
                 f"{ctx.name} arg{arg_index} unterminated within {MAX_SPAN} pages",
             )
             return False
-        self.records[record.record_id] = record
-        for frame_id in record.frames:
-            self.by_frame.setdefault(frame_id, set()).add(record.record_id)
         self.sim.emit(
             ProtectEvent(
                 tid=task.tid,
-                variant=record.variant.value,
-                frames=list(record.frames),
-                mappings=len(record.mappings),
-                pages=record.pages,
+                variant=self.variant.value,
+                frames=record.frames[had_frames:],
+                mappings=len(record.mappings) - had_mappings,
+                pages=len(record.frames) - had_frames,
             )
         )
         return record
@@ -299,15 +289,17 @@ class DptiEngine:
             # Resolve sharing first so the protection stays private to this
             # process and survives an exec by the sharing sibling.
             self._resolve_cow(task.tid, task.asid, vpn)
-        if record.variant is Variant.STASH and pte.executable:
+        frame_id = pte.frame_id
+        if frame_id in record.frames:
+            return True  # an earlier argument of this syscall closed it
+        if self.variant is Variant.STASH and pte.executable:
             self._unwind_record(record)
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
-        frame_id = pte.frame_id
         for asid, a_vpn in vmem.aliases_of(frame_id):
             self._close_mapping(record, asid, a_vpn)
         record.frames.append(frame_id)
-        record.pages += 1
+        self.by_frame.setdefault(frame_id, set()).add(record.record_id)
         return True
 
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
@@ -339,7 +331,7 @@ class DptiEngine:
                 vma.vm_write if vma is not None else pte.writable,
             )
         )
-        if record.variant is Variant.STASH:
+        if self.variant is Variant.STASH:
             vmem.set_perms(asid, vpn, False, pte.writable, False)
         else:
             vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
@@ -351,7 +343,7 @@ class DptiEngine:
         """The check fetch: read the (now unmodifiable) argument and compare
         it against each allowed value in order."""
         vmem: Vmem = self.sim.vmem
-        s, fault, _ = vmem.read_cstring(
+        s, _ = vmem.read_cstring(
             self.sim.core_of(task), task.asid, AccessMode.KERNEL,
             ctx.args[sf.arg_index], MAX_SPAN,
         )
@@ -418,13 +410,11 @@ class DptiEngine:
         return restored
 
     def _unwind_record(self, record: ProtectionRecord) -> None:
-        if record.active:
-            self._apply_restore(record)
-            self.sim.wake_frame_waiters(set(record.frames))
+        self._apply_restore(record)
+        self.sim.wake_frame_waiters(set(record.frames))
 
     def _forget_record(self, record: ProtectionRecord) -> None:
-        record.active = False
-        self.records.pop(record.record_id, None)
+        del self.records[record.record_id]
         for frame_id in record.frames:
             ids = self.by_frame.get(frame_id)
             if ids is not None:
@@ -495,24 +485,18 @@ class DptiEngine:
         else:
             vmem: Vmem = self.sim.vmem
             space = vmem.spaces.get(target.asid)
-            first = vpn_of(vaddr)
-            vpns = range(first, first + pages_spanned(vaddr, len(data)))
+            # An empty write still needs the page at vaddr.
+            vpns = [vpn for vpn, *_ in page_spans(vaddr, max(len(data), 1))]
             if space is None or not all(
                 vpn in space.entries and space.entries[vpn].present for vpn in vpns
             ):
                 outcome = "denied"
             else:
-                # Page by page: each page resolves its own copy-on-write.
-                addr, pos = vaddr, 0
+                # Each page gets its own copy before any byte is written.
                 for vpn in vpns:
-                    pte = space.entries[vpn]
-                    if pte.cow:
+                    if space.entries[vpn].cow:
                         self._resolve_cow(writer.tid, target.asid, vpn)
-                    off = page_offset(addr)
-                    chunk = data[pos : pos + PAGE_SIZE - off]
-                    vmem.frames[pte.frame_id].data[off : off + len(chunk)] = chunk
-                    addr += len(chunk)
-                    pos += len(chunk)
+                vmem.poke(target.asid, vaddr, data)
                 outcome = "executed"
         self.sim.emit(
             ProcMemWriteEvent(
@@ -531,7 +515,7 @@ class DptiEngine:
     # syscall bodies (simulated effects; these perform the "use" fetches)
 
     def _use_fetch(self, task, ctx: SyscallContext, arg_index: int) -> Optional[bytes]:
-        s, _fault, _ = self.sim.vmem.read_cstring(
+        s, _ = self.sim.vmem.read_cstring(
             self.sim.core_of(task), task.asid, AccessMode.KERNEL,
             ctx.args[arg_index], MAX_SPAN,
         )

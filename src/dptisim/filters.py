@@ -134,7 +134,6 @@ class FilterTable:
     def __init__(self, dense: tuple[FilterRule, ...], populated: int):
         self._rules = dense
         self.populated = populated
-        self.installed = True
         self.refcount = 1
         self.freed = False
 

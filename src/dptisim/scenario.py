@@ -47,6 +47,10 @@ from .tasks import (
 from .vmem import PAGE_SIZE, DoubleMapError, vpn_of
 
 SCHEMA_VERSION = 1
+# Most pages one mapping, mmap, mprotect or enclave range may cover, and most
+# cores a scenario may have: a build allocates per page and per core.
+MAX_PAGES = 1024
+MAX_CORES = 64
 
 
 class ScenarioError(Exception):
@@ -113,6 +117,8 @@ _str = _reader(lambda v: isinstance(v, str), "a string")
 _signed = _reader(_is_int, "an integer")
 _unsigned = _reader(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _positive = _reader(lambda v: _is_int(v) and v >= 1, "a positive integer")
+_pages = _reader(lambda v: _is_int(v) and 1 <= v <= MAX_PAGES, f"a page count from 1 to {MAX_PAGES}")
+_cores = _reader(lambda v: _is_int(v) and 1 <= v <= MAX_CORES, f"a core count from 1 to {MAX_CORES}")
 
 
 def _choice(obj: dict, key: str, where: str, choices: Any, default: Any = _REQUIRED) -> str:
@@ -303,7 +309,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
         raw=raw,
         name=_str(raw, "name", ""),
         variant=_VARIANTS[_choice(raw, "variant", "", _VARIANTS, "none")],
-        cores=_positive(raw, "cores", "", 2),
+        cores=_cores(raw, "cores", "", 2),
         deny_mode=_choice(raw, "deny_mode", "", _DENY_MODES, "kill"),
         schedule=schedule,
         processes=raw["processes"],
@@ -375,7 +381,7 @@ def _enclave(enc: Any, where: str, host: dict[str, int], names: _Names) -> _Encl
         name=_str(enc, "name", where),
         host=host[_choice(enc, "process", where, host)],
         variant=_SCENARIO_VARIANT if variant is None else _VARIANTS[variant],
-        vpns=frozenset(range(start, start + _positive(pages, "pages", f"{where}.pages", 1))),
+        vpns=frozenset(range(start, start + _pages(pages, "pages", f"{where}.pages", 1))),
         cbp_vpn=vpn_of(_unsigned(enc, "cbp_vaddr", where)),
         dbp_vaddrs=_all(_unsigned, enc, "dbp_vaddrs", where),
         syscall_exit=_flag(enc, "syscall_exit", where, False),
@@ -440,7 +446,7 @@ def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, ...]])
             raise ScenarioError(f"{where}.alias_of: references undefined label {label!r}")
         alias_frames = labels[label]
     lo = _unsigned(m, "vaddr", where)
-    pages = _positive(m, "pages", where, len(alias_frames) if alias_frames else 1)
+    pages = _pages(m, "pages", where, len(alias_frames) if alias_frames else 1)
     if alias_frames and pages != len(alias_frames):
         raise ScenarioError(
             f"{where}.pages: {pages}, but an alias takes the {len(alias_frames)} page(s) of its label"
@@ -523,7 +529,7 @@ _OPS: _OpTable = {
     "mprotect": (
         {"vaddr", "pages", "user", "write", "exec"}, {"vaddr"},
         lambda op, at, names: MprotectOp(
-            _unsigned(op, "vaddr", at), _positive(op, "pages", at, 1),
+            _unsigned(op, "vaddr", at), _pages(op, "pages", at, 1),
             user=_flag(op, "user", at, True), writable=_flag(op, "write", at, False),
             executable=_flag(op, "exec", at, False),
         ),

@@ -131,8 +131,6 @@ class EnclaveDomain:
     isolated_asid: Optional[int]
     cbp: CbpContents
     script: list[EnclaveOp] = field(default_factory=list)
-    saved: dict[int, tuple[int, int]] = field(default_factory=dict)  # tid -> (rsp, rbp)
-    thread_stack_vpns: dict[int, list[int]] = field(default_factory=dict)
 
     @property
     def exit_fault_vaddr(self) -> int:
@@ -148,6 +146,9 @@ class EnclaveContext:
     """Micro-state of one thread executing inside a domain."""
 
     domain: EnclaveDomain
+    saved: tuple[int, int]  # (rsp, rbp) at entry
+    # the thread's stack pages below the saved rsp, which the isolation lends it
+    stack_vpns: list[int] = field(default_factory=list)
     ip: int = 0
     state: str = "running"  # running | ocall_out | exiting
     exit_kind: Optional[str] = None
@@ -241,9 +242,9 @@ class SgxRuntime:
         vmem: Vmem = self.sim.vmem
         aligned = task.cpu.rsp - (task.cpu.rsp % PAGE_SIZE)
         task.cpu.rsp = aligned
-        domain.saved[task.tid] = (task.cpu.rsp, task.cpu.rbp)
+        saved = (aligned, task.cpu.rbp)
         if domain.variant is None:
-            task.micro = EnclaveContext(domain)
+            task.micro = EnclaveContext(domain, saved)
             return
         host = vmem.spaces[domain.host_asid]
         permitted: list[int] = []
@@ -251,7 +252,6 @@ class SgxRuntime:
             stack_vma = host.vma_for(vpn_of(aligned) - 1)
             if stack_vma is not None:
                 permitted = list(range(stack_vma.start, vpn_of(aligned)))
-        domain.thread_stack_vpns[task.tid] = permitted
         self._attach_stack(domain, permitted)
         for vpn in permitted:
             frame = vmem.frames[host.entries[vpn].frame_id]
@@ -263,7 +263,7 @@ class SgxRuntime:
                     )
                 )
         task.asid = domain.isolated_asid
-        task.micro = EnclaveContext(domain)
+        task.micro = EnclaveContext(domain, saved, permitted)
 
     def _attach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
         vmem: Vmem = self.sim.vmem
@@ -277,9 +277,9 @@ class SgxRuntime:
                 vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, True)
                 vmem.tlb_flush(domain.isolated_asid, vpn)
 
-    def _detach_stack(self, domain: EnclaveDomain, tid: int) -> None:
+    def _detach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
         vmem: Vmem = self.sim.vmem
-        for vpn in domain.thread_stack_vpns.get(tid, []):
+        for vpn in vpns:
             if domain.variant is Variant.STASH:
                 if vpn in vmem.spaces[domain.isolated_asid].entries:
                     vmem.unmap(domain.isolated_asid, vpn)
@@ -295,7 +295,7 @@ class SgxRuntime:
         if ctx.state == "ocall_out":
             # Outcall body finished; re-enter the isolation.
             if domain.variant is not None:
-                self._attach_stack(domain, domain.thread_stack_vpns.get(task.tid, []))
+                self._attach_stack(domain, ctx.stack_vpns)
                 task.asid = domain.isolated_asid
             ctx.state = "running"
             return "again"
@@ -350,7 +350,7 @@ class SgxRuntime:
 
     def _ocall(self, task, ctx: EnclaveContext) -> str:
         domain = ctx.domain
-        saved_rsp, _ = domain.saved[task.tid]
+        saved_rsp, _ = ctx.saved
         if task.cpu.rsp > saved_rsp:
             self.sim.kill_group(
                 task.tgid, KillCause.STACK_TAMPER,
@@ -360,7 +360,7 @@ class SgxRuntime:
         if domain.variant is not None:
             # The thread's own stack leaves the isolated mapping for the
             # duration, so sibling enclave threads cannot alter it.
-            self._detach_stack(domain, task.tid)
+            self._detach_stack(domain, ctx.stack_vpns)
             task.asid = domain.host_asid
         self.sim.emit(
             OcallEvent(
@@ -376,22 +376,19 @@ class SgxRuntime:
     def _eexit(self, task, ctx: EnclaveContext, target: Union[int, str]) -> str:
         domain = ctx.domain
         task.cpu.rax = 4
+        if domain.variant is None:
+            # Unconfined: every exit leaves; only an explicit target sets rbx.
+            if target != "legal":
+                task.cpu.rbx = int(target)
+            ctx.state = "exiting"
+            ctx.ip += 1
+            return "again"
         if target == "legal":
-            if domain.variant is None:
-                ctx.exit_kind = None
-                ctx.state = "exiting"
-                ctx.ip += 1
-                return "again"
             if domain.cbp.syscall_exit_stub:
                 target = domain.cbp_vpn * PAGE_SIZE + EXIT_STUB_START
             else:
                 target = domain.exit_fault_vaddr
         task.cpu.rbx = int(target)
-        if domain.variant is None:
-            ctx.exit_kind = None
-            ctx.state = "exiting"
-            ctx.ip += 1
-            return "again"
         behavior = classify_eexit(domain, int(target))
         if behavior.stat_executed:
             self.sim.emit(StatEvent(tid=task.tid, origin="cbp_stub"))
@@ -418,7 +415,7 @@ class SgxRuntime:
 
     def _ecall_return(self, task, ctx: EnclaveContext) -> str:
         domain = ctx.domain
-        saved_rsp, saved_rbp = domain.saved[task.tid]
+        saved_rsp, saved_rbp = ctx.saved
         protected = domain.variant is not None
         if protected and (task.cpu.rsp != saved_rsp or task.cpu.rbp != saved_rbp):
             self.sim.kill_group(
@@ -429,7 +426,7 @@ class SgxRuntime:
             return "done"
         task.cpu.rsp, task.cpu.rbp = saved_rsp, saved_rbp
         if protected:
-            self._detach_stack(domain, task.tid)
+            self._detach_stack(domain, ctx.stack_vpns)
             task.asid = domain.host_asid
         exit_kind = ctx.exit_kind or (domain.legal_exit_kind() if protected else None)
         self.sim.emit(
@@ -438,7 +435,5 @@ class SgxRuntime:
                 exit_kind=exit_kind, outcome="returned",
             )
         )
-        domain.saved.pop(task.tid, None)
-        domain.thread_stack_vpns.pop(task.tid, None)
         task.micro = None
         return "done"

@@ -356,10 +356,6 @@ class Simulation:
         self._current_tid = -1
         self._finalized = False
 
-    @property
-    def variant(self) -> Optional[Variant]:
-        return self.engine.variant
-
     # ------------------------------------------------------------------
     # construction helpers
 
@@ -431,14 +427,7 @@ class Simulation:
                 executable=spec.executable, shared=spec.shared,
             )
         for at, data in spec.data:
-            addr, pos = at, 0
-            while pos < len(data):
-                frame = self.vmem.frames[frame_ids[vpn_of(addr) - start]]
-                off = addr % PAGE_SIZE
-                chunk = min(len(data) - pos, PAGE_SIZE - off)
-                frame.data[off : off + chunk] = data[pos : pos + chunk]
-                addr += chunk
-                pos += chunk
+            self.vmem.poke(asid, at, data)
         return frame_ids
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 PAGE_SIZE = 4096
 
@@ -31,6 +31,25 @@ def page_offset(vaddr: int) -> int:
 def pages_spanned(vaddr: int, length: int) -> int:
     """Number of pages an access of ``length`` bytes at ``vaddr`` touches."""
     return vpn_of(vaddr + max(length, 1) - 1) - vpn_of(vaddr) + 1
+
+
+def page_spans(vaddr: int, length: int) -> Iterator[tuple[int, int, int, int]]:
+    """The one walk of a byte range over pages: ``(vpn, offset, start, end)``
+    for each page the ``length`` bytes at ``vaddr`` touch, where the page
+    holds bytes ``start:end`` of the range from ``offset`` on. An empty range
+    touches no page."""
+    # Plain arithmetic, not divmod() or min(): every memory access runs this.
+    vpn = vaddr // PAGE_SIZE
+    offset = vaddr - vpn * PAGE_SIZE
+    start = 0
+    while start < length:
+        end = start + PAGE_SIZE - offset
+        if end > length:
+            end = length
+        yield vpn, offset, start, end
+        vpn += 1
+        offset = 0
+        start = end
 
 
 class VmemError(Exception):
@@ -331,59 +350,51 @@ class Vmem:
     def read_bytes(
         self, core: int, asid: int, mode: AccessMode, vaddr: int, length: int
     ) -> tuple[Optional[bytes], Optional[PageFault]]:
-        out = bytearray()
-        addr = vaddr
-        remaining = length
-        while remaining > 0:
-            res = self.access(core, asid, mode, AccessKind.READ, addr)
+        out = b""
+        for vpn, offset, start, end in page_spans(vaddr, length):
+            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return None, res.fault
-            chunk = min(remaining, PAGE_SIZE - res.offset)
-            out += res.frame.data[res.offset : res.offset + chunk]
-            addr += chunk
-            remaining -= chunk
-        return bytes(out), None
+            out += res.frame.data[offset : offset + end - start]
+        return out, None
 
     def write_bytes(
         self, core: int, asid: int, mode: AccessMode, vaddr: int, data: bytes
     ) -> Optional[PageFault]:
-        addr = vaddr
-        pos = 0
-        while pos < len(data):
-            res = self.access(core, asid, mode, AccessKind.WRITE, addr)
+        for vpn, offset, start, end in page_spans(vaddr, len(data)):
+            res = self.access(core, asid, mode, AccessKind.WRITE, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return res.fault
-            chunk = min(len(data) - pos, PAGE_SIZE - res.offset)
-            res.frame.data[res.offset : res.offset + chunk] = data[pos : pos + chunk]
-            addr += chunk
-            pos += chunk
+            res.frame.data[offset : offset + end - start] = data[start:end]
         return None
+
+    def poke(self, asid: int, vaddr: int, data: bytes) -> None:
+        """Write ``data`` straight into the frames ``asid`` maps at ``vaddr``:
+        no permission check, no TLB and no copy-on-write, which the caller
+        resolves first. Every page the write touches must be mapped."""
+        entries = self.spaces[asid].entries
+        for vpn, offset, start, end in page_spans(vaddr, len(data)):
+            self.frames[entries[vpn].frame_id].data[offset : offset + end - start] = data[start:end]
 
     def read_cstring(
         self, core: int, asid: int, mode: AccessMode, vaddr: int, max_pages: int
-    ) -> tuple[Optional[bytes], Optional[PageFault], list[int]]:
+    ) -> tuple[Optional[bytes], Optional[PageFault]]:
         """Read a NUL-terminated string spanning at most max_pages pages.
 
-        Returns (bytes-without-NUL, fault, spanned vpns). Unterminated
-        strings within the span return (None, None, vpns).
+        Returns (bytes-without-NUL, fault); an unterminated string within the
+        span returns (None, None).
         """
-        out = bytearray()
-        spanned: list[int] = []
-        addr = vaddr
-        for _ in range(max_pages):
-            vpn = vpn_of(addr)
-            res = self.access(core, asid, mode, AccessKind.READ, addr)
+        out = b""
+        for vpn, offset, _, _ in page_spans(vaddr, max_pages * PAGE_SIZE - page_offset(vaddr)):
+            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
-                return None, res.fault, spanned
-            spanned.append(vpn)
+                return None, res.fault
             data = res.frame.data
-            nul = data.find(0, res.offset)
+            nul = data.find(0, offset)
             if nul >= 0:
-                out += data[res.offset : nul]
-                return bytes(out), None, spanned
-            out += data[res.offset :]
-            addr = (vpn + 1) * PAGE_SIZE
-        return None, None, spanned
+                return out + data[offset:nul], None
+            out += data[offset:]
+        return None, None
 
     # ------------------------------------------------------------------
     # permission bits and TLB maintenance

@@ -1,7 +1,7 @@
 """A scenario is compiled at load and every build shares the result read-only;
 reports serialise to the plain JSON of their dictionaries; and the memory
-model's reverse map and frame sizes hold after every step of every shipped
-scenario."""
+model's reverse map and frame sizes, and the closure of every open protection
+window, hold after every step of every shipped scenario."""
 
 import json
 
@@ -148,10 +148,26 @@ def test_report_json_is_the_plain_json_of_its_dict(path, variant):
     assert exploration.to_json() == plain_json(exploration)
 
 
+def open_window_mappings(sim):
+    """Every mapping an open protection window recorded that still maps the
+    recorded frame, as (description, its PTE and every TLB entry for it,
+    its VMA)."""
+    vmem = sim.vmem
+    for record in sim.engine.records.values():
+        for prior in record.mappings:
+            space = vmem.spaces.get(prior.asid)
+            pte = space.entries.get(prior.vpn) if space is not None else None
+            if pte is None or pte.frame_id != prior.frame_id:
+                continue
+            tlb_entries = [tlb.lookup(prior.asid, prior.vpn) for tlb in vmem.tlbs]
+            views = [pte] + [entry for entry in tlb_entries if entry is not None]
+            yield f"record {record.record_id} {prior}", views, space.vma_for(prior.vpn)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
-def test_reverse_map_and_frame_sizes_hold_after_every_step(path, variant, seed):
+def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed):
     sc = load_scenario(path)
     sim = build_simulation(sc, VARIANTS[variant])
     step = sim.step
@@ -159,12 +175,25 @@ def test_reverse_map_and_frame_sizes_hold_after_every_step(path, variant, seed):
 
     def checking_step(tid):
         outcome = step(tid)
+        at = f"step {sim.step_count - 1}"
         vmem = sim.vmem
-        assert vmem.rmap == vmem.rebuild_reverse_map(), f"step {sim.step_count - 1}"
+        assert vmem.rmap == vmem.rebuild_reverse_map(), at
         assert all(len(frame.data) == PAGE_SIZE for frame in vmem.frames.values())
+        # While a window is open, every mapping it closed stays closed, in
+        # the page table and in every core's TLB alike.
+        for what, views, vma in open_window_mappings(sim):
+            for view in views:
+                if sim.engine.variant is Variant.STASH:
+                    assert not view.user and not view.executable, (at, what, view)
+                else:
+                    assert not view.writable, (at, what, view)
+            if sim.engine.variant is Variant.FREEZE:
+                assert vma is None or not vma.vm_write, (at, what)
         checked.append(tid)
         return outcome
 
     sim.step = checking_step
     report = sim.run_seeded(seed, sc.schedule.get("max_steps", 1000))
     assert len(checked) == report.steps > 0
+    if not report.truncated and not report.deadlocked:
+        assert not sim.engine.records and not sim.engine.by_frame

@@ -507,6 +507,54 @@ class TestWindowInvariants:
                     assert not res.ok, (variant, asid)
 
 
+RENAME = SYSCALL_NRS["rename"]
+
+
+def rename_sim(variant, old, new, pages):
+    """A sandboxed ``rename(old, new)`` whose two string arguments are both
+    filtered, with "old" and "new" stored at ``old`` and ``new`` in one
+    mapping of ``pages`` pages at PATH."""
+    fb = FilterBuilder()
+    fb.add_rule("exit_group")
+    fb.add_rule_string("rename", 0, CmpOp.EQ, "old")
+    fb.add_rule_string("rename", 1, CmpOp.EQ, "new")
+    return one_proc_sim(
+        variant, [[SyscallOp(RENAME, (old, new))]], filters=fb.install(),
+        mappings=[MapSpec(vaddr=PATH, pages=pages, data=((old, b"old\x00"), (new, b"new\x00")))],
+    )
+
+
+class TestOneWindowPerSyscall:
+    def test_two_strings_on_one_page_share_the_window(self):
+        for variant in (Variant.STASH, Variant.FREEZE):
+            sim = rename_sim(variant, PATH, PATH + 0x100, pages=1)
+            sim.run_seeded(0)
+            assert not sim.kills, variant
+            assert sim.trace[-1][3] == "restore:done"
+            ev = next(e for e in sim.events if isinstance(e, SyscallEvent))
+            assert ev.checked == ev.used == {0: "old", 1: "new"}
+            first, second = [e for e in sim.events if isinstance(e, ProtectEvent)]
+            assert (first.pages, first.mappings) == (1, 1)
+            assert (second.frames, second.pages, second.mappings) == ([], 0, 0)
+            (restore,) = [e for e in sim.events if isinstance(e, RestoreEvent)]
+            assert restore.mappings == 1
+            assert not sim.engine.records and not sim.engine.by_frame
+
+    def test_two_strings_on_two_pages_of_one_vma_restore_exactly_under_freeze(self):
+        sim = rename_sim(Variant.FREEZE, PATH, PATH + PAGE_SIZE, pages=2)
+        space = sim.vmem.spaces[sim.tasks[1].asid]
+        vpns = (PATH // PAGE_SIZE, PATH // PAGE_SIZE + 1)
+        before = [space.entries[vpn].snapshot() for vpn in vpns]
+        vma = space.vma_for(vpns[0])
+        assert vma is space.vma_for(vpns[1]) and vma.vm_write
+        sim.run_seeded(0)
+        assert not sim.kills
+        assert [space.entries[vpn] for vpn in vpns] == before
+        assert vma.vm_write
+        (restore,) = [e for e in sim.events if isinstance(e, RestoreEvent)]
+        assert restore.mappings == 2
+
+
 class TestMmap:
     def test_mmap_over_a_mapped_page_fails_and_maps_nothing(self, monkeypatch):
         """Like MAP_FIXED_NOREPLACE: a 2-page mmap at 0xF000 over the mapping

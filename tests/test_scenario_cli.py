@@ -5,6 +5,8 @@ import pytest
 from dptisim.cli import main
 from dptisim.filters import MAX_SYSCALL_NR
 from dptisim.scenario import (
+    MAX_CORES,
+    MAX_PAGES,
     ScenarioError,
     build_simulation,
     check_expectations,
@@ -369,6 +371,28 @@ MALFORMED = {
     "raw syscall op making mmap by number": (
         lambda raw: _set_op(raw, op="syscall", nr=9, args=[131072, 4096]),
         "ops[0].nr: a raw syscall op cannot make mmap; use the 'mmap' op"),
+    # Counts a build allocates by are bounded at load; none of these values
+    # is ever allocated.
+    **{
+        f"{name} of {label}": (
+            lambda raw, mutate=mutate, count=count: mutate(raw, count), f"{where}: expected")
+        for name, mutate, where, bound in [
+            ("cores", lambda raw, n: raw.update(cores=n), "cores", MAX_CORES),
+            ("mapping pages", lambda raw, n: raw["processes"][0]["mappings"][0].update(pages=n),
+             "processes[0].mappings[0].pages", MAX_PAGES),
+            ("exec image mapping pages",
+             lambda raw, n: _set_op(raw, op="exec", path_vaddr=65536,
+                                    image={"mappings": [{"vaddr": 65536, "pages": n}]}),
+             "ops[0].image.mappings[0].pages", MAX_PAGES),
+            ("mmap pages", lambda raw, n: _set_op(raw, op="mmap", vaddr=131072, pages=n),
+             "ops[0].pages", MAX_PAGES),
+            ("mprotect pages", lambda raw, n: _set_op(raw, op="mprotect", vaddr=65536, pages=n),
+             "ops[0].pages", MAX_PAGES),
+            ("enclave pages", lambda raw, n: _add_enclave(raw, pages={"vaddr": 1 << 20, "pages": n}),
+             "enclaves[0].pages.pages", MAX_PAGES),
+        ]
+        for label, count in [("MAX + 1", bound + 1), ("10**30", 10**30)]
+    },
 }
 
 # --costs file contents -> text the message must contain

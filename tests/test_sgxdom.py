@@ -103,7 +103,7 @@ class TestEnterExit:
     def test_enter_aligns_and_saves_stack_pointer(self):
         sim, proc, domain = host_sim(Variant.STASH, [EnclaveEexit()], rsp=RSP + 24)
         sim.step(1)
-        assert domain.saved[1] == (RSP, 0)
+        assert sim.tasks[1].micro.saved == (RSP, 0)
         assert sim.tasks[1].cpu.rsp == RSP
 
     def test_pages_below_aligned_sp_stay_writable(self):
@@ -156,6 +156,13 @@ class TestEnterExit:
         sim, proc, domain = host_sim(None, script)
         sim.run_seeded(0)
         assert not sim.kills
+
+    def test_unprotected_exit_sets_rbx_only_for_an_explicit_target(self):
+        for target, rbx in (("legal", 7), (0x1234, 0x1234)):
+            sim, proc, domain = host_sim(None, [EnclaveSetReg("rbx", 7), EnclaveEexit(target)])
+            sim.run_seeded(0)
+            assert not sim.kills
+            assert (sim.tasks[1].cpu.rax, sim.tasks[1].cpu.rbx) == (4, rbx)
 
 
 class TestOcall:

@@ -340,3 +340,60 @@ class TestAccessMonotonicity:
             vm.tlb_flush(space.asid, 0x10)
             after = self._allowed_user_accesses(vm, space.asid)
             assert after < before
+
+
+# A byte range inside a 4-page mapping at vpn 0x10: (offset from the
+# mapping's start, the bytes), the bytes a short pattern repeated so that
+# some ranges hold NULs and some do not.
+SPAN = 4 * PAGE_SIZE
+BASE = 0x10 * PAGE_SIZE
+
+
+@st.composite
+def ranges(draw):
+    offset = draw(st.integers(0, SPAN))
+    length = draw(st.integers(0, SPAN - offset))
+    pattern = draw(st.binary(min_size=1, max_size=24))
+    return offset, (pattern * (length // len(pattern) + 1))[:length]
+
+
+class TestPageWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(ranges())
+    def test_write_then_read_matches_a_flat_model(self, write):
+        offset, data = write
+        vm = Vmem()
+        space, _ = make_space(vm, pages=4)
+        model = bytearray(SPAN)
+        assert vm.write_bytes(0, space.asid, USER, BASE + offset, data) is None
+        model[offset : offset + len(data)] = data
+        assert vm.read_bytes(1, space.asid, USER, BASE, SPAN) == (bytes(model), None)
+        assert vm.read_bytes(0, space.asid, USER, BASE + offset, len(data)) == (data, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranges())
+    def test_poke_writes_what_a_kernel_write_writes(self, write):
+        offset, data = write
+        poked, written = Vmem(), Vmem()
+        space, poked_frames = make_space(poked, pages=4)
+        other, written_frames = make_space(written, pages=4)
+        poked.poke(space.asid, BASE + offset, data)
+        assert written.write_bytes(0, other.asid, KERNEL, BASE + offset, data) is None
+        assert [f.data for f in poked_frames] == [f.data for f in written_frames]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranges(), st.integers(1, 4))
+    def test_read_cstring_stops_at_the_first_nul_within_max_pages(self, write, max_pages):
+        offset, data = write
+        offset = min(offset, SPAN - 1)
+        max_pages = min(max_pages, 4 - offset // PAGE_SIZE)  # stay inside the mapping
+        vm = Vmem()
+        space, _ = make_space(vm, pages=4)
+        model = bytearray(b"\x01" * SPAN)  # no NUL but the ones written
+        vm.write_bytes(0, space.asid, KERNEL, BASE, bytes(model))
+        vm.write_bytes(0, space.asid, KERNEL, BASE + offset, data)
+        model[offset : offset + len(data)] = data
+        window = model[offset : (offset // PAGE_SIZE + max_pages) * PAGE_SIZE]
+        nul = window.find(0)
+        expected = bytes(window[:nul]) if nul >= 0 else None
+        assert vm.read_cstring(0, space.asid, USER, BASE + offset, max_pages) == (expected, None)

@@ -35,6 +35,7 @@ from .tasks import (
     SyscallOp,
     WriteOp,
     explore,
+    explore_all,
 )
 from .vmem import PAGE_SIZE, Vmem
 
@@ -67,5 +68,6 @@ __all__ = [
     "WriteOp",
     "accumulate",
     "explore",
+    "explore_all",
     "seccomp_eval",
 ]

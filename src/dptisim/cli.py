@@ -22,7 +22,7 @@ from .scenario import (
     check_expectations,
     load_scenario,
 )
-from .tasks import explore
+from .tasks import explore, explore_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,6 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--variant", choices=sorted(_VARIANTS), help="override the scenario variant")
     run_p.add_argument("--seed", type=int, help="seed for the seeded scheduler")
     run_p.add_argument("--exhaustive", action="store_true", help="explore every interleaving")
+    run_p.add_argument(
+        "--all-interleavings", action="store_true",
+        help="with an exhaustive run, enumerate every interleaving even of processes that cannot interact",
+    )
     run_p.add_argument("--max-steps", type=int, help="scheduler step bound")
     run_p.add_argument("--report-out", help="write the machine-readable report here")
     run_p.add_argument("--costs", help="JSON file with cost-table overrides")
@@ -78,7 +82,7 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
         # build_simulation raises what only building can find: overlapping
         # mappings and bad enclave bridge pages.
         if mode == "exhaustive":
-            result = explore(
+            result = (explore_all if args.all_interleavings else explore)(
                 lambda: build_simulation(sc, variant_override=variant, cost_table=table),
                 max_steps=args.max_steps or sc.schedule.get("max_steps", 24),
             )
@@ -91,15 +95,21 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
     if mode == "exhaustive":
+        explored = (
+            f"{result.paths} paths over {len(result.groups)} groups explored apart"
+            if len(result.groups) > 1 else f"explored {result.paths} interleavings"
+        )
         print(
-            f"scenario {sc.name}: explored {result.paths} interleavings "
+            f"scenario {sc.name}: {explored} "
             f"({result.truncated_paths} truncated), witnesses={result.witnesses} "
             f"in {result.witness_paths} path(s), kills={result.kills}, "
             f"deadlock_paths={result.deadlock_paths}"
         )
+        verdict = result.verdict()
+        print(f"  verdict: {json.dumps(verdict, sort_keys=True)}")
         if result.example_witness:
             print(f"  first witness: {result.example_witness}")
-        payload = result.to_dict()
+        payload = dict(result.to_dict(), verdict=verdict)
     else:
         cycles = result.cycles["total"] if result.cycles else 0
         print(

@@ -42,6 +42,7 @@ from .vmem import (
     FaultReason,
     PageFault,
     PteBit,
+    Vma,
     Vmem,
     page_offset,
     page_spans,
@@ -66,7 +67,8 @@ class SyscallPhase(Enum):
 
 @dataclass(slots=True)
 class MappingPrior:
-    """Pre-protection permission bits of one mapping, enough for exact restore."""
+    """Pre-protection permission bits of one mapping, enough for exact
+    restore, and under freezing the VMA the window froze with it."""
 
     asid: int
     vpn: int
@@ -74,7 +76,7 @@ class MappingPrior:
     user: bool
     writable: bool
     executable: bool
-    vm_write: bool
+    vma: Optional[Vma] = None
 
 
 @dataclass
@@ -124,6 +126,9 @@ class DptiEngine:
         self.deny_mode = deny_mode
         self.records: dict[int, ProtectionRecord] = {}
         self.by_frame: dict[int, set[int]] = {}
+        # id of each VMA a freeze window holds -> (mappings frozen in it, the
+        # vm_write flag it had before the first of them)
+        self.frozen: dict[int, tuple[int, bool]] = {}
         self._next_record = 1
 
     # ------------------------------------------------------------------
@@ -323,21 +328,32 @@ class DptiEngine:
         vmem: Vmem = self.sim.vmem
         space = vmem.spaces[asid]
         pte = space.entries[vpn]
-        vma = space.vma_for(vpn)
-        record.mappings.append(
-            MappingPrior(
-                asid, vpn, pte.frame_id,
-                pte.user, pte.writable, pte.executable,
-                vma.vm_write if vma is not None else pte.writable,
-            )
-        )
+        prior = MappingPrior(asid, vpn, pte.frame_id, pte.user, pte.writable, pte.executable)
+        record.mappings.append(prior)
         if self.variant is Variant.STASH:
             vmem.set_perms(asid, vpn, False, pte.writable, False)
         else:
             vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
-            if vma is not None:
-                vma.vm_write = False
+            prior.vma = space.vma_for(vpn)
+            if prior.vma is not None:
+                self._freeze_vma(prior.vma)
         vmem.tlb_flush(asid, vpn)
+
+    def _freeze_vma(self, vma: Vma) -> None:
+        """Clear ``vma``'s write flag for one more frozen mapping in it; the
+        first one saves the flag, whichever window it belongs to."""
+        count, saved = self.frozen.get(id(vma), (0, vma.vm_write))
+        self.frozen[id(vma)] = (count + 1, saved)
+        vma.vm_write = False
+
+    def _thaw_vma(self, vma: Vma) -> None:
+        """Release one frozen mapping of ``vma``; the last one puts back the
+        flag the first one saved."""
+        count, saved = self.frozen.pop(id(vma))
+        if count > 1:
+            self.frozen[id(vma)] = (count - 1, saved)
+        else:
+            vma.vm_write = saved
 
     def check_string(self, task, ctx: SyscallContext, sf: StringFilter) -> bool:
         """The check fetch: read the (now unmodifiable) argument and compare
@@ -394,6 +410,8 @@ class DptiEngine:
         vmem: Vmem = self.sim.vmem
         restored = 0
         for prior in reversed(record.mappings):
+            if prior.vma is not None:
+                self._thaw_vma(prior.vma)
             space = vmem.spaces.get(prior.asid)
             if space is None:
                 continue  # address space replaced (exec) or torn down
@@ -401,9 +419,6 @@ class DptiEngine:
             if pte is None or pte.frame_id != prior.frame_id:
                 continue
             vmem.set_perms(prior.asid, prior.vpn, prior.user, prior.writable, prior.executable)
-            vma = space.vma_for(prior.vpn)
-            if vma is not None:
-                vma.vm_write = prior.vm_write
             vmem.tlb_flush(prior.asid, prior.vpn)
             restored += 1
         self._forget_record(record)

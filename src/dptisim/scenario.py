@@ -207,6 +207,9 @@ class CompiledScenario:
     processes: tuple[_ProcessPlan, ...]
     enclaves: tuple[_EnclavePlan, ...]
     config_json: str
+    # The processes that may interact, as sorted tuples of indices into
+    # ``processes``, in the order of their first process.
+    groups: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass
@@ -305,6 +308,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
             )
         plans[i] = replace(plans[i], threads=tuple(threads))
 
+    enclaves = tuple(names.enclaves.values())
     return Scenario(
         raw=raw,
         name=_str(raw, "name", ""),
@@ -320,10 +324,74 @@ def scenario_from_dict(raw: Any) -> Scenario:
         cost_table=cost_table,
         compiled=CompiledScenario(
             processes=tuple(plans),
-            enclaves=tuple(names.enclaves.values()),
+            enclaves=enclaves,
             config_json=json.dumps(raw, sort_keys=True, separators=(",", ":")),
+            groups=_groups(plans, enclaves),
         ),
     )
+
+
+def _groups(
+    plans: list[_ProcessPlan], enclaves: tuple[_EnclavePlan, ...],
+) -> tuple[tuple[int, ...], ...]:
+    """The connected components of "may interact" over the processes. Two
+    processes may interact if they map a common label, if one names a thread
+    of the other in ``proc_mem_write``, or if they share an enclave (its host
+    or an ``ecall`` to it). A ``fork`` anywhere makes every process one
+    group: a child's pid, tid and name come from counters all share."""
+    root = list(range(len(plans)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    def join(i: int, j: int) -> None:
+        root[find(i)] = find(j)
+
+    # the process whose mapping allocated each labelled frame
+    owner = {
+        frames[0]: i
+        for i, plan in enumerate(plans)
+        for spec, frames in zip(plan.mappings, plan.label_frames)
+        if frames is not None and spec.alias_frames is None
+    }
+    # each thread's process, by name and by the tid build_simulation gives
+    # it: 1, 2, ... in this order
+    threads = [(name, i) for i, plan in enumerate(plans) for name, *_ in plan.threads]
+    thread_owner = {**dict(threads), **{tid: i for tid, (_, i) in enumerate(threads, 1)}}
+    host = {enc.name: enc.host for enc in enclaves}
+
+    def link(i: int, specs: tuple[MapSpec, ...]) -> None:
+        for spec in specs:
+            if spec.alias_frames:
+                join(i, owner[spec.alias_frames[0]])
+
+    def walk(i: int, ops: tuple) -> bool:
+        """Join process ``i`` with every process ``ops`` reach; False on a fork."""
+        for op in ops:
+            if isinstance(op, ForkOp):
+                return False
+            if isinstance(op, MmapOp):
+                link(i, (op.spec,))
+            elif isinstance(op, ExecOp):
+                link(i, op.image.mappings)
+                if not walk(i, op.image.ops):
+                    return False
+            elif isinstance(op, ProcMemWriteOp) and op.target in thread_owner:
+                join(i, thread_owner[op.target])
+            elif isinstance(op, EcallOp):
+                join(i, host[op.enclave])
+        return True
+
+    for i, plan in enumerate(plans):
+        link(i, plan.mappings)
+        if not all(walk(i, ops) for _, ops, _, _ in plan.threads):
+            return (tuple(range(len(plans))),)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(plans)):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(group) for group in groups.values())
 
 
 def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPlan]:
@@ -639,9 +707,12 @@ def build_simulation(
         except SgxError as exc:
             raise ScenarioError(f"enclaves[{i}]: {exc}") from None
         sim.enclaves[enc.name] = domain
-    for proc, info in zip(plan.processes, proc_infos):
-        for name, ops, rsp, rbp in proc.threads:
-            sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp)
+    tids = [
+        [sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp).tid for name, ops, rsp, rbp in proc.threads]
+        for proc, info in zip(plan.processes, proc_infos)
+    ]
+    groups = (tuple(tid for i in group for tid in tids[i]) for group in plan.groups)
+    sim.groups = tuple(group for group in groups if group)
     return sim
 
 
@@ -673,14 +744,21 @@ def check_expectations(
         return []
     failures: list[str] = []
     exploring = isinstance(result, ExplorationReport)
-    witnesses = result.witnesses if exploring else len(result.witnesses)
+    # A search of groups apart counts only the paths it ran, so a witness or
+    # deadlock bound reads as existence: none, or at least one.
+    apart = len(result.groups) if exploring and len(result.groups) > 1 else 0
+
+    def counted(n: int) -> int:
+        return min(n, 1) if apart else n
+
+    witnesses = counted(result.witnesses if exploring else len(result.witnesses))
     bounds = exp.get("witnesses")
     if bounds:
-        if "equals" in bounds and witnesses != bounds["equals"]:
+        if "equals" in bounds and witnesses != counted(bounds["equals"]):
             failures.append(f"witnesses: expected exactly {bounds['equals']}, found {witnesses}")
-        if "min" in bounds and witnesses < bounds["min"]:
+        if "min" in bounds and witnesses < counted(bounds["min"]):
             failures.append(f"witnesses: expected at least {bounds['min']}, found {witnesses}")
-        if "max" in bounds and witnesses > bounds["max"]:
+        if "max" in bounds and witnesses > counted(bounds["max"]):
             failures.append(f"witnesses: expected at most {bounds['max']}, found {witnesses}")
     # (process, cause) of every kill in the seeded run, or on some path of
     # the exploration
@@ -705,12 +783,17 @@ def check_expectations(
             failures.append(f"no_kills: kills occurred: {bad}")
     deadlocks = exp.get("deadlocks")
     if deadlocks is not None:
-        count = result.deadlock_paths if exploring else len(result.deadlocked)
-        if count != deadlocks.get("equals", 0):
+        count = counted(result.deadlock_paths if exploring else len(result.deadlocked))
+        if count != counted(deadlocks.get("equals", 0)):
             failures.append(
                 f"deadlocks: expected {deadlocks.get('equals', 0)}, found {count}"
             )
     paths = exp.get("paths")
-    if paths is not None and exploring and result.paths < paths.get("min", 1):
+    if paths is not None and apart:
+        failures.append(
+            f"paths: {apart} groups were explored apart, so the path count is not the number of "
+            "interleavings; explore every interleaving (run --all-interleavings) to bound it"
+        )
+    elif paths is not None and exploring and result.paths < paths.get("min", 1):
         failures.append(f"paths: expected at least {paths.get('min', 1)}, explored {result.paths}")
     return failures

@@ -16,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import InitVar, dataclass, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from . import costmodel
 from .dpti import DptiEngine, SyscallContext, Variant, make_syscall_context
@@ -351,6 +352,10 @@ class Simulation:
         self.config = config
         self.config_json = config_json
         self.schedule_info: dict[str, Any] = {}
+        # The tids of each group of processes that may interact, as
+        # build_simulation works them out; () for a simulation built by
+        # hand, which explore searches as one group.
+        self.groups: tuple[tuple[int, ...], ...] = ()
         self._next_tid = 1
         self._next_pid = 1
         self._current_tid = -1
@@ -672,23 +677,36 @@ class Simulation:
     def run_prefix(self, decisions: Sequence[int], max_steps: int) -> Optional[list[int]]:
         """Follow branch-point decisions; returns the runnable set at the
         first undecided branch point, or None when the run completed."""
+        frontier = self._follow(decisions, max_steps, self.runnable_tids)
+        if frontier is None:
+            self.truncated = self.step_count >= max_steps and bool(self.runnable_tids())
+            self._finalize()
+        return frontier
+
+    def _follow(
+        self, decisions: Sequence[int], max_steps: int, runnable: Callable[[], list[int]],
+    ) -> Optional[list[int]]:
+        """Step the tasks ``runnable`` returns until step ``max_steps``,
+        taking ``decisions`` at branch points; returns the runnable set at
+        the first undecided branch point, or None."""
         consumed = 0
         while self.step_count < max_steps:
-            runnable = self.runnable_tids()
-            if not runnable:
-                self._finalize()
+            ready = runnable()
+            if not ready:
                 return None
-            if len(runnable) == 1:
-                tid = runnable[0]
+            if len(ready) == 1:
+                tid = ready[0]
             elif consumed < len(decisions):
                 tid = decisions[consumed]
                 consumed += 1
             else:
-                return runnable
+                return ready
             self.step(tid)
-        self.truncated = bool(self.runnable_tids())
-        self._finalize()
         return None
+
+    def _runnable_in(self, tids: Sequence[int]) -> list[int]:
+        tasks = self.tasks
+        return [tid for tid in tids if tasks[tid].state is TaskState.RUNNABLE]
 
     def _finalize(self) -> None:
         if self._finalized:
@@ -739,89 +757,199 @@ class Simulation:
 
 @dataclass
 class ExplorationReport(_Report):
-    paths: int
-    truncated_paths: int
-    witnesses: int
-    witness_paths: int
-    kills: dict[str, int]  # cause -> number of paths with at least one
+    """Counts over the paths an exploration ran, as it adds them."""
+
+    paths: int = 0
+    truncated_paths: int = 0
+    witnesses: int = 0
+    witness_paths: int = 0
+    # cause -> number of paths with at least one
+    kills: dict[str, int] = field(default_factory=dict)
     # process -> cause -> number of paths that killed that process so
-    process_kills: dict[str, dict[str, int]]
-    deadlock_paths: int
-    example_witness: Optional[dict[str, Any]]
-    per_path: list[dict[str, Any]]
+    process_kills: dict[str, dict[str, int]] = field(default_factory=dict)
+    deadlock_paths: int = 0
+    example_witness: Optional[dict[str, Any]] = None
+    per_path: list[dict[str, Any]] = field(default_factory=list)
+    # the process names of each group explored apart; one group when every
+    # task was enumerated together
+    groups: list[list[str]] = field(default_factory=list)
+
+    def verdict(self) -> dict[str, Any]:
+        """The answer, in the terms every sound reduced search must give
+        alike: whether a witness, a deadlock and a truncated path exist,
+        which kill causes occur, and which causes killed each process."""
+        return {
+            "witness": self.witness_paths > 0,
+            "kill_causes": sorted(self.kills),
+            "process_kills": {p: sorted(causes) for p, causes in sorted(self.process_kills.items())},
+            "deadlock": self.deadlock_paths > 0,
+            "truncated": self.truncated_paths > 0,
+        }
+
+    def _add(self, path: _Path) -> None:
+        self.paths += 1
+        self.truncated_paths += path.truncated
+        self.witnesses += len(path.witnesses)
+        if path.witnesses:
+            self.witness_paths += 1
+            if self.example_witness is None:
+                self.example_witness = dict(path.witnesses[0], decisions=list(path.decisions))
+        causes = {k["cause"] for k in path.kills}
+        for cause in causes:
+            self.kills[cause] = self.kills.get(cause, 0) + 1
+        for process, cause in {(k["process"], k["cause"]) for k in path.kills}:
+            by_cause = self.process_kills.setdefault(process, {})
+            by_cause[cause] = by_cause.get(cause, 0) + 1
+        self.deadlock_paths += bool(path.deadlocked)
+        self.per_path.append(
+            {
+                "decisions": list(path.decisions),
+                "steps": path.steps,
+                "witnesses": len(path.witnesses),
+                "kills": sorted(causes),
+                "deadlocked": path.deadlocked,
+            }
+        )
 
 
-def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:
-    """Enumerate every scheduling choice at every branch point.
+@dataclass
+class _Path:
+    """One completed path of a search, read from what the path itself added
+    to the simulation it ended on."""
+
+    decisions: tuple[int, ...]
+    sim: Simulation
+    start: int  # the step at which the search's own tasks began on ``sim``
+    truncated: bool
+    witnesses: list[dict[str, Any]]
+    kills: list[dict[str, Any]]
+    deadlocked: list[int]
+
+    @property
+    def steps(self) -> int:
+        return self.sim.step_count - self.start
+
+
+def _search(
+    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
+    tids: Optional[Sequence[int]] = None,
+) -> Iterator[_Path]:
+    """Every path of a depth-first search over the scheduling choices among
+    ``tids``, or among every task when None.
+
+    The search starts on ``root`` and builds one simulation per later path:
+    at a branch point the live simulation carries on into the first choice,
+    which is explored next, and only the later choices are rebuilt from
+    ``factory`` and replayed. Only ``tids`` step on a replay, and each path
+    runs at most ``max_steps`` steps of them. The first path ends on ``root``.
+    """
+    # (decisions, the simulation already stopped at the last decision's
+    # branch point with where its path's events, kills and steps begin, or
+    # None to rebuild and replay the whole prefix)
+    stack: list[tuple[tuple[int, ...], Optional[Simulation], tuple[int, int, int]]] = [
+        ((), root, (len(root.events), len(root.kills), root.step_count))
+    ]
+    while stack:
+        prefix, sim, start = stack.pop()
+        decisions = prefix[-1:]
+        if sim is None:
+            sim, start, decisions = factory(), (0, 0, 0), prefix
+        if tids is None:
+            frontier = sim.run_prefix(decisions, max_steps)
+        else:
+            frontier = sim._follow(decisions, start[2] + max_steps, partial(sim._runnable_in, tids))
+        if frontier is not None:
+            for tid in reversed(frontier[1:]):
+                stack.append((prefix + (tid,), None, start))
+            stack.append((prefix + (frontier[0],), sim, start))
+            continue
+        events, kills, steps = start
+        if tids is None:
+            truncated, deadlocked = sim.truncated, sim.deadlocked_tids()
+        else:
+            truncated = bool(sim._runnable_in(tids))
+            deadlocked = [tid for tid in tids if sim.tasks[tid].state is TaskState.STALLED]
+        yield _Path(
+            prefix, sim, steps, truncated,
+            extract_witnesses(sim.events[events:] if events else sim.events),
+            sim.kills[kills:], deadlocked,
+        )
+
+
+def _process_names(sim: Simulation, tids: Optional[Sequence[int]] = None) -> list[str]:
+    """The names of the processes of ``tids``, or of every process, by pid."""
+    tgids = None if tids is None else {sim.tasks[tid].tgid for tid in tids}
+    return [p.name for pid, p in sim.processes.items() if tgids is None or pid in tgids]
+
+
+def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:
+    """Enumerate every scheduling choice of every task at every branch point.
 
     A branch point is a step with more than one runnable thread; forced steps
     don't branch, so the number of explored paths equals the number of
-    distinct interleavings of the scenario.
-
-    The search is depth-first and builds one simulation per path: at a branch
-    point the live simulation carries on into the first choice, which is
-    explored next, and only the later choices are rebuilt from ``factory``
-    and replayed from the root.
+    distinct interleavings of the scenario. The search builds one simulation
+    per path.
     """
-    paths = 0
-    truncated = 0
-    witnesses = 0
-    witness_paths = 0
-    kills: dict[str, int] = {}
-    process_kills: dict[str, dict[str, int]] = {}
-    deadlock_paths = 0
-    example: Optional[dict[str, Any]] = None
-    per_path: list[dict[str, Any]] = []
-    # (decisions, the simulation already stopped at the last decision's
-    # branch point, or None to rebuild and replay the whole prefix)
-    stack: list[tuple[tuple[int, ...], Optional[Simulation]]] = [((), None)]
-    while stack:
-        prefix, sim = stack.pop()
-        if sim is None:
-            sim = factory()
-            frontier = sim.run_prefix(prefix, max_steps)
-        else:
-            frontier = sim.run_prefix(prefix[-1:], max_steps)
-        if frontier is not None:
-            for tid in reversed(frontier[1:]):
-                stack.append((prefix + (tid,), None))
-            stack.append((prefix + (frontier[0],), sim))
-            continue
-        paths += 1
-        if sim.truncated:
-            truncated += 1
-        path_witnesses = extract_witnesses(sim.events)
-        witnesses += len(path_witnesses)
-        if path_witnesses:
-            witness_paths += 1
-            if example is None:
-                example = dict(path_witnesses[0], decisions=list(prefix))
-        causes = {k["cause"] for k in sim.kills}
-        for cause in causes:
-            kills[cause] = kills.get(cause, 0) + 1
-        for process, cause in {(k["process"], k["cause"]) for k in sim.kills}:
-            by_cause = process_kills.setdefault(process, {})
-            by_cause[cause] = by_cause.get(cause, 0) + 1
-        deadlocked = sim.deadlocked_tids()
-        if deadlocked:
-            deadlock_paths += 1
-        per_path.append(
-            {
-                "decisions": list(prefix),
-                "steps": sim.step_count,
-                "witnesses": len(path_witnesses),
-                "kills": sorted(causes),
-                "deadlocked": deadlocked,
-            }
-        )
-    return ExplorationReport(
-        paths=paths,
-        truncated_paths=truncated,
-        witnesses=witnesses,
-        witness_paths=witness_paths,
-        kills=kills,
-        process_kills=process_kills,
-        deadlock_paths=deadlock_paths,
-        example_witness=example,
-        per_path=per_path,
-    )
+    return _explore_together(factory, factory(), max_steps)
+
+
+def _explore_together(
+    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
+) -> ExplorationReport:
+    report = ExplorationReport(groups=[_process_names(root)])
+    for path in _search(factory, root, max_steps):
+        report._add(path)
+    return report
+
+
+def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:
+    """The verdict of ``explore_all``, with each group of processes that may
+    interact searched on its own when the simulation has several.
+
+    No task of one group can change what a task of another reads, so every
+    interleaving is one path of each group, and a witness, kill or deadlock
+    exists if it exists in some group. The groups are searched in order, the
+    first on the first build and each next one on the simulation where the
+    previous group's first path ended: its tasks have not stepped there yet.
+    The counts are over the paths run. A path that truncates, or groups
+    whose longest paths add up to more than ``max_steps``, would make some
+    interleaving truncate; then every interleaving is enumerated instead.
+    """
+    root = factory()
+    if len(root.groups) > 1:
+        report = _explore_apart(factory, root, max_steps)
+        if report is not None:
+            return report
+        root = factory()
+    return _explore_together(factory, root, max_steps)
+
+
+def _explore_apart(
+    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
+) -> Optional[ExplorationReport]:
+    """The report of searching each of ``root.groups`` on its own, or None
+    once that cannot give the verdict of every interleaving."""
+    report = ExplorationReport(groups=[_process_names(root, tids) for tids in root.groups])
+    budget = max_steps
+    witness_steps: Optional[list[int]] = None
+    for tids in root.groups:
+        longest = 0
+        for path in _search(factory, root, budget, tids):
+            if path.truncated:
+                return None
+            if path.witnesses and witness_steps is None:
+                witness_steps = [tid for _, tid, _, _ in path.sim.trace[path.start:]]
+            longest = max(longest, path.steps)
+            report._add(path)
+        budget -= longest
+    if witness_steps is not None:
+        # The witness group's path first, as branch-point decisions for
+        # run_prefix on a fresh build, and the witness that replay gives.
+        sim = factory()
+        decisions = []
+        for tid in witness_steps:
+            if len(sim.runnable_tids()) > 1:
+                decisions.append(tid)
+            sim.step(tid)
+        report.example_witness = dict(extract_witnesses(sim.events)[0], decisions=decisions)
+    return report

@@ -1,17 +1,18 @@
 """A scenario is compiled at load and every build shares the result read-only;
 reports serialise to the plain JSON of their dictionaries; and the memory
-model's reverse map and frame sizes, and the closure of every open protection
-window, hold after every step of every shipped scenario."""
+model's reverse map and frame sizes, the closure of every open protection
+window and the VMA write flags hold after every step of every shipped
+scenario."""
 
 import json
 
 import pytest
 
 from dptisim import scenario as scenario_module
-from dptisim.dpti import Variant
+from dptisim.dpti import SyscallContext, Variant
 from dptisim.events import ExecEvent, ForkEvent, MprotectEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import Simulation, explore
+from dptisim.tasks import MprotectOp, Simulation, explore
 from dptisim.vmem import PAGE_SIZE
 
 from conftest import SCENARIOS
@@ -164,6 +165,62 @@ def open_window_mappings(sim):
             yield f"record {record.record_id} {prior}", views, space.vma_for(prior.vpn)
 
 
+class ProgramWriteFlags:
+    """The write flag the program itself gave each mapped page: as built, as
+    mapped later by mmap or exec, or as an applied mprotect set it. A VMA's
+    vm_write may be clear only while an open freeze window covers one of
+    its pages, or where the program cleared the flag of one of its pages."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.flags = {
+            (asid, vpn): space.vma_for(vpn).vm_write
+            for asid, space in sim.vmem.spaces.items() for vpn in space.entries
+        }
+        map_region = sim.map_region
+
+        def recording_map_region(asid, spec):
+            frames = map_region(asid, spec)
+            start = spec.vaddr // PAGE_SIZE
+            for vpn in range(start, start + len(frames)):
+                self.flags[(asid, vpn)] = spec.writable
+            return frames
+
+        sim.map_region = recording_map_region
+
+    def stepped(self, task, op, events):
+        """Record what an applied mprotect ``op`` of ``task`` set."""
+        if isinstance(op, MprotectOp) and any(
+            isinstance(ev, MprotectEvent) and ev.outcome == "applied" for ev in events
+        ):
+            for vpn in op.vpns:
+                self.flags[(task.asid, vpn)] = op.writable
+
+    def problems(self):
+        vmem = self.sim.vmem
+        covered = set()
+        for record in self.sim.engine.records.values():
+            for prior in record.mappings:
+                space = vmem.spaces.get(prior.asid)
+                if space is not None:
+                    covered.add(id(space.vma_for(prior.vpn)))
+        seen = set()
+        for asid, space in vmem.spaces.items():
+            for vma in space.vmas:  # an enclave's spaces share their host's
+                if id(vma) in seen or vma.vm_write or id(vma) in covered:
+                    continue
+                seen.add(id(vma))
+                if all(self.flags.get((asid, vpn), True) for vpn in range(vma.start, vma.end + 1)):
+                    yield f"asid {asid} {vma}: vm_write clear outside any window"
+
+
+def op_of(task):
+    """The op ``task`` runs next, or is in the middle of as a syscall."""
+    if isinstance(task.micro, SyscallContext):
+        return task.micro.op
+    return task.ops[task.ip] if task.micro is None and task.ip < len(task.ops) else None
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
@@ -172,9 +229,13 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
     sim = build_simulation(sc, VARIANTS[variant])
     step = sim.step
     checked = []
+    write_flags = ProgramWriteFlags(sim)
 
     def checking_step(tid):
+        task = sim.tasks[tid]
+        op, seen = op_of(task), len(sim.events)
         outcome = step(tid)
+        write_flags.stepped(task, op, sim.events[seen:])
         at = f"step {sim.step_count - 1}"
         vmem = sim.vmem
         assert vmem.rmap == vmem.rebuild_reverse_map(), at
@@ -189,6 +250,7 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
                     assert not view.writable, (at, what, view)
             if sim.engine.variant is Variant.FREEZE:
                 assert vma is None or not vma.vm_write, (at, what)
+        assert list(write_flags.problems()) == [], at
         checked.append(tid)
         return outcome
 
@@ -196,4 +258,4 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
     report = sim.run_seeded(seed, sc.schedule.get("max_steps", 1000))
     assert len(checked) == report.steps > 0
     if not report.truncated and not report.deadlocked:
-        assert not sim.engine.records and not sim.engine.by_frame
+        assert not sim.engine.records and not sim.engine.by_frame and not sim.engine.frozen

@@ -555,6 +555,26 @@ class TestOneWindowPerSyscall:
         assert restore.mappings == 2
 
 
+class TestFreezeVmaFlag:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_two_threads_freezing_two_pages_of_one_vma_restore_its_flag(self, seed):
+        """Each thread's window freezes its own page of one 2-page VMA; in
+        whichever order they close and restore, the VMA ends writable."""
+        sim = one_proc_sim(
+            Variant.FREEZE,
+            [[SyscallOp(OPENAT, (0, PATH, 0))], [SyscallOp(OPENAT, (0, PATH + PAGE_SIZE, 0))]],
+            filters=basic_filters(strings=("file1", "file2")),
+            mappings=[MapSpec(vaddr=PATH, pages=2,
+                              data=((PATH, b"file1\x00"), (PATH + PAGE_SIZE, b"file2\x00")))],
+        )
+        vma = sim.vmem.spaces[sim.tasks[1].asid].vma_for(PATH // PAGE_SIZE)
+        report = sim.run_seeded(seed)
+        assert not report.kills and not report.deadlocked
+        assert len([e for e in sim.events if isinstance(e, RestoreEvent)]) == 2
+        assert vma.vm_write
+        assert not sim.engine.records and not sim.engine.frozen
+
+
 class TestMmap:
     def test_mmap_over_a_mapped_page_fails_and_maps_nothing(self, monkeypatch):
         """Like MAP_FIXED_NOREPLACE: a 2-page mmap at 0xF000 over the mapping

@@ -1,25 +1,34 @@
 """The explorer against a reference that rebuilds the simulation at every
-node of the schedule tree.
+node of the schedule tree, and the group split against full enumeration.
 
 The reference is the plain form of exhaustive enumeration: pop a decision
 prefix, build a fresh simulation, replay the prefix, and push one child per
 runnable thread at the next branch point. It builds once per node of the
 tree: 2P-1 times for P paths when every branch point has two choices.
-``explore`` carries the live simulation into the first child and so builds
-once per path; its report must stay byte-identical.
+``explore_all`` carries the live simulation into the first child and so
+builds once per path; its report must stay byte-identical.
+
+``explore`` searches each group of processes that may interact on its own.
+Its verdict must be the reference's wherever the split is taken, and where
+it is abandoned.
 """
 
+import copy
+import itertools
+import json
 from typing import Any, Optional
 
 import pytest
 
+from dptisim import tasks
 from dptisim.dpti import Variant
-from dptisim.scenario import build_simulation, load_scenario
-from dptisim.tasks import ExplorationReport, explore, extract_witnesses
+from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
+from dptisim.tasks import ExplorationReport, explore, explore_all, extract_witnesses
 
 from conftest import SCENARIOS
 
 VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
+PATHS = sorted(SCENARIOS.glob("*.json"))
 # visudo's own bound (400) means about 90,000 paths; a small bound keeps the
 # comparison to a few thousand truncated ones.
 BOUNDS = {"visudo": 8}
@@ -74,6 +83,7 @@ def reference_explore(factory, max_steps: int) -> ExplorationReport:
         deadlock_paths=deadlock_paths,
         example_witness=example,
         per_path=per_path,
+        groups=[[p.name for p in factory().processes.values()]],
     )
 
 
@@ -93,50 +103,218 @@ def _bound(path, sc) -> int:
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
-def test_explore_matches_rebuild_every_node_reference(path, variant):
+@pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
+def test_explore_all_matches_rebuild_every_node_reference(path, variant):
     sc = load_scenario(path)
     factory = CountingFactory(sc, VARIANTS[variant])
-    report = explore(factory, _bound(path, sc))
+    report = explore_all(factory, _bound(path, sc))
     reference = reference_explore(CountingFactory(sc, VARIANTS[variant]), _bound(path, sc))
     assert report.to_json() == reference.to_json()
     assert factory.builds == report.paths
+    if len(sc.compiled.groups) == 1:
+        # explore of one group is full enumeration, with no extra build
+        factory = CountingFactory(sc, VARIANTS[variant])
+        assert explore(factory, _bound(path, sc)).to_json() == report.to_json()
+        assert factory.builds == report.paths
 
 
-def test_filter_rules_compiled_once_across_builds(scenarios_dir, monkeypatch):
-    from dptisim import filters
-
-    compiled = []
-    original = filters.FilterBuilder.build_rules
-
-    def counting(self):
-        compiled.append(self)
-        return original(self)
-
-    monkeypatch.setattr(filters.FilterBuilder, "build_rules", counting)
-    sc = load_scenario(scenarios_dir / "visudo.json")
-    sims = [build_simulation(sc, variant_override=v) for v in VARIANTS.values() for _ in range(3)]
-    assert len(compiled) == 1
-    openat = filters.SYSCALL_NRS["openat"]
-    rules = {
-        id(proc.filters.lookup(openat)) for sim in sims for proc in sim.processes.values()
-    }
-    assert len(rules) == 1  # every table looks up the same compiled rule
+def assert_same_verdict(sc, variant, max_steps) -> ExplorationReport:
+    """``explore`` splits ``sc`` and gives the verdict of full enumeration,
+    which the test above holds to the reference; returns its report."""
+    factory = CountingFactory(sc, variant)
+    report = explore(factory, max_steps)
+    assert report.verdict() == explore_all(CountingFactory(sc, variant), max_steps).verdict()
+    assert len(report.groups) > 1, report.groups
+    # one build per path beyond each group's first, and one to replay the
+    # example witness
+    groups = len(report.groups)
+    assert factory.builds == report.paths - groups + 1 + (report.example_witness is not None)
+    return report
 
 
-def test_tables_keep_independent_refcounts(scenarios_dir):
-    sc = load_scenario(scenarios_dir / "visudo.json")
-    first, second = build_simulation(sc), build_simulation(sc)
-    a, b = (next(iter(sim.processes.values())).filters for sim in (first, second))
-    assert a is not b
-    a.acquire()
-    assert (a.refcount, b.refcount) == (2, 1)
-    assert a.release(2) and a.freed
-    assert not b.freed and b.refcount == 1
+def assert_hands_over(sc, variant, max_steps, monkeypatch) -> None:
+    """``explore`` gives up the split of ``sc`` after what it has run and
+    hands over to full enumeration on a fresh build."""
+    handed_over = []
+    monkeypatch.setattr(
+        tasks, "_explore_together", lambda factory, root, max_steps: handed_over.append(root) or "full"
+    )
+    assert explore(lambda: build_simulation(sc, variant), max_steps) == "full"
+    assert len(handed_over) == 1 and handed_over[0].step_count == 0
+    monkeypatch.undo()
 
-    procs = list(second.processes.values())
-    tables = [p.filters for p in procs]
-    assert len({id(t) for t in tables}) == len(procs) == 3
-    assert tables[0].release()
-    assert [t.freed for t in tables] == [True, False, False]
-    assert [t.refcount for t in tables] == [0, 1, 1]
+
+def visudo_part(names: tuple[str, ...]) -> Any:
+    """visudo with only the processes ``names``, at its own bound."""
+    raw = copy.deepcopy(load_scenario(SCENARIOS / "visudo.json").raw)
+    raw["processes"] = [p for p in raw["processes"] if p["name"] in names]
+    raw["name"] = "+".join(names)
+    return scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("names", itertools.combinations(("benign", "override", "wrongfile"), 2),
+                         ids="+".join)
+def test_split_of_two_visudo_processes_gives_the_reference_verdict(names, variant, monkeypatch):
+    """At visudo's bound, and at the sum of the two groups' longest paths,
+    where no interleaving truncates yet; one step below it, where all do,
+    the split is abandoned."""
+    sc = visudo_part(names)
+    report = explore(lambda: build_simulation(sc, VARIANTS[variant]), 400)
+    assert report.groups == [[name] for name in names]
+    assert report.paths == 2  # each process has one thread, so one path
+    fit = sum(p["steps"] for p in report.per_path)
+    assert assert_same_verdict(sc, VARIANTS[variant], fit).verdict() == report.verdict()
+    assert_hands_over(sc, VARIANTS[variant], fit - 1, monkeypatch)
+
+
+# The verdict explore_all gives for exhaustive visudo at its own bound of
+# 400 steps under every variant: 89,700 interleavings under none and
+# 245,520 under stash and freeze, which take from half a minute to three
+# minutes each on a 2-vCPU VM.
+VISUDO_VERDICT = {
+    "witness": False,
+    "kill_causes": ["filter_violation"],
+    "process_kills": {"override": ["filter_violation"], "wrongfile": ["filter_violation"]},
+    "deadlock": False,
+    "truncated": False,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_visudo_split_gives_the_full_enumeration_verdict(variant):
+    sc = load_scenario(SCENARIOS / "visudo.json")
+    factory = CountingFactory(sc, VARIANTS[variant])
+    report = explore(factory, 400)
+    assert report.verdict() == VISUDO_VERDICT
+    assert report.groups == [["benign"], ["override"], ["wrongfile"]]
+    assert (report.paths, factory.builds) == (3, 1)
+
+
+@pytest.mark.parametrize("bound", [8, 12, 16, 24])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_visudo_split_abandoned_below_its_longest_paths(variant, bound, monkeypatch):
+    """Every interleaving of visudo truncates at these bounds, so the split
+    gives up and hands over to full enumeration, whose verdict the tests
+    above hold to the reference at bound 8 (the larger bounds take seconds
+    to enumerate)."""
+    assert_hands_over(load_scenario(SCENARIOS / "visudo.json"), VARIANTS[variant], bound, monkeypatch)
+
+
+def with_bystander(sc) -> Any:
+    """``sc`` with one more process, whose one thread writes to a page of
+    its own."""
+    raw = copy.deepcopy(sc.raw)
+    raw["processes"].append({
+        "name": "bystander",
+        "mappings": [{"vaddr": 0x70000}],
+        "threads": [{"name": "bystander-main", "ops": [{"op": "write", "vaddr": 0x70000, "string": "x"}]}],
+    })
+    return scenario_from_dict(raw)
+
+
+TOCTOU = [p for p in PATHS if p.stem.startswith("toctou_")]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("path", TOCTOU, ids=lambda p: p.stem)
+def test_split_with_a_bystander_gives_the_reference_verdict(path, variant):
+    sc = with_bystander(load_scenario(path))
+    report = assert_same_verdict(sc, VARIANTS[variant], sc.schedule["max_steps"])
+    assert report.groups[-1] == ["bystander"]
+    if report.example_witness is None:
+        return
+    # The witness group runs first: its decisions replay on a full build,
+    # bystander included, to the same witness.
+    example = dict(report.example_witness)
+    decisions = example.pop("decisions")
+    sim = build_simulation(sc, VARIANTS[variant])
+    sim.run_prefix(decisions, sc.schedule["max_steps"])
+    assert extract_witnesses(sim.events)[0] == example
+
+
+class TestGroups:
+    def groups(self, sc) -> list[list[str]]:
+        plans = sc.compiled.processes
+        return [[plans[i].name for i in group] for group in sc.compiled.groups]
+
+    def test_shipped_groups(self):
+        assert self.groups(load_scenario(SCENARIOS / "toctou_alias.json")) == [["app", "accomplice"]]
+        visudo = load_scenario(SCENARIOS / "visudo.json")
+        assert self.groups(visudo) == [["benign"], ["override"], ["wrongfile"]]
+        assert self.groups(load_scenario(SCENARIOS / "sgx_rop.json")) == [["host"]]
+
+    def two_processes(self, ops: list) -> Any:
+        """Two processes that share nothing; the first runs ``ops``."""
+        return scenario_from_dict({
+            "version": 1, "name": "pair",
+            "processes": [
+                {"name": "a", "mappings": [{"vaddr": 0x10000, "label": "buf"}],
+                 "threads": [{"name": "a-main", "ops": ops}]},
+                {"name": "b", "mappings": [{"vaddr": 0x10000}],
+                 "threads": [{"name": "b-main", "ops": [{"op": "write", "vaddr": 0x10000, "string": "b"}]}]},
+            ],
+        })
+
+    @pytest.mark.parametrize("ops, together", [
+        ([{"op": "write", "vaddr": 0x10000, "string": "a"}], False),
+        ([{"op": "proc_mem_write", "target": "a-main", "vaddr": 0x10000, "string": "a"}], False),
+        ([{"op": "proc_mem_write", "target": "b-main", "vaddr": 0x10000, "string": "a"}], True),
+        ([{"op": "proc_mem_write", "target": 2, "vaddr": 0x10000, "string": "a"}], True),
+        ([{"op": "proc_mem_write", "target": 9, "vaddr": 0x10000, "string": "a"}], False),
+        ([{"op": "fork"}], True),
+        ([{"op": "fork", "child": [{"op": "exit"}]}], True),
+        ([{"op": "exec", "path_vaddr": 0x10000, "image": {"ops": [{"op": "fork"}]}}], True),
+        ([{"op": "exec", "path_vaddr": 0x10000, "image": {"mappings": [{"vaddr": 0x20000}]}}], False),
+    ])
+    def test_what_joins_two_processes(self, ops, together):
+        sc = self.two_processes(ops)
+        assert self.groups(sc) == ([["a", "b"]] if together else [["a"], ["b"]])
+        sim = build_simulation(sc)
+        assert sim.groups == (((1, 2),) if together else ((1,), (2,)))
+
+    @pytest.mark.parametrize("where", ["mapping", "mmap", "exec"])
+    def test_an_alias_joins_its_label_owner(self, where):
+        alias = {"vaddr": 0x30000, "alias_of": "buf"}
+        raw = self.two_processes([{"op": "write", "vaddr": 0x10000, "string": "a"}]).raw
+        b = raw["processes"][1]
+        if where == "mapping":
+            b["mappings"].append(alias)
+        elif where == "mmap":
+            b["threads"][0]["ops"].append(dict(alias, op="mmap"))
+        else:
+            b["threads"][0]["ops"].append(
+                {"op": "exec", "path_vaddr": 0x10000, "image": {"mappings": [alias]}}
+            )
+        assert self.groups(scenario_from_dict(raw)) == [["a", "b"]]
+
+    def test_an_ecall_joins_the_enclave_host(self):
+        raw = json.loads((SCENARIOS / "sgx_data_only.json").read_text())
+        raw["processes"].append({
+            "name": "guest", "threads": [{"name": "guest-main", "ops": [{"op": "ecall", "enclave": "evil"}]}],
+        })
+        raw["processes"].append({"name": "other", "threads": []})
+        sc = scenario_from_dict(raw)
+        assert self.groups(sc) == [["host", "guest"], ["other"]]
+        # a group with no task to step is left out of the search
+        assert len(build_simulation(sc).groups) == 1
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
+    def test_no_frame_is_mapped_by_two_groups(self, path, variant):
+        sc = load_scenario(path)
+        sim = build_simulation(sc, VARIANTS[variant])
+        for _ in range(2):  # as built, and after a seeded run
+            spaces = sim.vmem.spaces
+            frames = [
+                {
+                    pte.frame_id
+                    for asid in {sim.tasks[tid].asid for tid in tids} if asid in spaces
+                    for pte in spaces[asid].entries.values()
+                }
+                for tids in sim.groups
+            ]
+            assert all(frames)
+            for a, b in itertools.combinations(frames, 2):
+                assert not a & b
+            sim.run_seeded(0, sc.schedule.get("max_steps", 1000))

@@ -13,7 +13,7 @@ from dptisim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from dptisim.tasks import explore
+from dptisim.tasks import explore, explore_all
 
 
 def minimal_scenario(**overrides):
@@ -142,7 +142,7 @@ class TestExpectations:
         sc = scenario_from_dict(raw)
         seeded = build_simulation(sc).run_seeded(0)
         explored = explore(lambda: build_simulation(sc), 40)
-        assert explored.process_kills == {"victim": {"unregistered_syscall": explored.paths}}
+        assert explored.verdict()["process_kills"] == {"victim": ["unregistered_syscall"]}
         for report in (seeded, explored):
             assert (check_expectations(sc, report) == []) is holds
 
@@ -229,7 +229,79 @@ class TestCliRun:
         code = main(["run", str(scenarios_dir / "visudo.json"), "--exhaustive", "--max-steps", "8"])
         out = capsys.readouterr()
         assert code == 0, out.err
+        assert "explored 885 interleavings" in out.out
         assert "expectations: all hold" in out.out
+
+    @pytest.mark.parametrize("variant", ["none", "stash", "freeze"])
+    def test_exhaustive_visudo_explores_its_processes_apart(self, scenarios_dir, tmp_path, capsys, variant):
+        out = tmp_path / "x.json"
+        code = main([
+            "run", str(scenarios_dir / "visudo.json"), "--exhaustive", "--variant", variant,
+            "--report-out", str(out),
+        ])
+        printed = capsys.readouterr()
+        assert code == 0, printed.err
+        assert "3 paths over 3 groups explored apart" in printed.out
+        assert "expectations: all hold" in printed.out
+        data = json.loads(out.read_text())
+        assert data["groups"] == [["benign"], ["override"], ["wrongfile"]]
+        assert data["verdict"]["process_kills"] == {
+            "override": ["filter_violation"], "wrongfile": ["filter_violation"],
+        }
+
+    def test_all_interleavings_flag_enumerates_every_interleaving(self, scenarios_dir, capsys):
+        code = main([
+            "run", str(scenarios_dir / "visudo.json"), "--exhaustive", "--max-steps", "8",
+            "--all-interleavings",
+        ])
+        assert code == 0
+        assert "explored 885 interleavings" in capsys.readouterr().out
+
+
+def two_independent_processes(expectations):
+    """Two processes that share no frame, each with one thread: one path each
+    when explored apart, 3 interleavings together."""
+    raw = minimal_scenario(expectations=expectations)
+    raw["processes"][0]["threads"][0]["ops"].append({"op": "read", "vaddr": 65536})
+    raw["processes"].append({
+        "name": "q", "mappings": [{"vaddr": 65536}],
+        "threads": [{"name": "u", "ops": [{"op": "read", "vaddr": 65536}]}],
+    })
+    return scenario_from_dict(raw)
+
+
+class TestExpectationsApart:
+    @pytest.mark.parametrize("expectations, holds", [
+        ({"witnesses": {"equals": 0}}, True),
+        ({"witnesses": {"max": 0}}, True),
+        ({"witnesses": {"min": 1}}, False),
+        ({"witnesses": {"equals": 2}}, False),
+        ({"deadlocks": {"equals": 0}}, True),
+        ({"deadlocks": {"equals": 1}}, False),
+    ])
+    def test_bounds_read_as_existence(self, expectations, holds):
+        sc = two_independent_processes(expectations)
+        report = explore(lambda: build_simulation(sc), 40)
+        assert len(report.groups) == 2 and report.paths == 2
+        assert (check_expectations(sc, report) == []) is holds
+
+    def test_witness_count_reads_as_at_least_one(self, scenarios_dir):
+        raw = json.loads((scenarios_dir / "toctou_openat.json").read_text())
+        raw["processes"].append({"name": "q", "threads": [{"name": "u", "ops": []}]})
+        raw["expectations"] = {"witnesses": {"equals": 5}}
+        sc = scenario_from_dict(raw)
+        report = explore(lambda: build_simulation(sc, variant_override=None), 40)
+        assert len(report.groups) == 2 and report.witnesses == 1
+        assert check_expectations(sc, report, None) == []
+        raw["expectations"] = {"witnesses": {"max": 0}}
+        assert check_expectations(scenario_from_dict(raw), report, None) != []
+
+    def test_paths_bound_asks_for_full_enumeration(self):
+        sc = two_independent_processes({"paths": {"min": 1}})
+        (failure,) = check_expectations(sc, explore(lambda: build_simulation(sc), 40))
+        assert "2 groups were explored apart" in failure and "--all-interleavings" in failure
+        full = explore_all(lambda: build_simulation(sc), 40)
+        assert full.paths == 3 and check_expectations(sc, full) == []
 
 
 def _add_thread(raw, **thread):

@@ -207,8 +207,8 @@ class CompiledScenario:
     processes: tuple[_ProcessPlan, ...]
     enclaves: tuple[_EnclavePlan, ...]
     config_json: str
-    # The processes that may interact, as sorted tuples of indices into
-    # ``processes``, in the order of their first process.
+    # The threads of each group of processes that may interact, by the tids
+    # build_simulation gives them, in the order of each group's first thread.
     groups: tuple[tuple[int, ...], ...] = ()
 
 
@@ -334,11 +334,12 @@ def scenario_from_dict(raw: Any) -> Scenario:
 def _groups(
     plans: list[_ProcessPlan], enclaves: tuple[_EnclavePlan, ...],
 ) -> tuple[tuple[int, ...], ...]:
-    """The connected components of "may interact" over the processes. Two
-    processes may interact if they map a common label, if one names a thread
-    of the other in ``proc_mem_write``, or if they share an enclave (its host
-    or an ``ecall`` to it). A ``fork`` anywhere makes every process one
-    group: a child's pid, tid and name come from counters all share."""
+    """The tids of the threads of each connected component of "may interact"
+    over the processes. Two processes may interact if they map a common
+    label, if one names a thread of the other in ``proc_mem_write``, or if
+    they share an enclave (its host or an ``ecall`` to it). A ``fork``
+    anywhere makes every process one group: a child's pid, tid and name come
+    from counters all share."""
     root = list(range(len(plans)))
 
     def find(i: int) -> int:
@@ -387,11 +388,11 @@ def _groups(
     for i, plan in enumerate(plans):
         link(i, plan.mappings)
         if not all(walk(i, ops) for _, ops, _, _ in plan.threads):
-            return (tuple(range(len(plans))),)
+            return (tuple(range(1, len(threads) + 1)),)
     groups: dict[int, list[int]] = {}
-    for i in range(len(plans)):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(group) for group in groups.values())
+    for tid, (_, i) in enumerate(threads, 1):
+        groups.setdefault(find(i), []).append(tid)
+    return tuple(tuple(tids) for tids in groups.values())
 
 
 def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPlan]:
@@ -707,12 +708,10 @@ def build_simulation(
         except SgxError as exc:
             raise ScenarioError(f"enclaves[{i}]: {exc}") from None
         sim.enclaves[enc.name] = domain
-    tids = [
-        [sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp).tid for name, ops, rsp, rbp in proc.threads]
-        for proc, info in zip(plan.processes, proc_infos)
-    ]
-    groups = (tuple(tid for i in group for tid in tids[i]) for group in plan.groups)
-    sim.groups = tuple(group for group in groups if group)
+    for proc, info in zip(plan.processes, proc_infos):
+        for name, ops, rsp, rbp in proc.threads:
+            sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp)
+    sim.groups = plan.groups
     return sim
 
 

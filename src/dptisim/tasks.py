@@ -812,22 +812,20 @@ class ExplorationReport(_Report):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Path:
     """One completed path of a search, read from what the path itself added
-    to the simulation it ended on."""
+    to the simulation it ended on. It keeps no reference to that simulation,
+    which the next path may replace."""
 
     decisions: tuple[int, ...]
-    sim: Simulation
-    start: int  # the step at which the search's own tasks began on ``sim``
+    trace: list[list[Any]]  # the simulation's trace; the path's steps start at ``start``
+    start: int
+    steps: int
     truncated: bool
     witnesses: list[dict[str, Any]]
     kills: list[dict[str, Any]]
     deadlocked: list[int]
-
-    @property
-    def steps(self) -> int:
-        return self.sim.step_count - self.start
 
 
 def _search(
@@ -870,9 +868,9 @@ def _search(
             truncated = bool(sim._runnable_in(tids))
             deadlocked = [tid for tid in tids if sim.tasks[tid].state is TaskState.STALLED]
         yield _Path(
-            prefix, sim, steps, truncated,
+            prefix, sim.trace, steps, sim.step_count - steps, truncated,
             extract_witnesses(sim.events[events:] if events else sim.events),
-            sim.kills[kills:], deadlocked,
+            sim.kills[kills:] if kills else sim.kills, deadlocked,
         )
 
 
@@ -938,7 +936,7 @@ def _explore_apart(
             if path.truncated:
                 return None
             if path.witnesses and witness_steps is None:
-                witness_steps = [tid for _, tid, _, _ in path.sim.trace[path.start:]]
+                witness_steps = [tid for _, tid, _, _ in path.trace[path.start:path.start + path.steps]]
             longest = max(longest, path.steps)
             report._add(path)
         budget -= longest

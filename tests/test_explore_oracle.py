@@ -235,8 +235,9 @@ def test_split_with_a_bystander_gives_the_reference_verdict(path, variant):
 
 class TestGroups:
     def groups(self, sc) -> list[list[str]]:
-        plans = sc.compiled.processes
-        return [[plans[i].name for i in group] for group in sc.compiled.groups]
+        """The process names of each group, in order."""
+        process_of = [plan.name for plan in sc.compiled.processes for _ in plan.threads]
+        return [list(dict.fromkeys(process_of[tid - 1] for tid in tids)) for tids in sc.compiled.groups]
 
     def test_shipped_groups(self):
         assert self.groups(load_scenario(SCENARIOS / "toctou_alias.json")) == [["app", "accomplice"]]
@@ -295,15 +296,16 @@ class TestGroups:
         })
         raw["processes"].append({"name": "other", "threads": []})
         sc = scenario_from_dict(raw)
-        assert self.groups(sc) == [["host", "guest"], ["other"]]
-        # a group with no task to step is left out of the search
-        assert len(build_simulation(sc).groups) == 1
+        # a process with no thread is in no group: it has nothing to step
+        assert self.groups(sc) == [["host", "guest"]]
+        assert build_simulation(sc).groups == ((1, 2),)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
     def test_no_frame_is_mapped_by_two_groups(self, path, variant):
         sc = load_scenario(path)
         sim = build_simulation(sc, VARIANTS[variant])
+        assert sorted(tid for tids in sim.groups for tid in tids) == list(sim.tasks)
         for _ in range(2):  # as built, and after a seeded run
             spaces = sim.vmem.spaces
             frames = [

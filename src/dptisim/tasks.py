@@ -19,7 +19,7 @@ import random
 from dataclasses import InitVar, dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from . import costmodel
 from .dpti import DptiEngine, SyscallContext, Variant, make_syscall_context
@@ -786,61 +786,54 @@ class ExplorationReport(_Report):
             "truncated": self.truncated_paths > 0,
         }
 
-    def _add(self, path: _Path) -> None:
+    def _add(
+        self, decisions: Sequence[int], steps: int, truncated: bool,
+        witnesses: list[dict[str, Any]], kills: list[dict[str, Any]], deadlocked: list[int],
+    ) -> None:
+        """Count one path, from the facts it added itself."""
         self.paths += 1
-        self.truncated_paths += path.truncated
-        self.witnesses += len(path.witnesses)
-        if path.witnesses:
+        self.truncated_paths += truncated
+        self.witnesses += len(witnesses)
+        if witnesses:
             self.witness_paths += 1
             if self.example_witness is None:
-                self.example_witness = dict(path.witnesses[0], decisions=list(path.decisions))
-        causes = {k["cause"] for k in path.kills}
+                self.example_witness = dict(witnesses[0], decisions=list(decisions))
+        causes = {k["cause"] for k in kills}
         for cause in causes:
             self.kills[cause] = self.kills.get(cause, 0) + 1
-        for process, cause in {(k["process"], k["cause"]) for k in path.kills}:
+        for process, cause in {(k["process"], k["cause"]) for k in kills}:
             by_cause = self.process_kills.setdefault(process, {})
             by_cause[cause] = by_cause.get(cause, 0) + 1
-        self.deadlock_paths += bool(path.deadlocked)
+        self.deadlock_paths += bool(deadlocked)
         self.per_path.append(
             {
-                "decisions": list(path.decisions),
-                "steps": path.steps,
-                "witnesses": len(path.witnesses),
+                "decisions": list(decisions),
+                "steps": steps,
+                "witnesses": len(witnesses),
                 "kills": sorted(causes),
-                "deadlocked": path.deadlocked,
+                "deadlocked": deadlocked,
             }
         )
 
 
-@dataclass(slots=True)
-class _Path:
-    """One completed path of a search, read from what the path itself added
-    to the simulation it ended on. It keeps no reference to that simulation,
-    which the next path may replace."""
-
-    decisions: tuple[int, ...]
-    trace: list[list[Any]]  # the simulation's trace; the path's steps start at ``start``
-    start: int
-    steps: int
-    truncated: bool
-    witnesses: list[dict[str, Any]]
-    kills: list[dict[str, Any]]
-    deadlocked: list[int]
-
-
 def _search(
     factory: Callable[[], Simulation], root: Simulation, max_steps: int,
-    tids: Optional[Sequence[int]] = None,
-) -> Iterator[_Path]:
-    """Every path of a depth-first search over the scheduling choices among
-    ``tids``, or among every task when None.
+    report: ExplorationReport, tids: Optional[Sequence[int]] = None,
+) -> Optional[int]:
+    """Add to ``report`` every path of a depth-first search over the
+    scheduling choices among ``tids``, or among every task when None, and
+    return the most steps a path took. With ``tids``, return None instead at
+    the first path that truncates.
 
     The search starts on ``root`` and builds one simulation per later path:
     at a branch point the live simulation carries on into the first choice,
     which is explored next, and only the later choices are rebuilt from
     ``factory`` and replayed. Only ``tids`` step on a replay, and each path
-    runs at most ``max_steps`` steps of them. The first path ends on ``root``.
+    runs at most ``max_steps`` steps of them. The first path ends on
+    ``root``. Each path's facts are what it added itself: its events and
+    kills, and its stalled tasks among ``tids``.
     """
+    longest = 0
     # (decisions, the simulation already stopped at the last decision's
     # branch point with where its path's events, kills and steps begin, or
     # None to rebuild and replay the whole prefix)
@@ -861,17 +854,36 @@ def _search(
                 stack.append((prefix + (tid,), None, start))
             stack.append((prefix + (frontier[0],), sim, start))
             continue
-        events, kills, steps = start
+        events, kills, first = start
         if tids is None:
             truncated, deadlocked = sim.truncated, sim.deadlocked_tids()
         else:
-            truncated = bool(sim._runnable_in(tids))
+            if sim._runnable_in(tids):
+                return None
+            truncated = False
             deadlocked = [tid for tid in tids if sim.tasks[tid].state is TaskState.STALLED]
-        yield _Path(
-            prefix, sim.trace, steps, sim.step_count - steps, truncated,
-            extract_witnesses(sim.events[events:] if events else sim.events),
-            sim.kills[kills:] if kills else sim.kills, deadlocked,
-        )
+        steps = sim.step_count - first
+        longest = max(longest, steps)
+        witnesses = extract_witnesses(sim.events[events:] if events else sim.events)
+        first_witness = witnesses and report.example_witness is None
+        path_kills = sim.kills[kills:] if kills else sim.kills
+        report._add(prefix, steps, truncated, witnesses, path_kills, deadlocked)
+        if first_witness and tids is not None:
+            report.example_witness = _witness_first(factory, [tid for _, tid, _, _ in sim.trace[first:]])
+    return longest
+
+
+def _witness_first(factory: Callable[[], Simulation], stepped: list[int]) -> dict[str, Any]:
+    """The first witness of a group's path that stepped the tids ``stepped``,
+    replayed on a fresh build with that group scheduled first, and the
+    branch-point decisions with which ``run_prefix`` replays it."""
+    sim = factory()
+    decisions = []
+    for tid in stepped:
+        if len(sim.runnable_tids()) > 1:
+            decisions.append(tid)
+        sim.step(tid)
+    return dict(extract_witnesses(sim.events)[0], decisions=decisions)
 
 
 def _process_names(sim: Simulation, tids: Optional[Sequence[int]] = None) -> list[str]:
@@ -895,8 +907,7 @@ def _explore_together(
     factory: Callable[[], Simulation], root: Simulation, max_steps: int,
 ) -> ExplorationReport:
     report = ExplorationReport(groups=[_process_names(root)])
-    for path in _search(factory, root, max_steps):
-        report._add(path)
+    _search(factory, root, max_steps, report)
     return report
 
 
@@ -929,25 +940,9 @@ def _explore_apart(
     once that cannot give the verdict of every interleaving."""
     report = ExplorationReport(groups=[_process_names(root, tids) for tids in root.groups])
     budget = max_steps
-    witness_steps: Optional[list[int]] = None
     for tids in root.groups:
-        longest = 0
-        for path in _search(factory, root, budget, tids):
-            if path.truncated:
-                return None
-            if path.witnesses and witness_steps is None:
-                witness_steps = [tid for _, tid, _, _ in path.trace[path.start:path.start + path.steps]]
-            longest = max(longest, path.steps)
-            report._add(path)
+        longest = _search(factory, root, budget, report, tids)
+        if longest is None:
+            return None
         budget -= longest
-    if witness_steps is not None:
-        # The witness group's path first, as branch-point decisions for
-        # run_prefix on a fresh build, and the witness that replay gives.
-        sim = factory()
-        decisions = []
-        for tid in witness_steps:
-            if len(sim.runnable_tids()) > 1:
-                decisions.append(tid)
-            sim.step(tid)
-        report.example_witness = dict(extract_witnesses(sim.events)[0], decisions=decisions)
     return report

@@ -104,7 +104,7 @@ def _bound(path, sc) -> int:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
-def test_explore_all_matches_rebuild_every_node_reference(path, variant):
+def test_explore_matches_rebuild_every_node_reference(path, variant):
     sc = load_scenario(path)
     factory = CountingFactory(sc, VARIANTS[variant])
     report = explore_all(factory, _bound(path, sc))

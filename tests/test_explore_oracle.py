@@ -19,6 +19,8 @@ import json
 from typing import Any, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptisim import tasks
 from dptisim.dpti import Variant
@@ -231,6 +233,86 @@ def test_split_with_a_bystander_gives_the_reference_verdict(path, variant):
     sim = build_simulation(sc, VARIANTS[variant])
     sim.run_prefix(decisions, sc.schedule["max_steps"])
     assert extract_witnesses(sim.events)[0] == example
+
+
+# What the other processes of a generated scenario below do; the picks that
+# name a process reach its labelled page.
+SOLO_OPS = ("write", "mprotect")
+LINK_OPS = ("alias_write", "mmap_write", "proc_mem_write")
+
+
+@st.composite
+def linked_processes(draw) -> dict:
+    """Two or three processes, each with one thread and one labelled page
+    holding "file1". The first opens the path on its page; the others make
+    one or two picks between them: a write to their own page, or to another
+    process's page through a mapping alias, an ``mmap`` alias or
+    ``proc_mem_write``."""
+    count = draw(st.integers(2, 3))
+    picks = draw(st.lists(
+        st.tuples(st.integers(1, count - 1), st.sampled_from(SOLO_OPS + LINK_OPS), st.integers(0, count - 1)),
+        min_size=1, max_size=2,
+    ))
+    processes = [
+        {
+            "name": f"p{i}", "sandboxed": draw(st.booleans()),
+            "mappings": [{"vaddr": 0x10000, "label": f"buf{i}", "data": [{"at": 0x10000, "string": "file1"}]}],
+            "threads": [{"name": f"t{i}", "ops": []}],
+        }
+        for i in range(count)
+    ]
+    processes[0]["threads"][0]["ops"].append({"op": "syscall", "nr": "openat", "args": [0, 0x10000, 0]})
+    for i, kind, j in picks:
+        if kind == "alias_write":
+            i, j = max(i, j), min(i, j)  # a mapping aliases only earlier labels
+        proc = processes[i]
+        ops = proc["threads"][0]["ops"]
+        if kind == "write":
+            ops.append({"op": "write", "vaddr": 0x10000, "string": "file2"})
+        elif kind == "mprotect":
+            ops.append({"op": "mprotect", "vaddr": 0x10000, "write": True})
+        elif kind == "alias_write":
+            vaddr = 0x40000 + 0x10000 * j
+            if all(m["vaddr"] != vaddr for m in proc["mappings"]):
+                proc["mappings"].append({"vaddr": vaddr, "alias_of": f"buf{j}"})
+            ops.append({"op": "write", "vaddr": vaddr, "string": "file2"})
+        elif kind == "mmap_write":
+            vaddr = 0x80000 + 0x10000 * j
+            ops.append({"op": "mmap", "vaddr": vaddr, "alias_of": f"buf{j}"})
+            ops.append({"op": "write", "vaddr": vaddr, "string": "file2"})
+        else:
+            ops.append({"op": "proc_mem_write", "target": f"t{j}", "vaddr": 0x10000, "string": "file2"})
+    return {
+        "version": 1, "name": "linked",
+        "filters": {"rules": [
+            {"nr": "read"}, {"nr": "mmap"}, {"nr": "mprotect"}, {"nr": "exit_group"},
+            {"nr": "openat", "arg": 1, "strings": ["file1"]},
+        ]},
+        "processes": processes,
+    }
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(linked_processes(), st.sampled_from(sorted(VARIANTS)))
+def test_generated_processes_split_to_the_full_enumeration_verdict(raw, variant):
+    """However the generated processes reach each other's pages, the split
+    gives full enumeration's verdict, and processes that reach no other page
+    are explored apart."""
+    sc = scenario_from_dict(raw)
+    factory = lambda: build_simulation(sc, VARIANTS[variant])  # noqa: E731
+    report = explore(factory, 200)
+    assert report.verdict() == explore_all(factory, 200).verdict()
+    assert not report.verdict()["truncated"]
+    linked = {
+        frozenset((int(p["name"][1:]), int(target[1:])))
+        for p in raw["processes"]
+        for target in [m["alias_of"][3:] for m in p["mappings"] if "alias_of" in m]
+        + [op.get("alias_of", "")[3:] or op.get("target", "")[1:] for op in p["threads"][0]["ops"]
+           if op["op"] in ("mmap", "proc_mem_write")]
+        for target in [f"p{target}"]
+    }
+    if not any(len(pair) == 2 for pair in linked):
+        assert len(report.groups) == len(raw["processes"])
 
 
 class TestGroups:

@@ -20,6 +20,7 @@ from .scenario import (
     ScenarioError,
     build_simulation,
     check_expectations,
+    effective_expectations,
     load_scenario,
 )
 from .tasks import explore, explore_all
@@ -37,10 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--variant", choices=sorted(_VARIANTS), help="override the scenario variant")
     run_p.add_argument("--seed", type=int, help="seed for the seeded scheduler")
     run_p.add_argument("--exhaustive", action="store_true", help="explore every interleaving")
-    run_p.add_argument(
-        "--all-interleavings", action="store_true",
-        help="with an exhaustive run, enumerate every interleaving even of processes that cannot interact",
-    )
     run_p.add_argument("--max-steps", type=int, help="scheduler step bound")
     run_p.add_argument("--report-out", help="write the machine-readable report here")
     run_p.add_argument("--costs", help="JSON file with cost-table overrides")
@@ -82,7 +79,10 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
         # build_simulation raises what only building can find: overlapping
         # mappings and bad enclave bridge pages.
         if mode == "exhaustive":
-            result = (explore_all if args.all_interleavings else explore)(
+            # a paths bound counts interleavings, which only full
+            # enumeration runs
+            counts_paths = "paths" in (effective_expectations(sc, variant) or {})
+            result = (explore_all if counts_paths else explore)(
                 lambda: build_simulation(sc, variant_override=variant, cost_table=table),
                 max_steps=args.max_steps or sc.schedule.get("max_steps", 24),
             )

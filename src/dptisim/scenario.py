@@ -208,8 +208,10 @@ class CompiledScenario:
     enclaves: tuple[_EnclavePlan, ...]
     config_json: str
     # The threads of each group of processes that may interact, by the tids
-    # build_simulation gives them, in the order of each group's first thread.
+    # build_simulation gives them, in the order of each group's first thread,
+    # and the names of each group's processes.
     groups: tuple[tuple[int, ...], ...] = ()
+    group_names: tuple[tuple[str, ...], ...] = ()
 
 
 @dataclass
@@ -309,6 +311,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
         plans[i] = replace(plans[i], threads=tuple(threads))
 
     enclaves = tuple(names.enclaves.values())
+    groups = _groups(plans, enclaves)
     return Scenario(
         raw=raw,
         name=_str(raw, "name", ""),
@@ -326,7 +329,8 @@ def scenario_from_dict(raw: Any) -> Scenario:
             processes=tuple(plans),
             enclaves=enclaves,
             config_json=json.dumps(raw, sort_keys=True, separators=(",", ":")),
-            groups=_groups(plans, enclaves),
+            groups=groups,
+            group_names=tuple(_group_names(plans, tids) for tids in groups),
         ),
     )
 
@@ -393,6 +397,12 @@ def _groups(
     for tid, (_, i) in enumerate(threads, 1):
         groups.setdefault(find(i), []).append(tid)
     return tuple(tuple(tids) for tids in groups.values())
+
+
+def _group_names(plans: list[_ProcessPlan], tids: tuple[int, ...]) -> tuple[str, ...]:
+    """The names of the processes of the threads ``tids``, in pid order."""
+    process_of = [plan.name for plan in plans for _ in plan.threads]
+    return tuple(dict.fromkeys(process_of[tid - 1] for tid in sorted(tids)))
 
 
 def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPlan]:
@@ -711,7 +721,7 @@ def build_simulation(
     for proc, info in zip(plan.processes, proc_infos):
         for name, ops, rsp, rbp in proc.threads:
             sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp)
-    sim.groups = plan.groups
+    sim.groups, sim.group_names = plan.groups, plan.group_names
     return sim
 
 
@@ -791,7 +801,7 @@ def check_expectations(
     if paths is not None and apart:
         failures.append(
             f"paths: {apart} groups were explored apart, so the path count is not the number of "
-            "interleavings; explore every interleaving (run --all-interleavings) to bound it"
+            "interleavings; explore every interleaving (explore_all) to bound it"
         )
     elif paths is not None and exploring and result.paths < paths.get("min", 1):
         failures.append(f"paths: expected at least {paths.get('min', 1)}, explored {result.paths}")

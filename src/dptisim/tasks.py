@@ -352,10 +352,11 @@ class Simulation:
         self.config = config
         self.config_json = config_json
         self.schedule_info: dict[str, Any] = {}
-        # The tids of each group of processes that may interact, as
-        # build_simulation works them out; () for a simulation built by
-        # hand, which explore searches as one group.
+        # The tids of each group of processes that may interact, and the
+        # names of its processes, as build_simulation works them out; () for
+        # a simulation built by hand, which explore searches as one group.
         self.groups: tuple[tuple[int, ...], ...] = ()
+        self.group_names: tuple[tuple[str, ...], ...] = ()
         self._next_tid = 1
         self._next_pid = 1
         self._current_tid = -1
@@ -886,12 +887,6 @@ def _witness_first(factory: Callable[[], Simulation], stepped: list[int]) -> dic
     return dict(extract_witnesses(sim.events)[0], decisions=decisions)
 
 
-def _process_names(sim: Simulation, tids: Optional[Sequence[int]] = None) -> list[str]:
-    """The names of the processes of ``tids``, or of every process, by pid."""
-    tgids = None if tids is None else {sim.tasks[tid].tgid for tid in tids}
-    return [p.name for pid, p in sim.processes.items() if tgids is None or pid in tgids]
-
-
 def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:
     """Enumerate every scheduling choice of every task at every branch point.
 
@@ -906,7 +901,7 @@ def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> Explo
 def _explore_together(
     factory: Callable[[], Simulation], root: Simulation, max_steps: int,
 ) -> ExplorationReport:
-    report = ExplorationReport(groups=[_process_names(root)])
+    report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
     _search(factory, root, max_steps, report)
     return report
 
@@ -938,7 +933,7 @@ def _explore_apart(
 ) -> Optional[ExplorationReport]:
     """The report of searching each of ``root.groups`` on its own, or None
     once that cannot give the verdict of every interleaving."""
-    report = ExplorationReport(groups=[_process_names(root, tids) for tids in root.groups])
+    report = ExplorationReport(groups=[list(names) for names in root.group_names])
     budget = max_steps
     for tids in root.groups:
         longest = _search(factory, root, budget, report, tids)

@@ -120,9 +120,49 @@ def test_explore_matches_rebuild_every_node_reference(path, variant):
         assert factory.builds == report.paths
 
 
+def test_filter_rules_compiled_once_across_builds(scenarios_dir, monkeypatch):
+    from dptisim import filters
+
+    compiled = []
+    original = filters.FilterBuilder.build_rules
+
+    def counting(self):
+        compiled.append(self)
+        return original(self)
+
+    monkeypatch.setattr(filters.FilterBuilder, "build_rules", counting)
+    sc = load_scenario(scenarios_dir / "visudo.json")
+    sims = [build_simulation(sc, variant_override=v) for v in VARIANTS.values() for _ in range(3)]
+    assert len(compiled) == 1
+    openat = filters.SYSCALL_NRS["openat"]
+    rules = {
+        id(proc.filters.lookup(openat)) for sim in sims for proc in sim.processes.values()
+    }
+    assert len(rules) == 1  # every table looks up the same compiled rule
+
+
+def test_tables_keep_independent_refcounts(scenarios_dir):
+    sc = load_scenario(scenarios_dir / "visudo.json")
+    first, second = build_simulation(sc), build_simulation(sc)
+    a, b = (next(iter(sim.processes.values())).filters for sim in (first, second))
+    assert a is not b
+    a.acquire()
+    assert (a.refcount, b.refcount) == (2, 1)
+    assert a.release(2) and a.freed
+    assert not b.freed and b.refcount == 1
+
+    procs = list(second.processes.values())
+    tables = [p.filters for p in procs]
+    assert len({id(t) for t in tables}) == len(procs) == 3
+    assert tables[0].release()
+    assert [t.freed for t in tables] == [True, False, False]
+    assert [t.refcount for t in tables] == [0, 1, 1]
+
+
 def assert_same_verdict(sc, variant, max_steps) -> ExplorationReport:
     """``explore`` splits ``sc`` and gives the verdict of full enumeration,
-    which the test above holds to the reference; returns its report."""
+    which ``test_explore_matches_rebuild_every_node_reference`` holds to the
+    reference; returns its report."""
     factory = CountingFactory(sc, variant)
     report = explore(factory, max_steps)
     assert report.verdict() == explore_all(CountingFactory(sc, variant), max_steps).verdict()
@@ -317,9 +357,12 @@ def test_generated_processes_split_to_the_full_enumeration_verdict(raw, variant)
 
 class TestGroups:
     def groups(self, sc) -> list[list[str]]:
-        """The process names of each group, in order."""
+        """The process names of each group, in order, which the scenario
+        also keeps at load."""
         process_of = [plan.name for plan in sc.compiled.processes for _ in plan.threads]
-        return [list(dict.fromkeys(process_of[tid - 1] for tid in tids)) for tids in sc.compiled.groups]
+        names = [list(dict.fromkeys(process_of[tid - 1] for tid in tids)) for tids in sc.compiled.groups]
+        assert [list(group) for group in sc.compiled.group_names] == names
+        return names
 
     def test_shipped_groups(self):
         assert self.groups(load_scenario(SCENARIOS / "toctou_alias.json")) == [["app", "accomplice"]]

@@ -249,14 +249,6 @@ class TestCliRun:
             "override": ["filter_violation"], "wrongfile": ["filter_violation"],
         }
 
-    def test_all_interleavings_flag_enumerates_every_interleaving(self, scenarios_dir, capsys):
-        code = main([
-            "run", str(scenarios_dir / "visudo.json"), "--exhaustive", "--max-steps", "8",
-            "--all-interleavings",
-        ])
-        assert code == 0
-        assert "explored 885 interleavings" in capsys.readouterr().out
-
 
 def two_independent_processes(expectations):
     """Two processes that share no frame, each with one thread: one path each
@@ -299,9 +291,16 @@ class TestExpectationsApart:
     def test_paths_bound_asks_for_full_enumeration(self):
         sc = two_independent_processes({"paths": {"min": 1}})
         (failure,) = check_expectations(sc, explore(lambda: build_simulation(sc), 40))
-        assert "2 groups were explored apart" in failure and "--all-interleavings" in failure
+        assert "2 groups were explored apart" in failure and "explore_all" in failure
         full = explore_all(lambda: build_simulation(sc), 40)
         assert full.paths == 3 and check_expectations(sc, full) == []
+
+    def test_run_enumerates_every_interleaving_for_a_paths_bound(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(two_independent_processes({"paths": {"min": 3}}).raw))
+        assert main(["run", str(path), "--exhaustive", "--max-steps", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "explored 3 interleavings" in out and "expectations: all hold" in out
 
 
 def _add_thread(raw, **thread):

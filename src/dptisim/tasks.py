@@ -841,11 +841,17 @@ def _search(
     stack: list[tuple[tuple[int, ...], Optional[Simulation], tuple[int, int, int]]] = [
         ((), root, (len(root.events), len(root.kills), root.step_count))
     ]
+    # Only the stack holds a path's simulation. A simulation holds reference
+    # cycles, so the garbage collector frees it; dropped when its path ends
+    # it is still young, where one held for the whole search would survive
+    # into older generations, which are collected less often.
+    del root
     while stack:
         prefix, sim, start = stack.pop()
-        decisions = prefix[-1:]
         if sim is None:
             sim, start, decisions = factory(), (0, 0, 0), prefix
+        else:
+            decisions = prefix[-1:]
         if tids is None:
             frontier = sim.run_prefix(decisions, max_steps)
         else:
@@ -895,14 +901,16 @@ def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> Explo
     distinct interleavings of the scenario. The search builds one simulation
     per path.
     """
-    return _explore_together(factory, factory(), max_steps)
+    return _explore_together(factory, [factory()], max_steps)
 
 
 def _explore_together(
-    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
+    factory: Callable[[], Simulation], first: list[Simulation], max_steps: int,
 ) -> ExplorationReport:
-    report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
-    _search(factory, root, max_steps, report)
+    """Full enumeration, starting on the one simulation ``first`` holds,
+    which the search takes out of it."""
+    report = ExplorationReport(groups=[[p.name for p in first[0].processes.values()]])
+    _search(factory, first.pop(), max_steps, report)
     return report
 
 
@@ -919,13 +927,13 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     whose longest paths add up to more than ``max_steps``, would make some
     interleaving truncate; then every interleaving is enumerated instead.
     """
-    root = factory()
-    if len(root.groups) > 1:
-        report = _explore_apart(factory, root, max_steps)
+    first = [factory()]
+    if len(first[0].groups) > 1:
+        report = _explore_apart(factory, first[0], max_steps)
         if report is not None:
             return report
-        root = factory()
-    return _explore_together(factory, root, max_steps)
+        first = [factory()]
+    return _explore_together(factory, first, max_steps)
 
 
 def _explore_apart(

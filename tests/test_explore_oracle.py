@@ -179,7 +179,7 @@ def assert_hands_over(sc, variant, max_steps, monkeypatch) -> None:
     hands over to full enumeration on a fresh build."""
     handed_over = []
     monkeypatch.setattr(
-        tasks, "_explore_together", lambda factory, root, max_steps: handed_over.append(root) or "full"
+        tasks, "_explore_together", lambda factory, first, max_steps: handed_over.extend(first) or "full"
     )
     assert explore(lambda: build_simulation(sc, variant), max_steps) == "full"
     assert len(handed_over) == 1 and handed_over[0].step_count == 0

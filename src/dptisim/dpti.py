@@ -15,6 +15,7 @@ where the unprotected baseline races.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
@@ -39,6 +40,7 @@ from .filters import SYSCALL_NAMES, Disposition, FilterRule, StringFilter
 from .vmem import (
     PAGE_SIZE,
     AccessMode,
+    DoubleMapError,
     FaultReason,
     PageFault,
     PteBit,
@@ -118,10 +120,12 @@ class DptiEngine:
 
     The engine mutates simulation state through the host object (`sim`),
     which provides tasks, memory, the event log, and kill/stall/wake hooks.
+    The host owns the engine, which holds it weakly, so a simulation is
+    freed when its last reference goes.
     """
 
     def __init__(self, sim, variant: Optional[Variant], deny_mode: str = "kill"):
-        self.sim = sim
+        self.sim = weakref.proxy(sim)
         self.variant = variant
         self.deny_mode = deny_mode
         self.records: dict[int, ProtectionRecord] = {}
@@ -450,42 +454,31 @@ class DptiEngine:
     # ------------------------------------------------------------------
     # fault and interface policy
 
-    def on_page_fault(self, task, fault: PageFault):
-        """Classify a user-mode fault: ('retry',), ('stall', frame), or
-        ('kill', cause)."""
+    def on_page_fault(self, task, fault: PageFault) -> str:
+        """Handle a user-mode fault: 'retry' once copy-on-write is resolved,
+        'stalled' once the task waits for the window that closed the page,
+        or 'killed' once the task's process is killed."""
         if fault.reason is FaultReason.COW_PENDING:
             self._resolve_cow(task.tid, fault.asid, fault.vpn)
-            return ("retry",)
-        if (
-            self.variant is Variant.STASH
-            and fault.reason is FaultReason.USER_BIT
-            and fault.frame_id is not None
-            and self.frame_protected(fault.frame_id)
-        ):
-            return ("stall", fault.frame_id)
-        if (
-            self.variant is Variant.FREEZE
-            and fault.reason is FaultReason.WRITE_PROT
-            and fault.frame_id is not None
-            and self.frame_protected(fault.frame_id)
-        ):
-            return ("stall", fault.frame_id)
-        return ("kill", KillCause.SEGFAULT)
+            return "retry"
+        stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
+        frozen = self.variant is Variant.FREEZE and fault.reason is FaultReason.WRITE_PROT
+        if (stashed or frozen) and fault.frame_id is not None and self.frame_protected(fault.frame_id):
+            self.sim.stall_task(task, "frame", fault.frame_id)
+            return "stalled"
+        self.kill(task, KillCause.SEGFAULT, f"fault {fault.reason.value} at {fault.vaddr:#x}")
+        return "killed"
 
-    def mprotect_decision(self, task, vpns: list[int], writable: bool, user: bool) -> Optional[int]:
-        """Return the protected frame id the request must wait on, or None."""
+    def mprotect_decision(self, task, vpns: list[int]) -> Optional[int]:
+        """The protected frame an mprotect of ``vpns`` must wait on, or None.
+        Whatever bits it asks for, it waits: applied inside the window, the
+        window's restore would put back the bits it changed."""
         if self.variant is None:
             return None
-        vmem: Vmem = self.sim.vmem
+        entries = self.sim.vmem.spaces[task.asid].entries
         for vpn in vpns:
-            pte = vmem.spaces[task.asid].entries.get(vpn)
-            if pte is None:
-                continue
-            if not self.frame_protected(pte.frame_id):
-                continue
-            if self.variant is Variant.FREEZE and writable:
-                return pte.frame_id
-            if self.variant is Variant.STASH and user:
+            pte = entries.get(vpn)
+            if pte is not None and self.frame_protected(pte.frame_id):
                 return pte.frame_id
         return None
 
@@ -567,7 +560,14 @@ class DptiEngine:
         path = self._use_fetch(task, ctx, 0)
         if path is None:
             return "killed"
-        restored = self.sim.exec_task(task, ctx.op.image)
+        restored = sum(
+            1
+            for record in self.records.values()
+            if record.owner_tid == task.tid
+            for prior in record.mappings
+            if prior.asid != task.asid
+        )
+        self.sim.exec_task(task, ctx.op.image)
         ctx.result = 0
         self.sim.emit(
             ExecEvent(tid=task.tid, path=path.decode("latin-1"), restored_sibling_mappings=restored)
@@ -598,18 +598,23 @@ class DptiEngine:
 
     def _body_mmap(self, task, ctx: SyscallContext) -> str:
         spec = ctx.op.spec
-        ctx.result = self.sim.do_mmap(task, spec)
-        if self.variant is not None and ctx.result != -1:
+        # like MAP_FIXED_NOREPLACE: -1, mapping nothing, if a target page is taken
+        try:
+            frames = self.sim.map_region(task.asid, spec)
+        except DoubleMapError:
+            ctx.result = -1
+            return "ok"
+        ctx.result = spec.vaddr
+        if self.variant is not None:
             start = vpn_of(spec.vaddr)
-            count = len(spec.alias_frames) if spec.alias_frames else spec.pages
-            for vpn in range(start, start + count):
+            for vpn in range(start, start + len(frames)):
                 self.cover_new_mapping(task.asid, vpn)
         return "ok"
 
     def _body_mprotect(self, task, ctx: SyscallContext) -> str:
         spec = ctx.op
         vpns = spec.vpns
-        blocking_frame = self.mprotect_decision(task, vpns, spec.writable, spec.user)
+        blocking_frame = self.mprotect_decision(task, vpns)
         if blocking_frame is not None:
             self.sim.stall_task(task, "mprotect", blocking_frame)
             self.sim.emit(MprotectEvent(tid=task.tid, vpns=vpns, outcome="stalled"))

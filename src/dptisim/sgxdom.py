@@ -15,6 +15,7 @@ than decoded instructions.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -224,10 +225,13 @@ def classify_eexit(domain: EnclaveDomain, target: int) -> CbpBehavior:
 
 
 class SgxRuntime:
-    """Domain enter/exit transitions and the isolated-thread fault policy."""
+    """Domain enter/exit transitions and the isolated-thread fault policy.
+
+    The simulation owns the runtime, which holds it weakly.
+    """
 
     def __init__(self, sim):
-        self.sim = sim
+        self.sim = weakref.proxy(sim)
 
     # ------------------------------------------------------------------
     # transitions
@@ -327,8 +331,9 @@ class SgxRuntime:
         return "again"
 
     def on_isolated_fault(self, task, domain: EnclaveDomain, fault: PageFault) -> str:
-        """Faults from isolated threads: enclave pages map lazily; anything
-        else means the enclave reached for data it was not given."""
+        """Faults from isolated threads: enclave pages map lazily ('retry');
+        anything else means the enclave reached for data it was not given
+        ('killed')."""
         vmem: Vmem = self.sim.vmem
         if fault.vpn in domain.enclave_vpns:
             isolated = vmem.spaces[domain.isolated_asid]
@@ -346,7 +351,7 @@ class SgxRuntime:
             task.tgid, KillCause.ISOLATION_VIOLATION,
             f"enclave touched non-bridge address {fault.vaddr:#x} ({fault.reason.value})",
         )
-        return "kill"
+        return "killed"
 
     def _ocall(self, task, ctx: EnclaveContext) -> str:
         domain = ctx.domain

@@ -509,16 +509,9 @@ class Simulation:
             info.filters.acquire()
         return self._new_task(info, child_ops, parent.cpu.copy(), parent_pid=parent.tgid)
 
-    def exec_task(self, task: Task, image: ExecImage) -> int:
+    def exec_task(self, task: Task, image: ExecImage) -> None:
         self._end_tasks(task.tgid, [t for t in self._live(task.tgid) if t is not task])
         old_asid = task.asid
-        restored_siblings = sum(
-            1
-            for record in self.engine.records.values()
-            if record.owner_tid == task.tid
-            for prior in record.mappings
-            if prior.asid != old_asid
-        )
         space = self.vmem.new_address_space()
         proc = self.processes[task.tgid]
         proc.asid = space.asid
@@ -529,21 +522,11 @@ class Simulation:
         task.ops = list(image.ops)
         task.ip = -1  # advanced to 0 when the exec syscall completes
         task.cpu = CpuState()
-        return restored_siblings
 
     def exit_task(self, task: Task, group: bool) -> bool:
         """End ``task``, or with ``group`` its whole process; returns whether
         that freed the process's filters."""
         return self._end_tasks(task.tgid, self._live(task.tgid) if group else [task])
-
-    def do_mmap(self, task: Task, spec: MapSpec) -> int:
-        """Map ``spec`` without replacing anything: like MAP_FIXED_NOREPLACE,
-        the call returns -1 and maps nothing if any target page is taken."""
-        try:
-            self.map_region(task.asid, spec)
-        except DoubleMapError:
-            return -1
-        return spec.vaddr
 
     # ------------------------------------------------------------------
     # stepping
@@ -639,17 +622,11 @@ class Simulation:
             if fault is None:
                 return "ok"
             if confined:
-                if self.sgx.on_isolated_fault(task, domain, fault) == "retry":
-                    continue
-                return "killed"
-            action = self.engine.on_page_fault(task, fault)
-            if action[0] == "retry":
-                continue
-            if action[0] == "stall":
-                self.stall_task(task, "frame", action[1])
-                return "stalled"
-            self.kill_group(task.tgid, action[1], f"fault {fault.reason.value} at {fault.vaddr:#x}")
-            return "killed"
+                outcome = self.sgx.on_isolated_fault(task, domain, fault)
+            else:
+                outcome = self.engine.on_page_fault(task, fault)
+            if outcome != "retry":
+                return outcome
         cause = KillCause.ISOLATION_VIOLATION if confined else KillCause.SEGFAULT
         self.kill_group(task.tgid, cause, "fault retry limit")
         return "killed"
@@ -841,11 +818,6 @@ def _search(
     stack: list[tuple[tuple[int, ...], Optional[Simulation], tuple[int, int, int]]] = [
         ((), root, (len(root.events), len(root.kills), root.step_count))
     ]
-    # Only the stack holds a path's simulation. A simulation holds reference
-    # cycles, so the garbage collector frees it; dropped when its path ends
-    # it is still young, where one held for the whole search would survive
-    # into older generations, which are collected less often.
-    del root
     while stack:
         prefix, sim, start = stack.pop()
         if sim is None:
@@ -901,16 +873,15 @@ def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> Explo
     distinct interleavings of the scenario. The search builds one simulation
     per path.
     """
-    return _explore_together(factory, [factory()], max_steps)
+    return _explore_together(factory, factory(), max_steps)
 
 
 def _explore_together(
-    factory: Callable[[], Simulation], first: list[Simulation], max_steps: int,
+    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
 ) -> ExplorationReport:
-    """Full enumeration, starting on the one simulation ``first`` holds,
-    which the search takes out of it."""
-    report = ExplorationReport(groups=[[p.name for p in first[0].processes.values()]])
-    _search(factory, first.pop(), max_steps, report)
+    """Full enumeration, starting on the fresh build ``root``."""
+    report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
+    _search(factory, root, max_steps, report)
     return report
 
 
@@ -925,27 +896,19 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     previous group's first path ended: its tasks have not stepped there yet.
     The counts are over the paths run. A path that truncates, or groups
     whose longest paths add up to more than ``max_steps``, would make some
-    interleaving truncate; then every interleaving is enumerated instead.
+    interleaving truncate; then every interleaving is enumerated instead,
+    on a fresh build.
     """
-    first = [factory()]
-    if len(first[0].groups) > 1:
-        report = _explore_apart(factory, first[0], max_steps)
-        if report is not None:
+    root = factory()
+    if len(root.groups) > 1:
+        report = ExplorationReport(groups=[list(names) for names in root.group_names])
+        budget = max_steps
+        for tids in root.groups:
+            longest = _search(factory, root, budget, report, tids)
+            if longest is None:
+                break
+            budget -= longest
+        else:
             return report
-        first = [factory()]
-    return _explore_together(factory, first, max_steps)
-
-
-def _explore_apart(
-    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
-) -> Optional[ExplorationReport]:
-    """The report of searching each of ``root.groups`` on its own, or None
-    once that cannot give the verdict of every interleaving."""
-    report = ExplorationReport(groups=[list(names) for names in root.group_names])
-    budget = max_steps
-    for tids in root.groups:
-        longest = _search(factory, root, budget, report, tids)
-        if longest is None:
-            return None
-        budget -= longest
-    return report
+        root = factory()
+    return _explore_together(factory, root, max_steps)

@@ -1,10 +1,13 @@
 """A scenario is compiled at load and every build shares the result read-only;
-reports serialise to the plain JSON of their dictionaries; and the memory
-model's reverse map and frame sizes, the closure of every open protection
-window and the VMA write flags hold after every step of every shipped
-scenario."""
+reports serialise to the plain JSON of their dictionaries; the memory
+model's reverse map and frame sizes, the closure and completeness of every
+open protection window and the VMA write flags hold after every step of
+every shipped scenario; and every build is freed by reference counting."""
 
+import gc
 import json
+import weakref
+from functools import partial
 
 import pytest
 
@@ -250,6 +253,12 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
                     assert not view.writable, (at, what, view)
             if sim.engine.variant is Variant.FREEZE:
                 assert vma is None or not vma.vm_write, (at, what)
+        # Every mapping of a frame inside an open window is one the window
+        # closed.
+        for record in sim.engine.records.values():
+            closed = {(prior.asid, prior.vpn) for prior in record.mappings}
+            for frame_id in record.frames:
+                assert vmem.rmap.get(frame_id, set()) <= closed, (at, record.record_id, frame_id)
         assert list(write_flags.problems()) == [], at
         checked.append(tid)
         return outcome
@@ -259,3 +268,28 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
     assert len(checked) == report.steps > 0
     if not report.truncated and not report.deadlocked:
         assert not sim.engine.records and not sim.engine.by_frame and not sim.engine.frozen
+
+
+def test_every_build_is_freed_without_the_cyclic_collector():
+    """With the garbage collector off, every build of a seeded run and of an
+    exploration is gone once its caller drops it: nothing in a simulation
+    points back at it strongly."""
+    builds = []
+
+    def factory(sc, variant):
+        sim = build_simulation(sc, variant)
+        builds.append(weakref.ref(sim))
+        return sim
+
+    gc.disable()
+    try:
+        for path in PATHS:
+            sc = load_scenario(path)
+            for variant in VARIANTS.values():
+                factory(sc, variant).run_seeded(0, sc.schedule.get("max_steps", 1000))
+                bound = 10 if path.stem == "visudo" else sc.schedule.get("max_steps", 24)
+                explore(partial(factory, sc, variant), bound)
+        alive = sum(ref() is not None for ref in builds)
+    finally:
+        gc.enable()
+    assert alive == 0, f"{alive} of {len(builds)} builds alive"

@@ -363,6 +363,30 @@ class TestMprotect:
         sim.run_seeded(0)
         assert not sim.kills
 
+    @pytest.mark.parametrize(
+        "variant, user", [(Variant.FREEZE, True), (Variant.STASH, False), (Variant.FREEZE, False)],
+        ids=["freeze-write", "stash-user", "freeze-user"],
+    )
+    def test_mprotect_taking_a_permission_away_is_not_undone_by_restore(self, variant, user):
+        """An mprotect that clears write, or user, on a page inside another
+        thread's window waits for the window's restore, so the restore
+        cannot put the cleared bit back."""
+        op = MprotectOp(PATH, 1, user=user, writable=False)
+        undone = []
+        for seed in range(40):
+            sim = one_proc_sim(
+                variant, [[SyscallOp(OPENAT, (0, PATH, 0))], [op]],
+                filters=basic_filters(extra=("mprotect",)),
+            )
+            report = sim.run_seeded(seed)
+            assert not report.kills and not report.deadlocked
+            space = sim.vmem.spaces[sim.tasks[1].asid]
+            pte = space.entries[PATH // PAGE_SIZE]
+            bits = (pte.user, pte.writable, pte.executable, space.vma_for(PATH // PAGE_SIZE).vm_write)
+            if bits != (op.user, op.writable, op.executable, op.writable):
+                undone.append(seed)
+        assert undone == []
+
 
 class TestProcMem:
     def test_sandboxed_writer_denied(self):

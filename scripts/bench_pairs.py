@@ -11,12 +11,23 @@ BENCHMARK.json lists) the script runs ``PAIRS`` pairs, alternating which
 commit goes first, and writes, per end-to-end metric, each side's median and
 quartiles, every run's value, and the number of pairs the head commit won
 (ties count for neither).
+
+Each metric also gets a verdict against the bound BENCHMARK.json sets for it,
+printed with the medians:
+
+- ``worse``: the head median is worse than the base median by more than the
+  bound, as a fraction of the base median;
+- ``unresolved``: the base runs' spread, (q3 - q1) / median, is wider than the
+  bound, so the runs cannot tell a change of that size from noise, unless
+  every head run beats every base run;
+- ``within``: neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -61,7 +72,25 @@ def spread(values: list[float]) -> dict[str, Any]:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarise(runs: dict[str, list[dict[str, Any]]], better: dict[str, str]) -> dict[str, Any]:
+def fraction(x: float, of: float) -> float:
+    """``x`` as a fraction of ``|of|``; infinite for a positive ``x`` of 0."""
+    return x / abs(of) if of else (math.inf if x > 0 else 0.0)
+
+
+def verdict(base: dict[str, Any], head: dict[str, Any], sign: int, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within``, as the module docstring says;
+    ``sign`` is 1 where lower is better and -1 where higher is."""
+    if fraction(sign * (head["median"] - base["median"]), base["median"]) > bound:
+        return "worse"
+    beats_all = all(sign * (b - h) > 0 for b in base["runs"] for h in head["runs"])
+    if fraction(base["q3"] - base["q1"], base["median"]) > bound and not beats_all:
+        return "unresolved"
+    return "within"
+
+
+def summarise(
+    runs: dict[str, list[dict[str, Any]]], better: dict[str, str], bounds: dict[str, float],
+) -> dict[str, Any]:
     metrics: dict[str, Any] = {}
     for name, direction in better.items():
         base = [r["metrics"][name]["value"] for r in runs["base"]]
@@ -77,6 +106,9 @@ def summarise(runs: dict[str, list[dict[str, Any]]], better: dict[str, str]) -> 
             "head_wins": wins,
             "base_over_head": b["median"] / h["median"] if h["median"] else None,
             "median_gap_exceeds_base_iqr": abs(b["median"] - h["median"]) > b["q3"] - b["q1"],
+            "bound": bounds[name],
+            "base_spread": fraction(b["q3"] - b["q1"], b["median"]),
+            "verdict": verdict(b, h, sign, bounds[name]),
         }
     return {
         "metrics": metrics,
@@ -98,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     result: dict[str, Any] = {
@@ -122,12 +155,13 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} pair {i + 1}/{PAIRS}: verdict_s base "
                       f"{runs['base'][-1]['metrics']['verdict_s']['value']:.3f} head "
                       f"{runs['head'][-1]['metrics']['verdict_s']['value']:.3f}", file=sys.stderr)
-            result["workloads"][workload] = summarise(runs, better)
+            result["workloads"][workload] = summarise(runs, better, bounds)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     for workload, summary in result["workloads"].items():
         for name, m in summary["metrics"].items():
             print(f"{workload:20s} {name:15s} base {m['base']['median']:12.6g} "
-                  f"head {m['head']['median']:12.6g} {m['unit']:6s} head wins {m['head_wins']}/{PAIRS}")
+                  f"head {m['head']['median']:12.6g} {m['unit']:6s} head wins {m['head_wins']}/{PAIRS} "
+                  f"spread {m['base_spread']:6.1%} bound {m['bound']:.0%} {m['verdict']}")
     return 0
 
 

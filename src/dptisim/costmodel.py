@@ -171,18 +171,14 @@ def charge(event: Event, table: CostTable) -> dict[str, Cycles]:
         }
     if isinstance(event, SeccompEvalEvent):
         return {"seccomp_scan": event.scanned * table.seccomp_per_rule_scanned}
-    if isinstance(event, EcallEvent):
-        out = {"sgx_base": table.ecall_base}
+    if isinstance(event, (EcallEvent, OcallEvent)):
+        ecall = isinstance(event, EcallEvent)
+        out = {"sgx_base": table.ecall_base if ecall else table.ocall_base}
         if event.protected:
-            out["domain_enter"] = table.domain_enter
-            out[f"{event.exit_kind}_exit"] = (
-                table.fault_exit if event.exit_kind == "fault" else table.syscall_exit
-            )
-        return out
-    if isinstance(event, OcallEvent):
-        out = {"sgx_base": table.ocall_base}
-        if event.protected:
-            out["domain_exit"] = table.ocall_exit_fixed
+            if ecall:
+                out["domain_enter"] = table.domain_enter
+            else:
+                out["domain_exit"] = table.ocall_exit_fixed
             out[f"{event.exit_kind}_exit"] = (
                 table.fault_exit if event.exit_kind == "fault" else table.syscall_exit
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .events import (
     CowEvent,
@@ -112,7 +112,7 @@ class SyscallContext:
 def make_syscall_context(op: Any) -> SyscallContext:
     """The context of the syscall ``op`` makes, from its ``syscall()`` form."""
     nr, args = op.syscall()
-    return SyscallContext(op, nr, SYSCALL_NAMES.get(nr, f"sys_{nr}"), (list(args) + [0] * 6)[:6])
+    return SyscallContext(op, nr, SYSCALL_NAMES.get(nr, f"sys_{nr}"), [*args, 0, 0, 0, 0, 0, 0][:6])
 
 
 class DptiEngine:
@@ -189,13 +189,15 @@ class DptiEngine:
         for sf in ctx.rule.strings:
             if self.protect_argument(task, ctx, sf.arg_index) is False:
                 return "done"  # killed while protecting
-            if not self.check_string(task, ctx, sf):
-                self.kill(
-                    task,
-                    KillCause.FILTER_VIOLATION,
-                    f"{ctx.name} arg{sf.arg_index} string not allowed",
-                )
-                return "done"
+            matched = self.check_string(task, ctx, sf)
+            if not matched:
+                if matched is False:
+                    self.kill(
+                        task,
+                        KillCause.FILTER_VIOLATION,
+                        f"{ctx.name} arg{sf.arg_index} string not allowed",
+                    )
+                return "done"  # killed, by the fetch if not by the check
         ctx.phase = SyscallPhase.BODY
         return "again"
 
@@ -245,16 +247,10 @@ class DptiEngine:
         the window, None when protection is disabled, or False if the caller
         was killed (bad pointer, executable page under stashing).
         """
+        if self.variant is None:
+            return None
         vmem: Vmem = self.sim.vmem
         vaddr = ctx.args[arg_index]
-        if self.variant is None:
-            s, _ = vmem.read_cstring(
-                self.sim.core_of(task), task.asid, AccessMode.KERNEL, vaddr, MAX_SPAN
-            )
-            if s is None:
-                self.kill(task, KillCause.BAD_POINTER, f"{ctx.name} arg{arg_index} unreadable")
-                return False
-            return None
         record = ctx.record
         if record is None:
             record = ctx.record = ProtectionRecord(self._next_record, task.tid)
@@ -359,17 +355,13 @@ class DptiEngine:
         else:
             vma.vm_write = saved
 
-    def check_string(self, task, ctx: SyscallContext, sf: StringFilter) -> bool:
-        """The check fetch: read the (now unmodifiable) argument and compare
-        it against each allowed value in order."""
-        vmem: Vmem = self.sim.vmem
-        s, _ = vmem.read_cstring(
-            self.sim.core_of(task), task.asid, AccessMode.KERNEL,
-            ctx.args[sf.arg_index], MAX_SPAN,
-        )
+    def check_string(self, task, ctx: SyscallContext, sf: StringFilter) -> Optional[bool]:
+        """The check fetch: read the argument, unmodifiable once protected,
+        and compare it against each allowed value in order. None if the
+        fetch killed the caller."""
+        s = self._fetch(task, ctx, sf.arg_index)
         if s is None:
-            self.kill(task, KillCause.BAD_POINTER, "argument vanished during check")
-            return False
+            return None
         ctx.checked[sf.arg_index] = s
         # Candidates are compared in order up to the first match.
         try:
@@ -425,14 +417,6 @@ class DptiEngine:
             vmem.set_perms(prior.asid, prior.vpn, prior.user, prior.writable, prior.executable)
             vmem.tlb_flush(prior.asid, prior.vpn)
             restored += 1
-        self._forget_record(record)
-        return restored
-
-    def _unwind_record(self, record: ProtectionRecord) -> None:
-        self._apply_restore(record)
-        self.sim.wake_frame_waiters(set(record.frames))
-
-    def _forget_record(self, record: ProtectionRecord) -> None:
         del self.records[record.record_id]
         for frame_id in record.frames:
             ids = self.by_frame.get(frame_id)
@@ -440,6 +424,11 @@ class DptiEngine:
                 ids.discard(record.record_id)
                 if not ids:
                     del self.by_frame[frame_id]
+        return restored
+
+    def _unwind_record(self, record: ProtectionRecord) -> None:
+        self._apply_restore(record)
+        self.sim.wake_frame_waiters(set(record.frames))
 
     def unwind_group(self, tids: set[int]) -> None:
         """Kill path: release every protection owned by these tasks, newest
@@ -447,9 +436,6 @@ class DptiEngine:
         owned = [r for r in self.records.values() if r.owner_tid in tids]
         for record in sorted(owned, key=lambda r: r.record_id, reverse=True):
             self._unwind_record(record)
-
-    def frame_protected(self, frame_id: int) -> bool:
-        return bool(self.by_frame.get(frame_id))
 
     # ------------------------------------------------------------------
     # fault and interface policy
@@ -463,22 +449,22 @@ class DptiEngine:
             return "retry"
         stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
         frozen = self.variant is Variant.FREEZE and fault.reason is FaultReason.WRITE_PROT
-        if (stashed or frozen) and fault.frame_id is not None and self.frame_protected(fault.frame_id):
+        if (stashed or frozen) and fault.frame_id is not None and self.by_frame.get(fault.frame_id):
             self.sim.stall_task(task, "frame", fault.frame_id)
             return "stalled"
         self.kill(task, KillCause.SEGFAULT, f"fault {fault.reason.value} at {fault.vaddr:#x}")
         return "killed"
 
-    def mprotect_decision(self, task, vpns: list[int]) -> Optional[int]:
-        """The protected frame an mprotect of ``vpns`` must wait on, or None.
-        Whatever bits it asks for, it waits: applied inside the window, the
-        window's restore would put back the bits it changed."""
-        if self.variant is None:
-            return None
+    def _window_frame(self, task, vpns: Iterable[int]) -> Optional[int]:
+        """The first frame that ``task`` maps at one of ``vpns`` and that is
+        inside an open window, or None. An mprotect or fork of such a page
+        waits for the window's restore: applied inside the window, the
+        restore would put back the bits an mprotect changed, and a fork
+        would copy the closed entry into the child, which no window covers."""
         entries = self.sim.vmem.spaces[task.asid].entries
         for vpn in vpns:
             pte = entries.get(vpn)
-            if pte is not None and self.frame_protected(pte.frame_id):
+            if pte is not None and self.by_frame.get(pte.frame_id):
                 return pte.frame_id
         return None
 
@@ -522,15 +508,21 @@ class DptiEngine:
     # ------------------------------------------------------------------
     # syscall bodies (simulated effects; these perform the "use" fetches)
 
-    def _use_fetch(self, task, ctx: SyscallContext, arg_index: int) -> Optional[bytes]:
+    def _fetch(self, task, ctx: SyscallContext, arg_index: int) -> Optional[bytes]:
+        """The string argument ``arg_index``, read in kernel mode, or None
+        once an unreadable one has killed the caller."""
         s, _ = self.sim.vmem.read_cstring(
             self.sim.core_of(task), task.asid, AccessMode.KERNEL,
             ctx.args[arg_index], MAX_SPAN,
         )
         if s is None:
             self.kill(task, KillCause.BAD_POINTER, f"{ctx.name} arg{arg_index} unreadable")
-            return None
-        ctx.used[arg_index] = s
+        return s
+
+    def _use_fetch(self, task, ctx: SyscallContext, arg_index: int) -> Optional[bytes]:
+        s = self._fetch(task, ctx, arg_index)
+        if s is not None:
+            ctx.used[arg_index] = s
         return s
 
     def _body_openat(self, task, ctx: SyscallContext) -> str:
@@ -575,6 +567,10 @@ class DptiEngine:
         return "ok"
 
     def _body_fork(self, task, ctx: SyscallContext) -> str:
+        blocking_frame = self._window_frame(task, self.sim.vmem.spaces[task.asid].entries)
+        if blocking_frame is not None:
+            self.sim.stall_task(task, "fork", blocking_frame)
+            return "stalled"
         child = self.sim.fork_task(task, ctx.op.child_ops)
         ctx.result = child.tgid
         refcount = task.filters.refcount if task.filters is not None else 0
@@ -614,7 +610,7 @@ class DptiEngine:
     def _body_mprotect(self, task, ctx: SyscallContext) -> str:
         spec = ctx.op
         vpns = spec.vpns
-        blocking_frame = self.mprotect_decision(task, vpns)
+        blocking_frame = self._window_frame(task, vpns)
         if blocking_frame is not None:
             self.sim.stall_task(task, "mprotect", blocking_frame)
             self.sim.emit(MprotectEvent(tid=task.tid, vpns=vpns, outcome="stalled"))

@@ -36,13 +36,7 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 
 def _plain(value: Any) -> Any:
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value).decode("latin-1")
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    return value
+    return value.value if isinstance(value, Enum) else value
 
 
 @dataclass
@@ -159,7 +153,7 @@ class KillEvent(Event):
 @dataclass
 class StallEvent(Event):
     tid: int
-    kind: str  # frame | mprotect
+    kind: str  # frame | mprotect | fork
     frame_id: int
 
 

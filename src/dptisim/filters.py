@@ -233,11 +233,6 @@ class FilterBuilder:
         self._strings.setdefault(num, {}).setdefault(arg_index, []).append(raw)
         return self
 
-    def rule_count(self) -> int:
-        strings = sum(len(vals) for per in self._strings.values() for vals in per.values())
-        primitives = sum(len(per) for per in self._primitives.values())
-        return len(self._allowed) + primitives + strings
-
     def build_rules(self) -> dict[int, FilterRule]:
         rules: dict[int, FilterRule] = {}
         nrs = self._allowed | set(self._primitives) | set(self._strings)

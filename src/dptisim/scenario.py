@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from .costmodel import CostError, CostTable
+from .costmodel import CostError, CostTable, _is_int
 from .dpti import Variant
 from .filters import (
     MAX_SYSCALL_NR, SYSCALL_NAMES, SYSCALL_NRS, CmpOp, FilterBuilder, FilterError, FilterTable,
@@ -43,6 +43,7 @@ from .tasks import (
     Simulation,
     SyscallOp,
     WriteOp,
+    _dumps,
 )
 from .vmem import PAGE_SIZE, DoubleMapError, vpn_of
 
@@ -102,10 +103,6 @@ def _read(obj: Any, key: Union[str, int], where: str, default: Any,
     if not ok(value):
         raise ScenarioError(f"{_at(where, key)}: expected {expected}, got {value!r}")
     return value
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reader(ok: Callable[[Any], bool], expected: str) -> Callable[..., Any]:
@@ -311,7 +308,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
         plans[i] = replace(plans[i], threads=tuple(threads))
 
     enclaves = tuple(names.enclaves.values())
-    groups = _groups(plans, enclaves)
+    groups, group_names = _groups(plans, enclaves)
     return Scenario(
         raw=raw,
         name=_str(raw, "name", ""),
@@ -328,22 +325,22 @@ def scenario_from_dict(raw: Any) -> Scenario:
         compiled=CompiledScenario(
             processes=tuple(plans),
             enclaves=enclaves,
-            config_json=json.dumps(raw, sort_keys=True, separators=(",", ":")),
+            config_json=_dumps(raw),
             groups=groups,
-            group_names=tuple(_group_names(plans, tids) for tids in groups),
+            group_names=group_names,
         ),
     )
 
 
 def _groups(
     plans: list[_ProcessPlan], enclaves: tuple[_EnclavePlan, ...],
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
     """The tids of the threads of each connected component of "may interact"
-    over the processes. Two processes may interact if they map a common
-    label, if one names a thread of the other in ``proc_mem_write``, or if
-    they share an enclave (its host or an ``ecall`` to it). A ``fork``
-    anywhere makes every process one group: a child's pid, tid and name come
-    from counters all share."""
+    over the processes, and the names of its processes in pid order. Two
+    processes may interact if they map a common label, if one names a thread
+    of the other in ``proc_mem_write``, or if they share an enclave (its host
+    or an ``ecall`` to it). A ``fork`` anywhere makes every process one
+    group: a child's pid, tid and name come from counters all share."""
     root = list(range(len(plans)))
 
     def find(i: int) -> int:
@@ -392,17 +389,15 @@ def _groups(
     for i, plan in enumerate(plans):
         link(i, plan.mappings)
         if not all(walk(i, ops) for _, ops, _, _ in plan.threads):
-            return (tuple(range(1, len(threads) + 1)),)
-    groups: dict[int, list[int]] = {}
+            root[:] = [0] * len(plans)
+            break
+    groups: dict[int, list[tuple[int, int]]] = {}
     for tid, (_, i) in enumerate(threads, 1):
-        groups.setdefault(find(i), []).append(tid)
-    return tuple(tuple(tids) for tids in groups.values())
-
-
-def _group_names(plans: list[_ProcessPlan], tids: tuple[int, ...]) -> tuple[str, ...]:
-    """The names of the processes of the threads ``tids``, in pid order."""
-    process_of = [plan.name for plan in plans for _ in plan.threads]
-    return tuple(dict.fromkeys(process_of[tid - 1] for tid in sorted(tids)))
+        groups.setdefault(find(i), []).append((tid, i))
+    return (
+        tuple(tuple(tid for tid, _ in group) for group in groups.values()),
+        tuple(tuple(dict.fromkeys(plans[i].name for _, i in group)) for group in groups.values()),
+    )
 
 
 def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPlan]:

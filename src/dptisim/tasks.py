@@ -210,9 +210,6 @@ class CpuState:
     rsp: int = 0
     rbp: int = 0
 
-    def copy(self) -> CpuState:
-        return replace(self)
-
 
 @dataclass
 class Task:
@@ -372,11 +369,15 @@ class Simulation:
         sandboxed: bool = False,
         filters: Optional[FilterTable] = None,
     ) -> ProcessInfo:
+        return self._new_process(name, self.vmem.new_address_space().asid, sandboxed, filters)
+
+    def _new_process(
+        self, name: str, asid: int, sandboxed: bool, filters: Optional[FilterTable],
+    ) -> ProcessInfo:
+        """A process in address space ``asid``, under the next pid."""
         pid = self._next_pid
         self._next_pid += 1
-        space = self.vmem.new_address_space()
-        info = ProcessInfo(pid, name, space.asid, sandboxed, filters)
-        self.processes[pid] = info
+        info = self.processes[pid] = ProcessInfo(pid, name, asid, sandboxed, filters)
         return info
 
     def add_thread(
@@ -497,17 +498,12 @@ class Simulation:
 
     def fork_task(self, parent: Task, child_ops: Sequence[ThreadOp]) -> Task:
         child_space = self.vmem.fork_address_space(parent.asid)
-        pid = self._next_pid
-        self._next_pid += 1
-        parent_proc = self.processes[parent.tgid]
-        info = ProcessInfo(
-            pid, f"{parent_proc.name}.child{pid}", child_space.asid,
-            parent_proc.sandboxed, parent_proc.filters,
-        )
-        self.processes[pid] = info
+        proc = self.processes[parent.tgid]
+        info = self._new_process(proc.name, child_space.asid, proc.sandboxed, proc.filters)
+        info.name += f".child{info.tgid}"
         if info.filters is not None:
             info.filters.acquire()
-        return self._new_task(info, child_ops, parent.cpu.copy(), parent_pid=parent.tgid)
+        return self._new_task(info, child_ops, replace(parent.cpu), parent_pid=parent.tgid)
 
     def exec_task(self, task: Task, image: ExecImage) -> None:
         self._end_tasks(task.tgid, [t for t in self._live(task.tgid) if t is not task])

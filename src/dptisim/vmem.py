@@ -175,8 +175,7 @@ class Tlb:
     at last fill, never a mixture.
     """
 
-    def __init__(self, core_id: int):
-        self.core_id = core_id
+    def __init__(self) -> None:
         self.cached: dict[tuple[int, int], PageTableEntry] = {}
 
     def lookup(self, asid: int, vpn: int) -> Optional[PageTableEntry]:
@@ -197,7 +196,7 @@ class Vmem:
     def __init__(self, cores: int = 2):
         self.frames: dict[int, Frame] = {}
         self.spaces: dict[int, AddressSpace] = {}
-        self.tlbs: list[Tlb] = [Tlb(c) for c in range(cores)]
+        self.tlbs: list[Tlb] = [Tlb() for _ in range(cores)]
         # frame_id -> {(asid, vpn) of every mapping of the frame}
         self.rmap: dict[int, set[tuple[int, int]]] = {}
         self._next_asid = 1

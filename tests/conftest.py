@@ -8,3 +8,21 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.fixture
 def scenarios_dir() -> Path:
     return SCENARIOS
+
+
+def shared_private_frames(sim) -> set[int]:
+    """Frames that two process address spaces map, in one of them privately
+    without copy-on-write. An enclave's isolated address space maps its
+    host's frames by design, and is not a process's."""
+    vmem = sim.vmem
+    asids = {proc.asid for proc in sim.processes.values()}
+    found = set()
+    for frame_id, mappings in vmem.rmap.items():
+        mappings = [(asid, vpn) for asid, vpn in mappings if asid in asids]
+        if len({asid for asid, _ in mappings}) < 2:
+            continue
+        for asid, vpn in mappings:
+            vma = vmem.spaces[asid].vma_for(vpn)
+            if not (vma is not None and vma.shared) and not vmem.spaces[asid].entries[vpn].cow:
+                found.add(frame_id)
+    return found

@@ -1,8 +1,9 @@
 """A scenario is compiled at load and every build shares the result read-only;
 reports serialise to the plain JSON of their dictionaries; the memory
 model's reverse map and frame sizes, the closure and completeness of every
-open protection window and the VMA write flags hold after every step of
-every shipped scenario; and every build is freed by reference counting."""
+open protection window, the VMA write flags and the privacy of private
+frames hold after every step of every shipped scenario; and every build is
+freed by reference counting."""
 
 import gc
 import json
@@ -18,7 +19,7 @@ from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import MprotectOp, Simulation, explore
 from dptisim.vmem import PAGE_SIZE
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, shared_private_frames
 
 VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
 PATHS = sorted(SCENARIOS.glob("*.json"))
@@ -260,6 +261,8 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
             for frame_id in record.frames:
                 assert vmem.rmap.get(frame_id, set()) <= closed, (at, record.record_id, frame_id)
         assert list(write_flags.problems()) == [], at
+        # No private frame is shared between processes without copy-on-write.
+        assert not shared_private_frames(sim), at
         checked.append(tid)
         return outcome
 

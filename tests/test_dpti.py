@@ -21,11 +21,16 @@ from dptisim.events import (
     MprotectEvent,
     ProtectEvent,
     RestoreEvent,
+    StallEvent,
+    StatEvent,
     StringCheckEvent,
     SyscallEvent,
 )
 from dptisim.filters import SYSCALL_NRS
+from dptisim.tasks import explore_all
 from dptisim.vmem import PAGE_SIZE, AccessKind, AccessMode
+
+from conftest import shared_private_frames
 
 PATH = 0x10000
 OPENAT = SYSCALL_NRS["openat"]
@@ -55,6 +60,17 @@ def one_proc_sim(variant, threads, *, filters=None, mappings=None, sandboxed=Tru
 
 def kill_causes(sim):
     return [k["cause"] for k in sim.kills]
+
+
+VARIANTS = pytest.mark.parametrize(
+    "variant", [None, Variant.STASH, Variant.FREEZE], ids=["none", "stash", "freeze"]
+)
+
+
+def assert_killed_once_for_a_bad_pointer(sim):
+    """One kill, for the bad pointer, before any string was compared."""
+    assert kill_causes(sim) == [KillCause.BAD_POINTER.value]
+    assert not [e for e in sim.events if isinstance(e, StringCheckEvent)]
 
 
 class TestDispatchCases:
@@ -195,9 +211,10 @@ class TestProtectRestore:
         protect = next(e for e in sim.events if isinstance(e, ProtectEvent))
         assert protect.pages == 2 and protect.mappings == 2
 
-    def test_unterminated_string_kills(self):
+    @VARIANTS
+    def test_unterminated_string_kills(self, variant):
         sim = one_proc_sim(
-            Variant.STASH, [[SyscallOp(OPENAT, (0, PATH, 0))]],
+            variant, [[SyscallOp(OPENAT, (0, PATH, 0))]],
             filters=basic_filters(),
             mappings=[MapSpec(vaddr=PATH, pages=MAX_SPAN,
                               data=tuple((PATH + i, b"x") for i in range(0, MAX_SPAN * PAGE_SIZE, 1)))],
@@ -206,13 +223,14 @@ class TestProtectRestore:
         for frame in sim.vmem.frames.values():
             frame.data[:] = b"x" * PAGE_SIZE
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.BAD_POINTER.value]
+        assert_killed_once_for_a_bad_pointer(sim)
 
-    def test_unmapped_argument_pointer_kills(self):
-        sim = one_proc_sim(Variant.STASH, [[SyscallOp(OPENAT, (0, 0x999000, 0))]],
+    @VARIANTS
+    def test_unmapped_argument_pointer_kills(self, variant):
+        sim = one_proc_sim(variant, [[SyscallOp(OPENAT, (0, 0x999000, 0))]],
                            filters=basic_filters())
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.BAD_POINTER.value]
+        assert_killed_once_for_a_bad_pointer(sim)
 
     def test_concurrent_stash_windows_on_one_frame_kill(self):
         sim = Simulation(variant=Variant.STASH)
@@ -386,6 +404,68 @@ class TestMprotect:
             if bits != (op.user, op.writable, op.executable, op.writable):
                 undone.append(seed)
         assert undone == []
+
+
+def fork_probe(variant):
+    """Thread ``opener`` opens the path on the page at PATH while thread
+    ``forker`` forks a child whose only op reads that page."""
+    sim = one_proc_sim(
+        variant, [[SyscallOp(OPENAT, (0, PATH, 0))], [ForkOp((ReadOp(PATH, 5),))]],
+        filters=basic_filters(extra=("fork", "exit")),
+    )
+    sim.tasks[1].name, sim.tasks[2].name = "opener", "forker"
+    return sim
+
+
+class TestFork:
+    @pytest.mark.parametrize(
+        "variant, paths", [(None, 20), (Variant.STASH, 25), (Variant.FREEZE, 25)],
+        ids=["none", "stash", "freeze"],
+    )
+    def test_fork_waits_for_the_windows_in_its_address_space(self, variant, paths):
+        """A fork while the opener's window is open waits for its restore.
+        Forked inside it, the child would copy the closed entry, which no
+        window restores: under stash it is killed reading its own page, and
+        under freeze the cleared VMA write flag shares the private page with
+        the child without copy-on-write."""
+        report = explore_all(lambda: fork_probe(variant))
+        assert (report.kills, report.deadlock_paths) == ({}, 0)
+        stalls = set()
+        for seed in range(40):
+            sim = fork_probe(variant)
+            sim.run_seeded(seed)
+            assert not shared_private_frames(sim), seed
+            stalls |= {e.kind for e in sim.events if isinstance(e, StallEvent)}
+        assert stalls == (set() if variant is None else {"fork"})
+        assert report.paths == paths
+
+
+class TestStat:
+    @staticmethod
+    def stat_sim(variant, *racing):
+        fb = FilterBuilder()
+        fb.add_rule("exit_group")
+        fb.add_rule_string("stat", 0, CmpOp.EQ, "file1")
+        return one_proc_sim(variant, [[SyscallOp(SYSCALL_NRS["stat"], (PATH, 0))], *racing],
+                            filters=fb.install())
+
+    @VARIANTS
+    def test_stat_uses_the_checked_path(self, variant):
+        sim = self.stat_sim(variant)
+        sim.run_seeded(0)
+        assert not sim.kills
+        ev = next(e for e in sim.events if isinstance(e, SyscallEvent))
+        assert (ev.name, ev.result, ev.checked, ev.used) == ("stat", 0, {0: "file1"}, {0: "file1"})
+        assert [e.origin for e in sim.events if isinstance(e, StatEvent)] == ["syscall"]
+
+    @VARIANTS
+    def test_racing_writer_gives_a_witness_only_without_protection(self, variant):
+        """The writer turns file1 into file2: written before the check, the
+        check kills; between check and use, only the unprotected stat uses
+        the new path."""
+        report = explore_all(lambda: self.stat_sim(variant, [WriteOp(PATH + 4, b"2")]))
+        assert set(report.kills) == {"filter_violation"}
+        assert (report.witness_paths > 0) == (variant is None)
 
 
 class TestProcMem:

@@ -101,6 +101,27 @@ class TestParsing:
         outcomes = [e["outcome"] for e in report.events if e["type"] == "SyscallEvent"]
         assert outcomes == ["denied", "executed"]
 
+    @pytest.mark.parametrize(
+        "op, passes, fails",
+        [("EQ", 5, 6), ("NE", 6, 5), ("LT", 4, 5), ("LE", 5, 6), ("GT", 6, 5), ("GE", 5, 4)],
+    )
+    def test_primitive_rule_checks_its_argument(self, op, passes, fails):
+        raw = minimal_scenario(
+            variant="stash",
+            filters={"rules": [{"nr": "write", "arg": 2, "op": op, "value": 5}]},
+        )
+        raw["processes"][0]["sandboxed"] = True
+        raw["processes"][0]["threads"][0]["ops"] = [
+            {"op": "syscall", "nr": "write", "args": [1, 65536, passes]},
+            {"op": "syscall", "nr": "write", "args": [1, 65536, fails]},
+        ]
+        report = build_simulation(scenario_from_dict(raw)).run_seeded(0)
+        ran = [(e["name"], e["result"]) for e in report.events if e["type"] == "SyscallEvent"]
+        assert ran == [("write", passes)]
+        assert [(k["cause"], k["detail"]) for k in report.kills] == [
+            ("filter_violation", f"write arg2 fails {op} 5")
+        ]
+
 
 class TestExpectations:
     def test_by_variant_merging(self, scenarios_dir):

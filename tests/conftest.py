@@ -22,7 +22,8 @@ def shared_private_frames(sim) -> set[int]:
         if len({asid for asid, _ in mappings}) < 2:
             continue
         for asid, vpn in mappings:
-            vma = vmem.spaces[asid].vma_for(vpn)
-            if not (vma is not None and vma.shared) and not vmem.spaces[asid].entries[vpn].cow:
+            space = vmem.spaces[asid]
+            vma = space.vma_for(vpn)
+            if not (vma is not None and vma.shared) and not space.entries[vpn].cow:
                 found.add(frame_id)
     return found

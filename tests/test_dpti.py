@@ -407,14 +407,12 @@ class TestMprotect:
 
 
 def fork_probe(variant):
-    """Thread ``opener`` opens the path on the page at PATH while thread
-    ``forker`` forks a child whose only op reads that page."""
-    sim = one_proc_sim(
+    """Thread t1 opens the path on the page at PATH while thread t2 forks a
+    child whose only op reads that page."""
+    return one_proc_sim(
         variant, [[SyscallOp(OPENAT, (0, PATH, 0))], [ForkOp((ReadOp(PATH, 5),))]],
         filters=basic_filters(extra=("fork", "exit")),
     )
-    sim.tasks[1].name, sim.tasks[2].name = "opener", "forker"
-    return sim
 
 
 class TestFork:
@@ -423,7 +421,7 @@ class TestFork:
         ids=["none", "stash", "freeze"],
     )
     def test_fork_waits_for_the_windows_in_its_address_space(self, variant, paths):
-        """A fork while the opener's window is open waits for its restore.
+        """A fork while t1's window is open waits for its restore.
         Forked inside it, the child would copy the closed entry, which no
         window restores: under stash it is killed reading its own page, and
         under freeze the cleared VMA write flag shares the private page with

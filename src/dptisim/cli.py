@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--variant", choices=sorted(_VARIANTS), help="override the scenario variant")
     run_p.add_argument("--seed", type=int, help="seed for the seeded scheduler")
-    run_p.add_argument("--exhaustive", action="store_true", help="explore every interleaving")
+    run_p.add_argument("--exhaustive", action="store_true", help="search every interleaving for the verdict")
     run_p.add_argument("--max-steps", type=int, help="scheduler step bound")
     run_p.add_argument("--report-out", help="write the machine-readable report here")
     run_p.add_argument("--costs", help="JSON file with cost-table overrides")
@@ -95,10 +95,12 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
     if mode == "exhaustive":
-        explored = (
-            f"{result.paths} paths over {len(result.groups)} groups explored apart"
-            if len(result.groups) > 1 else f"explored {result.paths} interleavings"
-        )
+        if len(result.groups) > 1:
+            explored = f"{result.paths} paths over {len(result.groups)} groups explored apart"
+        elif result.reduced:
+            explored = f"explored {result.paths} paths, one per class of equivalent interleavings"
+        else:
+            explored = f"explored {result.paths} interleavings"
         print(
             f"scenario {sc.name}: {explored} "
             f"({result.truncated_paths} truncated), witnesses={result.witnesses} "

@@ -39,6 +39,7 @@ from .events import (
 from .filters import SYSCALL_NAMES, Disposition, FilterRule, StringFilter
 from .vmem import (
     PAGE_SIZE,
+    EVERYTHING,
     AccessMode,
     DoubleMapError,
     FaultReason,
@@ -112,7 +113,9 @@ class SyscallContext:
 def make_syscall_context(op: Any) -> SyscallContext:
     """The context of the syscall ``op`` makes, from its ``syscall()`` form."""
     nr, args = op.syscall()
-    return SyscallContext(op, nr, SYSCALL_NAMES.get(nr, f"sys_{nr}"), [*args, 0, 0, 0, 0, 0, 0][:6])
+    # the fallback name is built only for a number no table names
+    name = SYSCALL_NAMES.get(nr) or f"sys_{nr}"
+    return SyscallContext(op, nr, name, [*args, 0, 0, 0, 0, 0, 0][:6])
 
 
 class DptiEngine:
@@ -252,6 +255,8 @@ class DptiEngine:
         vmem: Vmem = self.sim.vmem
         vaddr = ctx.args[arg_index]
         record = ctx.record
+        if vmem.fp is not None:
+            vmem.fp[1].add("windows")
         if record is None:
             record = ctx.record = ProtectionRecord(self._next_record, task.tid)
             self.records[record.record_id] = record
@@ -261,6 +266,8 @@ class DptiEngine:
             if not self._protect_page(task, record, vpn):
                 return False
             frame = vmem.frames[vmem.spaces[task.asid].entries[vpn].frame_id]
+            if vmem.fp is not None:
+                vmem.fp[0].add(("frame", frame.frame_id))
             if frame.data.find(0, offset) >= 0:
                 break
         else:
@@ -286,6 +293,8 @@ class DptiEngine:
         vmem: Vmem = self.sim.vmem
         space = vmem.spaces[task.asid]
         pte = space.entries.get(vpn)
+        if vmem.fp is not None:
+            vmem.fp[0].add(("pte", task.asid, vpn))
         if pte is None or not pte.present:
             self._unwind_record(record)
             self.kill(task, KillCause.BAD_POINTER, f"argument page {vpn:#x} unmapped")
@@ -312,8 +321,13 @@ class DptiEngine:
         protection window (an alias mapped mid-syscall): fold it into the
         covering record so the window stays complete and restore returns the
         mapping to the permissions it was created with."""
-        ids = self.by_frame.get(self.sim.vmem.spaces[asid].entries[vpn].frame_id)
+        vmem: Vmem = self.sim.vmem
+        if vmem.fp is not None:
+            vmem.fp[0].add("windows")
+        ids = self.by_frame.get(vmem.spaces[asid].entries[vpn].frame_id)
         if ids:
+            if vmem.fp is not None:
+                vmem.fp[1].add("windows")
             self._close_mapping(self.records[max(ids)], asid, vpn)
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
@@ -342,6 +356,8 @@ class DptiEngine:
     def _freeze_vma(self, vma: Vma) -> None:
         """Clear ``vma``'s write flag for one more frozen mapping in it; the
         first one saves the flag, whichever window it belongs to."""
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[1].add("vma")
         count, saved = self.frozen.get(id(vma), (0, vma.vm_write))
         self.frozen[id(vma)] = (count + 1, saved)
         vma.vm_write = False
@@ -349,6 +365,8 @@ class DptiEngine:
     def _thaw_vma(self, vma: Vma) -> None:
         """Release one frozen mapping of ``vma``; the last one puts back the
         flag the first one saved."""
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[1].add("vma")
         count, saved = self.frozen.pop(id(vma))
         if count > 1:
             self.frozen[id(vma)] = (count - 1, saved)
@@ -386,6 +404,8 @@ class DptiEngine:
         """Put every recorded mapping back exactly as found; wake stalled
         writers. If the frame is still inside another live protection window
         the application is killed instead."""
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[0].add("windows")
         for frame_id in record.frames:
             others = self.by_frame.get(frame_id, set()) - {record.record_id}
             if others:
@@ -404,6 +424,8 @@ class DptiEngine:
 
     def _apply_restore(self, record: ProtectionRecord) -> int:
         vmem: Vmem = self.sim.vmem
+        if vmem.fp is not None:
+            vmem.fp[1].add("windows")
         restored = 0
         for prior in reversed(record.mappings):
             if prior.vma is not None:
@@ -433,6 +455,8 @@ class DptiEngine:
     def unwind_group(self, tids: set[int]) -> None:
         """Kill path: release every protection owned by these tasks, newest
         first, without the concurrent-use check."""
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[0].add("windows")
         owned = [r for r in self.records.values() if r.owner_tid in tids]
         for record in sorted(owned, key=lambda r: r.record_id, reverse=True):
             self._unwind_record(record)
@@ -447,6 +471,8 @@ class DptiEngine:
         if fault.reason is FaultReason.COW_PENDING:
             self._resolve_cow(task.tid, fault.asid, fault.vpn)
             return "retry"
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[0].add("windows")
         stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
         frozen = self.variant is Variant.FREEZE and fault.reason is FaultReason.WRITE_PROT
         if (stashed or frozen) and fault.frame_id is not None and self.by_frame.get(fault.frame_id):
@@ -461,8 +487,14 @@ class DptiEngine:
         waits for the window's restore: applied inside the window, the
         restore would put back the bits an mprotect changed, and a fork
         would copy the closed entry into the child, which no window covers."""
-        entries = self.sim.vmem.spaces[task.asid].entries
+        vmem: Vmem = self.sim.vmem
+        fp = vmem.fp
+        if fp is not None:
+            fp[0].add("windows")
+        entries = vmem.spaces[task.asid].entries
         for vpn in vpns:
+            if fp is not None:
+                fp[0].add(("pte", task.asid, vpn))
             pte = entries.get(vpn)
             if pte is not None and self.by_frame.get(pte.frame_id):
                 return pte.frame_id
@@ -472,6 +504,8 @@ class DptiEngine:
         """Direct-memory interface: writes ignore page permissions, so the
         whole interface is shut for sandboxed tasks while filtering is
         active."""
+        if target is not None and self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[0].add(("task", target.tid))
         if writer.sandboxed and self.variant is not None:
             outcome = "denied"
         elif target is None or not target.alive:
@@ -481,6 +515,8 @@ class DptiEngine:
             space = vmem.spaces.get(target.asid)
             # An empty write still needs the page at vaddr.
             vpns = [vpn for vpn, *_ in page_spans(vaddr, max(len(data), 1))]
+            if vmem.fp is not None:
+                vmem.fp[0].update(("pte", target.asid, vpn) for vpn in vpns)
             if space is None or not all(
                 vpn in space.entries and space.entries[vpn].present for vpn in vpns
             ):
@@ -567,6 +603,8 @@ class DptiEngine:
         return "ok"
 
     def _body_fork(self, task, ctx: SyscallContext) -> str:
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[1].add(EVERYTHING)
         blocking_frame = self._window_frame(task, self.sim.vmem.spaces[task.asid].entries)
         if blocking_frame is not None:
             self.sim.stall_task(task, "fork", blocking_frame)
@@ -616,6 +654,8 @@ class DptiEngine:
             self.sim.emit(MprotectEvent(tid=task.tid, vpns=vpns, outcome="stalled"))
             return "stalled"
         vmem: Vmem = self.sim.vmem
+        if vmem.fp is not None:
+            vmem.fp[1].add("vma")
         for vpn in vpns:
             space = vmem.spaces[task.asid]
             if vpn not in space.entries:

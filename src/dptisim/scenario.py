@@ -748,12 +748,14 @@ def check_expectations(
         return []
     failures: list[str] = []
     exploring = isinstance(result, ExplorationReport)
-    # A search of groups apart counts only the paths it ran, so a witness or
-    # deadlock bound reads as existence: none, or at least one.
+    # A search of groups apart, or one cut by sleep sets, counts only the
+    # paths it ran, so a witness or deadlock bound reads as existence: none,
+    # or at least one.
     apart = len(result.groups) if exploring and len(result.groups) > 1 else 0
+    reduced = apart or (exploring and result.reduced)
 
     def counted(n: int) -> int:
-        return min(n, 1) if apart else n
+        return min(n, 1) if reduced else n
 
     witnesses = counted(result.witnesses if exploring else len(result.witnesses))
     bounds = exp.get("witnesses")
@@ -793,9 +795,13 @@ def check_expectations(
                 f"deadlocks: expected {deadlocks.get('equals', 0)}, found {count}"
             )
     paths = exp.get("paths")
-    if paths is not None and apart:
+    if paths is not None and reduced:
+        how = (
+            f"{apart} groups were explored apart" if apart
+            else "one path was explored per class of equivalent interleavings"
+        )
         failures.append(
-            f"paths: {apart} groups were explored apart, so the path count is not the number of "
+            f"paths: {how}, so the path count is not the number of "
             "interleavings; explore every interleaving (explore_all) to bound it"
         )
     elif paths is not None and exploring and result.paths < paths.get("min", 1):

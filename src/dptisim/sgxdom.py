@@ -29,7 +29,7 @@ from .events import (
     SgxFaultEvent,
     StatEvent,
 )
-from .vmem import AddressSpace, PageFault, PteBit, Vmem, PAGE_SIZE, vpn_of
+from .vmem import EVERYTHING, AddressSpace, PageFault, PteBit, Vmem, PAGE_SIZE, vpn_of
 
 if TYPE_CHECKING:  # tasks imports this module
     from .tasks import ReadOp, WriteOp
@@ -242,8 +242,13 @@ class SgxRuntime:
         The stack pointer is aligned down to a page boundary; pages at and
         above it (holding return addresses) are withheld from the isolation,
         pages below stay usable for outcall argument passing.
+
+        Every enclave step conflicts with every other step, so a search
+        needs no model of what the runtime touches.
         """
         vmem: Vmem = self.sim.vmem
+        if vmem.fp is not None:
+            vmem.fp[1].add(EVERYTHING)
         aligned = task.cpu.rsp - (task.cpu.rsp % PAGE_SIZE)
         task.cpu.rsp = aligned
         saved = (aligned, task.cpu.rbp)
@@ -294,6 +299,8 @@ class SgxRuntime:
 
     def step(self, task) -> str:
         """Run one enclave-script op (or transition); 'again' or 'done'."""
+        if self.sim.vmem.fp is not None:
+            self.sim.vmem.fp[1].add(EVERYTHING)
         ctx: EnclaveContext = task.micro
         domain = ctx.domain
         if ctx.state == "ocall_out":

@@ -35,7 +35,9 @@ from .events import (
 )
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveDomain, SgxRuntime
-from .vmem import AccessMode, DoubleMapError, PAGE_SIZE, Vmem, pages_spanned, vpn_of
+from .vmem import (
+    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Footprint, Vmem, pages_spanned, vpn_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +422,10 @@ class Simulation:
         start = vpn_of(spec.vaddr)
         count = len(spec.alias_frames) if spec.alias_frames is not None else spec.pages
         entries = self.vmem.spaces[asid].entries
+        fp = self.vmem.fp
         for vpn in range(start, start + count):
+            if fp is not None:
+                fp[0].add(("pte", asid, vpn))
             if vpn in entries:
                 raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
         if spec.alias_frames is not None:
@@ -456,8 +461,15 @@ class Simulation:
         self.emit(StallEvent(tid=task.tid, kind=kind, frame_id=frame_id))
 
     def wake_frame_waiters(self, frames: set[int]) -> None:
+        # Which tasks wait depends on every task's state, not only on the
+        # state of those stalled now.
+        fp = self.vmem.fp
+        if fp is not None:
+            fp[0].update(("task", tid) for tid in self.tasks)
         for task in self.tasks.values():
             if task.state is TaskState.STALLED and task.stall is not None and task.stall[1] in frames:
+                if fp is not None:
+                    fp[1].add(("task", task.tid))
                 task.state = TaskState.RUNNABLE
                 self.emit(WakeEvent(tid=task.tid, frame_id=task.stall[1]))
                 task.stall = None
@@ -483,6 +495,10 @@ class Simulation:
         windows they own, mark them dead and release their references to the
         process's filters. Returns whether that freed the filters."""
         self.engine.unwind_group({t.tid for t in tasks})
+        fp = self.vmem.fp
+        if fp is not None:
+            fp[1].update(("task", task.tid) for task in tasks)
+            fp[1].add(("filters", tgid))
         for task in tasks:
             task.state = TaskState.DEAD
             task.micro = None
@@ -651,23 +667,11 @@ class Simulation:
     def run_prefix(self, decisions: Sequence[int], max_steps: int) -> Optional[list[int]]:
         """Follow branch-point decisions; returns the runnable set at the
         first undecided branch point, or None when the run completed."""
-        frontier = self._follow(decisions, max_steps, self.runnable_tids)
-        if frontier is None:
-            self.truncated = self.step_count >= max_steps and bool(self.runnable_tids())
-            self._finalize()
-        return frontier
-
-    def _follow(
-        self, decisions: Sequence[int], max_steps: int, runnable: Callable[[], list[int]],
-    ) -> Optional[list[int]]:
-        """Step the tasks ``runnable`` returns until step ``max_steps``,
-        taking ``decisions`` at branch points; returns the runnable set at
-        the first undecided branch point, or None."""
         consumed = 0
         while self.step_count < max_steps:
-            ready = runnable()
+            ready = self.runnable_tids()
             if not ready:
-                return None
+                break
             if len(ready) == 1:
                 tid = ready[0]
             elif consumed < len(decisions):
@@ -676,6 +680,8 @@ class Simulation:
             else:
                 return ready
             self.step(tid)
+        self.truncated = self.step_count >= max_steps and bool(self.runnable_tids())
+        self._finalize()
         return None
 
     def _runnable_in(self, tids: Sequence[int]) -> list[int]:
@@ -747,6 +753,16 @@ class ExplorationReport(_Report):
     # the process names of each group explored apart; one group when every
     # task was enumerated together
     groups: list[list[str]] = field(default_factory=list)
+    # whether sleep sets cut the search, so that the counts are over one
+    # path per class of interleavings that differ only in the order of
+    # steps that commute
+    reduced: bool = False
+
+    def to_dict(self) -> dict[str, Any]:
+        out = super().to_dict()
+        if not self.reduced:
+            del out["reduced"]  # a search that never branched, or explored every path
+        return out
 
     def verdict(self) -> dict[str, Any]:
         """The answer, in the terms every sound reduced search must give
@@ -790,53 +806,134 @@ class ExplorationReport(_Report):
         )
 
 
+def _recorded_step(sim: Simulation, tid: int) -> Footprint:
+    """Step ``tid`` and return what the step read and wrote; a step always
+    writes its own task."""
+    fp = sim.vmem.fp = (set(), {("task", tid)})
+    try:
+        sim.step(tid)
+    finally:
+        sim.vmem.fp = None
+    return fp
+
+
+def _independent(a: Footprint, b: Footprint) -> bool:
+    """Whether two steps, by different threads, commute: neither writes a
+    location the other reads or writes."""
+    (reads_a, writes_a), (reads_b, writes_b) = a, b
+    return (
+        EVERYTHING not in writes_a and EVERYTHING not in writes_b
+        and writes_a.isdisjoint(reads_b) and writes_a.isdisjoint(writes_b)
+        and writes_b.isdisjoint(reads_a)
+    )
+
+
+@dataclass
+class _Branch:
+    """A branch point of a reduced search: the sleep set the search reached
+    it with, and the footprint of the first step of each choice explored
+    from it so far."""
+
+    sleep: dict[int, Footprint]
+    done: dict[int, Footprint] = field(default_factory=dict)
+
+
 def _search(
     factory: Callable[[], Simulation], root: Simulation, max_steps: int,
-    report: ExplorationReport, tids: Optional[Sequence[int]] = None,
+    report: ExplorationReport, tids: Optional[Sequence[int]] = None, reduce: bool = False,
 ) -> Optional[int]:
     """Add to ``report`` every path of a depth-first search over the
     scheduling choices among ``tids``, or among every task when None, and
-    return the most steps a path took. With ``tids``, return None instead at
-    the first path that truncates.
+    return the most steps a path took.
 
     The search starts on ``root`` and builds one simulation per later path:
     at a branch point the live simulation carries on into the first choice,
-    which is explored next, and only the later choices are rebuilt from
-    ``factory`` and replayed. Only ``tids`` step on a replay, and each path
-    runs at most ``max_steps`` steps of them. The first path ends on
-    ``root``. Each path's facts are what it added itself: its events and
-    kills, and its stalled tasks among ``tids``.
+    which is explored next, and each later choice is explored on a new build
+    from ``factory`` that first steps the tids the branch point's path
+    stepped. Only ``tids`` step, and each path runs at most ``max_steps``
+    steps of them. The first path ends on ``root``. Each path's facts are
+    what it added itself: its events and kills, and its stalled tasks among
+    ``tids``.
+
+    With ``reduce``, the search keeps sleep sets: a thread sleeps, and is not
+    chosen, while all it would do next was already explored from an earlier
+    choice of a branch point and no step since touched what its next step
+    touches. Every interleaving is then equivalent, up to the order of
+    steps that commute, to some path explored, and a path that could only
+    go on with a sleeping thread ends uncounted. A reduced search returns
+    None at the first path that truncates, since the bound cuts equivalent
+    interleavings at different steps.
     """
     longest = 0
-    # (decisions, the simulation already stopped at the last decision's
-    # branch point with where its path's events, kills and steps begin, or
-    # None to rebuild and replay the whole prefix)
-    stack: list[tuple[tuple[int, ...], Optional[Simulation], tuple[int, int, int]]] = [
-        ((), root, (len(root.events), len(root.kills), root.step_count))
-    ]
+    if tids is None:
+        runnable = Simulation.runnable_tids
+    else:
+        runnable = partial(Simulation._runnable_in, tids=tids)
+    # (decisions, the simulation to carry on or None to build one, the tids
+    # to step on that build, where the path's events, kills and steps begin,
+    # and the branch point and the choice to step first, if any)
+    stack: list[tuple[
+        tuple[int, ...], Optional[Simulation], list[int], tuple[int, int, int],
+        Optional[_Branch], Optional[int],
+    ]] = [((), root, [], (len(root.events), len(root.kills), root.step_count), None, None)]
     while stack:
-        prefix, sim, start = stack.pop()
+        prefix, sim, replay, start, branch, choice = stack.pop()
         if sim is None:
-            sim, start, decisions = factory(), (0, 0, 0), prefix
-        else:
-            decisions = prefix[-1:]
+            sim = factory()
+            for tid in replay:
+                sim.step(tid)
+        first = start[2]
+        limit = first + max_steps
+        sleep: dict[int, Footprint] = {}
+        blocked = False
+        while True:
+            if choice is not None:
+                if reduce:
+                    fp = _recorded_step(sim, choice)
+                    sleep = {
+                        tid: other for tid, other in (branch.sleep | branch.done).items()
+                        if _independent(other, fp)
+                    }
+                    branch.done[choice] = fp
+                else:
+                    sim.step(choice)
+                choice = None
+            ready = runnable(sim)
+            if not ready or sim.step_count >= limit:
+                break
+            if len(ready) == 1:
+                tid = ready[0]
+                if tid in sleep:
+                    blocked = True
+                    break
+                if sleep:
+                    fp = _recorded_step(sim, tid)
+                    sleep = {t: other for t, other in sleep.items() if _independent(other, fp)}
+                else:
+                    sim.step(tid)
+                continue
+            awake = [tid for tid in ready if tid not in sleep]
+            if not awake:
+                blocked = True
+                break
+            report.reduced |= reduce
+            branch = _Branch(sleep)
+            if len(awake) > 1:
+                stepped = [tid for _, tid, _, _ in sim.trace[first:]]
+                for tid in reversed(awake[1:]):
+                    stack.append((prefix + (tid,), None, stepped, (0, 0, 0), branch, tid))
+            choice = awake[0]
+            prefix += (choice,)
+        if blocked:
+            continue  # some path explored is equivalent to every path it leads to
+        truncated = bool(ready)
+        if truncated and reduce:
+            return None
         if tids is None:
-            frontier = sim.run_prefix(decisions, max_steps)
+            deadlocked = sim.deadlocked_tids()
         else:
-            frontier = sim._follow(decisions, start[2] + max_steps, partial(sim._runnable_in, tids))
-        if frontier is not None:
-            for tid in reversed(frontier[1:]):
-                stack.append((prefix + (tid,), None, start))
-            stack.append((prefix + (frontier[0],), sim, start))
-            continue
-        events, kills, first = start
-        if tids is None:
-            truncated, deadlocked = sim.truncated, sim.deadlocked_tids()
-        else:
-            if sim._runnable_in(tids):
-                return None
-            truncated = False
             deadlocked = [tid for tid in tids if sim.tasks[tid].state is TaskState.STALLED]
+        events, kills, _ = start
         steps = sim.step_count - first
         longest = max(longest, steps)
         witnesses = extract_witnesses(sim.events[events:] if events else sim.events)
@@ -882,8 +979,14 @@ def _explore_together(
 
 
 def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:
-    """The verdict of ``explore_all``, with each group of processes that may
-    interact searched on its own when the simulation has several.
+    """The verdict of ``explore_all``, from one path per class of equivalent
+    interleavings, with each group of processes that may interact searched
+    on its own when the simulation has several.
+
+    Within a group the search keeps sleep sets over the footprint of each
+    step, what it read and wrote: interleavings that differ only in the
+    order of steps that commute reach the same witnesses, kills and
+    deadlocks, so one of them is explored.
 
     No task of one group can change what a task of another reads, so every
     interleaving is one path of each group, and a witness, kill or deadlock
@@ -900,11 +1003,14 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
         report = ExplorationReport(groups=[list(names) for names in root.group_names])
         budget = max_steps
         for tids in root.groups:
-            longest = _search(factory, root, budget, report, tids)
+            longest = _search(factory, root, budget, report, tids, reduce=True)
             if longest is None:
                 break
             budget -= longest
         else:
             return report
-        root = factory()
-    return _explore_together(factory, root, max_steps)
+    else:
+        report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
+        if _search(factory, root, max_steps, report, reduce=True) is not None:
+            return report
+    return _explore_together(factory, factory(), max_steps)

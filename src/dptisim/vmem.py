@@ -19,6 +19,19 @@ from typing import Iterable, Iterator, Optional
 
 PAGE_SIZE = 4096
 
+# The location a step writes when it conflicts with every other step: it
+# forks, execs, creates or destroys an address space, or runs enclave code.
+EVERYTHING = "everything"
+
+# What one step reads and writes: (locations read, locations written). A
+# location is a frame's bytes ("frame", frame_id), a page-table entry with
+# every core's TLB entry for it ("pte", asid, vpn), a frame's reverse-map
+# entry ("rmap", frame_id), the flags of every VMA ("vma"), the frame
+# allocator ("alloc"), the engine's protection windows ("windows"), a task's
+# state ("task", tid), a process's filter reference count ("filters", tgid),
+# or EVERYTHING.
+Footprint = tuple[set, set]
+
 
 def vpn_of(vaddr: int) -> int:
     return vaddr // PAGE_SIZE
@@ -199,6 +212,9 @@ class Vmem:
         self.tlbs: list[Tlb] = [Tlb() for _ in range(cores)]
         # frame_id -> {(asid, vpn) of every mapping of the frame}
         self.rmap: dict[int, set[tuple[int, int]]] = {}
+        # The footprint of the step being recorded, or None when no search
+        # asks for one. Each layer adds the locations it touches itself.
+        self.fp: Optional[Footprint] = None
         self._next_asid = 1
         self._next_frame = 1
 
@@ -210,6 +226,8 @@ class Vmem:
     # allocation
 
     def new_address_space(self, vmas: Optional[list[Vma]] = None) -> AddressSpace:
+        if self.fp is not None:
+            self.fp[1].add(EVERYTHING)
         space = AddressSpace(self._next_asid, vmas)
         self._next_asid += 1
         self.spaces[space.asid] = space
@@ -218,6 +236,8 @@ class Vmem:
     def alloc_frame(self, fill: bytes = b"") -> Frame:
         """A new frame, zeroed past ``fill``. Ids run 1, 2, ... in allocation
         order, which compiled scenarios rely on to know their labelled frames."""
+        if self.fp is not None:
+            self.fp[1].add("alloc")
         data = bytearray(PAGE_SIZE)
         data[: len(fill)] = fill[:PAGE_SIZE]
         frame = Frame(self._next_frame, data)
@@ -247,6 +267,8 @@ class Vmem:
         space.entries[vpn] = pte
         self._cover_with_vma(space, vpn, writable, executable, shared)
         self.rmap.setdefault(frame_id, set()).add((asid, vpn))
+        if self.fp is not None:
+            self.fp[1].update((("pte", asid, vpn), ("rmap", frame_id), "vma"))
         return pte
 
     def _cover_with_vma(
@@ -261,6 +283,8 @@ class Vmem:
         space.vmas.append(Vma(vpn, vpn, writable, executable, shared))
 
     def unmap(self, asid: int, vpn: int) -> None:
+        if self.fp is not None:
+            self.fp[1].add(EVERYTHING)
         space = self.spaces[asid]
         pte = space.entries.pop(vpn, None)
         if pte is None:
@@ -268,6 +292,8 @@ class Vmem:
         self._unlink(pte.frame_id, asid, vpn)
 
     def destroy_address_space(self, asid: int) -> None:
+        if self.fp is not None:
+            self.fp[1].add(EVERYTHING)
         space = self.spaces.pop(asid)
         for vpn, pte in space.entries.items():
             self._unlink(pte.frame_id, asid, vpn)
@@ -309,9 +335,15 @@ class Vmem:
             pte = space.entries.get(vpn) if space is not None else None
             filled_from_walk = True
         fault = self._check(pte, asid, vaddr, vpn, kind, mode)
+        fp = self.fp
+        if fp is not None:
+            fp[0].add(("pte", asid, vpn))
         if fault is not None:
             return AccessResult(fault, None)
         assert pte is not None
+        if fp is not None:
+            # the caller reads or writes the bytes of the frame it gets
+            fp[1 if kind is AccessKind.WRITE else 0].add(("frame", pte.frame_id))
         if filled_from_walk:
             tlb.fill(asid, vpn, pte)
         return AccessResult(None, self.frames[pte.frame_id], page_offset(vaddr))
@@ -372,8 +404,13 @@ class Vmem:
         no permission check, no TLB and no copy-on-write, which the caller
         resolves first. Every page the write touches must be mapped."""
         entries = self.spaces[asid].entries
+        fp = self.fp
         for vpn, offset, start, end in page_spans(vaddr, len(data)):
-            self.frames[entries[vpn].frame_id].data[offset : offset + end - start] = data[start:end]
+            frame_id = entries[vpn].frame_id
+            if fp is not None:
+                fp[0].add(("pte", asid, vpn))
+                fp[1].add(("frame", frame_id))
+            self.frames[frame_id].data[offset : offset + end - start] = data[start:end]
 
     def read_cstring(
         self, core: int, asid: int, mode: AccessMode, vaddr: int, max_pages: int
@@ -404,6 +441,8 @@ class Vmem:
         Deliberately does not flush any TLB: callers own the flush step,
         mirroring the real two-step hazard.
         """
+        if self.fp is not None:
+            self.fp[1].add(("pte", asid, vpn))
         pte = self.pte(asid, vpn)
         prev = getattr(pte, bit.value)
         setattr(pte, bit.value, value)
@@ -411,10 +450,14 @@ class Vmem:
 
     def set_perms(self, asid: int, vpn: int, user: bool, writable: bool, executable: bool) -> None:
         """Set all three permission bits; like ``set_bit``, flushes no TLB."""
+        if self.fp is not None:
+            self.fp[1].add(("pte", asid, vpn))
         pte = self.pte(asid, vpn)
         pte.user, pte.writable, pte.executable = user, writable, executable
 
     def tlb_flush(self, asid: int, vpn: int, cores: Optional[Iterable[int]] = None) -> None:
+        if self.fp is not None:
+            self.fp[1].add(("pte", asid, vpn))
         tlbs = self.tlbs if cores is None else [self.tlbs[core] for core in set(cores)]
         for tlb in tlbs:
             tlb.flush(asid, vpn)
@@ -428,6 +471,9 @@ class Vmem:
         if not pte.cow:
             raise NotCowError(f"vpn {vpn:#x} in asid {asid} is not copy-on-write")
         old = self.frames[pte.frame_id]
+        if self.fp is not None:
+            self.fp[0].update((("frame", old.frame_id), "vma"))
+            self.fp[1].update((("pte", asid, vpn), ("rmap", old.frame_id)))
         fresh = self.alloc_frame(bytes(old.data))
         self._unlink(pte.frame_id, asid, vpn)
         pte.frame_id = fresh.frame_id
@@ -463,6 +509,8 @@ class Vmem:
 
     def aliases_of(self, frame_id: int) -> list[tuple[int, int]]:
         """Every (asid, vpn) mapping ``frame_id``, in order."""
+        if self.fp is not None:
+            self.fp[0].add(("rmap", frame_id))
         return sorted(self.rmap.get(frame_id, ()))
 
     def rebuild_reverse_map(self) -> dict[int, set[tuple[int, int]]]:

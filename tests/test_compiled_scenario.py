@@ -225,12 +225,9 @@ def op_of(task):
     return task.ops[task.ip] if task.micro is None and task.ip < len(task.ops) else None
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
-def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed):
-    sc = load_scenario(path)
-    sim = build_simulation(sc, VARIANTS[variant])
+def check_every_step(sim) -> list[int]:
+    """Check the memory and window invariants after every step ``sim``
+    takes from now on; returns the tids of the steps checked so far."""
     step = sim.step
     checked = []
     write_flags = ProgramWriteFlags(sim)
@@ -267,6 +264,16 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
         return outcome
 
     sim.step = checking_step
+    return checked
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)
+def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed):
+    sc = load_scenario(path)
+    sim = build_simulation(sc, VARIANTS[variant])
+    checked = check_every_step(sim)
     report = sim.run_seeded(seed, sc.schedule.get("max_steps", 1000))
     assert len(checked) == report.steps > 0
     if not report.truncated and not report.deadlocked:

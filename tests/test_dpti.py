@@ -27,7 +27,7 @@ from dptisim.events import (
     SyscallEvent,
 )
 from dptisim.filters import SYSCALL_NRS
-from dptisim.tasks import explore_all
+from dptisim.tasks import explore, explore_all
 from dptisim.vmem import PAGE_SIZE, AccessKind, AccessMode
 
 from conftest import shared_private_frames
@@ -712,3 +712,31 @@ class TestSyscallPhases:
                            filters=fb.install())
         report = sim.run_seeded(0)
         assert report.steps == 2
+
+
+# The fixtures of the fork and freeze-accounting fixes, each a function of
+# the variant.
+WINDOW_FIXTURES = {
+    "fork-probe": fork_probe,
+    "mprotect-away": lambda variant: one_proc_sim(
+        variant, [[SyscallOp(OPENAT, (0, PATH, 0))], [MprotectOp(PATH, 1, user=False, writable=False)]],
+        filters=basic_filters(extra=("mprotect",)),
+    ),
+    "two-pages-of-one-vma": lambda variant: one_proc_sim(
+        variant,
+        [[SyscallOp(OPENAT, (0, PATH, 0))], [SyscallOp(OPENAT, (0, PATH + PAGE_SIZE, 0))]],
+        filters=basic_filters(strings=("file1", "file2")),
+        mappings=[MapSpec(vaddr=PATH, pages=2, data=((PATH, b"file1\x00"), (PATH + PAGE_SIZE, b"file2\x00")))],
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", [None, Variant.STASH, Variant.FREEZE], ids=["none", "stash", "freeze"])
+@pytest.mark.parametrize("fixture", sorted(WINDOW_FIXTURES))
+def test_reduced_search_gives_the_full_enumeration_verdict(fixture, variant):
+    def factory():
+        return WINDOW_FIXTURES[fixture](variant)
+
+    report, full = explore(factory), explore_all(factory)
+    assert report.verdict() == full.verdict()
+    assert report.paths <= full.paths

@@ -14,6 +14,7 @@ from dptisim import (
     Variant,
     WriteOp,
     explore,
+    explore_all,
 )
 from dptisim.events import ExecEvent, ExitEvent, ForkEvent, KillCause, WakeEvent
 from dptisim.filters import SYSCALL_NRS
@@ -69,7 +70,7 @@ class TestExhaustiveCompleteness:
         def factory():
             return plain_sim([[ReadOp(PATH)] * 4, [ReadOp(PATH)] * 4])
 
-        report = explore(factory, max_steps=24)
+        report = explore_all(factory, max_steps=24)
         assert report.paths == comb(8, 4)
         assert report.truncated_paths == 0
 
@@ -77,13 +78,13 @@ class TestExhaustiveCompleteness:
         def factory():
             return plain_sim([[ReadOp(PATH)] * 3, [ReadOp(PATH)] * 2])
 
-        assert explore(factory, 24).paths == comb(5, 2)
+        assert explore_all(factory, 24).paths == comb(5, 2)
 
     def test_max_steps_truncates_and_reports(self):
         def factory():
             return plain_sim([[ReadOp(PATH)] * 4, [ReadOp(PATH)] * 4])
 
-        report = explore(factory, max_steps=3)
+        report = explore_all(factory, max_steps=3)
         assert report.truncated_paths == report.paths > 0
 
 

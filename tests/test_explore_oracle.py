@@ -563,6 +563,22 @@ def test_generated_races_with_a_fork_reduce_to_the_full_enumeration_verdict(raw,
     assert explore(factory, 200).verdict() == explore_all(factory, 200).verdict()
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("other", [
+    [{"op": "write", "vaddr": 0x201000, "string": "zz"}, {"op": "read", "vaddr": 0x80000, "len": 4}],
+    [{"op": "ecall", "enclave": "evil"}],
+], ids=["host-writer", "second-caller"])
+def test_enclave_races_reduce_to_the_full_enumeration_verdict(other, variant):
+    """sgx_data_only with a second host thread, which writes the data bridge
+    page while the enclave runs or calls the enclave too: enclave steps
+    conflict with every other step."""
+    raw = copy.deepcopy(load_scenario(SCENARIOS / "sgx_data_only.json").raw)
+    raw["processes"][0]["threads"].append({"name": "other", "rsp": 0x302000, "ops": other})
+    sc = scenario_from_dict(raw)
+    factory = lambda: build_simulation(sc, VARIANTS[variant])  # noqa: E731
+    assert explore(factory, 80).verdict() == explore_all(factory, 80).verdict()
+
+
 def _dropping(drop):
     """A mutant of the search whose footprints lose the locations ``drop``
     picks, given each location and whether the step wrote it."""

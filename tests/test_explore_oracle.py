@@ -21,8 +21,8 @@ from typing import Any, Optional
 
 import pytest
 from hypothesis import Phase, find, given, settings
-from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
+from hypothesis.errors import NoSuchExample
 
 from dptisim import MapSpec, ReadOp, Simulation, tasks
 from dptisim.dpti import Variant

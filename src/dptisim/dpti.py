@@ -45,6 +45,7 @@ from .vmem import (
     FaultReason,
     PageFault,
     PteBit,
+    UnmappedError,
     Vma,
     Vmem,
     page_offset,
@@ -595,7 +596,9 @@ class DptiEngine:
             for prior in record.mappings
             if prior.asid != task.asid
         )
-        self.sim.exec_task(task, ctx.op.image)
+        if not self.sim.exec_task(task, ctx.op.image):
+            ctx.result = -1
+            return "ok"
         ctx.result = 0
         self.sim.emit(
             ExecEvent(tid=task.tid, path=path.decode("latin-1"), restored_sibling_mappings=restored)
@@ -632,16 +635,16 @@ class DptiEngine:
 
     def _body_mmap(self, task, ctx: SyscallContext) -> str:
         spec = ctx.op.spec
-        # like MAP_FIXED_NOREPLACE: -1, mapping nothing, if a target page is taken
+        # like MAP_FIXED_NOREPLACE: -1, mapping nothing, if a page is taken or a label gone
         try:
-            frames = self.sim.map_region(task.asid, spec)
-        except DoubleMapError:
+            self.sim.map_region(task.asid, spec, task.tid)
+        except (DoubleMapError, UnmappedError):
             ctx.result = -1
             return "ok"
         ctx.result = spec.vaddr
         if self.variant is not None:
             start = vpn_of(spec.vaddr)
-            for vpn in range(start, start + len(frames)):
+            for vpn in range(start, start + spec.pages):
                 self.cover_new_mapping(task.asid, vpn)
         return "ok"
 

@@ -163,6 +163,8 @@ _VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
 _DENY_MODES = ("kill", "errno")
 _REGISTERS = ("rax", "rbx", "rsp", "rbp")  # the fields of tasks.CpuState
 _MAPPING_KEYS = {"vaddr", "pages", "write", "exec", "user", "shared", "label", "alias_of", "data"}
+# No op can alias a label that an exec image would map, so an image takes none.
+_IMAGE_MAPPING_KEYS = _MAPPING_KEYS - {"label"}
 # expectation -> the bounds it takes
 _BOUNDS = {"witnesses": {"equals", "min", "max"}, "deadlocks": {"equals"}, "paths": {"min"}}
 
@@ -179,8 +181,6 @@ class _ProcessPlan:
     name: str
     sandboxed: bool
     mappings: tuple[MapSpec, ...]
-    # per mapping: the frame ids a labelled mapping is compiled to get, else None
-    label_frames: tuple[Optional[tuple[int, ...]], ...]
     threads: tuple[tuple[str, tuple, int, int], ...] = ()  # (name, ops, rsp, rbp)
 
 
@@ -234,9 +234,9 @@ class Scenario:
 
 @dataclass
 class _Names:
-    """What ops refer to by name: label -> frame ids, and the enclaves."""
+    """What ops refer to by name: label -> (owner's process index, pages), and the enclaves."""
 
-    labels: dict[str, tuple[int, ...]]
+    labels: dict[str, tuple[int, int]]
     enclaves: dict[str, _EnclavePlan]
 
 
@@ -308,7 +308,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
         plans[i] = replace(plans[i], threads=tuple(threads))
 
     enclaves = tuple(names.enclaves.values())
-    groups, group_names = _groups(plans, enclaves)
+    groups, group_names = _groups(plans, names)
     return Scenario(
         raw=raw,
         name=_str(raw, "name", ""),
@@ -333,7 +333,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
 
 
 def _groups(
-    plans: list[_ProcessPlan], enclaves: tuple[_EnclavePlan, ...],
+    plans: list[_ProcessPlan], names: _Names,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
     """The tids of the threads of each connected component of "may interact"
     over the processes, and the names of its processes in pid order. Two
@@ -351,23 +351,16 @@ def _groups(
     def join(i: int, j: int) -> None:
         root[find(i)] = find(j)
 
-    # the process whose mapping allocated each labelled frame
-    owner = {
-        frames[0]: i
-        for i, plan in enumerate(plans)
-        for spec, frames in zip(plan.mappings, plan.label_frames)
-        if frames is not None and spec.alias_frames is None
-    }
     # each thread's process, by name and by the tid build_simulation gives
     # it: 1, 2, ... in this order
     threads = [(name, i) for i, plan in enumerate(plans) for name, *_ in plan.threads]
     thread_owner = {**dict(threads), **{tid: i for tid, (_, i) in enumerate(threads, 1)}}
-    host = {enc.name: enc.host for enc in enclaves}
+    host = {enc.name: enc.host for enc in names.enclaves.values()}
 
     def link(i: int, specs: tuple[MapSpec, ...]) -> None:
         for spec in specs:
-            if spec.alias_frames:
-                join(i, owner[spec.alias_frames[0]])
+            if spec.alias_of is not None:
+                join(i, names.labels[spec.alias_of][0])
 
     def walk(i: int, ops: tuple) -> bool:
         """Join process ``i`` with every process ``ops`` reach; False on a fork."""
@@ -404,10 +397,6 @@ def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPla
     """Every process with its mappings, and no threads yet."""
     plans: list[_ProcessPlan] = []
     seen: set[str] = set()
-    # A build allocates frames 1, 2, ... in this order, one per page of each
-    # mapping that is not an alias, so a label's frame ids are known here;
-    # build_simulation checks that the labelled mappings get them.
-    next_frame = 1
     for where, proc in _each(raw, "processes", ""):
         _fields(
             proc, allowed={"name", "sandboxed", "mappings", "threads"},
@@ -420,21 +409,15 @@ def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPla
         sandboxed = _flag(proc, "sandboxed", where, False)
         if sandboxed and not have_filters:
             raise ScenarioError(f"{where}: process {name!r} is sandboxed but no filters are defined")
-        specs, label_frames = [], []
+        specs = []
         for at, m in _each(proc, "mappings", where):
             spec = _map_spec(_fields(m, _MAPPING_KEYS, {"vaddr"}, at), at, names.labels)
-            if spec.alias_frames is not None:
-                frames = spec.alias_frames
-            else:
-                frames = tuple(range(next_frame, next_frame + spec.pages))
-                next_frame += spec.pages
             if spec.label:
                 if spec.label in names.labels:
                     raise ScenarioError(f"{at}.label: duplicate label {spec.label!r}")
-                names.labels[spec.label] = frames
+                names.labels[spec.label] = (len(plans), spec.pages)
             specs.append(spec)
-            label_frames.append(frames if spec.label else None)
-        plans.append(_ProcessPlan(name, sandboxed, tuple(specs), tuple(label_frames)))
+        plans.append(_ProcessPlan(name, sandboxed, tuple(specs)))
     return plans
 
 
@@ -512,18 +495,16 @@ def build_filters(spec: Any) -> FilterBuilder:
 # mappings and ops
 
 
-def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, ...]]) -> MapSpec:
-    alias_frames = None
-    if "alias_of" in m:
-        label = _str(m, "alias_of", where)
-        if label not in labels:
-            raise ScenarioError(f"{where}.alias_of: references undefined label {label!r}")
-        alias_frames = labels[label]
+def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, int]]) -> MapSpec:
+    alias_of = _str(m, "alias_of", where, None)
+    if alias_of is not None and alias_of not in labels:
+        raise ScenarioError(f"{where}.alias_of: references undefined label {alias_of!r}")
+    label_pages = labels[alias_of][1] if alias_of is not None else 1
     lo = _unsigned(m, "vaddr", where)
-    pages = _pages(m, "pages", where, len(alias_frames) if alias_frames else 1)
-    if alias_frames and pages != len(alias_frames):
+    pages = _pages(m, "pages", where, label_pages)
+    if alias_of is not None and pages != label_pages:
         raise ScenarioError(
-            f"{where}.pages: {pages}, but an alias takes the {len(alias_frames)} page(s) of its label"
+            f"{where}.pages: {pages}, but an alias takes the {label_pages} page(s) of its label"
         )
     hi = lo + pages * PAGE_SIZE
     data = []
@@ -544,7 +525,7 @@ def _map_spec(m: dict[str, Any], where: str, labels: dict[str, tuple[int, ...]])
         executable=_flag(m, "exec", where, False),
         user=_flag(m, "user", where, True),
         shared=_flag(m, "shared", where, False),
-        alias_frames=alias_frames,
+        alias_of=alias_of,
         data=tuple(data),
         label=_str(m, "label", where, None),
     )
@@ -573,7 +554,7 @@ def _exec(op: dict[str, Any], at: str, names: _Names) -> ExecOp:
         _unsigned(op, "path_vaddr", at),
         ExecImage(
             mappings=tuple(
-                _map_spec(_fields(m, _MAPPING_KEYS, {"vaddr"}, where), where, names.labels)
+                _map_spec(_fields(m, _IMAGE_MAPPING_KEYS, {"vaddr"}, where), where, names.labels)
                 for where, m in _each(image, "mappings", f"{at}.image")
             ),
             ops=_ops(image, "ops", f"{at}.image", _OPS, names),
@@ -687,16 +668,11 @@ def build_simulation(
         table = sc.filter_table.fresh() if proc.sandboxed else None
         info = sim.add_process(proc.name, sandboxed=proc.sandboxed, filters=table)
         proc_infos.append(info)
-        for j, (spec, expected) in enumerate(zip(proc.mappings, proc.label_frames)):
+        for j, spec in enumerate(proc.mappings):
             try:
-                frames = sim.map_region(info.asid, spec)
+                sim.map_region(info.asid, spec)
             except DoubleMapError as exc:
                 raise ScenarioError(f"processes[{i}].mappings[{j}]: overlaps an earlier mapping: {exc}") from None
-            if expected is not None and tuple(frames) != expected:
-                raise RuntimeError(
-                    f"processes[{i}].mappings[{j}]: label {spec.label!r} got frames "
-                    f"{frames}, compiled for {list(expected)}"
-                )
     for i, enc in enumerate(plan.enclaves):
         try:
             domain = build_isolated_mapping(

@@ -36,7 +36,7 @@ from .events import (
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveDomain, SgxRuntime
 from .vmem import (
-    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Footprint, Vmem, pages_spanned, vpn_of,
+    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Footprint, UnmappedError, Vmem, pages_spanned, vpn_of,
 )
 
 
@@ -83,8 +83,8 @@ class SyscallOp:
 class MapSpec:
     """One mapped region: pages, permissions, optional initial bytes.
 
-    alias_frames maps existing physical frames again instead of allocating
-    fresh ones; data entries are (absolute vaddr, bytes) pairs.
+    alias_of maps the frames that its label's pages map when it is mapped,
+    instead of fresh ones; data entries are (absolute vaddr, bytes) pairs.
     """
 
     vaddr: int
@@ -93,7 +93,7 @@ class MapSpec:
     executable: bool = False
     user: bool = True
     shared: bool = False
-    alias_frames: Optional[tuple[int, ...]] = None
+    alias_of: Optional[str] = None
     data: tuple[tuple[int, bytes], ...] = ()
     label: Optional[str] = None
 
@@ -342,6 +342,8 @@ class Simulation:
         self.tasks_by_name: dict[str, Task] = {}
         self.processes: dict[int, ProcessInfo] = {}
         self.enclaves: dict[str, EnclaveDomain] = {}
+        # label -> (asid, first vpn) of the mapping map_region gave it
+        self.labels: dict[str, tuple[int, int]] = {}
         self.events: list[Event] = []
         self.trace: list[list[Any]] = []
         self.kills: list[dict[str, Any]] = []
@@ -416,30 +418,42 @@ class Simulation:
         self.tasks_by_name[task.name] = task
         return task
 
-    def map_region(self, asid: int, spec: MapSpec) -> list[int]:
+    def map_region(self, asid: int, spec: MapSpec, tid: int = 0) -> list[int]:
         """Map every page of ``spec``, or raise DoubleMapError, having mapped
-        and allocated nothing, if any of them is already mapped."""
+        and allocated nothing, if any of them is already mapped. An alias maps
+        its label's frames as they are now, copy-on-write resolved as a write
+        by ``tid`` would; UnmappedError, mapping nothing, if a page is gone."""
         start = vpn_of(spec.vaddr)
-        count = len(spec.alias_frames) if spec.alias_frames is not None else spec.pages
+        vpns = range(start, start + spec.pages)
         entries = self.vmem.spaces[asid].entries
         fp = self.vmem.fp
-        for vpn in range(start, start + count):
+        for vpn in vpns:
             if fp is not None:
                 fp[0].add(("pte", asid, vpn))
             if vpn in entries:
                 raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
-        if spec.alias_frames is not None:
-            frame_ids = list(spec.alias_frames)
+        if spec.alias_of is None:
+            frame_ids = [self.vmem.alloc_frame().frame_id for _ in vpns]
         else:
-            frame_ids = [self.vmem.alloc_frame().frame_id for _ in range(spec.pages)]
-        for i, frame_id in enumerate(frame_ids):
+            label_asid, first = self.labels[spec.alias_of]
+            label_vpns = range(first, first + spec.pages)
+            if fp is not None:
+                fp[0].update(("pte", label_asid, vpn) for vpn in label_vpns)
+            ptes = [self.vmem.pte(label_asid, vpn) for vpn in label_vpns]  # or UnmappedError
+            for vpn, pte in zip(label_vpns, ptes):
+                if pte.cow:
+                    self.engine._resolve_cow(tid, label_asid, vpn)  # in place in pte
+            frame_ids = [pte.frame_id for pte in ptes]
+        for vpn, frame_id in zip(vpns, frame_ids):
             self.vmem.map(
-                asid, start + i, frame_id,
+                asid, vpn, frame_id,
                 user=spec.user, writable=spec.writable,
                 executable=spec.executable, shared=spec.shared,
             )
         for at, data in spec.data:
             self.vmem.poke(asid, at, data)
+        if spec.label is not None:
+            self.labels[spec.label] = (asid, start)
         return frame_ids
 
     # ------------------------------------------------------------------
@@ -521,19 +535,27 @@ class Simulation:
             info.filters.acquire()
         return self._new_task(info, child_ops, replace(parent.cpu), parent_pid=parent.tgid)
 
-    def exec_task(self, task: Task, image: ExecImage) -> None:
+    def exec_task(self, task: Task, image: ExecImage) -> bool:
+        """Replace ``task``'s process with ``image``; False, changing nothing,
+        if the image's mappings overlap or one aliases a label that no longer
+        maps its pages."""
+        space = self.vmem.new_address_space()
+        try:
+            for spec in image.mappings:
+                self.map_region(space.asid, spec, task.tid)
+        except (DoubleMapError, UnmappedError):
+            self.vmem.destroy_address_space(space.asid)
+            return False
         self._end_tasks(task.tgid, [t for t in self._live(task.tgid) if t is not task])
         old_asid = task.asid
-        space = self.vmem.new_address_space()
         proc = self.processes[task.tgid]
         proc.asid = space.asid
         task.asid = space.asid
-        for spec in image.mappings:
-            self.map_region(space.asid, spec)
         self.vmem.destroy_address_space(old_asid)
         task.ops = list(image.ops)
         task.ip = -1  # advanced to 0 when the exec syscall completes
         task.cpu = CpuState()
+        return True
 
     def exit_task(self, task: Task, group: bool) -> bool:
         """End ``task``, or with ``group`` its whole process; returns whether
@@ -902,15 +924,14 @@ def _search(
             if not ready or sim.step_count >= limit:
                 break
             if len(ready) == 1:
+                # Only a step that writes a sleeper's task can end or stall it,
+                # and the sleeper's own footprint writes its task, so that step
+                # wakes it: every sleeper is runnable, here at most this one.
                 tid = ready[0]
                 if tid in sleep:
                     blocked = True
                     break
-                if sleep:
-                    fp = _recorded_step(sim, tid)
-                    sleep = {t: other for t, other in sleep.items() if _independent(other, fp)}
-                else:
-                    sim.step(tid)
+                sim.step(tid)
                 continue
             awake = [tid for tid in ready if tid not in sleep]
             if not awake:

@@ -234,8 +234,7 @@ class Vmem:
         return space
 
     def alloc_frame(self, fill: bytes = b"") -> Frame:
-        """A new frame, zeroed past ``fill``. Ids run 1, 2, ... in allocation
-        order, which compiled scenarios rely on to know their labelled frames."""
+        """A new frame, zeroed past ``fill``."""
         if self.fp is not None:
             self.fp[1].add("alloc")
         data = bytearray(PAGE_SIZE)
@@ -485,22 +484,18 @@ class Vmem:
         return fresh.frame_id
 
     def fork_address_space(self, parent_asid: int) -> AddressSpace:
-        """COW snapshot of a parent space: private writable pages become
-        copy-on-write in both parent and child; shared mappings stay shared.
+        """COW snapshot of a parent space: every private page, read-only too,
+        becomes copy-on-write in both parent and child; shared ones stay shared.
         """
         parent = self.spaces[parent_asid]
         child = self.new_address_space([replace(v) for v in parent.vmas])
         for vpn, ppte in parent.entries.items():
             vma = parent.vma_for(vpn)
-            shared = vma.shared if vma is not None else False
-            if shared or not (vma.vm_write if vma is not None else ppte.writable):
-                cpte = ppte.snapshot()
-            else:
+            if vma is None or not vma.shared:
                 ppte.cow = True
                 ppte.writable = False
                 self.tlb_flush(parent_asid, vpn)
-                cpte = ppte.snapshot()
-            child.entries[vpn] = cpte
+            child.entries[vpn] = cpte = ppte.snapshot()
             self.rmap[cpte.frame_id].add((child.asid, vpn))
         return child
 

@@ -80,6 +80,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
         user=True,
         executable=executable,
         shared=True,
+        label="primary",
     )
     frames = sim.map_region(procs[0].asid, primary)
     for i in range(rng.randrange(3)):
@@ -93,7 +94,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
                 user=rng.random() < 0.9,
                 executable=False,
                 shared=True,
-                alias_frames=tuple(frames),
+                alias_of="primary",
             ),
         )
     length = rng.choice((1, 5, 120, PAGE_SIZE - 1, PAGE_SIZE + 40))

@@ -16,7 +16,7 @@ from dptisim import scenario as scenario_module
 from dptisim.dpti import SyscallContext, Variant
 from dptisim.events import ExecEvent, ForkEvent, MprotectEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import MprotectOp, Simulation, explore
+from dptisim.tasks import MmapOp, MprotectOp, explore
 from dptisim.vmem import PAGE_SIZE
 
 from conftest import SCENARIOS, shared_private_frames
@@ -88,36 +88,73 @@ def test_second_build_calls_no_parser(path, monkeypatch):
     assert {"scenario_from_dict", "_processes", "_map_spec", "_ops", "_fields", "_read"} <= set(called)
 
 
-LABELLED = [p for p in PATHS if '"label"' in p.read_text()]
+ALIASED = [p for p in PATHS if '"alias_of"' in p.read_text()]
 
 
-@pytest.mark.parametrize("path", LABELLED, ids=lambda p: p.stem)
-def test_labels_resolve_to_the_frames_built(path):
+@pytest.mark.parametrize("path", ALIASED, ids=lambda p: p.stem)
+def test_each_alias_maps_its_labels_frames(path):
+    """Every alias, as built or mapped by an mmap op, maps the frames its
+    label's pages map."""
     sc = load_scenario(path)
     sim = build_simulation(sc)
+    sim.run_seeded(0, sc.schedule.get("max_steps", 1000))
+    spaces = sim.vmem.spaces
+
+    def frames(asid, vpn, pages):
+        return [spaces[asid].entries[vpn + i].frame_id for i in range(pages)]
+
     checked = 0
     for proc, plan in zip(sim.processes.values(), sc.compiled.processes):
-        entries = sim.vmem.spaces[proc.asid].entries
-        for spec, expected in zip(plan.mappings, plan.label_frames):
-            frames = spec.alias_frames if spec.alias_frames is not None else expected
-            if frames is not None:
-                first = spec.vaddr // PAGE_SIZE
-                assert tuple(entries[first + i].frame_id for i in range(len(frames))) == frames
+        ops = [op for _, thread_ops, _, _ in plan.threads for op in thread_ops]
+        for spec in [*plan.mappings, *(op.spec for op in ops if isinstance(op, MmapOp))]:
+            if spec.alias_of is not None:
+                label = frames(*sim.labels[spec.alias_of], spec.pages)
+                assert frames(proc.asid, spec.vaddr // PAGE_SIZE, spec.pages) == label
                 checked += 1
     assert checked > 0
 
 
-def test_a_label_built_on_other_frames_is_an_error(scenarios_dir, monkeypatch):
-    sc = load_scenario(scenarios_dir / "toctou_alias.json")
-    add_process = Simulation.add_process
+def fork_probe(ops: list) -> dict:
+    """One process whose one thread runs ``ops`` over its private page at
+    0x10000, labelled ``buf`` and holding "file1"."""
+    return {
+        "version": 1, "name": "fork-probe",
+        "processes": [{
+            "name": "app",
+            "mappings": [{"vaddr": 0x10000, "label": "buf", "data": [{"at": 0x10000, "string": "file1"}]}],
+            "threads": [{"name": "main", "ops": ops}],
+        }],
+    }
 
-    def add_process_taking_a_frame(self, *args, **kwargs):
-        self.vmem.alloc_frame()
-        return add_process(self, *args, **kwargs)
 
-    monkeypatch.setattr(Simulation, "add_process", add_process_taking_a_frame)
-    with pytest.raises(RuntimeError, match="compiled for"):
-        build_simulation(sc)
+FORK = {"op": "fork", "child": [{"op": "read", "vaddr": 0x10000, "len": 5}]}
+ALIAS = [{"op": "mmap", "vaddr": 0x30000, "alias_of": "buf"}, {"op": "write", "vaddr": 0x30000, "string": "X"}]
+# Each writes "X" over the parent's page after a fork, in a way that once
+# reached the child's copy too.
+FORK_PROBES = {
+    "alias after a write": [FORK, {"op": "write", "vaddr": 0x10000, "string": "P"}, *ALIAS],
+    "alias": [FORK, *ALIAS],
+    "read-only page": [
+        {"op": "mprotect", "vaddr": 0x10000, "write": False}, FORK,
+        {"op": "mprotect", "vaddr": 0x10000, "write": True}, {"op": "write", "vaddr": 0x10000, "string": "X"},
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("probe", sorted(FORK_PROBES))
+def test_a_write_after_a_fork_leaves_the_childs_page_alone(probe, variant):
+    sim = build_simulation(scenario_from_dict(fork_probe(FORK_PROBES[probe])), VARIANTS[variant])
+    check_every_step(sim)
+    sim.run_seeded(0)
+    assert not sim.kills
+
+    def buf(proc):
+        frame_id = sim.vmem.spaces[proc.asid].entries[0x10000 // PAGE_SIZE].frame_id
+        return bytes(sim.vmem.frames[frame_id].data[:5])
+
+    parent, child = sim.processes.values()
+    assert (buf(parent), buf(child)) == (b"Xile1", b"file1")
 
 
 def test_running_one_build_leaves_its_siblings_unchanged():
@@ -171,7 +208,8 @@ def open_window_mappings(sim):
 
 class ProgramWriteFlags:
     """The write flag the program itself gave each mapped page: as built, as
-    mapped later by mmap or exec, or as an applied mprotect set it. A VMA's
+    mapped later by mmap or exec, as a fork copied it from the parent, or as
+    an applied mprotect set it. A VMA's
     vm_write may be clear only while an open freeze window covers one of
     its pages, or where the program cleared the flag of one of its pages."""
 
@@ -181,16 +219,24 @@ class ProgramWriteFlags:
             (asid, vpn): space.vma_for(vpn).vm_write
             for asid, space in sim.vmem.spaces.items() for vpn in space.entries
         }
-        map_region = sim.map_region
+        map_region, fork_task = sim.map_region, sim.fork_task
 
-        def recording_map_region(asid, spec):
-            frames = map_region(asid, spec)
+        def recording_map_region(asid, spec, *args):
+            frames = map_region(asid, spec, *args)
             start = spec.vaddr // PAGE_SIZE
             for vpn in range(start, start + len(frames)):
                 self.flags[(asid, vpn)] = spec.writable
             return frames
 
+        def recording_fork_task(parent, child_ops):
+            child = fork_task(parent, child_ops)
+            self.flags.update({
+                (child.asid, vpn): flag for (asid, vpn), flag in list(self.flags.items()) if asid == parent.asid
+            })
+            return child
+
         sim.map_region = recording_map_region
+        sim.fork_task = recording_fork_task
 
     def stepped(self, task, op, events):
         """Record what an applied mprotect ``op`` of ``task`` set."""

@@ -33,9 +33,10 @@ class TestDefaults:
 
     def test_overrides(self):
         table = CostTable().with_overrides(
-            {"tlb_flush": 500, "base_syscall": {"getppid": 300}}
+            {"tlb_flush": 500, "base_syscall": {"getppid": 300}, "pt_resolve": 12.5, "pte_manipulate": [7, 2]}
         )
         assert table.tlb_flush == 500
+        assert (table.pt_resolve, table.pte_manipulate) == (Fraction(25, 2), Fraction(7, 2))
         assert table.base_for("getppid") == 300
         assert table.base_for("openat") == 855  # untouched entries survive
         with pytest.raises(CostError, match="no_such_field"):

@@ -152,12 +152,11 @@ class TestProtectRestore:
         sim = Simulation(variant=Variant.STASH)
         table = basic_filters()
         proc = sim.add_process("app", sandboxed=True, filters=table)
-        frames = sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, shared=True,
-                                                   data=((PATH, b"file1\x00"),)))
-        sim.map_region(proc.asid, MapSpec(vaddr=PATH + PAGE_SIZE, shared=True,
-                                          alias_frames=tuple(frames)))
+        sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, shared=True,
+                                          data=((PATH, b"file1\x00"),), label="path"))
+        sim.map_region(proc.asid, MapSpec(vaddr=PATH + PAGE_SIZE, shared=True, alias_of="path"))
         other = sim.add_process("other")
-        sim.map_region(other.asid, MapSpec(vaddr=0x50000, shared=True, alias_frames=tuple(frames)))
+        sim.map_region(other.asid, MapSpec(vaddr=0x50000, shared=True, alias_of="path"))
         sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="t1")
         sim.run_seeded(0)
         protect = next(e for e in sim.events if isinstance(e, ProtectEvent))
@@ -563,11 +562,11 @@ class TestWindowInvariants:
             sim = Simulation(variant=variant)
             proc = sim.add_process("app", sandboxed=True,
                                    filters=basic_filters(extra=("mmap",)))
-            frames = sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, shared=True,
-                                                       data=((PATH, b"file1\x00"),)))
+            sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, shared=True,
+                                              data=((PATH, b"file1\x00"),), label="path"))
             sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="t1")
             sim.add_thread(proc, [
-                MmapOp(MapSpec(vaddr=0x50000, shared=True, alias_frames=tuple(frames))),
+                MmapOp(MapSpec(vaddr=0x50000, shared=True, alias_of="path")),
                 WriteOp(0x50004, b"2"),
             ], name="t2")
             sim.step(1); sim.step(1)   # window open
@@ -593,12 +592,10 @@ class TestWindowInvariants:
             sim = Simulation(variant=variant)
             proc = sim.add_process("app", sandboxed=True, filters=basic_filters())
             frames = sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, shared=True,
-                                                       data=((PATH, b"file1\x00"),)))
-            sim.map_region(proc.asid, MapSpec(vaddr=0x30000, shared=True,
-                                              alias_frames=tuple(frames)))
+                                                       data=((PATH, b"file1\x00"),), label="path"))
+            sim.map_region(proc.asid, MapSpec(vaddr=0x30000, shared=True, alias_of="path"))
             other = sim.add_process("other")
-            sim.map_region(other.asid, MapSpec(vaddr=0x70000, shared=True,
-                                               alias_frames=tuple(frames)))
+            sim.map_region(other.asid, MapSpec(vaddr=0x70000, shared=True, alias_of="path"))
             sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="t1")
             sim.step(1); sim.step(1)  # window open
             assert sim.engine.records

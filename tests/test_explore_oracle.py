@@ -485,6 +485,9 @@ def test_reduced_witness_replays_through_run_prefix(path):
 
 PAGE, ALIAS = 0x10000, 0x80000
 RACE_OPS = ("openat", "write", "mprotect", "mmap", "exit")
+# With a fork among them, an mmap of a fresh page at the alias's address
+# too: it reads no page-table entry that the fork writes.
+FORK_RACE_OPS = RACE_OPS + ("fork", "fresh mmap")
 
 
 def _race_op(draw, kind: str) -> dict:
@@ -496,6 +499,8 @@ def _race_op(draw, kind: str) -> dict:
         return {"op": "mprotect", "vaddr": PAGE, "write": draw(st.booleans())}
     if kind == "mmap":
         return {"op": "mmap", "vaddr": ALIAS, "alias_of": "buf"}
+    if kind == "fresh mmap":
+        return {"op": "mmap", "vaddr": ALIAS}
     if kind == "exit":
         return {"op": "exit", "group": draw(st.booleans())}
     return {"op": "fork", "child": [{"op": "read", "vaddr": ALIAS}]}
@@ -506,8 +511,9 @@ def one_process_races(draw, kinds=RACE_OPS) -> dict:
     """Two or three threads of one sandboxed process with one labelled page
     holding "file1". Each thread runs one or two ops on the page, of
     ``kinds``: an openat of the path on it, a write over it (at the page or
-    at its alias), an mprotect of it, an mmap of the alias, an exit, or a
-    fork whose child reads the alias. Four ops at most over two threads and
+    at its alias), an mprotect of it, an mmap of the alias or of a fresh
+    page at its address, an exit, or a fork whose child reads the alias.
+    Four ops at most over two threads and
     three over three, with at most two openats and one fork, keep full
     enumeration within a few thousand paths."""
     threads = draw(
@@ -552,15 +558,19 @@ def test_generated_races_reduce_to_the_full_enumeration_verdict(raw, variant):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(one_process_races(RACE_OPS + ("fork",)), st.sampled_from(sorted(VARIANTS)))
+@given(one_process_races(FORK_RACE_OPS), st.sampled_from(sorted(VARIANTS)))
 def test_generated_races_with_a_fork_reduce_to_the_full_enumeration_verdict(raw, variant):
     """The same with a fork among the ops, whose step conflicts with every
-    other. The invariants are not checked here: the write-flag check does
-    not follow a fork's copy of the VMAs, and an mmap alias of a frame the
-    fork made copy-on-write maps it writable."""
+    other."""
     sc = scenario_from_dict(raw)
-    factory = lambda: build_simulation(sc, VARIANTS[variant])  # noqa: E731
-    assert explore(factory, 200).verdict() == explore_all(factory, 200).verdict()
+
+    def checked():
+        sim = build_simulation(sc, VARIANTS[variant])
+        check_every_step(sim)
+        return sim
+
+    report = explore(checked, 200)
+    assert report.verdict() == explore_all(lambda: build_simulation(sc, VARIANTS[variant]), 200).verdict()
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -623,7 +633,7 @@ def test_the_oracle_catches_a_broken_footprint(mutant, monkeypatch):
             continue  # a one-thread group never branches, so records nothing
         if any(_differs(sc, variant, _bound(path, sc)) for variant in VARIANTS):
             return
-    for generated in (one_process_races(RACE_OPS + ("fork",)), linked_processes()):
+    for generated in (one_process_races(FORK_RACE_OPS), linked_processes()):
         try:
             find(
                 st.tuples(generated, st.sampled_from(sorted(VARIANTS))),

@@ -383,6 +383,24 @@ MALFORMED = {
     "mapping data without an address": (
         lambda raw: raw["processes"][0]["mappings"][0].update(data=[{"string": "x"}]),
         "mappings[0].data[0]"),
+    "mapping data without a payload": (
+        lambda raw: raw["processes"][0]["mappings"][0].update(data=[{"at": 65536}]),
+        "mappings[0].data[0]: needs 'string' or 'bytes'"),
+    "mapping data past its mapping's end": (
+        lambda raw: raw["processes"][0]["mappings"][0].update(data=[{"at": 65536 + 4094, "string": "xy"}]),
+        "mappings[0].data[0]: data at 0x10ffe (+3) falls outside 0x10000..0x11000"),
+    "exec image mapping with a label": (
+        lambda raw: _set_op(raw, op="exec", path_vaddr=65536,
+                            image={"mappings": [{"vaddr": 131072, "label": "y"}]}),
+        "ops[0].image.mappings[0]: unknown key(s) ['label']"),
+    "duplicate enclave name": (
+        lambda raw: _add_enclave(raw) or raw["enclaves"].append(dict(raw["enclaves"][0])),
+        "enclaves[1]: duplicate enclave name 'e'"),
+    "unmapped enclave data bridge page": (
+        lambda raw: _add_enclave(raw, dbp_vaddrs=[3 << 20]), "enclaves[0]: bridge page 0x300 not mapped"),
+    "string rule with a comparison other than EQ": (
+        lambda raw: raw.update(filters={"rules": [{"nr": "openat", "arg": 1, "op": "NE", "strings": ["x"]}]}),
+        "filters.rules[0]: string filters support EQ only"),
     "write op with out-of-range bytes": (
         lambda raw: _set_op(raw, op="write", vaddr=65536, bytes=[256]), "ops[0].bytes"),
     "cost pair with a zero denominator": (
@@ -526,6 +544,22 @@ class TestCliMalformedCosts:
             assert "--costs" in err and where in err and "Traceback" not in err
 
 
+# ops run by an exec image of the process that maps the label x, at 0x10000
+# -> each syscall's (name, result). Once its process has exec'd, a label maps
+# nothing, so an alias of it cannot be mapped.
+_SECOND_EXEC = {"op": "exec", "path_vaddr": 131072}
+EXEC_IMAGE_FAULTS = {
+    "mmap alias of a label an exec unmapped": (
+        [{"op": "mmap", "vaddr": 196608, "alias_of": "x"}], [("execve", 0), ("mmap", -1)]),
+    "exec image alias of a label an exec unmapped": (
+        [dict(_SECOND_EXEC, image={"mappings": [{"vaddr": 196608, "alias_of": "x"}]})],
+        [("execve", 0), ("execve", -1)]),
+    "exec image with overlapping mappings": (
+        [dict(_SECOND_EXEC, image={"mappings": [{"vaddr": 196608}, {"vaddr": 196608}]})],
+        [("execve", 0), ("execve", -1)]),
+}
+
+
 class TestCliRunTimeFaults:
     def _run(self, raw, tmp_path):
         path, out = tmp_path / "s.json", tmp_path / "r.json"
@@ -540,6 +574,18 @@ class TestCliRunTimeFaults:
         assert report["kills"] == []
         mmap = [e for e in report["events"] if e["type"] == "SyscallEvent"]
         assert [(e["name"], e["result"]) for e in mmap] == [("mmap", -1)]
+
+    @pytest.mark.parametrize("case", sorted(EXEC_IMAGE_FAULTS))
+    def test_an_image_that_cannot_be_mapped_fails_the_call(self, case, tmp_path):
+        ops, calls = EXEC_IMAGE_FAULTS[case]
+        raw = minimal_scenario()
+        _labelled(raw)["processes"][0]["mappings"][0]["data"] = [{"at": 65536, "string": "/bin/a"}]
+        _set_op(raw, op="exec", path_vaddr=65536, image={
+            "mappings": [{"vaddr": 131072, "data": [{"at": 131072, "string": "/bin/b"}]}], "ops": ops,
+        })
+        report = self._run(raw, tmp_path)
+        assert report["kills"] == []
+        assert [(e["name"], e["result"]) for e in report["events"] if e["type"] == "SyscallEvent"] == calls
 
     def test_unconfined_enclave_fault_on_its_own_page_is_a_segfault(
         self, scenarios_dir, tmp_path, capsys

@@ -318,10 +318,11 @@ class DptiEngine:
         return True
 
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
-        """A fresh mapping of a frame appeared while that frame is inside a
-        protection window (an alias mapped mid-syscall): fold it into the
-        covering record so the window stays complete and restore returns the
-        mapping to the permissions it was created with."""
+        """A fresh mapping of a frame appeared while that frame is inside
+        protection windows (an alias mapped mid-syscall): fold it into every
+        covering record, oldest first as if it had been there when each
+        closed the frame, so each window stays complete and the last restore
+        returns the mapping to the permissions it was created with."""
         vmem: Vmem = self.sim.vmem
         if vmem.fp is not None:
             vmem.fp[0].add("windows")
@@ -329,7 +330,8 @@ class DptiEngine:
         if ids:
             if vmem.fp is not None:
                 vmem.fp[1].add("windows")
-            self._close_mapping(self.records[max(ids)], asid, vpn)
+            for record_id in sorted(ids):
+                self._close_mapping(self.records[record_id], asid, vpn)
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
         """Give ``asid`` its own copy of the copy-on-write page ``vpn``, in

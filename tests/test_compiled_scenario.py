@@ -209,9 +209,9 @@ def open_window_mappings(sim):
 class ProgramWriteFlags:
     """The write flag the program itself gave each mapped page: as built, as
     mapped later by mmap or exec, as a fork copied it from the parent, or as
-    an applied mprotect set it. A VMA's
-    vm_write may be clear only while an open freeze window covers one of
-    its pages, or where the program cleared the flag of one of its pages."""
+    an applied mprotect set it. A VMA's vm_write may be clear only while an
+    open freeze window covers one of its pages, or where the program cleared
+    the flag of one of its pages."""
 
     def __init__(self, sim):
         self.sim = sim

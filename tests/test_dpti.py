@@ -585,6 +585,22 @@ class TestWindowInvariants:
             ev = next(e for e in sim.events if isinstance(e, SyscallEvent) and e.name == "openat")
             assert ev.checked == ev.used  # the delayed write came after the use
 
+    def test_alias_mapped_mid_window_joins_every_window_over_its_frame(self):
+        """With two threads' windows over one frame, an alias mapped then is
+        closed by both, so the window that stays open still covers it."""
+        for variant in (Variant.STASH, Variant.FREEZE):
+            sim = Simulation(variant=variant)
+            proc = sim.add_process("app", sandboxed=True, filters=basic_filters(extra=("mmap",)))
+            sim.map_region(proc.asid, MapSpec(vaddr=PATH, shared=True, data=((PATH, b"file1\x00"),), label="path"))
+            for name in ("t1", "t2"):
+                sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name=name)
+            sim.add_thread(proc, [MmapOp(MapSpec(vaddr=0x50000, shared=True, alias_of="path"))], name="t3")
+            for tid in (1, 1, 2, 2, 3, 3):  # both windows open, then the mmap
+                sim.step(tid)
+            assert len(sim.engine.records) == 2
+            for record in sim.engine.records.values():
+                assert (proc.asid, 0x50000 // PAGE_SIZE) in {(p.asid, p.vpn) for p in record.mappings}
+
     def test_no_user_write_to_any_alias_during_window(self):
         """Alias completeness: while the window is open, user-mode writes to
         every mapping of the protected frame fault, in every address space."""

@@ -513,9 +513,9 @@ def one_process_races(draw, kinds=RACE_OPS) -> dict:
     ``kinds``: an openat of the path on it, a write over it (at the page or
     at its alias), an mprotect of it, an mmap of the alias or of a fresh
     page at its address, an exit, or a fork whose child reads the alias.
-    Four ops at most over two threads and
-    three over three, with at most two openats and one fork, keep full
-    enumeration within a few thousand paths."""
+    Four ops at most over two threads and three over three, with at most
+    two openats and one fork, keep full enumeration within a few thousand
+    paths."""
     threads = draw(
         st.lists(st.lists(st.sampled_from(kinds), min_size=1, max_size=2), min_size=2, max_size=3)
         .filter(lambda kinds: sum(map(len, kinds)) <= 6 - len(kinds))
@@ -539,12 +539,10 @@ def one_process_races(draw, kinds=RACE_OPS) -> dict:
     }
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(one_process_races(), st.sampled_from(sorted(VARIANTS)))
-def test_generated_races_reduce_to_the_full_enumeration_verdict(raw, variant):
-    """Where windows, stalls, wakes and kills meet the sleep sets, the
-    reduced search gives full enumeration's verdict, and every step it
-    takes keeps the memory and window invariants."""
+def assert_checked_reduction(raw, variant) -> ExplorationReport:
+    """The reduced search of ``raw`` gives full enumeration's verdict, and
+    every step it takes keeps the memory and window invariants; returns its
+    report."""
     sc = scenario_from_dict(raw)
 
     def checked():
@@ -554,7 +552,16 @@ def test_generated_races_reduce_to_the_full_enumeration_verdict(raw, variant):
 
     report = explore(checked, 200)
     assert report.verdict() == explore_all(lambda: build_simulation(sc, VARIANTS[variant]), 200).verdict()
-    assert not report.verdict()["truncated"]
+    return report
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(one_process_races(), st.sampled_from(sorted(VARIANTS)))
+def test_generated_races_reduce_to_the_full_enumeration_verdict(raw, variant):
+    """Where windows, stalls, wakes and kills meet the sleep sets, the
+    reduced search gives full enumeration's verdict, and every step it
+    takes keeps the memory and window invariants."""
+    assert not assert_checked_reduction(raw, variant).verdict()["truncated"]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -562,15 +569,7 @@ def test_generated_races_reduce_to_the_full_enumeration_verdict(raw, variant):
 def test_generated_races_with_a_fork_reduce_to_the_full_enumeration_verdict(raw, variant):
     """The same with a fork among the ops, whose step conflicts with every
     other."""
-    sc = scenario_from_dict(raw)
-
-    def checked():
-        sim = build_simulation(sc, VARIANTS[variant])
-        check_every_step(sim)
-        return sim
-
-    report = explore(checked, 200)
-    assert report.verdict() == explore_all(lambda: build_simulation(sc, VARIANTS[variant]), 200).verdict()
+    assert_checked_reduction(raw, variant)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -4,9 +4,11 @@ Dispatch distinguishes three cases: unregistered syscalls kill the caller,
 registered ones without argument filters run directly, and string-filtered
 arguments get their backing pages protected for the duration of the syscall.
 Two variants exist: stashing clears the user bit (page fully inaccessible
-from user mode), freezing clears the writable bit plus the VMA write flag
-(page read-only). Either way the bytes the filter checked are the bytes the
-syscall body consumes.
+from user mode), freezing clears the writable bit and freezes the VMA (page
+read-only). Either way the bytes the filter checked are the bytes the
+syscall body consumes. Windows may overlap: the first to close a mapping
+saves its bits, each holds one count on it, and the last to end puts the
+bits back and thaws the VMA.
 
 Syscalls advance through explicit phases (lookup, deep check, body, restore)
 so a scheduler can preempt between the check and the use; that window is
@@ -16,7 +18,7 @@ where the unprotected baseline races.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Optional
 
@@ -70,9 +72,10 @@ class SyscallPhase(Enum):
 
 
 @dataclass(slots=True)
-class MappingPrior:
-    """Pre-protection permission bits of one mapping, enough for exact
-    restore, and under freezing the VMA the window froze with it."""
+class ClosedMapping:
+    """One mapping that open windows hold closed: the bits it had before the
+    first of them closed it, the VMA frozen with it, and how many windows
+    hold it."""
 
     asid: int
     vpn: int
@@ -81,17 +84,18 @@ class MappingPrior:
     writable: bool
     executable: bool
     vma: Optional[Vma] = None
+    windows: int = 0
 
 
 @dataclass
 class ProtectionRecord:
-    """One syscall's protection window: the frames it closed, and the prior
-    bits of every mapping of them, oldest first."""
+    """One syscall's protection window: the frames it closed, and every
+    mapping of them it holds closed."""
 
     record_id: int
     owner_tid: int
     frames: list[int] = field(default_factory=list)
-    mappings: list[MappingPrior] = field(default_factory=list)
+    mappings: list[ClosedMapping] = field(default_factory=list)
 
 
 @dataclass
@@ -134,9 +138,7 @@ class DptiEngine:
         self.deny_mode = deny_mode
         self.records: dict[int, ProtectionRecord] = {}
         self.by_frame: dict[int, set[int]] = {}
-        # id of each VMA a freeze window holds -> (mappings frozen in it, the
-        # vm_write flag it had before the first of them)
-        self.frozen: dict[int, tuple[int, bool]] = {}
+        self.closed: dict[tuple[int, int, int], ClosedMapping] = {}  # by (asid, vpn, frame_id)
         self._next_record = 1
 
     # ------------------------------------------------------------------
@@ -320,8 +322,7 @@ class DptiEngine:
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
         """A fresh mapping of a frame appeared while that frame is inside
         protection windows (an alias mapped mid-syscall): fold it into every
-        covering record, oldest first as if it had been there when each
-        closed the frame, so each window stays complete and the last restore
+        covering record, so each window stays complete and the last to end
         returns the mapping to the permissions it was created with."""
         vmem: Vmem = self.sim.vmem
         if vmem.fp is not None:
@@ -330,7 +331,7 @@ class DptiEngine:
         if ids:
             if vmem.fp is not None:
                 vmem.fp[1].add("windows")
-            for record_id in sorted(ids):
+            for record_id in ids:
                 self._close_mapping(self.records[record_id], asid, vpn)
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
@@ -341,40 +342,29 @@ class DptiEngine:
         self.sim.emit(CowEvent(tid=tid, asid=asid, vpn=vpn, old_frame=old, new_frame=new))
 
     def _close_mapping(self, record: ProtectionRecord, asid: int, vpn: int) -> None:
-        """Save one mapping's bits in ``record``, then stash or freeze it."""
+        """Hold one mapping closed for ``record``: the first window over it
+        saves its bits, then stashes or freezes it; a later one only counts."""
         vmem: Vmem = self.sim.vmem
         space = vmem.spaces[asid]
         pte = space.entries[vpn]
-        prior = MappingPrior(asid, vpn, pte.frame_id, pte.user, pte.writable, pte.executable)
-        record.mappings.append(prior)
-        if self.variant is Variant.STASH:
-            vmem.set_perms(asid, vpn, False, pte.writable, False)
-        else:
-            vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
-            prior.vma = space.vma_for(vpn)
-            if prior.vma is not None:
-                self._freeze_vma(prior.vma)
-        vmem.tlb_flush(asid, vpn)
-
-    def _freeze_vma(self, vma: Vma) -> None:
-        """Clear ``vma``'s write flag for one more frozen mapping in it; the
-        first one saves the flag, whichever window it belongs to."""
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[1].add("vma")
-        count, saved = self.frozen.get(id(vma), (0, vma.vm_write))
-        self.frozen[id(vma)] = (count + 1, saved)
-        vma.vm_write = False
-
-    def _thaw_vma(self, vma: Vma) -> None:
-        """Release one frozen mapping of ``vma``; the last one puts back the
-        flag the first one saved."""
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[1].add("vma")
-        count, saved = self.frozen.pop(id(vma))
-        if count > 1:
-            self.frozen[id(vma)] = (count - 1, saved)
-        else:
-            vma.vm_write = saved
+        if vmem.fp is not None:
+            vmem.fp[0].add(("pte", asid, vpn))
+        key = (asid, vpn, pte.frame_id)
+        closed = self.closed.get(key)
+        if closed is None:
+            closed = self.closed[key] = ClosedMapping(*key, pte.user, pte.writable, pte.executable)
+            if self.variant is Variant.STASH:
+                vmem.set_perms(asid, vpn, False, pte.writable, False)
+            else:
+                vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
+                closed.vma = space.vma_for(vpn)
+                if closed.vma is not None:
+                    if vmem.fp is not None:
+                        vmem.fp[1].add("vma")
+                    closed.vma.frozen += 1
+            vmem.tlb_flush(asid, vpn)
+        closed.windows += 1
+        record.mappings.append(closed)
 
     def check_string(self, task, ctx: SyscallContext, sf: StringFilter) -> Optional[bool]:
         """The check fetch: read the argument, unmodifiable once protected,
@@ -426,21 +416,27 @@ class DptiEngine:
         return True
 
     def _apply_restore(self, record: ProtectionRecord) -> int:
+        """Let go of every mapping ``record`` holds closed; the last window
+        over one thaws its VMA and puts its bits back. Returns how many."""
         vmem: Vmem = self.sim.vmem
         if vmem.fp is not None:
             vmem.fp[1].add("windows")
         restored = 0
-        for prior in reversed(record.mappings):
-            if prior.vma is not None:
-                self._thaw_vma(prior.vma)
-            space = vmem.spaces.get(prior.asid)
-            if space is None:
-                continue  # address space replaced (exec) or torn down
-            pte = space.entries.get(prior.vpn)
-            if pte is None or pte.frame_id != prior.frame_id:
+        for closed in record.mappings:
+            closed.windows -= 1
+            if closed.windows:
                 continue
-            vmem.set_perms(prior.asid, prior.vpn, prior.user, prior.writable, prior.executable)
-            vmem.tlb_flush(prior.asid, prior.vpn)
+            del self.closed[closed.asid, closed.vpn, closed.frame_id]
+            if closed.vma is not None:
+                if vmem.fp is not None:
+                    vmem.fp[1].add("vma")
+                closed.vma.frozen -= 1
+            space = vmem.spaces.get(closed.asid)  # None once replaced (exec) or torn down
+            pte = space.entries.get(closed.vpn) if space is not None else None
+            if pte is None or pte.frame_id != closed.frame_id:
+                continue
+            vmem.set_perms(closed.asid, closed.vpn, closed.user, closed.writable, closed.executable)
+            vmem.tlb_flush(closed.asid, closed.vpn)
             restored += 1
         del self.records[record.record_id]
         for frame_id in record.frames:
@@ -456,12 +452,11 @@ class DptiEngine:
         self.sim.wake_frame_waiters(set(record.frames))
 
     def unwind_group(self, tids: set[int]) -> None:
-        """Kill path: release every protection owned by these tasks, newest
-        first, without the concurrent-use check."""
+        """Kill path: release every protection owned by these tasks, without
+        the concurrent-use check."""
         if self.sim.vmem.fp is not None:
             self.sim.vmem.fp[0].add("windows")
-        owned = [r for r in self.records.values() if r.owner_tid in tids]
-        for record in sorted(owned, key=lambda r: r.record_id, reverse=True):
+        for record in [r for r in self.records.values() if r.owner_tid in tids]:
             self._unwind_record(record)
 
     # ------------------------------------------------------------------
@@ -472,8 +467,14 @@ class DptiEngine:
         'stalled' once the task waits for the window that closed the page,
         or 'killed' once the task's process is killed."""
         if fault.reason is FaultReason.COW_PENDING:
-            self._resolve_cow(task.tid, fault.asid, fault.vpn)
-            return "retry"
+            vmem: Vmem = self.sim.vmem
+            if vmem.fp is not None:
+                vmem.fp[0].add("vma")
+            vma = vmem.spaces[fault.asid].vma_for(fault.vpn)
+            if vma is None or (vma.vm_write and not vma.frozen):
+                self._resolve_cow(task.tid, fault.asid, fault.vpn)
+                return "retry"
+            fault = replace(fault, reason=FaultReason.WRITE_PROT)  # Linux checks the VMA before it copies
         if self.sim.vmem.fp is not None:
             self.sim.vmem.fp[0].add("windows")
         stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
@@ -595,8 +596,8 @@ class DptiEngine:
             1
             for record in self.records.values()
             if record.owner_tid == task.tid
-            for prior in record.mappings
-            if prior.asid != task.asid
+            for closed in record.mappings
+            if closed.asid != task.asid
         )
         if not self.sim.exec_task(task, ctx.op.image):
             ctx.result = -1

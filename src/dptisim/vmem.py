@@ -26,10 +26,10 @@ EVERYTHING = "everything"
 # What one step reads and writes: (locations read, locations written). A
 # location is a frame's bytes ("frame", frame_id), a page-table entry with
 # every core's TLB entry for it ("pte", asid, vpn), a frame's reverse-map
-# entry ("rmap", frame_id), the flags of every VMA ("vma"), the frame
-# allocator ("alloc"), the engine's protection windows ("windows"), a task's
-# state ("task", tid), a process's filter reference count ("filters", tgid),
-# or EVERYTHING.
+# entry ("rmap", frame_id), the flags and freeze counts of every VMA
+# ("vma"), the frame allocator ("alloc"), the engine's protection windows
+# ("windows"), a task's state ("task", tid), a process's filter reference
+# count ("filters", tgid), or EVERYTHING.
 Footprint = tuple[set, set]
 
 
@@ -136,6 +136,7 @@ class Vma:
     vm_write: bool
     vm_exec: bool
     shared: bool = False
+    frozen: int = 0  # mappings in it that freeze windows hold; it takes no write while any
 
     def covers(self, vpn: int) -> bool:
         return self.start <= vpn <= self.end
@@ -478,7 +479,7 @@ class Vmem:
         pte.frame_id = fresh.frame_id
         pte.cow = False
         vma = self.spaces[asid].vma_for(vpn)
-        pte.writable = vma.vm_write if vma is not None else True
+        pte.writable = vma is None or (vma.vm_write and not vma.frozen)
         self.rmap[fresh.frame_id] = {(asid, vpn)}
         self.tlb_flush(asid, vpn)
         return fresh.frame_id
@@ -488,7 +489,7 @@ class Vmem:
         becomes copy-on-write in both parent and child; shared ones stay shared.
         """
         parent = self.spaces[parent_asid]
-        child = self.new_address_space([replace(v) for v in parent.vmas])
+        child = self.new_address_space([replace(v, frozen=0) for v in parent.vmas])
         for vpn, ppte in parent.entries.items():
             vma = parent.vma_for(vpn)
             if vma is None or not vma.shared:

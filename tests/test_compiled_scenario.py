@@ -6,6 +6,7 @@ frames hold after every step of every shipped scenario; and every build is
 freed by reference counting."""
 
 import gc
+import itertools
 import json
 import weakref
 from functools import partial
@@ -14,9 +15,9 @@ import pytest
 
 from dptisim import scenario as scenario_module
 from dptisim.dpti import SyscallContext, Variant
-from dptisim.events import ExecEvent, ForkEvent, MprotectEvent
+from dptisim.events import CowEvent, ExecEvent, ForkEvent, MprotectEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import MmapOp, MprotectOp, explore
+from dptisim.tasks import MmapOp, MprotectOp, explore, explore_all
 from dptisim.vmem import PAGE_SIZE
 
 from conftest import SCENARIOS, shared_private_frames
@@ -157,6 +158,20 @@ def test_a_write_after_a_fork_leaves_the_childs_page_alone(probe, variant):
     assert (buf(parent), buf(child)) == (b"Xile1", b"file1")
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_a_write_to_a_forked_read_only_page_segfaults_without_a_copy(variant):
+    """As in Linux, the area's write flag is checked before any copy: a
+    write to a read-only private page after a fork kills the writer, and
+    no copy is made."""
+    ops = [{"op": "mprotect", "vaddr": 0x10000, "write": False}, FORK, {"op": "write", "vaddr": 0x10000, "string": "X"}]
+    sim = build_simulation(scenario_from_dict(fork_probe(ops)), VARIANTS[variant])
+    check_every_step(sim)
+    sim.run_seeded(0)
+    assert [(kill["process"], kill["cause"]) for kill in sim.kills] == [("app", "segfault")]
+    assert "write_violation" in sim.kills[0]["detail"]
+    assert not any(isinstance(ev, CowEvent) for ev in sim.events)
+
+
 def test_running_one_build_leaves_its_siblings_unchanged():
     sc = scenario_from_dict(lifecycle_scenario())
     expected = build_simulation(sc).run_seeded(0)
@@ -191,41 +206,41 @@ def test_report_json_is_the_plain_json_of_its_dict(path, variant):
 
 
 def open_window_mappings(sim):
-    """Every mapping an open protection window recorded that still maps the
-    recorded frame, as (description, its PTE and every TLB entry for it,
+    """Every mapping open protection windows hold closed that still maps the
+    frame they closed, as (description, its PTE and every TLB entry for it,
     its VMA)."""
     vmem = sim.vmem
-    for record in sim.engine.records.values():
-        for prior in record.mappings:
-            space = vmem.spaces.get(prior.asid)
-            pte = space.entries.get(prior.vpn) if space is not None else None
-            if pte is None or pte.frame_id != prior.frame_id:
-                continue
-            tlb_entries = [tlb.lookup(prior.asid, prior.vpn) for tlb in vmem.tlbs]
-            views = [pte] + [entry for entry in tlb_entries if entry is not None]
-            yield f"record {record.record_id} {prior}", views, space.vma_for(prior.vpn)
+    for closed in sim.engine.closed.values():
+        space = vmem.spaces.get(closed.asid)
+        pte = space.entries.get(closed.vpn) if space is not None else None
+        if pte is None or pte.frame_id != closed.frame_id:
+            continue
+        tlb_entries = [tlb.lookup(closed.asid, closed.vpn) for tlb in vmem.tlbs]
+        views = [pte] + [entry for entry in tlb_entries if entry is not None]
+        yield repr(closed), views, space.vma_for(closed.vpn)
 
 
 class ProgramWriteFlags:
     """The write flag the program itself gave each mapped page: as built, as
     mapped later by mmap or exec, as a fork copied it from the parent, or as
-    an applied mprotect set it. A VMA's vm_write may be clear only while an
-    open freeze window covers one of its pages, or where the program cleared
-    the flag of one of its pages."""
+    an applied mprotect set it. A VMA's vm_write is the flag the program
+    set last on any of its pages: a freeze window never touches it."""
 
     def __init__(self, sim):
         self.sim = sim
+        # (asid, vpn) -> (when the program set the flag, the flag)
         self.flags = {
-            (asid, vpn): space.vma_for(vpn).vm_write
+            (asid, vpn): (0, space.vma_for(vpn).vm_write)
             for asid, space in sim.vmem.spaces.items() for vpn in space.entries
         }
+        self.clock = itertools.count(1)
         map_region, fork_task = sim.map_region, sim.fork_task
 
         def recording_map_region(asid, spec, *args):
             frames = map_region(asid, spec, *args)
             start = spec.vaddr // PAGE_SIZE
             for vpn in range(start, start + len(frames)):
-                self.flags[(asid, vpn)] = spec.writable
+                self.flags[(asid, vpn)] = (next(self.clock), spec.writable)
             return frames
 
         def recording_fork_task(parent, child_ops):
@@ -243,25 +258,20 @@ class ProgramWriteFlags:
         if isinstance(op, MprotectOp) and any(
             isinstance(ev, MprotectEvent) and ev.outcome == "applied" for ev in events
         ):
+            when = next(self.clock)
             for vpn in op.vpns:
-                self.flags[(task.asid, vpn)] = op.writable
+                self.flags[(task.asid, vpn)] = (when, op.writable)
 
     def problems(self):
-        vmem = self.sim.vmem
-        covered = set()
-        for record in self.sim.engine.records.values():
-            for prior in record.mappings:
-                space = vmem.spaces.get(prior.asid)
-                if space is not None:
-                    covered.add(id(space.vma_for(prior.vpn)))
-        seen = set()
-        for asid, space in vmem.spaces.items():
+        seen = []
+        for asid, space in self.sim.vmem.spaces.items():
             for vma in space.vmas:  # an enclave's spaces share their host's
-                if id(vma) in seen or vma.vm_write or id(vma) in covered:
+                if any(vma is other for other in seen):
                     continue
-                seen.add(id(vma))
-                if all(self.flags.get((asid, vpn), True) for vpn in range(vma.start, vma.end + 1)):
-                    yield f"asid {asid} {vma}: vm_write clear outside any window"
+                seen.append(vma)
+                flags = [self.flags[asid, vpn] for vpn in range(vma.start, vma.end + 1) if (asid, vpn) in self.flags]
+                if flags and max(flags)[1] != vma.vm_write:
+                    yield f"asid {asid} {vma}: vm_write is not the flag the program last set"
 
 
 def op_of(task):
@@ -296,11 +306,11 @@ def check_every_step(sim) -> list[int]:
                 else:
                     assert not view.writable, (at, what, view)
             if sim.engine.variant is Variant.FREEZE:
-                assert vma is None or not vma.vm_write, (at, what)
+                assert vma is None or vma.frozen, (at, what)
         # Every mapping of a frame inside an open window is one the window
         # closed.
         for record in sim.engine.records.values():
-            closed = {(prior.asid, prior.vpn) for prior in record.mappings}
+            closed = {(mapping.asid, mapping.vpn) for mapping in record.mappings}
             for frame_id in record.frames:
                 assert vmem.rmap.get(frame_id, set()) <= closed, (at, record.record_id, frame_id)
         assert list(write_flags.problems()) == [], at
@@ -323,7 +333,82 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
     report = sim.run_seeded(seed, sc.schedule.get("max_steps", 1000))
     assert len(checked) == report.steps > 0
     if not report.truncated and not report.deadlocked:
-        assert not sim.engine.records and not sim.engine.by_frame and not sim.engine.frozen
+        assert not sim.engine.records and not sim.engine.by_frame and not sim.engine.closed
+
+
+def checked_exploration(raw: dict, variant: str):
+    """``explore_all`` of ``raw`` under ``variant``, checking the memory and
+    window invariants after every step of every path."""
+    sc = scenario_from_dict(raw)
+
+    def checked():
+        sim = build_simulation(sc, VARIANTS[variant])
+        check_every_step(sim)
+        return sim
+
+    return explore_all(checked, 200)
+
+
+OPENAT_FILE1 = {"rules": [
+    {"nr": "read"}, {"nr": "mprotect"}, {"nr": "exit_group"}, {"nr": "openat", "arg": 1, "strings": ["file1"]},
+]}
+
+
+def openat(vaddr: int) -> dict:
+    return {"op": "syscall", "nr": "openat", "args": [0, vaddr, 0]}
+
+
+@pytest.mark.parametrize("variant", ["stash", "freeze"])
+def test_killing_an_older_window_leaves_a_newer_one_over_its_frame_closed(variant):
+    """Sandboxed ``a`` and ``b`` each open the path on one shared labelled
+    page, through their own mapping of it, while ``c`` maps another alias
+    and writes "file2" over the path. Where both windows are open and the
+    first to restore is killed for concurrent use, the page stays closed
+    inside the other window, so ``c``'s write waits for it."""
+    raw = {
+        "version": 1, "name": "nested-windows", "filters": OPENAT_FILE1,
+        "processes": [
+            {"name": "a", "sandboxed": True,
+             "mappings": [{"vaddr": 0x10000, "shared": True, "label": "path",
+                           "data": [{"at": 0x10000, "string": "file1"}]}],
+             "threads": [{"name": "a", "ops": [openat(0x10000)]}]},
+            {"name": "b", "sandboxed": True,
+             "mappings": [{"vaddr": 0x20000, "shared": True, "alias_of": "path"}],
+             "threads": [{"name": "b", "ops": [openat(0x20000)]}]},
+            {"name": "c", "threads": [{"name": "c", "ops": [
+                {"op": "mmap", "vaddr": 0x50000, "shared": True, "alias_of": "path"},
+                {"op": "write", "vaddr": 0x50000, "string": "file2"},
+            ]}]},
+        ],
+    }
+    verdict = checked_exploration(raw, variant).verdict()
+    assert not verdict["witness"]
+    assert "concurrent_use_violation" in verdict["kill_causes"]
+    assert "c" not in verdict["process_kills"]
+
+
+@pytest.mark.parametrize("write", [True, False])
+def test_an_mprotect_beside_a_frozen_page_keeps_the_freeze_and_its_own_flag(write):
+    """One thread opens the path on the first page of a 2-page mapping while
+    another mprotects the second page and writes it: the area stays frozen
+    for the whole window, and ends with the flag the mprotect gave it."""
+    raw = {
+        "version": 1, "name": "mprotect-beside-frozen", "filters": OPENAT_FILE1,
+        "processes": [{
+            "name": "app", "sandboxed": True,
+            "mappings": [{"vaddr": 0x10000, "pages": 2, "data": [{"at": 0x10000, "string": "file1"}]}],
+            "threads": [
+                {"name": "t0", "ops": [openat(0x10000)]},
+                {"name": "t1", "ops": [
+                    {"op": "mprotect", "vaddr": 0x11000, "write": write},
+                    {"op": "write", "vaddr": 0x11000, "string": "x"},
+                ]},
+            ],
+        }],
+    }
+    verdict = checked_exploration(raw, "freeze").verdict()
+    assert not verdict["witness"] and not verdict["deadlock"]
+    assert verdict["kill_causes"] == ([] if write else ["segfault"])
 
 
 def test_every_build_is_freed_without_the_cyclic_collector():

@@ -549,10 +549,9 @@ class TestWindowInvariants:
         while sim.runnable_tids() and sim.step_count < 200:
             runnable = sim.runnable_tids()
             sim.step(runnable[rng.randrange(len(runnable))])
-            for record in sim.engine.records.values():
-                for prior in record.mappings:
-                    pte = sim.vmem.spaces[prior.asid].entries[prior.vpn]
-                    assert not pte.executable and not pte.user
+            for closed in sim.engine.closed.values():
+                pte = sim.vmem.spaces[closed.asid].entries[closed.vpn]
+                assert not pte.executable and not pte.user
         assert not sim.kills
 
     def test_alias_mapped_mid_window_is_covered_and_restored(self):
@@ -686,8 +685,8 @@ class TestFreezeVmaFlag:
         report = sim.run_seeded(seed)
         assert not report.kills and not report.deadlocked
         assert len([e for e in sim.events if isinstance(e, RestoreEvent)]) == 2
-        assert vma.vm_write
-        assert not sim.engine.records and not sim.engine.frozen
+        assert vma.vm_write and not vma.frozen
+        assert not sim.engine.records and not sim.engine.closed
 
 
 class TestMmap:

@@ -9,7 +9,6 @@ totals compare with zero tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -76,25 +75,6 @@ class CostTable:
         if matched:
             cost = cost + self.string_compare_per_char * arg_len
         return cost
-
-    @classmethod
-    def zeroed(cls) -> CostTable:
-        return cls(
-            base_syscall={"default": 0},
-            filter_lookup_dpti=0,
-            seccomp_per_rule_scanned=0,
-            pt_resolve=0,
-            pte_manipulate=0,
-            tlb_flush=0,
-            string_compare_base=0,
-            string_compare_per_char=0,
-            ecall_base=0,
-            ocall_base=0,
-            domain_enter=0,
-            ocall_exit_fixed=0,
-            fault_exit=0,
-            syscall_exit=0,
-        )
 
     def with_overrides(self, overrides: Any) -> CostTable:
         """This table with the fields named in ``overrides`` replaced and the
@@ -246,9 +226,6 @@ class BenchReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {"title": self.title, "rows": [r.to_dict() for r in self.rows]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def render_text(self) -> str:
         width = max([len(r.label) for r in self.rows] + [len(self.title), 8])

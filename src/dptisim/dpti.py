@@ -6,9 +6,10 @@ arguments get their backing pages protected for the duration of the syscall.
 Two variants exist: stashing clears the user bit (page fully inaccessible
 from user mode), freezing clears the writable bit and freezes the VMA (page
 read-only). Either way the bytes the filter checked are the bytes the
-syscall body consumes. Windows may overlap: the first to close a mapping
-saves its bits, each holds one count on it, and the last to end puts the
-bits back and thaws the VMA.
+syscall body consumes. A window is held by its syscall: the syscall's
+restore ends it, and a kill ends the dying syscall's window. Windows may
+overlap: the first to close a mapping saves its bits, each holds one count
+on it, and the last to end puts the bits back and thaws the VMA.
 
 Syscalls advance through explicit phases (lookup, deep check, body, restore)
 so a scheduler can preempt between the check and the use; that window is
@@ -87,13 +88,11 @@ class ClosedMapping:
     windows: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class ProtectionRecord:
     """One syscall's protection window: the frames it closed, and every
-    mapping of them it holds closed."""
+    mapping of them it holds closed. Its syscall context is its one owner."""
 
-    record_id: int
-    owner_tid: int
     frames: list[int] = field(default_factory=list)
     mappings: list[ClosedMapping] = field(default_factory=list)
 
@@ -124,7 +123,7 @@ def make_syscall_context(op: Any) -> SyscallContext:
 
 
 class DptiEngine:
-    """Kernel-side policy: filter dispatch, protection records, fault handling.
+    """Kernel-side policy: filter dispatch, protection windows, fault handling.
 
     The engine mutates simulation state through the host object (`sim`),
     which provides tasks, memory, the event log, and kill/stall/wake hooks.
@@ -136,10 +135,9 @@ class DptiEngine:
         self.sim = weakref.proxy(sim)
         self.variant = variant
         self.deny_mode = deny_mode
-        self.records: dict[int, ProtectionRecord] = {}
-        self.by_frame: dict[int, set[int]] = {}
+        # the open windows over each frame inside one, in the order they closed it
+        self.by_frame: dict[int, list[ProtectionRecord]] = {}
         self.closed: dict[tuple[int, int, int], ClosedMapping] = {}  # by (asid, vpn, frame_id)
-        self._next_record = 1
 
     # ------------------------------------------------------------------
     # dispatch state machine
@@ -261,9 +259,7 @@ class DptiEngine:
         if vmem.fp is not None:
             vmem.fp[1].add("windows")
         if record is None:
-            record = ctx.record = ProtectionRecord(self._next_record, task.tid)
-            self.records[record.record_id] = record
-            self._next_record += 1
+            record = ctx.record = ProtectionRecord()
         had_frames, had_mappings = len(record.frames), len(record.mappings)
         for vpn, offset, _, _ in page_spans(vaddr, MAX_SPAN * PAGE_SIZE - page_offset(vaddr)):
             if not self._protect_page(task, record, vpn):
@@ -274,7 +270,6 @@ class DptiEngine:
             if frame.data.find(0, offset) >= 0:
                 break
         else:
-            self._unwind_record(record)
             self.kill(
                 task,
                 KillCause.BAD_POINTER,
@@ -299,7 +294,6 @@ class DptiEngine:
         if vmem.fp is not None:
             vmem.fp[0].add(("pte", task.asid, vpn))
         if pte is None or not pte.present:
-            self._unwind_record(record)
             self.kill(task, KillCause.BAD_POINTER, f"argument page {vpn:#x} unmapped")
             return False
         if pte.cow:
@@ -310,13 +304,12 @@ class DptiEngine:
         if frame_id in record.frames:
             return True  # an earlier argument of this syscall closed it
         if self.variant is Variant.STASH and pte.executable:
-            self._unwind_record(record)
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
         for asid, a_vpn in vmem.aliases_of(frame_id):
             self._close_mapping(record, asid, a_vpn)
         record.frames.append(frame_id)
-        self.by_frame.setdefault(frame_id, set()).add(record.record_id)
+        self.by_frame.setdefault(frame_id, []).append(record)
         return True
 
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
@@ -327,12 +320,12 @@ class DptiEngine:
         vmem: Vmem = self.sim.vmem
         if vmem.fp is not None:
             vmem.fp[0].add("windows")
-        ids = self.by_frame.get(vmem.spaces[asid].entries[vpn].frame_id)
-        if ids:
+        records = self.by_frame.get(vmem.spaces[asid].entries[vpn].frame_id)
+        if records:
             if vmem.fp is not None:
                 vmem.fp[1].add("windows")
-            for record_id in ids:
-                self._close_mapping(self.records[record_id], asid, vpn)
+            for record in records:
+                self._close_mapping(record, asid, vpn)
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
         """Give ``asid`` its own copy of the copy-on-write page ``vpn``, in
@@ -400,8 +393,7 @@ class DptiEngine:
         if self.sim.vmem.fp is not None:
             self.sim.vmem.fp[0].add("windows")
         for frame_id in record.frames:
-            others = self.by_frame.get(frame_id, set()) - {record.record_id}
-            if others:
+            if any(other is not record for other in self.by_frame[frame_id]):
                 self.kill(
                     task,
                     KillCause.CONCURRENT_USE,
@@ -410,7 +402,7 @@ class DptiEngine:
                 return False
         restored = self._apply_restore(record)
         self.sim.emit(
-            RestoreEvent(tid=record.owner_tid, frames=list(record.frames), mappings=restored)
+            RestoreEvent(tid=task.tid, frames=list(record.frames), mappings=restored)
         )
         self.sim.wake_frame_waiters(set(record.frames))
         return True
@@ -438,26 +430,23 @@ class DptiEngine:
             vmem.set_perms(closed.asid, closed.vpn, closed.user, closed.writable, closed.executable)
             vmem.tlb_flush(closed.asid, closed.vpn)
             restored += 1
-        del self.records[record.record_id]
         for frame_id in record.frames:
-            ids = self.by_frame.get(frame_id)
-            if ids is not None:
-                ids.discard(record.record_id)
-                if not ids:
-                    del self.by_frame[frame_id]
+            records = self.by_frame[frame_id]
+            records.remove(record)
+            if not records:
+                del self.by_frame[frame_id]
         return restored
 
-    def _unwind_record(self, record: ProtectionRecord) -> None:
-        self._apply_restore(record)
-        self.sim.wake_frame_waiters(set(record.frames))
-
-    def unwind_group(self, tids: set[int]) -> None:
-        """Kill path: release every protection owned by these tasks, without
-        the concurrent-use check."""
+    def unwind_group(self, tasks: Iterable) -> None:
+        """Kill path: release the window of each of these tasks' in-flight
+        syscalls, without the concurrent-use check, and wake its waiters."""
         if self.sim.vmem.fp is not None:
             self.sim.vmem.fp[0].add("windows")
-        for record in [r for r in self.records.values() if r.owner_tid in tids]:
-            self._unwind_record(record)
+        for task in tasks:
+            ctx = task.micro
+            if isinstance(ctx, SyscallContext) and ctx.record is not None:
+                self._apply_restore(ctx.record)
+                self.sim.wake_frame_waiters(set(ctx.record.frames))
 
     # ------------------------------------------------------------------
     # fault and interface policy
@@ -592,13 +581,8 @@ class DptiEngine:
         path = self._use_fetch(task, ctx, 0)
         if path is None:
             return "killed"
-        restored = sum(
-            1
-            for record in self.records.values()
-            if record.owner_tid == task.tid
-            for closed in record.mappings
-            if closed.asid != task.asid
-        )
+        record = ctx.record
+        restored = 0 if record is None else sum(closed.asid != task.asid for closed in record.mappings)
         if not self.sim.exec_task(task, ctx.op.image):
             ctx.result = -1
             return "ok"

@@ -205,10 +205,8 @@ class CompiledScenario:
     enclaves: tuple[_EnclavePlan, ...]
     config_json: str
     # The threads of each group of processes that may interact, by the tids
-    # build_simulation gives them, in the order of each group's first thread,
-    # and the names of each group's processes.
+    # build_simulation gives them, in the order of each group's first thread.
     groups: tuple[tuple[int, ...], ...] = ()
-    group_names: tuple[tuple[str, ...], ...] = ()
 
 
 @dataclass
@@ -308,7 +306,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
         plans[i] = replace(plans[i], threads=tuple(threads))
 
     enclaves = tuple(names.enclaves.values())
-    groups, group_names = _groups(plans, names)
+    groups = _groups(plans, names)
     return Scenario(
         raw=raw,
         name=_str(raw, "name", ""),
@@ -327,20 +325,17 @@ def scenario_from_dict(raw: Any) -> Scenario:
             enclaves=enclaves,
             config_json=_dumps(raw),
             groups=groups,
-            group_names=group_names,
         ),
     )
 
 
-def _groups(
-    plans: list[_ProcessPlan], names: _Names,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
+def _groups(plans: list[_ProcessPlan], names: _Names) -> tuple[tuple[int, ...], ...]:
     """The tids of the threads of each connected component of "may interact"
-    over the processes, and the names of its processes in pid order. Two
-    processes may interact if they map a common label, if one names a thread
-    of the other in ``proc_mem_write``, or if they share an enclave (its host
-    or an ``ecall`` to it). A ``fork`` anywhere makes every process one
-    group: a child's pid, tid and name come from counters all share."""
+    over the processes. Two processes may interact if they map a common
+    label, if one names a thread of the other in ``proc_mem_write``, or if
+    they share an enclave (its host or an ``ecall`` to it). A ``fork``
+    anywhere makes every process one group: a child's pid, tid and name
+    come from counters all share."""
     root = list(range(len(plans)))
 
     def find(i: int) -> int:
@@ -384,13 +379,10 @@ def _groups(
         if not all(walk(i, ops) for _, ops, _, _ in plan.threads):
             root[:] = [0] * len(plans)
             break
-    groups: dict[int, list[tuple[int, int]]] = {}
+    groups: dict[int, list[int]] = {}
     for tid, (_, i) in enumerate(threads, 1):
-        groups.setdefault(find(i), []).append((tid, i))
-    return (
-        tuple(tuple(tid for tid, _ in group) for group in groups.values()),
-        tuple(tuple(dict.fromkeys(plans[i].name for _, i in group)) for group in groups.values()),
-    )
+        groups.setdefault(find(i), []).append(tid)
+    return tuple(tuple(group) for group in groups.values())
 
 
 def _processes(raw: dict, have_filters: bool, names: _Names) -> list[_ProcessPlan]:
@@ -692,7 +684,7 @@ def build_simulation(
     for proc, info in zip(plan.processes, proc_infos):
         for name, ops, rsp, rbp in proc.threads:
             sim.add_thread(info, ops, name=name, rsp=rsp, rbp=rbp)
-    sim.groups, sim.group_names = plan.groups, plan.group_names
+    sim.groups = plan.groups
     return sim
 
 

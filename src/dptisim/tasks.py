@@ -353,11 +353,10 @@ class Simulation:
         self.config = config
         self.config_json = config_json
         self.schedule_info: dict[str, Any] = {}
-        # The tids of each group of processes that may interact, and the
-        # names of its processes, as build_simulation works them out; () for
-        # a simulation built by hand, which explore searches as one group.
+        # The tids of each group of processes that may interact, as
+        # build_simulation works them out; () for a simulation built by hand,
+        # which explore searches as one group.
         self.groups: tuple[tuple[int, ...], ...] = ()
-        self.group_names: tuple[tuple[str, ...], ...] = ()
         self._next_tid = 1
         self._next_pid = 1
         self._current_tid = -1
@@ -505,10 +504,11 @@ class Simulation:
         return [t for t in self.tasks.values() if t.tgid == tgid and t.alive]
 
     def _end_tasks(self, tgid: int, tasks: list[Task]) -> bool:
-        """Tear down ``tasks`` of process ``tgid``: unwind the protection
-        windows they own, mark them dead and release their references to the
-        process's filters. Returns whether that freed the filters."""
-        self.engine.unwind_group({t.tid for t in tasks})
+        """Tear down ``tasks`` of process ``tgid``: end the protection window
+        of each one's in-flight syscall, mark them dead and release their
+        references to the process's filters. Returns whether that freed the
+        filters."""
+        self.engine.unwind_group(tasks)
         fp = self.vmem.fp
         if fp is not None:
             fp[1].update(("task", task.tid) for task in tasks)
@@ -772,8 +772,8 @@ class ExplorationReport(_Report):
     deadlock_paths: int = 0
     example_witness: Optional[dict[str, Any]] = None
     per_path: list[dict[str, Any]] = field(default_factory=list)
-    # the process names of each group explored apart; one group when every
-    # task was enumerated together
+    # the names of the processes of each group's threads, in tid order; one
+    # group, of every process, when every task was enumerated together
     groups: list[list[str]] = field(default_factory=list)
     # whether sleep sets cut the search, so that the counts are over one
     # path per class of interleavings that differ only in the order of
@@ -1020,18 +1020,15 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     on a fresh build.
     """
     root = factory()
-    if len(root.groups) > 1:
-        report = ExplorationReport(groups=[list(names) for names in root.group_names])
-        budget = max_steps
-        for tids in root.groups:
-            longest = _search(factory, root, budget, report, tids, reduce=True)
-            if longest is None:
-                break
-            budget -= longest
-        else:
-            return report
-    else:
-        report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
-        if _search(factory, root, max_steps, report, reduce=True) is not None:
-            return report
-    return _explore_together(factory, factory(), max_steps)
+    groups = root.groups or (tuple(root.tasks),)
+    report = ExplorationReport(groups=[
+        list(dict.fromkeys(root.processes[root.tasks[tid].tgid].name for tid in tids))
+        for tids in groups
+    ])
+    budget = max_steps
+    for tids in groups if len(groups) > 1 else [None]:
+        longest = _search(factory, root, budget, report, tids, reduce=True)
+        if longest is None:
+            return _explore_together(factory, factory(), max_steps)
+        budget -= longest
+    return report

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 PAGE_SIZE = 4096
 
@@ -455,11 +455,10 @@ class Vmem:
         pte = self.pte(asid, vpn)
         pte.user, pte.writable, pte.executable = user, writable, executable
 
-    def tlb_flush(self, asid: int, vpn: int, cores: Optional[Iterable[int]] = None) -> None:
+    def tlb_flush(self, asid: int, vpn: int) -> None:
         if self.fp is not None:
             self.fp[1].add(("pte", asid, vpn))
-        tlbs = self.tlbs if cores is None else [self.tlbs[core] for core in set(cores)]
-        for tlb in tlbs:
+        for tlb in self.tlbs:
             tlb.flush(asid, vpn)
 
     # ------------------------------------------------------------------

@@ -309,10 +309,10 @@ def check_every_step(sim) -> list[int]:
                 assert vma is None or vma.frozen, (at, what)
         # Every mapping of a frame inside an open window is one the window
         # closed.
-        for record in sim.engine.records.values():
-            closed = {(mapping.asid, mapping.vpn) for mapping in record.mappings}
-            for frame_id in record.frames:
-                assert vmem.rmap.get(frame_id, set()) <= closed, (at, record.record_id, frame_id)
+        for frame_id, records in sim.engine.by_frame.items():
+            for record in records:
+                closed = {(mapping.asid, mapping.vpn) for mapping in record.mappings}
+                assert vmem.rmap.get(frame_id, set()) <= closed, (at, frame_id)
         assert list(write_flags.problems()) == [], at
         # No private frame is shared between processes without copy-on-write.
         assert not shared_private_frames(sim), at
@@ -333,7 +333,7 @@ def test_memory_and_window_invariants_hold_after_every_step(path, variant, seed)
     report = sim.run_seeded(seed, sc.schedule.get("max_steps", 1000))
     assert len(checked) == report.steps > 0
     if not report.truncated and not report.deadlocked:
-        assert not sim.engine.records and not sim.engine.by_frame and not sim.engine.closed
+        assert not sim.engine.by_frame and not sim.engine.closed
 
 
 def checked_exploration(raw: dict, variant: str):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,10 @@ class TestDefaults:
         assert table.string_compare_cost(10, 1, True) == 40
 
     def test_zeroed_table_costs_nothing(self):
-        table = CostTable.zeroed()
+        table = CostTable(
+            base_syscall={"default": 0},
+            **{f.name: 0 for f in fields(CostTable) if f.name != "base_syscall"},
+        )
         for report in getppid_suite(table) + string_sweep_suite(table) + sgx_suite(table):
             for row in report.rows:
                 assert row.cycles == 0
@@ -171,4 +175,3 @@ class TestReportRendering:
         assert "vanilla" in text and "baseline" in text
         data = report.to_dict()
         assert data["rows"][0]["cycles"] == 295
-        assert report.to_json()

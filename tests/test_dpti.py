@@ -231,6 +231,35 @@ class TestProtectRestore:
         sim.run_seeded(0)
         assert_killed_once_for_a_bad_pointer(sim)
 
+    @VARIANTS
+    def test_unsandboxed_unmapped_pointer_kills_in_the_body(self, variant):
+        sim = one_proc_sim(variant, [[SyscallOp(OPENAT, (0, 0x999000, 0))]], sandboxed=False)
+        sim.run_seeded(0)
+        assert_killed_once_for_a_bad_pointer(sim)
+        assert sim.kills[0]["detail"] == "openat arg1 unreadable"
+        # an unsandboxed syscall runs its body in its lookup step
+        assert sim.trace[-1][2:] == ["syscall:openat", "lookup:done"]
+
+    def test_string_running_from_a_shared_page_into_an_unmapped_one_kills(self):
+        """The window closes the other process's alias of the first page,
+        then finds the second page unmapped: the kill ends the window and
+        puts that alias back as it was."""
+        for variant in (Variant.STASH, Variant.FREEZE):
+            sim = Simulation(variant=variant)
+            proc = sim.add_process("app", sandboxed=True, filters=basic_filters())
+            sim.map_region(proc.asid, MapSpec(vaddr=PATH, shared=True, data=((PATH, b"x" * PAGE_SIZE),), label="path"))
+            other = sim.add_process("other")
+            sim.map_region(other.asid, MapSpec(vaddr=0x50000, shared=True, alias_of="path"))
+            vpn = 0x50000 // PAGE_SIZE
+            before = sim.vmem.pte(other.asid, vpn).snapshot()
+            sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="t1")
+            sim.run_seeded(0)
+            assert_killed_once_for_a_bad_pointer(sim)
+            assert sim.kills[0]["detail"] == f"argument page {PATH // PAGE_SIZE + 1:#x} unmapped"
+            assert sim.vmem.pte(other.asid, vpn) == before, variant
+            assert not sim.vmem.spaces[other.asid].vma_for(vpn).frozen
+            assert not sim.engine.closed and not sim.engine.by_frame
+
     def test_concurrent_stash_windows_on_one_frame_kill(self):
         sim = Simulation(variant=Variant.STASH)
         proc = sim.add_process("app", sandboxed=True, filters=basic_filters())
@@ -596,8 +625,9 @@ class TestWindowInvariants:
             sim.add_thread(proc, [MmapOp(MapSpec(vaddr=0x50000, shared=True, alias_of="path"))], name="t3")
             for tid in (1, 1, 2, 2, 3, 3):  # both windows open, then the mmap
                 sim.step(tid)
-            assert len(sim.engine.records) == 2
-            for record in sim.engine.records.values():
+            (records,) = sim.engine.by_frame.values()
+            assert len(records) == 2
+            for record in records:
                 assert (proc.asid, 0x50000 // PAGE_SIZE) in {(p.asid, p.vpn) for p in record.mappings}
 
     def test_no_user_write_to_any_alias_during_window(self):
@@ -613,7 +643,7 @@ class TestWindowInvariants:
             sim.map_region(other.asid, MapSpec(vaddr=0x70000, shared=True, alias_of="path"))
             sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="t1")
             sim.step(1); sim.step(1)  # window open
-            assert sim.engine.records
+            assert sim.engine.by_frame
             for asid, vpn in sim.vmem.aliases_of(frames[0]):
                 for core in range(sim.vmem.cores):
                     res = sim.vmem.access(core, asid, AccessMode.USER,
@@ -652,7 +682,7 @@ class TestOneWindowPerSyscall:
             assert (second.frames, second.pages, second.mappings) == ([], 0, 0)
             (restore,) = [e for e in sim.events if isinstance(e, RestoreEvent)]
             assert restore.mappings == 1
-            assert not sim.engine.records and not sim.engine.by_frame
+            assert not sim.engine.by_frame
 
     def test_two_strings_on_two_pages_of_one_vma_restore_exactly_under_freeze(self):
         sim = rename_sim(Variant.FREEZE, PATH, PATH + PAGE_SIZE, pages=2)
@@ -686,7 +716,7 @@ class TestFreezeVmaFlag:
         assert not report.kills and not report.deadlocked
         assert len([e for e in sim.events if isinstance(e, RestoreEvent)]) == 2
         assert vma.vm_write and not vma.frozen
-        assert not sim.engine.records and not sim.engine.closed
+        assert not sim.engine.by_frame and not sim.engine.closed
 
 
 class TestMmap:

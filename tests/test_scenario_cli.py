@@ -316,6 +316,23 @@ class TestExpectationsApart:
         full = explore_all(lambda: build_simulation(sc), 40)
         assert full.paths == 3 and check_expectations(sc, full) == []
 
+    def test_paths_bound_fails_a_reduced_search_and_a_short_enumeration(self):
+        """Two threads of one process reading one page: ``explore`` cuts
+        their interleavings to one class, so a paths bound fails there; under
+        ``explore_all`` it fails when fewer interleavings exist."""
+        raw = minimal_scenario(expectations={"paths": {"min": 3}})
+        raw["processes"][0]["threads"].append(
+            {"name": "t2", "ops": [{"op": "read", "vaddr": 65536}]}
+        )
+        sc = scenario_from_dict(raw)
+        reduced = explore(lambda: build_simulation(sc), 40)
+        assert reduced.reduced and len(reduced.groups) == 1
+        (failure,) = check_expectations(sc, reduced)
+        assert "one path was explored per class" in failure and "explore_all" in failure
+        full = explore_all(lambda: build_simulation(sc), 40)
+        assert full.paths == 2
+        assert check_expectations(sc, full) == ["paths: expected at least 3, explored 2"]
+
     def test_run_enumerates_every_interleaving_for_a_paths_bound(self, tmp_path, capsys):
         path = tmp_path / "two.json"
         path.write_text(json.dumps(two_independent_processes({"paths": {"min": 3}}).raw))

@@ -65,6 +65,12 @@ class TestDeterminism:
         assert report.witnesses == [] and report.kills == []
 
 
+    def test_seeded_run_cut_by_max_steps_reports_truncated(self):
+        report = plain_sim([[ReadOp(PATH)] * 3]).run_seeded(0, max_steps=2)
+        assert report.truncated and report.steps == 2
+        assert not plain_sim([[ReadOp(PATH)] * 2]).run_seeded(0, max_steps=2).truncated
+
+
 class TestExhaustiveCompleteness:
     def test_two_threads_four_ops_visits_every_interleaving(self):
         def factory():
@@ -245,6 +251,26 @@ class TestExec:
         assert sim.tasks[2].state.value == "dead"
         assert proc.filters.freed  # exec dropped the sibling, exit dropped the last
 
+    def test_exec_counts_the_aliases_of_its_path_page_in_other_processes(self):
+        """The window over an execve's filtered path closes the alias another
+        process maps; the exec reports it and the restore gives it back."""
+        for variant in (Variant.STASH, Variant.FREEZE):
+            sim = Simulation(variant=variant)
+            fb = FilterBuilder()
+            fb.add_rule("exit_group")
+            fb.add_rule_string("execve", 0, CmpOp.EQ, "img")
+            proc = sim.add_process("p", sandboxed=True, filters=fb.install())
+            sim.map_region(proc.asid, MapSpec(vaddr=PATH, shared=True, data=((PATH, b"img\x00"),), label="path"))
+            other = sim.add_process("other")
+            sim.map_region(other.asid, MapSpec(vaddr=0x50000, shared=True, alias_of="path"))
+            before = sim.vmem.pte(other.asid, 0x50000 // PAGE_SIZE).snapshot()
+            sim.add_thread(proc, [ExecOp(PATH, ExecImage(ops=(ExitOp(),)))], name="execer")
+            sim.run_seeded(0)
+            assert not sim.kills, variant
+            (ev,) = [e for e in sim.events if isinstance(e, ExecEvent)]
+            assert ev.restored_sibling_mappings == 1, variant
+            assert sim.vmem.pte(other.asid, 0x50000 // PAGE_SIZE) == before, variant
+
     def test_exec_releases_protection_window_of_killed_sibling(self):
         """A sibling mid-way through a protected syscall dies on exec; its
         window must be unwound so the page comes back and waiters wake."""
@@ -261,8 +287,8 @@ class TestExec:
         sim.add_thread(proc, [ExecOp(0x20000, ExecImage(ops=(ExitOp(),)))], name="execer")
         sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="opener")
         sim.step(2); sim.step(2)          # opener's window is now open
-        assert sim.engine.records
+        assert sim.engine.by_frame
         sim.step(1); sim.step(1); sim.step(1); sim.step(1)  # exec completes
-        assert not sim.engine.records      # sibling's window unwound
+        assert not sim.engine.by_frame     # sibling's window unwound
         sim.run_seeded(0)
         assert sim.deadlocked_tids() == []

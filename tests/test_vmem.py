@@ -135,26 +135,6 @@ class TestTlb:
         for core in (0, 1):
             assert vm.access(core, space.asid, USER, READ, addr).fault.reason is FaultReason.USER_BIT
 
-    def test_flush_core_subset(self):
-        vm = Vmem(cores=2)
-        space, _ = make_space(vm)
-        addr = 0x10 * PAGE_SIZE
-        vm.access(0, space.asid, USER, READ, addr)
-        vm.access(1, space.asid, USER, READ, addr)
-        vm.set_bit(space.asid, 0x10, PteBit.WRITABLE, False)
-        vm.tlb_flush(space.asid, 0x10, cores={0})
-        assert vm.access(0, space.asid, USER, WRITE, addr).fault is not None
-        assert vm.access(1, space.asid, USER, WRITE, addr).ok  # stale by design
-
-    def test_flush_empty_set_is_noop(self):
-        vm = Vmem(cores=2)
-        space, _ = make_space(vm)
-        addr = 0x10 * PAGE_SIZE
-        vm.access(0, space.asid, USER, READ, addr)
-        vm.set_bit(space.asid, 0x10, PteBit.USER, False)
-        vm.tlb_flush(space.asid, 0x10, cores=set())
-        assert vm.access(0, space.asid, USER, READ, addr).ok
-
     def test_flush_then_access_refills_from_current_pte(self):
         vm = Vmem(cores=1)
         space, _ = make_space(vm)

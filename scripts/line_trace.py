@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-import threading
 from pathlib import Path
 from types import CodeType
 
@@ -63,13 +62,11 @@ class LineTracer:
         return local
 
     def __enter__(self) -> LineTracer:
-        threading.settrace(self)
         sys.settrace(self)
         return self
 
     def __exit__(self, *exc) -> None:
         sys.settrace(None)
-        threading.settrace(None)
 
 
 def run_scenarios() -> None:

@@ -61,7 +61,7 @@ def _load_costs(path: Optional[str]) -> Optional[CostTable]:
 
 def _scenario_costs(sc: Scenario, table: Optional[CostTable]) -> CostTable:
     """The ``--costs`` table, then the scenario's own costs over it."""
-    return sc.cost_table if table is None else table.with_overrides(sc.costs or {})
+    return sc.cost_table if table is None else table.with_overrides(sc.raw.get("costs") or {})
 
 
 def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
@@ -125,7 +125,7 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     failures = check_expectations(sc, result, variant)
     for failure in failures:
         print(f"expectation failed: {failure}", file=sys.stderr)
-    if sc.expectations and not failures:
+    if sc.raw.get("expectations") and not failures:
         print("expectations: all hold")
 
     if args.report_out:

@@ -9,7 +9,10 @@ read-only). Either way the bytes the filter checked are the bytes the
 syscall body consumes. A window is held by its syscall: the syscall's
 restore ends it, and a kill ends the dying syscall's window. Windows may
 overlap: the first to close a mapping saves its bits, each holds one count
-on it, and the last to end puts the bits back and thaws the VMA.
+on it, and the last to end puts the bits back and thaws the VMA. A
+copy-on-write copy of a mapping that windows hold leaves their hold: the
+copy gets the saved bits and its VMA is no longer frozen for it, while the
+windows keep the shared frame closed.
 
 Syscalls advance through explicit phases (lookup, deep check, body, restore)
 so a scheduler can preempt between the check and the use; that window is
@@ -293,7 +296,7 @@ class DptiEngine:
         pte = space.entries.get(vpn)
         if vmem.fp is not None:
             vmem.fp[0].add(("pte", task.asid, vpn))
-        if pte is None or not pte.present:
+        if pte is None:
             self.kill(task, KillCause.BAD_POINTER, f"argument page {vpn:#x} unmapped")
             return False
         if pte.cow:
@@ -329,9 +332,20 @@ class DptiEngine:
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
         """Give ``asid`` its own copy of the copy-on-write page ``vpn``, in
-        place in its page-table entry, and record the copy."""
-        old = self.sim.vmem.spaces[asid].entries[vpn].frame_id
-        new = self.sim.vmem.cow_resolve(asid, vpn)
+        place in its page-table entry, and record the copy. A copy of a
+        mapping that windows hold leaves their hold: it gets the bits saved
+        for the mapping, and the mapping's VMA freeze is dropped."""
+        vmem: Vmem = self.sim.vmem
+        old = vmem.spaces[asid].entries[vpn].frame_id
+        closed = self.closed.get((asid, vpn, old))
+        if closed is not None:
+            if vmem.fp is not None:
+                vmem.fp[1].update(("windows", "vma"))
+            if closed.vma is not None:
+                closed.vma.frozen -= 1
+                closed.vma = None
+            vmem.set_perms(asid, vpn, closed.user, False, closed.executable)
+        new = vmem.cow_resolve(asid, vpn)
         self.sim.emit(CowEvent(tid=tid, asid=asid, vpn=vpn, old_frame=old, new_frame=new))
 
     def _close_mapping(self, record: ProtectionRecord, asid: int, vpn: int) -> None:
@@ -510,9 +524,7 @@ class DptiEngine:
             vpns = [vpn for vpn, *_ in page_spans(vaddr, max(len(data), 1))]
             if vmem.fp is not None:
                 vmem.fp[0].update(("pte", target.asid, vpn) for vpn in vpns)
-            if space is None or not all(
-                vpn in space.entries and space.entries[vpn].present for vpn in vpns
-            ):
+            if space is None or not all(vpn in space.entries for vpn in vpns):
                 outcome = "denied"
             else:
                 # Each page gets its own copy before any byte is written.

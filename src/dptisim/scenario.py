@@ -218,9 +218,6 @@ class Scenario:
     deny_mode: str
     schedule: dict[str, Any]
     processes: list[dict[str, Any]]
-    filters: Optional[dict[str, Any]]
-    costs: Optional[dict[str, Any]]
-    expectations: Optional[dict[str, Any]]
     # The filter policy as a table that is never installed itself: each
     # sandboxed process of a build gets a fresh() copy.
     filter_table: Optional[FilterTable]
@@ -315,9 +312,6 @@ def scenario_from_dict(raw: Any) -> Scenario:
         deny_mode=_choice(raw, "deny_mode", "", _DENY_MODES, "kill"),
         schedule=schedule,
         processes=raw["processes"],
-        filters=filters,
-        costs=costs,
-        expectations=expectations,
         filter_table=filter_table,
         cost_table=cost_table,
         compiled=CompiledScenario(
@@ -694,7 +688,7 @@ def build_simulation(
 
 def effective_expectations(sc: Scenario, variant: Optional[Variant]) -> Optional[dict[str, Any]]:
     """Base expectations merged with the per-variant override section."""
-    exp = sc.expectations
+    exp = sc.raw.get("expectations")
     if exp is None:
         return None
     merged = {k: v for k, v in exp.items() if k != "by_variant"}

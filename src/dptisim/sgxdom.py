@@ -127,7 +127,6 @@ class EnclaveDomain:
     variant: Optional[Variant]  # None models an unconfined enclave
     enclave_vpns: set[int]
     cbp_vpn: int
-    dbp_vpns: set[int]
     host_asid: int
     isolated_asid: Optional[int]
     cbp: CbpContents
@@ -186,7 +185,7 @@ def build_isolated_mapping(
     cbp = CbpContents(syscall_exit_stub=syscall_exit)
     if variant is None:
         return EnclaveDomain(
-            name, None, set(enclave_vpns), cbp_vpn, dbp_vpns, host.asid, None, cbp,
+            name, None, set(enclave_vpns), cbp_vpn, host.asid, None, cbp,
             script=list(script or []),
         )
 
@@ -209,7 +208,7 @@ def build_isolated_mapping(
                 executable=vpn == cbp_vpn,
             )
     return EnclaveDomain(
-        name, variant, set(enclave_vpns), cbp_vpn, dbp_vpns, host.asid,
+        name, variant, set(enclave_vpns), cbp_vpn, host.asid,
         isolated.asid, cbp, script=list(script or []),
     )
 

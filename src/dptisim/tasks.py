@@ -317,6 +317,12 @@ def extract_witnesses(events: Sequence[Event]) -> list[dict[str, Any]]:
     return out
 
 
+def extract_kills(events: Sequence[Event]) -> list[dict[str, Any]]:
+    """Every process kill, in the order the events record them."""
+    return [{"step": ev.step, "process": ev.process, "cause": ev.cause.value, "detail": ev.detail}
+            for ev in events if isinstance(ev, KillEvent)]
+
+
 # ---------------------------------------------------------------------------
 # the simulator
 
@@ -346,7 +352,6 @@ class Simulation:
         self.labels: dict[str, tuple[int, int]] = {}
         self.events: list[Event] = []
         self.trace: list[list[Any]] = []
-        self.kills: list[dict[str, Any]] = []
         self.step_count = 0
         self.truncated = False
         self.cost_table = cost_table
@@ -494,9 +499,6 @@ class Simulation:
                 tid=self._current_tid, tgid=tgid, process=proc.name,
                 cause=cause, detail=detail,
             )
-        )
-        self.kills.append(
-            {"step": self.step_count, "process": proc.name, "cause": cause.value, "detail": detail}
         )
         self._end_tasks(tgid, self._live(tgid))
 
@@ -743,7 +745,7 @@ class Simulation:
             truncated=self.truncated,
             trace=[list(entry) for entry in self.trace],
             events=[ev.to_dict() for ev in self.events],
-            kills=list(self.kills),
+            kills=extract_kills(self.events),
             witnesses=extract_witnesses(self.events),
             deadlocked=self.deadlocked_tids(),
             filters=filters_state,
@@ -800,9 +802,11 @@ class ExplorationReport(_Report):
 
     def _add(
         self, decisions: Sequence[int], steps: int, truncated: bool,
-        witnesses: list[dict[str, Any]], kills: list[dict[str, Any]], deadlocked: list[int],
+        events: Sequence[Event], deadlocked: list[int],
     ) -> None:
-        """Count one path, from the facts it added itself."""
+        """Count one path, from the events it added itself."""
+        witnesses = extract_witnesses(events)
+        kills = {(ev.process, ev.cause.value) for ev in events if isinstance(ev, KillEvent)}
         self.paths += 1
         self.truncated_paths += truncated
         self.witnesses += len(witnesses)
@@ -810,10 +814,10 @@ class ExplorationReport(_Report):
             self.witness_paths += 1
             if self.example_witness is None:
                 self.example_witness = dict(witnesses[0], decisions=list(decisions))
-        causes = {k["cause"] for k in kills}
+        causes = {cause for _, cause in kills}
         for cause in causes:
             self.kills[cause] = self.kills.get(cause, 0) + 1
-        for process, cause in {(k["process"], k["cause"]) for k in kills}:
+        for process, cause in kills:
             by_cause = self.process_kills.setdefault(process, {})
             by_cause[cause] = by_cause.get(cause, 0) + 1
         self.deadlock_paths += bool(deadlocked)
@@ -874,8 +878,7 @@ def _search(
     from ``factory`` that first steps the tids the branch point's path
     stepped. Only ``tids`` step, and each path runs at most ``max_steps``
     steps of them. The first path ends on ``root``. Each path's facts are
-    what it added itself: its events and kills, and its stalled tasks among
-    ``tids``.
+    what it added itself: its events, and its stalled tasks among ``tids``.
 
     With ``reduce``, the search keeps sleep sets: a thread sleeps, and is not
     chosen, while all it would do next was already explored from an earlier
@@ -892,19 +895,19 @@ def _search(
     else:
         runnable = partial(Simulation._runnable_in, tids=tids)
     # (decisions, the simulation to carry on or None to build one, the tids
-    # to step on that build, where the path's events, kills and steps begin,
-    # and the branch point and the choice to step first, if any)
+    # to step on that build, where the path's events and steps begin, and
+    # the branch point and the choice to step first, if any)
     stack: list[tuple[
-        tuple[int, ...], Optional[Simulation], list[int], tuple[int, int, int],
+        tuple[int, ...], Optional[Simulation], list[int], tuple[int, int],
         Optional[_Branch], Optional[int],
-    ]] = [((), root, [], (len(root.events), len(root.kills), root.step_count), None, None)]
+    ]] = [((), root, [], (len(root.events), root.step_count), None, None)]
     while stack:
         prefix, sim, replay, start, branch, choice = stack.pop()
         if sim is None:
             sim = factory()
             for tid in replay:
                 sim.step(tid)
-        first = start[2]
+        events, first = start
         limit = first + max_steps
         sleep: dict[int, Footprint] = {}
         blocked = False
@@ -942,7 +945,7 @@ def _search(
             if len(awake) > 1:
                 stepped = [tid for _, tid, _, _ in sim.trace[first:]]
                 for tid in reversed(awake[1:]):
-                    stack.append((prefix + (tid,), None, stepped, (0, 0, 0), branch, tid))
+                    stack.append((prefix + (tid,), None, stepped, (0, 0), branch, tid))
             choice = awake[0]
             prefix += (choice,)
         if blocked:
@@ -954,14 +957,11 @@ def _search(
             deadlocked = sim.deadlocked_tids()
         else:
             deadlocked = [tid for tid in tids if sim.tasks[tid].state is TaskState.STALLED]
-        events, kills, _ = start
         steps = sim.step_count - first
         longest = max(longest, steps)
-        witnesses = extract_witnesses(sim.events[events:] if events else sim.events)
-        first_witness = witnesses and report.example_witness is None
-        path_kills = sim.kills[kills:] if kills else sim.kills
-        report._add(prefix, steps, truncated, witnesses, path_kills, deadlocked)
-        if first_witness and tids is not None:
+        no_witness_yet = report.example_witness is None
+        report._add(prefix, steps, truncated, sim.events[events:] if events else sim.events, deadlocked)
+        if no_witness_yet and report.example_witness is not None and tids is not None:
             report.example_witness = _witness_first(factory, [tid for _, tid, _, _ in sim.trace[first:]])
     return longest
 
@@ -987,13 +987,7 @@ def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> Explo
     distinct interleavings of the scenario. The search builds one simulation
     per path.
     """
-    return _explore_together(factory, factory(), max_steps)
-
-
-def _explore_together(
-    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
-) -> ExplorationReport:
-    """Full enumeration, starting on the fresh build ``root``."""
+    root = factory()
     report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
     _search(factory, root, max_steps, report)
     return report
@@ -1029,6 +1023,6 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     for tids in groups if len(groups) > 1 else [None]:
         longest = _search(factory, root, budget, report, tids, reduce=True)
         if longest is None:
-            return _explore_together(factory, factory(), max_steps)
+            return explore_all(factory, max_steps)
         budget -= longest
     return report

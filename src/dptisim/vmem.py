@@ -109,16 +109,13 @@ class PteBit(Enum):
 @dataclass(slots=True)
 class PageTableEntry:
     frame_id: int
-    present: bool = True
     user: bool = True
     writable: bool = True
     executable: bool = False
     cow: bool = False  # cow implies writable=False
 
     def snapshot(self) -> PageTableEntry:
-        return PageTableEntry(
-            self.frame_id, self.present, self.user, self.writable, self.executable, self.cow
-        )
+        return PageTableEntry(self.frame_id, self.user, self.writable, self.executable, self.cow)
 
 
 @dataclass(slots=True)
@@ -149,7 +146,6 @@ class PageFault:
     vaddr: int
     vpn: int
     kind: AccessKind
-    mode: AccessMode
     frame_id: Optional[int] = None
 
 
@@ -157,7 +153,6 @@ class PageFault:
 class AccessResult:
     fault: Optional[PageFault]
     frame: Optional[Frame]
-    offset: int = 0
 
     @property
     def ok(self) -> bool:
@@ -346,7 +341,7 @@ class Vmem:
             fp[1 if kind is AccessKind.WRITE else 0].add(("frame", pte.frame_id))
         if filled_from_walk:
             tlb.fill(asid, vpn, pte)
-        return AccessResult(None, self.frames[pte.frame_id], page_offset(vaddr))
+        return AccessResult(None, self.frames[pte.frame_id])
 
     @staticmethod
     def _check(
@@ -357,25 +352,17 @@ class Vmem:
         kind: AccessKind,
         mode: AccessMode,
     ) -> Optional[PageFault]:
-        if pte is None or not pte.present:
-            return PageFault(FaultReason.NOT_PRESENT, asid, vaddr, vpn, kind, mode)
+        if pte is None:
+            return PageFault(FaultReason.NOT_PRESENT, asid, vaddr, vpn, kind)
         if mode is AccessMode.USER and not pte.user:
-            return PageFault(
-                FaultReason.USER_BIT, asid, vaddr, vpn, kind, mode, pte.frame_id
-            )
+            return PageFault(FaultReason.USER_BIT, asid, vaddr, vpn, kind, pte.frame_id)
         if kind is AccessKind.WRITE:
             if pte.cow:
-                return PageFault(
-                    FaultReason.COW_PENDING, asid, vaddr, vpn, kind, mode, pte.frame_id
-                )
+                return PageFault(FaultReason.COW_PENDING, asid, vaddr, vpn, kind, pte.frame_id)
             if not pte.writable:
-                return PageFault(
-                    FaultReason.WRITE_PROT, asid, vaddr, vpn, kind, mode, pte.frame_id
-                )
+                return PageFault(FaultReason.WRITE_PROT, asid, vaddr, vpn, kind, pte.frame_id)
         if kind is AccessKind.EXEC and not pte.executable:
-            return PageFault(
-                FaultReason.EXEC_PROT, asid, vaddr, vpn, kind, mode, pte.frame_id
-            )
+            return PageFault(FaultReason.EXEC_PROT, asid, vaddr, vpn, kind, pte.frame_id)
         return None
 
     def read_bytes(

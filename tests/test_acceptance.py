@@ -19,7 +19,7 @@ from dptisim.sgxdom import (
     build_isolated_mapping,
     classify_eexit,
 )
-from dptisim.tasks import explore
+from dptisim.tasks import explore, extract_kills
 from dptisim.vmem import PAGE_SIZE, AccessKind, AccessMode
 
 from conftest import SCENARIOS
@@ -238,11 +238,11 @@ def test_criterion_6_stash_rejects_executable_pages():
         sc = load_scenario(SCENARIOS / "exec_page_argument.json")
         stash = build_simulation(sc, variant_override=Variant.STASH)
         stash.run_seeded(0)
-        assert [k["cause"] for k in stash.kills] == [KillCause.EXECUTABLE_PAGE.value]
+        assert [k["cause"] for k in extract_kills(stash.events)] == [KillCause.EXECUTABLE_PAGE.value]
 
         freeze = build_simulation(sc, variant_override=Variant.FREEZE)
         freeze.run_seeded(0)
-        assert freeze.kills == []
+        assert extract_kills(freeze.events) == []
         done = [e for e in freeze.events if isinstance(e, SyscallEvent) and e.name == "openat"]
         assert done and done[0].outcome == "executed"
 
@@ -279,7 +279,7 @@ def test_criterion_7_sgx_confinement():
             for variant in (Variant.STASH, Variant.FREEZE):
                 sim = build_simulation(sc, variant_override=variant)
                 sim.run_seeded(0)
-                assert [k["cause"] for k in sim.kills] == [KillCause.ISOLATION_VIOLATION.value]
+                assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.ISOLATION_VIOLATION.value]
                 assert check_expectations(sc, sim.build_report(), variant) == []
 
         # (b) register tamper ends in a stack-tamper kill, never a return
@@ -287,7 +287,7 @@ def test_criterion_7_sgx_confinement():
         for variant in (Variant.STASH, Variant.FREEZE):
             sim = build_simulation(sc, variant_override=variant)
             sim.run_seeded(0)
-            assert [k["cause"] for k in sim.kills] == [KillCause.STACK_TAMPER.value]
+            assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.STACK_TAMPER.value]
             returned = [
                 e for e in sim.events
                 if e.to_dict()["type"] == "EcallEvent" and e.outcome == "returned"
@@ -320,7 +320,7 @@ def test_criterion_7_sgx_confinement():
                     op = ReadOp(addr, 1) if kind == "read" else WriteOp(addr, b"!")
                     sim, _ = _confinement_sim(variant, [op], host_pages=16)
                     sim.run_seeded(0)
-                    killed = bool(sim.kills)
+                    killed = bool(extract_kills(sim.events))
                     expected = not (variant is Variant.FREEZE and kind == "read")
                     assert killed == expected, (page, kind, variant)
 
@@ -339,9 +339,9 @@ def test_criterion_8_sgx_transition_costs():
 def test_criterion_9_visudo_flagship():
     with criterion(9, "visudo fixture: benign edit allowed, overrides killed"):
         sc = load_scenario(SCENARIOS / "visudo.json")
-        simple = [r for r in sc.filters["rules"] if "arg" not in r]
-        openat_strings = next(r for r in sc.filters["rules"] if r["nr"] == "openat")
-        execve_strings = next(r for r in sc.filters["rules"] if r["nr"] == "execve")
+        simple = [r for r in sc.raw["filters"]["rules"] if "arg" not in r]
+        openat_strings = next(r for r in sc.raw["filters"]["rules"] if r["nr"] == "openat")
+        execve_strings = next(r for r in sc.raw["filters"]["rules"] if r["nr"] == "execve")
         assert len(simple) == 52
         assert len(openat_strings["strings"]) == 47
         assert len(execve_strings["strings"]) == 1

@@ -1,9 +1,10 @@
 """A scenario is compiled at load and every build shares the result read-only;
 reports serialise to the plain JSON of their dictionaries; the memory
 model's reverse map and frame sizes, the closure and completeness of every
-open protection window, the VMA write flags and the privacy of private
-frames hold after every step of every shipped scenario; and every build is
-freed by reference counting."""
+open protection window, the VMA write flags, the permission bits the program
+gave each mapping no window holds and the privacy of private frames hold
+after every step of every shipped scenario; and every build is freed by
+reference counting."""
 
 import gc
 import itertools
@@ -17,7 +18,7 @@ from dptisim import scenario as scenario_module
 from dptisim.dpti import SyscallContext, Variant
 from dptisim.events import CowEvent, ExecEvent, ForkEvent, MprotectEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import MmapOp, MprotectOp, explore, explore_all
+from dptisim.tasks import MmapOp, MprotectOp, explore, explore_all, extract_kills
 from dptisim.vmem import PAGE_SIZE
 
 from conftest import SCENARIOS, shared_private_frames
@@ -148,7 +149,7 @@ def test_a_write_after_a_fork_leaves_the_childs_page_alone(probe, variant):
     sim = build_simulation(scenario_from_dict(fork_probe(FORK_PROBES[probe])), VARIANTS[variant])
     check_every_step(sim)
     sim.run_seeded(0)
-    assert not sim.kills
+    assert not extract_kills(sim.events)
 
     def buf(proc):
         frame_id = sim.vmem.spaces[proc.asid].entries[0x10000 // PAGE_SIZE].frame_id
@@ -167,8 +168,9 @@ def test_a_write_to_a_forked_read_only_page_segfaults_without_a_copy(variant):
     sim = build_simulation(scenario_from_dict(fork_probe(ops)), VARIANTS[variant])
     check_every_step(sim)
     sim.run_seeded(0)
-    assert [(kill["process"], kill["cause"]) for kill in sim.kills] == [("app", "segfault")]
-    assert "write_violation" in sim.kills[0]["detail"]
+    kills = extract_kills(sim.events)
+    assert [(kill["process"], kill["cause"]) for kill in kills] == [("app", "segfault")]
+    assert "write_violation" in kills[0]["detail"]
     assert not any(isinstance(ev, CowEvent) for ev in sim.events)
 
 
@@ -180,7 +182,7 @@ def test_running_one_build_leaves_its_siblings_unchanged():
     mutated.run_seeded(0)
     kinds = {type(ev) for ev in mutated.events}
     assert {ForkEvent, ExecEvent, MprotectEvent} <= kinds
-    assert not mutated.kills
+    assert not extract_kills(mutated.events)
     assert sibling.run_seeded(0).hash_hex() == expected.hash_hex()
     assert build_simulation(sc).run_seeded(0).hash_hex() == expected.hash_hex()
 
@@ -220,18 +222,21 @@ def open_window_mappings(sim):
         yield repr(closed), views, space.vma_for(closed.vpn)
 
 
-class ProgramWriteFlags:
-    """The write flag the program itself gave each mapped page: as built, as
-    mapped later by mmap or exec, as a fork copied it from the parent, or as
-    an applied mprotect set it. A VMA's vm_write is the flag the program
-    set last on any of its pages: a freeze window never touches it."""
+class ProgramBits:
+    """The permission bits the program itself gave each mapped page: as
+    built, as mapped later by mmap or exec, as a fork copied them from the
+    parent, or as an applied mprotect set them. A VMA's vm_write is the
+    write flag the program set last on any of its pages: a freeze window
+    never touches it. A process's mapping that no open window holds has the
+    user and exec bits the program gave it, and unless it is copy-on-write
+    its write bit too, in its PTE and every TLB entry for it."""
 
     def __init__(self, sim):
         self.sim = sim
-        # (asid, vpn) -> (when the program set the flag, the flag)
+        # (asid, vpn) -> (when the program set the bits, write, user, exec)
         self.flags = {
-            (asid, vpn): (0, space.vma_for(vpn).vm_write)
-            for asid, space in sim.vmem.spaces.items() for vpn in space.entries
+            (asid, vpn): (0, space.vma_for(vpn).vm_write, pte.user, pte.executable)
+            for asid, space in sim.vmem.spaces.items() for vpn, pte in space.entries.items()
         }
         self.clock = itertools.count(1)
         map_region, fork_task = sim.map_region, sim.fork_task
@@ -240,7 +245,7 @@ class ProgramWriteFlags:
             frames = map_region(asid, spec, *args)
             start = spec.vaddr // PAGE_SIZE
             for vpn in range(start, start + len(frames)):
-                self.flags[(asid, vpn)] = (next(self.clock), spec.writable)
+                self.flags[(asid, vpn)] = (next(self.clock), spec.writable, spec.user, spec.executable)
             return frames
 
         def recording_fork_task(parent, child_ops):
@@ -254,13 +259,13 @@ class ProgramWriteFlags:
         sim.fork_task = recording_fork_task
 
     def stepped(self, task, op, events):
-        """Record what an applied mprotect ``op`` of ``task`` set."""
+        """Record the bits an applied mprotect ``op`` of ``task`` set."""
         if isinstance(op, MprotectOp) and any(
             isinstance(ev, MprotectEvent) and ev.outcome == "applied" for ev in events
         ):
             when = next(self.clock)
             for vpn in op.vpns:
-                self.flags[(task.asid, vpn)] = (when, op.writable)
+                self.flags[(task.asid, vpn)] = (when, op.writable, op.user, op.executable)
 
     def problems(self):
         seen = []
@@ -272,6 +277,20 @@ class ProgramWriteFlags:
                 flags = [self.flags[asid, vpn] for vpn in range(vma.start, vma.end + 1) if (asid, vpn) in self.flags]
                 if flags and max(flags)[1] != vma.vm_write:
                     yield f"asid {asid} {vma}: vm_write is not the flag the program last set"
+        vmem, closed = self.sim.vmem, self.sim.engine.closed
+        for proc in self.sim.processes.values():
+            for vpn, pte in vmem.spaces[proc.asid].entries.items():
+                if (proc.asid, vpn, pte.frame_id) in closed:
+                    continue
+                _, write, user, executable = self.flags[proc.asid, vpn]
+                tlb_entries = [tlb.lookup(proc.asid, vpn) for tlb in vmem.tlbs]
+                views = [pte] + [entry for entry in tlb_entries if entry is not None]
+                for view in views:
+                    # a copy-on-write entry stays read-only whatever the program set
+                    if (view.user, view.executable) != (user, executable) or (
+                        not view.cow and view.writable != write
+                    ):
+                        yield f"{proc.name} vpn {vpn:#x}, held by no window: {view} lacks the program's bits"
 
 
 def op_of(task):
@@ -286,13 +305,13 @@ def check_every_step(sim) -> list[int]:
     takes from now on; returns the tids of the steps checked so far."""
     step = sim.step
     checked = []
-    write_flags = ProgramWriteFlags(sim)
+    program_bits = ProgramBits(sim)
 
     def checking_step(tid):
         task = sim.tasks[tid]
         op, seen = op_of(task), len(sim.events)
         outcome = step(tid)
-        write_flags.stepped(task, op, sim.events[seen:])
+        program_bits.stepped(task, op, sim.events[seen:])
         at = f"step {sim.step_count - 1}"
         vmem = sim.vmem
         assert vmem.rmap == vmem.rebuild_reverse_map(), at
@@ -313,7 +332,7 @@ def check_every_step(sim) -> list[int]:
             for record in records:
                 closed = {(mapping.asid, mapping.vpn) for mapping in record.mappings}
                 assert vmem.rmap.get(frame_id, set()) <= closed, (at, frame_id)
-        assert list(write_flags.problems()) == [], at
+        assert list(program_bits.problems()) == [], at
         # No private frame is shared between processes without copy-on-write.
         assert not shared_private_frames(sim), at
         checked.append(tid)
@@ -385,6 +404,53 @@ def test_killing_an_older_window_leaves_a_newer_one_over_its_frame_closed(varian
     assert not verdict["witness"]
     assert "concurrent_use_violation" in verdict["kill_causes"]
     assert "c" not in verdict["process_kills"]
+
+
+WRITE_THE_COPY = {"op": "write", "vaddr": 0x50004, "string": "2"}
+# What copies the alias after t2's fork: t2's own openat of the path through
+# it, t2's mmap of an alias of it, or another process's write through the
+# direct-memory interface.
+COW_COPIERS = {
+    "openat": ([openat(0x50000), WRITE_THE_COPY], []),
+    "alias mmap": ([{"op": "mmap", "vaddr": 0x60000, "alias_of": "copy"}, WRITE_THE_COPY], []),
+    "proc_mem_write": ([WRITE_THE_COPY], [{"name": "w", "threads": [{"name": "w", "ops": [
+        {"op": "proc_mem_write", "target": "t2", "vaddr": 0x50008, "string": "3"},
+    ]}]}]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("copier", sorted(COW_COPIERS))
+def test_a_copy_of_a_mapping_a_window_holds_leaves_the_window(copier, variant):
+    """Sandboxed ``app`` maps a shared labelled page holding "file1" and a
+    private alias of it. ``t1`` opens the path on the shared page, so its
+    window closes the alias too; ``t2`` forks, which makes the alias
+    copy-on-write, then the alias is copied and ``t2`` writes it. The copy
+    leaves ``t1``'s window with the bits the program gave the alias, so
+    once every window has ended the write kills nobody, in full
+    enumeration and in the reduced search alike."""
+    t2_ops, others = COW_COPIERS[copier]
+    raw = {
+        "version": 1, "name": "copy-in-window",
+        "filters": {"rules": [*OPENAT_FILE1["rules"], {"nr": "fork"}, {"nr": "mmap"}]},
+        "processes": [
+            {"name": "app", "sandboxed": True,
+             "mappings": [
+                 {"vaddr": 0x10000, "shared": True, "label": "path",
+                  "data": [{"at": 0x10000, "string": "file1"}]},
+                 {"vaddr": 0x50000, "alias_of": "path", "label": "copy"},
+             ],
+             "threads": [
+                 {"name": "t1", "ops": [openat(0x10000)]},
+                 {"name": "t2", "ops": [{"op": "fork", "child": []}, *t2_ops]},
+             ]},
+            *others,
+        ],
+    }
+    verdict = checked_exploration(raw, variant).verdict()
+    assert verdict["kill_causes"] == [] and not verdict["deadlock"]
+    sc = scenario_from_dict(raw)
+    assert explore(lambda: build_simulation(sc, VARIANTS[variant]), 200).verdict() == verdict
 
 
 @pytest.mark.parametrize("write", [True, False])

@@ -59,7 +59,7 @@ class TestSimpleFilterBench:
     def test_lookup_cost_constant_in_installed_rule_count(self, scenarios_dir):
         """One sandboxed getppid costs the same lookup under a 1-rule policy
         and under the 100-rule visudo policy with getppid allowed."""
-        visudo = load_scenario(scenarios_dir / "visudo.json").filters["rules"]
+        visudo = load_scenario(scenarios_dir / "visudo.json").raw["filters"]["rules"]
         table = CostTable()
         populated, lookups = [], []
         for rules in ([{"nr": "getppid"}], visudo + [{"nr": "getppid"}]):

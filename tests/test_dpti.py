@@ -2,6 +2,7 @@ import pytest
 
 from dptisim import (
     CmpOp,
+    ExecOp,
     FilterBuilder,
     ForkOp,
     MapSpec,
@@ -27,7 +28,7 @@ from dptisim.events import (
     SyscallEvent,
 )
 from dptisim.filters import SYSCALL_NRS
-from dptisim.tasks import explore, explore_all
+from dptisim.tasks import explore, explore_all, extract_kills
 from dptisim.vmem import PAGE_SIZE, AccessKind, AccessMode
 
 from conftest import shared_private_frames
@@ -59,7 +60,7 @@ def one_proc_sim(variant, threads, *, filters=None, mappings=None, sandboxed=Tru
 
 
 def kill_causes(sim):
-    return [k["cause"] for k in sim.kills]
+    return [k["cause"] for k in extract_kills(sim.events)]
 
 
 VARIANTS = pytest.mark.parametrize(
@@ -95,7 +96,7 @@ class TestDispatchCases:
                                             SyscallOp(SYSCALL_NRS["getppid"], ())]],
                            filters=basic_filters(extra=("getppid",)), deny_mode="errno")
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         events = [e for e in sim.events if isinstance(e, SyscallEvent)]
         assert events[0].outcome == "denied" and events[0].result == -1
         assert events[1].outcome == "executed"
@@ -115,7 +116,7 @@ class TestDispatchCases:
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(SYSCALL_NRS["read"], (7, 0, 0))]],
                            filters=fb.install())
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
         fb = FilterBuilder()
         fb.add_rule_primitive("read", 0, CmpOp.EQ, 7)
@@ -128,7 +129,7 @@ class TestDispatchCases:
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(SYSCALL_NRS["socket"], ())]],
                            sandboxed=False)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         ev = next(e for e in sim.events if isinstance(e, SyscallEvent))
         assert ev.disposition == "unsandboxed"
 
@@ -146,7 +147,7 @@ class TestProtectRestore:
             after = sim.vmem.pte(task.asid, vpn)
             assert after == before
             assert sim.vmem.spaces[task.asid].vma_for(vpn).vm_write == vma_before
-            assert not sim.kills
+            assert not extract_kills(sim.events)
 
     def test_protect_covers_every_alias(self):
         sim = Simulation(variant=Variant.STASH)
@@ -182,7 +183,7 @@ class TestProtectRestore:
                               data=((PATH, b"file1\x00"),))],
         )
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     def test_stash_clears_executable_bit_during_window(self):
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(OPENAT, (0, PATH, 0))]],
@@ -206,7 +207,7 @@ class TestProtectRestore:
             mappings=[MapSpec(vaddr=PATH, pages=2, data=((PATH + 4, string + b"\x00"),))],
         )
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         protect = next(e for e in sim.events if isinstance(e, ProtectEvent))
         assert protect.pages == 2 and protect.mappings == 2
 
@@ -232,13 +233,19 @@ class TestProtectRestore:
         assert_killed_once_for_a_bad_pointer(sim)
 
     @VARIANTS
-    def test_unsandboxed_unmapped_pointer_kills_in_the_body(self, variant):
-        sim = one_proc_sim(variant, [[SyscallOp(OPENAT, (0, 0x999000, 0))]], sandboxed=False)
+    @pytest.mark.parametrize("op, arg", [
+        (SyscallOp(OPENAT, (0, 0x999000, 0)), "openat arg1"),
+        (SyscallOp(SYSCALL_NRS["write"], (1, 0x999000, 5)), "write arg1"),
+        (SyscallOp(SYSCALL_NRS["stat"], (0x999000,)), "stat arg0"),
+        (ExecOp(0x999000), "execve arg0"),
+    ], ids=["openat", "write", "stat", "execve"])
+    def test_unsandboxed_unmapped_pointer_kills_in_the_body(self, op, arg, variant):
+        sim = one_proc_sim(variant, [[op]], sandboxed=False)
         sim.run_seeded(0)
         assert_killed_once_for_a_bad_pointer(sim)
-        assert sim.kills[0]["detail"] == "openat arg1 unreadable"
+        assert extract_kills(sim.events)[0]["detail"] == f"{arg} unreadable"
         # an unsandboxed syscall runs its body in its lookup step
-        assert sim.trace[-1][2:] == ["syscall:openat", "lookup:done"]
+        assert sim.trace[-1][2:] == [op.label(), "lookup:done"]
 
     def test_string_running_from_a_shared_page_into_an_unmapped_one_kills(self):
         """The window closes the other process's alias of the first page,
@@ -255,7 +262,7 @@ class TestProtectRestore:
             sim.add_thread(proc, [SyscallOp(OPENAT, (0, PATH, 0))], name="t1")
             sim.run_seeded(0)
             assert_killed_once_for_a_bad_pointer(sim)
-            assert sim.kills[0]["detail"] == f"argument page {PATH // PAGE_SIZE + 1:#x} unmapped"
+            assert extract_kills(sim.events)[0]["detail"] == f"argument page {PATH // PAGE_SIZE + 1:#x} unmapped"
             assert sim.vmem.pte(other.asid, vpn) == before, variant
             assert not sim.vmem.spaces[other.asid].vma_for(vpn).frozen
             assert not sim.engine.closed and not sim.engine.by_frame
@@ -317,7 +324,7 @@ class TestFaultPolicy:
         sim.step(1); sim.step(1)
         assert sim.step(2) == "stalled"
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         data, _ = sim.vmem.read_bytes(0, sim.tasks[1].asid, AccessMode.KERNEL, PATH, 5)
         assert data == b"file2"  # the delayed write landed after the syscall
 
@@ -330,7 +337,7 @@ class TestFaultPolicy:
         sim.step(1); sim.step(1)
         assert sim.step(2) == "ok"
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     def test_stash_window_stalls_concurrent_reads(self):
         sim = one_proc_sim(
@@ -341,7 +348,7 @@ class TestFaultPolicy:
         sim.step(1); sim.step(1)
         assert sim.step(2) == "stalled"
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     def test_cow_fault_resolves_and_retries(self):
         sim = Simulation(variant=None)
@@ -350,7 +357,7 @@ class TestFaultPolicy:
         sim.add_thread(proc, [WriteOp(PATH, b"NEW!")], name="parent")
         child_space = sim.vmem.fork_address_space(proc.asid)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         data, _ = sim.vmem.read_bytes(0, child_space.asid, AccessMode.KERNEL, PATH, 4)
         assert data == b"orig"
 
@@ -371,7 +378,7 @@ class TestMprotect:
         sim.step(2)                      # mprotect lookup
         assert sim.step(2) == "stalled"  # mprotect body waits on the frame
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         outcomes = [e.outcome for e in sim.events if isinstance(e, MprotectEvent)]
         assert outcomes == ["stalled", "applied"]
         data, _ = sim.vmem.read_bytes(0, sim.tasks[1].asid, AccessMode.KERNEL, PATH, 5)
@@ -391,7 +398,7 @@ class TestMprotect:
             ],
         )
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert all(e.outcome == "applied" for e in sim.events if isinstance(e, MprotectEvent))
 
     def test_stash_stalls_mprotect_too(self):
@@ -407,7 +414,7 @@ class TestMprotect:
         sim.step(2)
         assert sim.step(2) == "stalled"
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     @pytest.mark.parametrize(
         "variant, user", [(Variant.FREEZE, True), (Variant.STASH, False), (Variant.FREEZE, False)],
@@ -479,7 +486,7 @@ class TestStat:
     def test_stat_uses_the_checked_path(self, variant):
         sim = self.stat_sim(variant)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         ev = next(e for e in sim.events if isinstance(e, SyscallEvent))
         assert (ev.name, ev.result, ev.checked, ev.used) == ("stat", 0, {0: "file1"}, {0: "file1"})
         assert [e.origin for e in sim.events if isinstance(e, StatEvent)] == ["syscall"]
@@ -581,7 +588,7 @@ class TestWindowInvariants:
             for closed in sim.engine.closed.values():
                 pte = sim.vmem.spaces[closed.asid].entries[closed.vpn]
                 assert not pte.executable and not pte.user
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     def test_alias_mapped_mid_window_is_covered_and_restored(self):
         """An alias created while the window is open is protected under the
@@ -607,7 +614,7 @@ class TestWindowInvariants:
                 assert not new_pte.writable
             assert sim.step(2) == "stalled"  # write through the fresh alias
             sim.run_seeded(0)
-            assert not sim.kills
+            assert not extract_kills(sim.events)
             restored = sim.vmem.pte(proc.asid, 0x50000 // PAGE_SIZE)
             assert restored.user and restored.writable
             ev = next(e for e in sim.events if isinstance(e, SyscallEvent) and e.name == "openat")
@@ -673,7 +680,7 @@ class TestOneWindowPerSyscall:
         for variant in (Variant.STASH, Variant.FREEZE):
             sim = rename_sim(variant, PATH, PATH + 0x100, pages=1)
             sim.run_seeded(0)
-            assert not sim.kills, variant
+            assert not extract_kills(sim.events), variant
             assert sim.trace[-1][3] == "restore:done"
             ev = next(e for e in sim.events if isinstance(e, SyscallEvent))
             assert ev.checked == ev.used == {0: "old", 1: "new"}
@@ -692,7 +699,7 @@ class TestOneWindowPerSyscall:
         vma = space.vma_for(vpns[0])
         assert vma is space.vma_for(vpns[1]) and vma.vm_write
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert [space.entries[vpn] for vpn in vpns] == before
         assert vma.vm_write
         (restore,) = [e for e in sim.events if isinstance(e, RestoreEvent)]
@@ -730,7 +737,7 @@ class TestMmap:
             monkeypatch.setattr(sim.engine, "cover_new_mapping", lambda asid, vpn: covered.append(vpn))
             frames = len(sim.vmem.frames)
             sim.run_seeded(0)
-            assert not sim.kills
+            assert not extract_kills(sim.events)
             assert 0xF not in sim.vmem.spaces[sim.tasks[1].asid].entries
             assert len(sim.vmem.frames) == frames
             ev = next(e for e in sim.events if isinstance(e, SyscallEvent))

@@ -27,7 +27,7 @@ from hypothesis.errors import NoSuchExample
 from dptisim import MapSpec, ReadOp, Simulation, tasks
 from dptisim.dpti import Variant
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import ExplorationReport, explore, explore_all, extract_witnesses
+from dptisim.tasks import ExplorationReport, explore, explore_all, extract_kills, extract_witnesses
 from dptisim.vmem import EVERYTHING
 
 from conftest import SCENARIOS
@@ -63,10 +63,11 @@ def reference_explore(factory, max_steps: int) -> ExplorationReport:
             witness_paths += 1
             if example is None:
                 example = dict(path_witnesses[0], decisions=list(prefix))
-        causes = {k["cause"] for k in sim.kills}
+        path_kills = extract_kills(sim.events)
+        causes = {k["cause"] for k in path_kills}
         for cause in causes:
             kills[cause] = kills.get(cause, 0) + 1
-        for process, cause in {(k["process"], k["cause"]) for k in sim.kills}:
+        for process, cause in {(k["process"], k["cause"]) for k in path_kills}:
             by_cause = process_kills.setdefault(process, {})
             by_cause[cause] = by_cause.get(cause, 0) + 1
         deadlock_paths += bool(sim.deadlocked_tids())
@@ -178,13 +179,13 @@ def assert_same_verdict(sc, variant, max_steps) -> ExplorationReport:
 
 def assert_hands_over(sc, variant, max_steps, monkeypatch) -> None:
     """``explore`` gives up the split of ``sc`` after what it has run and
-    hands over to full enumeration on a fresh build."""
+    hands over to full enumeration, at the whole bound."""
     handed_over = []
     monkeypatch.setattr(
-        tasks, "_explore_together", lambda factory, root, max_steps: handed_over.append(root) or "full"
+        tasks, "explore_all", lambda factory, max_steps: handed_over.append(max_steps) or "full"
     )
     assert explore(lambda: build_simulation(sc, variant), max_steps) == "full"
-    assert len(handed_over) == 1 and handed_over[0].step_count == 0
+    assert handed_over == [max_steps]
     monkeypatch.undo()
 
 
@@ -522,6 +523,11 @@ def one_process_races(draw, kinds=RACE_OPS) -> dict:
         .filter(lambda kinds: sum(k.count("openat") for k in kinds) <= 2)
         .filter(lambda kinds: sum(k.count("fork") for k in kinds) <= 1)
     )
+    return one_process_race([[_race_op(draw, kind) for kind in kinds] for kinds in threads])
+
+
+def one_process_race(threads: list[list[dict]]) -> dict:
+    """The race of ``one_process_races`` whose threads run the ops ``threads``."""
     return {
         "version": 1, "name": "race",
         "filters": {"rules": [
@@ -531,10 +537,7 @@ def one_process_races(draw, kinds=RACE_OPS) -> dict:
         "processes": [{
             "name": "p", "sandboxed": True,
             "mappings": [{"vaddr": PAGE, "label": "buf", "data": [{"at": PAGE, "string": "file1"}]}],
-            "threads": [
-                {"name": f"t{i}", "ops": [_race_op(draw, kind) for kind in kinds]}
-                for i, kinds in enumerate(threads)
-            ],
+            "threads": [{"name": f"t{i}", "ops": ops} for i, ops in enumerate(threads)],
         }],
     }
 
@@ -613,6 +616,26 @@ MUTANTS = {
 }
 
 
+# For each mutant that no shipped fixture catches, the case a search for one
+# shrinks to, which spares the row that search.
+SHRUNK = {
+    "page-table writes": (
+        one_process_race([
+            [{"op": "write", "vaddr": PAGE, "string": "file2"}],
+            [{"op": "mprotect", "vaddr": PAGE, "write": False}],
+        ]),
+        "freeze",
+    ),
+    "conflict with everything": (
+        one_process_race([
+            [{"op": "mmap", "vaddr": ALIAS}],
+            [{"op": "fork", "child": [{"op": "read", "vaddr": ALIAS}]}],
+        ]),
+        "freeze",
+    ),
+}
+
+
 def _differs(sc, variant, max_steps) -> bool:
     def factory():
         return build_simulation(sc, VARIANTS[variant])
@@ -626,6 +649,10 @@ def test_the_oracle_catches_a_broken_footprint(mutant, monkeypatch):
     fixture or generated scenario gets a verdict other than full
     enumeration's."""
     monkeypatch.setattr(tasks, "_recorded_step", _dropping(MUTANTS[mutant]))
+    if mutant in SHRUNK:
+        raw, variant = SHRUNK[mutant]
+        if _differs(scenario_from_dict(raw), variant, 200):
+            return
     for path in PATHS:
         sc = load_scenario(path)
         if all(len(tids) == 1 for tids in sc.compiled.groups):

@@ -5,6 +5,7 @@ import pytest
 
 from dptisim import EcallOp, MapSpec, ReadOp, Simulation, Variant, WriteOp
 from dptisim.events import (
+    DiagnosticEvent,
     EcallEvent,
     EnclaveLazyMapEvent,
     KillCause,
@@ -25,6 +26,7 @@ from dptisim.sgxdom import (
     build_isolated_mapping,
     classify_eexit,
 )
+from dptisim.tasks import extract_kills
 from dptisim.vmem import PAGE_SIZE, AccessMode
 
 ENCLAVE = 0x100000
@@ -56,7 +58,7 @@ def host_sim(variant, script, *, syscall_exit=False, rsp=RSP, extra_threads=(), 
 
 
 def kill_causes(sim):
-    return [k["cause"] for k in sim.kills]
+    return [k["cause"] for k in extract_kills(sim.events)]
 
 
 class TestBuildIsolatedMapping:
@@ -110,7 +112,7 @@ class TestEnterExit:
         script = [WriteOp(RSP - 8, b"arg")]
         sim, proc, domain = host_sim(Variant.STASH, script)
         report = sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert not report.deadlocked
 
     def test_pages_at_or_above_aligned_sp_protected(self):
@@ -133,7 +135,7 @@ class TestEnterExit:
         sim, proc, domain = host_sim(Variant.STASH, [EnclaveEexit()])
         sim.run_seeded(0)
         task = sim.tasks[1]
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert task.asid == proc.asid
         assert (task.cpu.rsp, task.cpu.rbp) == (RSP, 0)
         ev = next(e for e in sim.events if isinstance(e, EcallEvent))
@@ -155,14 +157,26 @@ class TestEnterExit:
         script = [EnclaveSetReg("rbp", 0xDEAD), EnclaveEexit()]
         sim, proc, domain = host_sim(None, script)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     def test_unprotected_exit_sets_rbx_only_for_an_explicit_target(self):
         for target, rbx in (("legal", 7), (0x1234, 0x1234)):
             sim, proc, domain = host_sim(None, [EnclaveSetReg("rbx", 7), EnclaveEexit(target)])
             sim.run_seeded(0)
-            assert not sim.kills
+            assert not extract_kills(sim.events)
             assert (sim.tasks[1].cpu.rax, sim.tasks[1].cpu.rbx) == (4, rbx)
+
+    @pytest.mark.parametrize("variant", [None, Variant.STASH, Variant.FREEZE], ids=["none", "stash", "freeze"])
+    def test_entry_reports_stale_bytes_on_a_lent_stack_page(self, variant):
+        """A confined enclave's entry reports each stack page below the
+        aligned stack pointer that still holds a non-zero byte; an
+        unconfined enclave is lent no page and reports none."""
+        sim, proc, domain = host_sim(variant, [EnclaveEexit()])
+        sim.vmem.poke(proc.asid, RSP - PAGE_SIZE + 100, b"\x01")
+        sim.step(1)
+        diagnostics = [ev.message for ev in sim.events if isinstance(ev, DiagnosticEvent)]
+        stale = f"stale non-zero bytes on stack page {RSP // PAGE_SIZE - 1:#x} below the aligned stack pointer"
+        assert diagnostics == ([] if variant is None else [stale])
 
 
 class TestOcall:
@@ -177,7 +191,7 @@ class TestOcall:
                   EnclaveSetReg("rsp", RSP), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         ev = next(e for e in sim.events if isinstance(e, OcallEvent))
         assert ev.exit_kind == "fault" and ev.protected
 
@@ -192,7 +206,7 @@ class TestOcall:
         isolated = sim.vmem.spaces[domain.isolated_asid]
         assert victim_stack_page // PAGE_SIZE not in isolated.entries
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
 
 class TestEexitDestinations:
@@ -211,7 +225,7 @@ class TestEexitDestinations:
         script = [EnclaveEexit(CBP + 1234)]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
 
     def test_landing_in_resume_stub_without_pending_exit_kills(self):
         script = [EnclaveEexit(CBP + ENTRY_STUB_END)]
@@ -249,7 +263,7 @@ class TestSyscallExitOptimization:
         script = [EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script, syscall_exit=True)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         ev = next(e for e in sim.events if isinstance(e, EcallEvent))
         assert ev.exit_kind == "syscall"
 
@@ -267,7 +281,7 @@ class TestSyscallExitOptimization:
         script = [EnclaveEexit(CBP + SYSCALL_INSN_START)]
         sim, proc, domain = host_sim(Variant.STASH, script, syscall_exit=True)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         stat = [e for e in sim.events if isinstance(e, StatEvent)]
         assert len(stat) == 1 and stat[0].origin == "cbp_stub"
         ev = next(e for e in sim.events if isinstance(e, EcallEvent))
@@ -284,7 +298,7 @@ class TestIsolatedFaults:
         script = [WriteOp(ENCLAVE + 8, b"mine"), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert any(isinstance(e, EnclaveLazyMapEvent) for e in sim.events)
         isolated = sim.vmem.spaces[domain.isolated_asid]
         assert ENCLAVE // PAGE_SIZE in isolated.entries
@@ -294,7 +308,7 @@ class TestIsolatedFaults:
         script = [WriteOp(ENCLAVE, data), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script, enclave_pages=5)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert sum(isinstance(e, EnclaveLazyMapEvent) for e in sim.events) == 5
         written, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, ENCLAVE, len(data))
         assert written == data
@@ -319,7 +333,7 @@ class TestIsolatedFaults:
             script = [WriteOp(DBP, b"exchange"), EnclaveEexit()]
             sim, proc, domain = host_sim(variant, script)
             sim.run_seeded(0)
-            assert not sim.kills
+            assert not extract_kills(sim.events)
             data, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, DBP, 8)
             assert data == b"exchange"
 
@@ -371,6 +385,6 @@ class TestInterrupt:
         script = [EnclaveInterrupt(), WriteOp(DBP, b"after"), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         data, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, DBP, 5)
         assert data == b"after"

@@ -18,6 +18,7 @@ from dptisim import (
 )
 from dptisim.events import ExecEvent, ExitEvent, ForkEvent, KillCause, WakeEvent
 from dptisim.filters import SYSCALL_NRS
+from dptisim.tasks import extract_kills
 from dptisim.vmem import PAGE_SIZE, AccessKind, AccessMode
 
 PATH = 0x10000
@@ -170,7 +171,7 @@ class TestForkExit:
         sim.add_thread(proc, [ForkOp((ReadOp(PATH, 4), ExitOp())), WriteOp(PATH, b"NEW!")],
                        name="parent")
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         child = sim.tasks[2]
         data, _ = sim.vmem.read_bytes(0, child.asid, AccessMode.KERNEL, PATH, 4)
         assert data == b"orig"
@@ -180,7 +181,7 @@ class TestForkExit:
         data = bytes(range(256)) * (5 * PAGE_SIZE // 256)
         sim = plain_sim([[ForkOp(()), WriteOp(PATH, data)]], pages=5)
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         written, _ = sim.vmem.read_bytes(0, sim.tasks[1].asid, AccessMode.KERNEL, PATH, len(data))
         assert written == data
         child, _ = sim.vmem.read_bytes(0, sim.tasks[2].asid, AccessMode.KERNEL, PATH, len(data))
@@ -203,7 +204,7 @@ class TestExec:
         sim, proc = sandboxed_sim([[ExecOp(PATH, image)]])
         old_asid = proc.asid
         sim.run_seeded(0)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         assert old_asid not in sim.vmem.spaces
         assert any(isinstance(e, ExecEvent) for e in sim.events)
         task = sim.tasks[1]
@@ -218,7 +219,7 @@ class TestExec:
         sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, data=((PATH, b"/usr/bin/emacs\x00"),)))
         sim.add_thread(proc, [ExecOp(PATH, ExecImage())], name="t1")
         sim.run_seeded(0)
-        assert [k["cause"] for k in sim.kills] == [KillCause.FILTER_VIOLATION.value]
+        assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.FILTER_VIOLATION.value]
 
     def test_exec_with_shared_cow_page_leaves_sibling_accessible(self):
         """A forked sibling shares the exec argument page copy-on-write; the
@@ -237,7 +238,7 @@ class TestExec:
             name="parent",
         )
         report = sim.run_seeded(1)
-        assert not sim.kills
+        assert not extract_kills(sim.events)
         parent = sim.tasks[1]
         # parent still owns its pre-fork view, fully user-accessible
         res = sim.vmem.access(0, parent.asid, AccessMode.USER, AccessKind.READ, PATH)
@@ -266,7 +267,7 @@ class TestExec:
             before = sim.vmem.pte(other.asid, 0x50000 // PAGE_SIZE).snapshot()
             sim.add_thread(proc, [ExecOp(PATH, ExecImage(ops=(ExitOp(),)))], name="execer")
             sim.run_seeded(0)
-            assert not sim.kills, variant
+            assert not extract_kills(sim.events), variant
             (ev,) = [e for e in sim.events if isinstance(e, ExecEvent)]
             assert ev.restored_sibling_mappings == 1, variant
             assert sim.vmem.pte(other.asid, 0x50000 // PAGE_SIZE) == before, variant

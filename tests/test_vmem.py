@@ -242,7 +242,7 @@ def _predicted(vm, asid, vpn, mode, kind):
     """Direct PTE walk oracle for the coherence check."""
     space = vm.spaces[asid]
     pte = space.entries.get(vpn)
-    if pte is None or not pte.present:
+    if pte is None:
         return FaultReason.NOT_PRESENT
     if mode is USER and not pte.user:
         return FaultReason.USER_BIT

@@ -14,8 +14,8 @@ It then prints, file by file, each line that some code object of the file
 maps an instruction to (``co_lines()``) and that never ran, with its
 source, and the total. It writes no file into ROOT: no bytecode cache, no
 pytest cache, and the test run's working directory, where hypothesis keeps
-its examples, is a temporary one. The exit status is pytest's. A full run
-takes minutes.
+its examples, is a temporary one. The exit status is pytest's, or 2 if ROOT
+lacks src/dptisim or scenarios/. A full run takes minutes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from pathlib import Path
 from types import CodeType
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+sys.dont_write_bytecode = True
+from checkout import checkout_root  # noqa: E402
+
+ROOT = checkout_root("python3 scripts/line_trace.py [ROOT]")
 PACKAGE = ROOT / "src" / "dptisim"
 EXPLORE_MAX_STEPS = {"visudo": 10}
 
@@ -84,8 +86,6 @@ def run_scenarios() -> None:
 
 
 def main() -> int:
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
     cwd = os.getcwd()

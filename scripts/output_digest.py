@@ -3,7 +3,8 @@
     python3 scripts/output_digest.py [ROOT]
 
 ROOT defaults to this repository. The simulator is imported from ROOT/src
-and the scenarios are read from ROOT/scenarios. The digest covers:
+and the scenarios are read from ROOT/scenarios; without either, the script
+exits 2. The digest covers:
 
 - the seeded report of every scenario under each variant, seeds 0-4;
 - the exploration report of every scenario under each variant, visudo at
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
-sys.path.insert(0, str(ROOT / "src"))
+from checkout import checkout_root
+
+ROOT = checkout_root("python3 scripts/output_digest.py [ROOT]")
 
 from dptisim.bench import SUITES, run_suites, scenario_matrix  # noqa: E402
 from dptisim.scenario import _VARIANTS, build_simulation, load_scenario  # noqa: E402

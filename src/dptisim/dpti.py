@@ -4,15 +4,15 @@ Dispatch distinguishes three cases: unregistered syscalls kill the caller,
 registered ones without argument filters run directly, and string-filtered
 arguments get their backing pages protected for the duration of the syscall.
 Two variants exist: stashing clears the user bit (page fully inaccessible
-from user mode), freezing clears the writable bit and freezes the VMA (page
-read-only). Either way the bytes the filter checked are the bytes the
-syscall body consumes. A window is held by its syscall: the syscall's
-restore ends it, and a kill ends the dying syscall's window. Windows may
-overlap: the first to close a mapping saves its bits, each holds one count
-on it, and the last to end puts the bits back and thaws the VMA. A
-copy-on-write copy of a mapping that windows hold leaves their hold: the
-copy gets the saved bits and its VMA is no longer frozen for it, while the
-windows keep the shared frame closed.
+from user mode), freezing clears the writable bit (page read-only), and a
+frozen mapping takes no copy-on-write copy while any window holds it.
+Either way the bytes the filter checked are the bytes the syscall body
+consumes. A window is held by its syscall: the syscall's restore ends it,
+and a kill ends the dying syscall's window. Windows may overlap: the first
+to close a mapping saves its bits, each holds one count on it, and the last
+to end puts the bits back. A copy-on-write copy of a mapping that windows
+hold leaves their hold: the copy gets the saved bits, while the windows
+keep the shared frame closed.
 
 Syscalls advance through explicit phases (lookup, deep check, body, restore)
 so a scheduler can preempt between the check and the use; that window is
@@ -52,7 +52,6 @@ from .vmem import (
     PageFault,
     PteBit,
     UnmappedError,
-    Vma,
     Vmem,
     page_offset,
     page_spans,
@@ -78,8 +77,8 @@ class SyscallPhase(Enum):
 @dataclass(slots=True)
 class ClosedMapping:
     """One mapping that open windows hold closed: the bits it had before the
-    first of them closed it, the VMA frozen with it, and how many windows
-    hold it."""
+    first of them closed it, and how many windows hold it. Under freezing
+    it is the freeze: a write to it makes no copy-on-write copy."""
 
     asid: int
     vpn: int
@@ -87,7 +86,6 @@ class ClosedMapping:
     user: bool
     writable: bool
     executable: bool
-    vma: Optional[Vma] = None
     windows: int = 0
 
 
@@ -334,16 +332,13 @@ class DptiEngine:
         """Give ``asid`` its own copy of the copy-on-write page ``vpn``, in
         place in its page-table entry, and record the copy. A copy of a
         mapping that windows hold leaves their hold: it gets the bits saved
-        for the mapping, and the mapping's VMA freeze is dropped."""
+        for the mapping."""
         vmem: Vmem = self.sim.vmem
         old = vmem.spaces[asid].entries[vpn].frame_id
         closed = self.closed.get((asid, vpn, old))
         if closed is not None:
             if vmem.fp is not None:
-                vmem.fp[1].update(("windows", "vma"))
-            if closed.vma is not None:
-                closed.vma.frozen -= 1
-                closed.vma = None
+                vmem.fp[0].add("windows")
             vmem.set_perms(asid, vpn, closed.user, False, closed.executable)
         new = vmem.cow_resolve(asid, vpn)
         self.sim.emit(CowEvent(tid=tid, asid=asid, vpn=vpn, old_frame=old, new_frame=new))
@@ -352,8 +347,7 @@ class DptiEngine:
         """Hold one mapping closed for ``record``: the first window over it
         saves its bits, then stashes or freezes it; a later one only counts."""
         vmem: Vmem = self.sim.vmem
-        space = vmem.spaces[asid]
-        pte = space.entries[vpn]
+        pte = vmem.spaces[asid].entries[vpn]
         if vmem.fp is not None:
             vmem.fp[0].add(("pte", asid, vpn))
         key = (asid, vpn, pte.frame_id)
@@ -364,11 +358,6 @@ class DptiEngine:
                 vmem.set_perms(asid, vpn, False, pte.writable, False)
             else:
                 vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
-                closed.vma = space.vma_for(vpn)
-                if closed.vma is not None:
-                    if vmem.fp is not None:
-                        vmem.fp[1].add("vma")
-                    closed.vma.frozen += 1
             vmem.tlb_flush(asid, vpn)
         closed.windows += 1
         record.mappings.append(closed)
@@ -423,7 +412,7 @@ class DptiEngine:
 
     def _apply_restore(self, record: ProtectionRecord) -> int:
         """Let go of every mapping ``record`` holds closed; the last window
-        over one thaws its VMA and puts its bits back. Returns how many."""
+        over one puts its bits back. Returns how many."""
         vmem: Vmem = self.sim.vmem
         if vmem.fp is not None:
             vmem.fp[1].add("windows")
@@ -433,10 +422,6 @@ class DptiEngine:
             if closed.windows:
                 continue
             del self.closed[closed.asid, closed.vpn, closed.frame_id]
-            if closed.vma is not None:
-                if vmem.fp is not None:
-                    vmem.fp[1].add("vma")
-                closed.vma.frozen -= 1
             space = vmem.spaces.get(closed.asid)  # None once replaced (exec) or torn down
             pte = space.entries.get(closed.vpn) if space is not None else None
             if pte is None or pte.frame_id != closed.frame_id:
@@ -468,18 +453,18 @@ class DptiEngine:
     def on_page_fault(self, task, fault: PageFault) -> str:
         """Handle a user-mode fault: 'retry' once copy-on-write is resolved,
         'stalled' once the task waits for the window that closed the page,
-        or 'killed' once the task's process is killed."""
+        or 'killed' once the task's process is killed. A copy-on-write
+        page is copied only if its flags take a write and no freeze holds
+        the mapping."""
+        vmem: Vmem = self.sim.vmem
+        if vmem.fp is not None:
+            vmem.fp[0].add("windows")
         if fault.reason is FaultReason.COW_PENDING:
-            vmem: Vmem = self.sim.vmem
-            if vmem.fp is not None:
-                vmem.fp[0].add("vma")
-            vma = vmem.spaces[fault.asid].vma_for(fault.vpn)
-            if vma is None or (vma.vm_write and not vma.frozen):
+            pte = vmem.spaces[fault.asid].entries[fault.vpn]
+            if pte.vm_write and (fault.asid, fault.vpn, pte.frame_id) not in self.closed:
                 self._resolve_cow(task.tid, fault.asid, fault.vpn)
                 return "retry"
-            fault = replace(fault, reason=FaultReason.WRITE_PROT)  # Linux checks the VMA before it copies
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[0].add("windows")
+            fault = replace(fault, reason=FaultReason.WRITE_PROT)  # Linux checks VM_WRITE before it copies
         stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
         frozen = self.variant is Variant.FREEZE and fault.reason is FaultReason.WRITE_PROT
         if (stashed or frozen) and fault.frame_id is not None and self.by_frame.get(fault.frame_id):
@@ -656,17 +641,14 @@ class DptiEngine:
             self.sim.emit(MprotectEvent(tid=task.tid, vpns=vpns, outcome="stalled"))
             return "stalled"
         vmem: Vmem = self.sim.vmem
-        if vmem.fp is not None:
-            vmem.fp[1].add("vma")
+        entries = vmem.spaces[task.asid].entries
         for vpn in vpns:
-            space = vmem.spaces[task.asid]
-            if vpn not in space.entries:
+            pte = entries.get(vpn)
+            if pte is None:
                 continue
-            vmem.set_perms(task.asid, vpn, spec.user, spec.writable, spec.executable)
-            vma = space.vma_for(vpn)
-            if vma is not None:
-                vma.vm_write = spec.writable
-                vma.vm_exec = spec.executable
+            # a copy-on-write entry stays read-only: its copy takes vm_write
+            vmem.set_perms(task.asid, vpn, spec.user, spec.writable and not pte.cow, spec.executable)
+            pte.vm_write, pte.vm_exec = spec.writable, spec.executable
             vmem.tlb_flush(task.asid, vpn)
         ctx.result = 0
         self.sim.emit(MprotectEvent(tid=task.tid, vpns=vpns, outcome="applied"))

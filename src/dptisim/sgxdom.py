@@ -189,9 +189,7 @@ def build_isolated_mapping(
             script=list(script or []),
         )
 
-    # The isolated space shares the host's VMA structures; only the hardware
-    # mapping differs.
-    isolated = vmem.new_address_space(vmas=host.vmas)
+    isolated = vmem.new_address_space()
     if variant is Variant.STASH:
         vmem.map(isolated.asid, cbp_vpn, host.entries[cbp_vpn].frame_id,
                  user=True, writable=False, executable=True)
@@ -254,15 +252,18 @@ class SgxRuntime:
         if domain.variant is None:
             task.micro = EnclaveContext(domain, saved)
             return
-        host = vmem.spaces[domain.host_asid]
-        permitted: list[int] = []
-        if aligned > 0:
-            stack_vma = host.vma_for(vpn_of(aligned) - 1)
-            if stack_vma is not None:
-                permitted = list(range(stack_vma.start, vpn_of(aligned)))
+        # The stack lent is the mapped run of pages below the aligned stack
+        # pointer that has the flags of the page just below it.
+        entries = vmem.spaces[domain.host_asid].entries
+        top = start = vpn_of(aligned)
+        below = entries.get(top - 1)
+        flags = below and (below.vm_write, below.vm_exec, below.shared)
+        while (pte := entries.get(start - 1)) is not None and (pte.vm_write, pte.vm_exec, pte.shared) == flags:
+            start -= 1
+        permitted = list(range(start, top))
         self._attach_stack(domain, permitted)
         for vpn in permitted:
-            frame = vmem.frames[host.entries[vpn].frame_id]
+            frame = vmem.frames[entries[vpn].frame_id]
             if frame.data.count(0) != len(frame.data):  # any non-zero byte
                 self.sim.emit(
                     DiagnosticEvent(

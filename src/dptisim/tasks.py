@@ -511,15 +511,17 @@ class Simulation:
         references to the process's filters. Returns whether that freed the
         filters."""
         self.engine.unwind_group(tasks)
+        filters = self.processes[tgid].filters
         fp = self.vmem.fp
         if fp is not None:
             fp[1].update(("task", task.tid) for task in tasks)
-            fp[1].add(("filters", tgid))
+            if filters is not None:
+                # a fork shares the table, so it is named by its first process
+                fp[1].add(("filters", next(p.tgid for p in self.processes.values() if p.filters is filters)))
         for task in tasks:
             task.state = TaskState.DEAD
             task.micro = None
             task.stall = None
-        filters = self.processes[tgid].filters
         if filters is None or not tasks or not filters.release(len(tasks)):
             return False
         self.emit(FiltersFreedEvent(tgid=tgid))

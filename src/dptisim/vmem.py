@@ -2,8 +2,8 @@
 frame-to-mappings reverse map.
 
 The model keeps exactly the machinery that page-permission protection windows
-are built on: permission bits per page-table entry, TLB snapshots that go
-stale unless explicitly flushed, copy-on-write sharing across fork, and alias
+are built on: permission bits and the program's VM flags per page-table
+entry, TLB snapshots that go stale unless explicitly flushed, copy-on-write sharing across fork, and alias
 mappings of one physical frame in one or several address spaces.
 
 Page tables are flat vpn->entry dicts (no radix walk) and TLBs have unbounded
@@ -13,7 +13,7 @@ deterministic and testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -25,11 +25,12 @@ EVERYTHING = "everything"
 
 # What one step reads and writes: (locations read, locations written). A
 # location is a frame's bytes ("frame", frame_id), a page-table entry with
-# every core's TLB entry for it ("pte", asid, vpn), a frame's reverse-map
-# entry ("rmap", frame_id), the flags and freeze counts of every VMA
-# ("vma"), the frame allocator ("alloc"), the engine's protection windows
-# ("windows"), a task's state ("task", tid), a process's filter reference
-# count ("filters", tgid), or EVERYTHING.
+# its VM flags and every core's TLB entry for it ("pte", asid, vpn), a
+# frame's reverse-map entry ("rmap", frame_id), the frame allocator
+# ("alloc"), the engine's protection windows and the mappings they hold
+# closed ("windows"), a task's state ("task", tid), the reference count of a
+# filter table, named by the first process it was installed for ("filters",
+# tgid), or EVERYTHING.
 Footprint = tuple[set, set]
 
 
@@ -108,35 +109,31 @@ class PteBit(Enum):
 
 @dataclass(slots=True)
 class PageTableEntry:
+    """The hardware bits of one mapping, then the flags the program gave it,
+    as Linux keeps them on its VMA: whether it may take a write (a
+    copy-on-write copy takes this as its write bit), run code, and whether
+    a fork shares it instead of making it copy-on-write."""
+
     frame_id: int
     user: bool = True
     writable: bool = True
     executable: bool = False
     cow: bool = False  # cow implies writable=False
+    vm_write: bool = True
+    vm_exec: bool = False
+    shared: bool = False
 
     def snapshot(self) -> PageTableEntry:
-        return PageTableEntry(self.frame_id, self.user, self.writable, self.executable, self.cow)
+        return PageTableEntry(
+            self.frame_id, self.user, self.writable, self.executable, self.cow,
+            self.vm_write, self.vm_exec, self.shared,
+        )
 
 
 @dataclass(slots=True)
 class Frame:
     frame_id: int
     data: bytearray
-
-
-@dataclass(slots=True)
-class Vma:
-    """Virtual memory area; start/end are vpns, both inclusive."""
-
-    start: int
-    end: int
-    vm_write: bool
-    vm_exec: bool
-    shared: bool = False
-    frozen: int = 0  # mappings in it that freeze windows hold; it takes no write while any
-
-    def covers(self, vpn: int) -> bool:
-        return self.start <= vpn <= self.end
 
 
 @dataclass(slots=True)
@@ -162,18 +159,9 @@ class AccessResult:
 class AddressSpace:
     """One process's mapping table. The asid is the CR3-switch unit."""
 
-    def __init__(self, asid: int, vmas: Optional[list[Vma]] = None):
+    def __init__(self, asid: int):
         self.asid = asid
         self.entries: dict[int, PageTableEntry] = {}
-        # May be shared with another AddressSpace (retained VMA structures
-        # while the hardware mapping is switched).
-        self.vmas: list[Vma] = vmas if vmas is not None else []
-
-    def vma_for(self, vpn: int) -> Optional[Vma]:
-        for vma in self.vmas:
-            if vma.covers(vpn):
-                return vma
-        return None
 
 
 class Tlb:
@@ -221,10 +209,10 @@ class Vmem:
     # ------------------------------------------------------------------
     # allocation
 
-    def new_address_space(self, vmas: Optional[list[Vma]] = None) -> AddressSpace:
+    def new_address_space(self) -> AddressSpace:
         if self.fp is not None:
             self.fp[1].add(EVERYTHING)
-        space = AddressSpace(self._next_asid, vmas)
+        space = AddressSpace(self._next_asid)
         self._next_asid += 1
         self.spaces[space.asid] = space
         return space
@@ -257,29 +245,15 @@ class Vmem:
         if vpn in space.entries:
             raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
         pte = PageTableEntry(
-            frame_id, user=user, writable=writable, executable=executable
+            frame_id, user, writable, executable, vm_write=writable, vm_exec=executable, shared=shared
         )
         space.entries[vpn] = pte
-        self._cover_with_vma(space, vpn, writable, executable, shared)
         self.rmap.setdefault(frame_id, set()).add((asid, vpn))
         if self.fp is not None:
-            self.fp[1].update((("pte", asid, vpn), ("rmap", frame_id), "vma"))
+            self.fp[1].update((("pte", asid, vpn), ("rmap", frame_id)))
         return pte
 
-    def _cover_with_vma(
-        self, space: AddressSpace, vpn: int, writable: bool, executable: bool, shared: bool
-    ) -> None:
-        if space.vma_for(vpn) is not None:
-            return
-        for vma in space.vmas:
-            if vma.end + 1 == vpn and vma.vm_write == writable and vma.vm_exec == executable and vma.shared == shared:
-                vma.end = vpn
-                return
-        space.vmas.append(Vma(vpn, vpn, writable, executable, shared))
-
     def unmap(self, asid: int, vpn: int) -> None:
-        if self.fp is not None:
-            self.fp[1].add(EVERYTHING)
         space = self.spaces[asid]
         pte = space.entries.pop(vpn, None)
         if pte is None:
@@ -458,14 +432,13 @@ class Vmem:
             raise NotCowError(f"vpn {vpn:#x} in asid {asid} is not copy-on-write")
         old = self.frames[pte.frame_id]
         if self.fp is not None:
-            self.fp[0].update((("frame", old.frame_id), "vma"))
+            self.fp[0].add(("frame", old.frame_id))
             self.fp[1].update((("pte", asid, vpn), ("rmap", old.frame_id)))
         fresh = self.alloc_frame(bytes(old.data))
         self._unlink(pte.frame_id, asid, vpn)
         pte.frame_id = fresh.frame_id
         pte.cow = False
-        vma = self.spaces[asid].vma_for(vpn)
-        pte.writable = vma is None or (vma.vm_write and not vma.frozen)
+        pte.writable = pte.vm_write
         self.rmap[fresh.frame_id] = {(asid, vpn)}
         self.tlb_flush(asid, vpn)
         return fresh.frame_id
@@ -475,10 +448,9 @@ class Vmem:
         becomes copy-on-write in both parent and child; shared ones stay shared.
         """
         parent = self.spaces[parent_asid]
-        child = self.new_address_space([replace(v, frozen=0) for v in parent.vmas])
+        child = self.new_address_space()
         for vpn, ppte in parent.entries.items():
-            vma = parent.vma_for(vpn)
-            if vma is None or not vma.shared:
+            if not ppte.shared:
                 ppte.cow = True
                 ppte.writable = False
                 self.tlb_flush(parent_asid, vpn)

@@ -22,8 +22,7 @@ def shared_private_frames(sim) -> set[int]:
         if len({asid for asid, _ in mappings}) < 2:
             continue
         for asid, vpn in mappings:
-            space = vmem.spaces[asid]
-            vma = space.vma_for(vpn)
-            if not (vma is not None and vma.shared) and not space.entries[vpn].cow:
+            pte = vmem.spaces[asid].entries[vpn]
+            if not pte.shared and not pte.cow:
                 found.add(frame_id)
     return found

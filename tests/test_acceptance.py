@@ -119,11 +119,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
         state = {}
         for space in sim.vmem.spaces.values():
             for vpn, pte in space.entries.items():
-                vma = space.vma_for(vpn)
-                state[(space.asid, vpn)] = (
-                    replace(pte),
-                    (vma.vm_write, vma.vm_exec, vma.shared),
-                )
+                state[(space.asid, vpn)] = replace(pte)
         return state
 
     def probe():
@@ -150,8 +146,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
     after = snapshot()
     assert after.keys() == before.keys()
     for key in before:
-        assert after[key][0] == before[key][0], (key, variant)
-        assert after[key][1] == before[key][1], (key, variant)
+        assert after[key] == before[key], (key, variant)
     assert probe() == before_probe
     return None
 

@@ -209,8 +209,8 @@ def test_report_json_is_the_plain_json_of_its_dict(path, variant):
 
 def open_window_mappings(sim):
     """Every mapping open protection windows hold closed that still maps the
-    frame they closed, as (description, its PTE and every TLB entry for it,
-    its VMA)."""
+    frame they closed, as (description, its PTE and every TLB entry for
+    it)."""
     vmem = sim.vmem
     for closed in sim.engine.closed.values():
         space = vmem.spaces.get(closed.asid)
@@ -219,33 +219,33 @@ def open_window_mappings(sim):
             continue
         tlb_entries = [tlb.lookup(closed.asid, closed.vpn) for tlb in vmem.tlbs]
         views = [pte] + [entry for entry in tlb_entries if entry is not None]
-        yield repr(closed), views, space.vma_for(closed.vpn)
+        yield repr(closed), views
 
 
 class ProgramBits:
     """The permission bits the program itself gave each mapped page: as
     built, as mapped later by mmap or exec, as a fork copied them from the
-    parent, or as an applied mprotect set them. A VMA's vm_write is the
-    write flag the program set last on any of its pages: a freeze window
-    never touches it. A process's mapping that no open window holds has the
-    user and exec bits the program gave it, and unless it is copy-on-write
-    its write bit too, in its PTE and every TLB entry for it."""
+    parent, or as an applied mprotect set them. Each page's vm_write and
+    vm_exec are the flags the program set last on it: a freeze window never
+    touches them. A process's mapping that no open window holds has the user and exec
+    bits the program gave it, and unless it is copy-on-write its write bit
+    too, in its PTE and every TLB entry for it. No entry, in any page table
+    or TLB, is both writable and copy-on-write."""
 
     def __init__(self, sim):
         self.sim = sim
-        # (asid, vpn) -> (when the program set the bits, write, user, exec)
+        # (asid, vpn) -> (write, user, exec)
         self.flags = {
-            (asid, vpn): (0, space.vma_for(vpn).vm_write, pte.user, pte.executable)
+            (asid, vpn): (pte.vm_write, pte.user, pte.executable)
             for asid, space in sim.vmem.spaces.items() for vpn, pte in space.entries.items()
         }
-        self.clock = itertools.count(1)
         map_region, fork_task = sim.map_region, sim.fork_task
 
         def recording_map_region(asid, spec, *args):
             frames = map_region(asid, spec, *args)
             start = spec.vaddr // PAGE_SIZE
             for vpn in range(start, start + len(frames)):
-                self.flags[(asid, vpn)] = (next(self.clock), spec.writable, spec.user, spec.executable)
+                self.flags[(asid, vpn)] = (spec.writable, spec.user, spec.executable)
             return frames
 
         def recording_fork_task(parent, child_ops):
@@ -263,26 +263,25 @@ class ProgramBits:
         if isinstance(op, MprotectOp) and any(
             isinstance(ev, MprotectEvent) and ev.outcome == "applied" for ev in events
         ):
-            when = next(self.clock)
             for vpn in op.vpns:
-                self.flags[(task.asid, vpn)] = (when, op.writable, op.user, op.executable)
+                self.flags[(task.asid, vpn)] = (op.writable, op.user, op.executable)
 
     def problems(self):
-        seen = []
-        for asid, space in self.sim.vmem.spaces.items():
-            for vma in space.vmas:  # an enclave's spaces share their host's
-                if any(vma is other for other in seen):
-                    continue
-                seen.append(vma)
-                flags = [self.flags[asid, vpn] for vpn in range(vma.start, vma.end + 1) if (asid, vpn) in self.flags]
-                if flags and max(flags)[1] != vma.vm_write:
-                    yield f"asid {asid} {vma}: vm_write is not the flag the program last set"
         vmem, closed = self.sim.vmem, self.sim.engine.closed
+        entries = itertools.chain(
+            (pte for space in vmem.spaces.values() for pte in space.entries.values()),
+            (entry for tlb in vmem.tlbs for entry in tlb.cached.values()),
+        )
+        for entry in entries:
+            if entry.writable and entry.cow:
+                yield f"{entry} is both writable and copy-on-write"
         for proc in self.sim.processes.values():
             for vpn, pte in vmem.spaces[proc.asid].entries.items():
+                write, user, executable = self.flags[proc.asid, vpn]
+                if (pte.vm_write, pte.vm_exec) != (write, executable):
+                    yield f"{proc.name} vpn {vpn:#x}: {pte} lacks the flags the program last set"
                 if (proc.asid, vpn, pte.frame_id) in closed:
                     continue
-                _, write, user, executable = self.flags[proc.asid, vpn]
                 tlb_entries = [tlb.lookup(proc.asid, vpn) for tlb in vmem.tlbs]
                 views = [pte] + [entry for entry in tlb_entries if entry is not None]
                 for view in views:
@@ -318,14 +317,12 @@ def check_every_step(sim) -> list[int]:
         assert all(len(frame.data) == PAGE_SIZE for frame in vmem.frames.values())
         # While a window is open, every mapping it closed stays closed, in
         # the page table and in every core's TLB alike.
-        for what, views, vma in open_window_mappings(sim):
+        for what, views in open_window_mappings(sim):
             for view in views:
                 if sim.engine.variant is Variant.STASH:
                     assert not view.user and not view.executable, (at, what, view)
                 else:
                     assert not view.writable, (at, what, view)
-            if sim.engine.variant is Variant.FREEZE:
-                assert vma is None or vma.frozen, (at, what)
         # Every mapping of a frame inside an open window is one the window
         # closed.
         for frame_id, records in sim.engine.by_frame.items():
@@ -456,8 +453,9 @@ def test_a_copy_of_a_mapping_a_window_holds_leaves_the_window(copier, variant):
 @pytest.mark.parametrize("write", [True, False])
 def test_an_mprotect_beside_a_frozen_page_keeps_the_freeze_and_its_own_flag(write):
     """One thread opens the path on the first page of a 2-page mapping while
-    another mprotects the second page and writes it: the area stays frozen
-    for the whole window, and ends with the flag the mprotect gave it."""
+    another mprotects the second page and writes it: the freeze holds only
+    the first page, and the second ends with the flag the mprotect gave
+    it."""
     raw = {
         "version": 1, "name": "mprotect-beside-frozen", "filters": OPENAT_FILE1,
         "processes": [{
@@ -475,6 +473,50 @@ def test_an_mprotect_beside_a_frozen_page_keeps_the_freeze_and_its_own_flag(writ
     verdict = checked_exploration(raw, "freeze").verdict()
     assert not verdict["witness"] and not verdict["deadlock"]
     assert verdict["kill_causes"] == ([] if write else ["segfault"])
+
+
+FORK_FILTERS = {"rules": [*OPENAT_FILE1["rules"], {"nr": "fork"}]}
+TWO_PAGES = {"vaddr": 0x10000, "pages": 2, "data": [{"at": 0x10000, "string": "file1"}]}
+# Mappings and threads of one sandboxed process where a flag that is not
+# kept per page kills or leaves a page writable and copy-on-write at once.
+FLAG_REPROS = {
+    # a freeze of the first page must not refuse the copy of the second
+    "freeze beside a copy": (TWO_PAGES, [
+        {"name": "main", "ops": [{"op": "fork", "child": [{"op": "read", "vaddr": 0x11000}]}, openat(0x10000)]},
+        {"name": "w", "ops": [
+            {"op": "read", "vaddr": 0x11000}, {"op": "write", "vaddr": 0x11000, "string": "x"},
+        ]},
+    ]),
+    # an mprotect of the second page leaves the first page's flag alone
+    "mprotect of one page of two": (TWO_PAGES, [{"name": "t", "ops": [
+        {"op": "mprotect", "vaddr": 0x11000, "write": False},
+        {"op": "fork", "child": []},
+        {"op": "write", "vaddr": 0x10000, "string": "x"},
+    ]}]),
+    # a copy-on-write page that mprotect makes writable stays read-only
+    # until the write copies it
+    "mprotect of a copy-on-write page": ({"vaddr": 0x10000, "write": False}, [{"name": "t", "ops": [
+        {"op": "fork", "child": []},
+        {"op": "mprotect", "vaddr": 0x10000, "write": True},
+        {"op": "write", "vaddr": 0x10000, "string": "x"},
+    ]}]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("repro", sorted(FLAG_REPROS))
+def test_vm_flags_are_kept_on_each_page(repro, variant):
+    """Each page keeps the flags the program set on it, and a freeze holds
+    only the mappings its window closed: no interleaving kills anyone, and
+    every step keeps the per-page flags and the write bit of every
+    copy-on-write entry clear."""
+    mapping, threads = FLAG_REPROS[repro]
+    raw = {
+        "version": 1, "name": "flags", "filters": FORK_FILTERS,
+        "processes": [{"name": "app", "sandboxed": True, "mappings": [mapping], "threads": threads}],
+    }
+    verdict = checked_exploration(raw, variant).verdict()
+    assert verdict["kill_causes"] == [] and not verdict["deadlock"] and not verdict["truncated"]
 
 
 def test_every_build_is_freed_without_the_cyclic_collector():

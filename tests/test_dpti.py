@@ -142,11 +142,9 @@ class TestProtectRestore:
             vpn = PATH // PAGE_SIZE
             task = sim.tasks[1]
             before = sim.vmem.pte(task.asid, vpn).snapshot()
-            vma_before = sim.vmem.spaces[task.asid].vma_for(vpn).vm_write
             sim.run_seeded(0)
             after = sim.vmem.pte(task.asid, vpn)
             assert after == before
-            assert sim.vmem.spaces[task.asid].vma_for(vpn).vm_write == vma_before
             assert not extract_kills(sim.events)
 
     def test_protect_covers_every_alias(self):
@@ -264,7 +262,6 @@ class TestProtectRestore:
             assert_killed_once_for_a_bad_pointer(sim)
             assert extract_kills(sim.events)[0]["detail"] == f"argument page {PATH // PAGE_SIZE + 1:#x} unmapped"
             assert sim.vmem.pte(other.asid, vpn) == before, variant
-            assert not sim.vmem.spaces[other.asid].vma_for(vpn).frozen
             assert not sim.engine.closed and not sim.engine.by_frame
 
     def test_concurrent_stash_windows_on_one_frame_kill(self):
@@ -401,6 +398,18 @@ class TestMprotect:
         assert not extract_kills(sim.events)
         assert all(e.outcome == "applied" for e in sim.events if isinstance(e, MprotectEvent))
 
+    @VARIANTS
+    def test_mprotect_sets_the_mapped_pages_of_its_range_and_skips_the_rest(self, variant):
+        """A 2-page mprotect at PATH, whose second page is unmapped, makes
+        the first page read-only, flags included, and maps nothing."""
+        sim = one_proc_sim(variant, [[MprotectOp(PATH, 2)]], filters=basic_filters(extra=("mprotect",)))
+        sim.run_seeded(0)
+        assert not extract_kills(sim.events)
+        entries = sim.vmem.spaces[sim.tasks[1].asid].entries
+        pte = entries[PATH // PAGE_SIZE]
+        assert (pte.writable, pte.vm_write) == (False, False)
+        assert PATH // PAGE_SIZE + 1 not in entries
+
     def test_stash_stalls_mprotect_too(self):
         sim = one_proc_sim(
             Variant.STASH,
@@ -435,7 +444,7 @@ class TestMprotect:
             assert not report.kills and not report.deadlocked
             space = sim.vmem.spaces[sim.tasks[1].asid]
             pte = space.entries[PATH // PAGE_SIZE]
-            bits = (pte.user, pte.writable, pte.executable, space.vma_for(PATH // PAGE_SIZE).vm_write)
+            bits = (pte.user, pte.writable, pte.executable, pte.vm_write)
             if bits != (op.user, op.writable, op.executable, op.writable):
                 undone.append(seed)
         assert undone == []
@@ -471,6 +480,41 @@ class TestFork:
             stalls |= {e.kind for e in sim.events if isinstance(e, StallEvent)}
         assert stalls == (set() if variant is None else {"fork"})
         assert report.paths == paths
+
+
+class TestGenericBody:
+    @staticmethod
+    def unlink_sim(variant):
+        """``t1`` unlinks the path at PATH while ``t2`` writes 4,091 bytes of
+        ``x`` from PATH + 5 to the end of the page, over the terminator: the
+        string then runs into the unmapped page after it."""
+        fb = FilterBuilder()
+        fb.add_rule("read")
+        fb.add_rule("exit_group")
+        fb.add_rule_string("unlink", 0, CmpOp.EQ, "file1")
+        return one_proc_sim(
+            variant,
+            [[SyscallOp(SYSCALL_NRS["unlink"], (PATH,))], [WriteOp(PATH + 5, b"x" * (PAGE_SIZE - 5))]],
+            filters=fb.install(),
+        )
+
+    @VARIANTS
+    def test_a_use_fetch_that_finds_no_terminator_kills_in_the_body(self, variant):
+        """The write lands between the check and the use. Unprotected, the
+        body's fetch runs off the page and kills; a window makes the writer
+        wait until the body has used the checked path."""
+        sim = self.unlink_sim(variant)
+        for tid in (1, 1, 2, 1):  # lookup, deep check, the write, the body
+            sim.step(tid)
+        sim.run(0)
+        ev = next((e for e in sim.events if isinstance(e, SyscallEvent)), None)
+        if variant is None:
+            assert sim.trace[3][2:] == ["syscall:unlink", "body:done"]
+            assert kill_causes(sim) == [KillCause.BAD_POINTER.value] and ev is None
+        else:
+            assert sim.trace[2][3] == "stalled"
+            assert not extract_kills(sim.events)
+            assert (ev.checked, ev.used) == ({0: "file1"}, {0: "file1"})
 
 
 class TestStat:
@@ -696,12 +740,10 @@ class TestOneWindowPerSyscall:
         space = sim.vmem.spaces[sim.tasks[1].asid]
         vpns = (PATH // PAGE_SIZE, PATH // PAGE_SIZE + 1)
         before = [space.entries[vpn].snapshot() for vpn in vpns]
-        vma = space.vma_for(vpns[0])
-        assert vma is space.vma_for(vpns[1]) and vma.vm_write
+        assert all(pte.vm_write for pte in before)
         sim.run_seeded(0)
         assert not extract_kills(sim.events)
         assert [space.entries[vpn] for vpn in vpns] == before
-        assert vma.vm_write
         (restore,) = [e for e in sim.events if isinstance(e, RestoreEvent)]
         assert restore.mappings == 2
 
@@ -709,8 +751,9 @@ class TestOneWindowPerSyscall:
 class TestFreezeVmaFlag:
     @pytest.mark.parametrize("seed", range(40))
     def test_two_threads_freezing_two_pages_of_one_vma_restore_its_flag(self, seed):
-        """Each thread's window freezes its own page of one 2-page VMA; in
-        whichever order they close and restore, the VMA ends writable."""
+        """Each thread's window freezes its own page of one 2-page mapping;
+        in whichever order they close and restore, both pages end writable,
+        with their vm_write flag set."""
         sim = one_proc_sim(
             Variant.FREEZE,
             [[SyscallOp(OPENAT, (0, PATH, 0))], [SyscallOp(OPENAT, (0, PATH + PAGE_SIZE, 0))]],
@@ -718,11 +761,11 @@ class TestFreezeVmaFlag:
             mappings=[MapSpec(vaddr=PATH, pages=2,
                               data=((PATH, b"file1\x00"), (PATH + PAGE_SIZE, b"file2\x00")))],
         )
-        vma = sim.vmem.spaces[sim.tasks[1].asid].vma_for(PATH // PAGE_SIZE)
+        entries = sim.vmem.spaces[sim.tasks[1].asid].entries
         report = sim.run_seeded(seed)
         assert not report.kills and not report.deadlocked
         assert len([e for e in sim.events if isinstance(e, RestoreEvent)]) == 2
-        assert vma.vm_write and not vma.frozen
+        assert all(entries[PATH // PAGE_SIZE + i].writable and entries[PATH // PAGE_SIZE + i].vm_write for i in (0, 1))
         assert not sim.engine.by_frame and not sim.engine.closed
 
 

@@ -26,6 +26,7 @@ from hypothesis.errors import NoSuchExample
 
 from dptisim import MapSpec, ReadOp, Simulation, tasks
 from dptisim.dpti import Variant
+from dptisim.events import FiltersFreedEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import ExplorationReport, explore, explore_all, extract_kills, extract_witnesses
 from dptisim.vmem import EVERYTHING
@@ -634,6 +635,28 @@ SHRUNK = {
         "freeze",
     ),
 }
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_a_parents_exit_and_its_childs_kill_conflict_on_their_one_filter_table(variant):
+    """A fork shares its parent's filter table. The parent's exit_group and
+    the kill of the child, whose read of the unmapped alias segfaults, each
+    release it, and the events tell which of them freed it, so the search
+    must not call the two steps independent."""
+    sc = scenario_from_dict(one_process_race([
+        [{"op": "fork", "child": [{"op": "read", "vaddr": ALIAS}]}, {"op": "exit", "group": True}],
+        [{"op": "read", "vaddr": PAGE}],
+    ]))
+    freed = []
+    for order in ((1, 3), (3, 1)):
+        sim = build_simulation(sc, VARIANTS[variant])
+        while 3 not in sim.tasks:
+            sim.step(1)
+        seen = len(sim.events)
+        footprints = [tasks._recorded_step(sim, tid) for tid in order]
+        assert not tasks._independent(*footprints), order
+        freed.append([ev.tgid for ev in sim.events[seen:] if isinstance(ev, FiltersFreedEvent)])
+    assert freed == [[2], [1]]
 
 
 def _differs(sc, variant, max_steps) -> bool:

@@ -96,10 +96,6 @@ class TestBuildIsolatedMapping:
                 ENCLAVE // PAGE_SIZE, [], Variant.STASH,
             )
 
-    def test_vma_list_shared_with_host(self):
-        sim, proc, domain = host_sim(Variant.STASH, [])
-        assert sim.vmem.spaces[domain.isolated_asid].vmas is sim.vmem.spaces[proc.asid].vmas
-
 
 class TestEnterExit:
     def test_enter_aligns_and_saves_stack_pointer(self):

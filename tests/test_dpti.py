@@ -765,7 +765,8 @@ class TestFreezeVmaFlag:
         report = sim.run_seeded(seed)
         assert not report.kills and not report.deadlocked
         assert len([e for e in sim.events if isinstance(e, RestoreEvent)]) == 2
-        assert all(entries[PATH // PAGE_SIZE + i].writable and entries[PATH // PAGE_SIZE + i].vm_write for i in (0, 1))
+        pages = [entries[PATH // PAGE_SIZE + i] for i in (0, 1)]
+        assert all(pte.writable and pte.vm_write for pte in pages)
         assert not sim.engine.by_frame and not sim.engine.closed
 
 

@@ -257,8 +257,6 @@ class DptiEngine:
         vmem: Vmem = self.sim.vmem
         vaddr = ctx.args[arg_index]
         record = ctx.record
-        if vmem.fp is not None:
-            vmem.fp[1].add("windows")
         if record is None:
             record = ctx.record = ProtectionRecord()
         had_frames, had_mappings = len(record.frames), len(record.mappings)
@@ -290,10 +288,7 @@ class DptiEngine:
 
     def _protect_page(self, task, record: ProtectionRecord, vpn: int) -> bool:
         vmem: Vmem = self.sim.vmem
-        space = vmem.spaces[task.asid]
-        pte = space.entries.get(vpn)
-        if vmem.fp is not None:
-            vmem.fp[0].add(("pte", task.asid, vpn))
+        pte = vmem.entry(task.asid, vpn)
         if pte is None:
             self.kill(task, KillCause.BAD_POINTER, f"argument page {vpn:#x} unmapped")
             return False
@@ -310,22 +305,28 @@ class DptiEngine:
         for asid, a_vpn in vmem.aliases_of(frame_id):
             self._close_mapping(record, asid, a_vpn)
         record.frames.append(frame_id)
-        self.by_frame.setdefault(frame_id, []).append(record)
+        self._windows(frame_id, write=True).append(record)
         return True
+
+    def _windows(self, frame_id: int, write: bool = False) -> list[ProtectionRecord]:
+        """The open windows over ``frame_id``, in the order they closed it,
+        recorded as a read, or with ``write`` a write, of the frame's window
+        location. That location also holds the mappings of the frame that
+        the windows hold closed, so every step that reads or writes either
+        calls this for the frame."""
+        fp = self.sim.vmem.fp
+        if fp is not None:
+            fp[1 if write else 0].add(("window", frame_id))
+        return self.by_frame.setdefault(frame_id, []) if write else self.by_frame.get(frame_id, [])
 
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
         """A fresh mapping of a frame appeared while that frame is inside
         protection windows (an alias mapped mid-syscall): fold it into every
         covering record, so each window stays complete and the last to end
         returns the mapping to the permissions it was created with."""
-        vmem: Vmem = self.sim.vmem
-        if vmem.fp is not None:
-            vmem.fp[0].add("windows")
-        records = self.by_frame.get(vmem.spaces[asid].entries[vpn].frame_id)
-        if records:
-            if vmem.fp is not None:
-                vmem.fp[1].add("windows")
-            for record in records:
+        frame_id = self.sim.vmem.pte(asid, vpn).frame_id
+        if self._windows(frame_id):
+            for record in self._windows(frame_id, write=True):
                 self._close_mapping(record, asid, vpn)
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
@@ -334,11 +335,10 @@ class DptiEngine:
         mapping that windows hold leaves their hold: it gets the bits saved
         for the mapping."""
         vmem: Vmem = self.sim.vmem
-        old = vmem.spaces[asid].entries[vpn].frame_id
-        closed = self.closed.get((asid, vpn, old))
-        if closed is not None:
-            if vmem.fp is not None:
-                vmem.fp[0].add("windows")
+        old = vmem.pte(asid, vpn).frame_id
+        # a mapping is held closed only while a window is over its frame
+        closed = self._windows(old) and self.closed.get((asid, vpn, old))
+        if closed:
             vmem.set_perms(asid, vpn, closed.user, False, closed.executable)
         new = vmem.cow_resolve(asid, vpn)
         self.sim.emit(CowEvent(tid=tid, asid=asid, vpn=vpn, old_frame=old, new_frame=new))
@@ -347,9 +347,7 @@ class DptiEngine:
         """Hold one mapping closed for ``record``: the first window over it
         saves its bits, then stashes or freezes it; a later one only counts."""
         vmem: Vmem = self.sim.vmem
-        pte = vmem.spaces[asid].entries[vpn]
-        if vmem.fp is not None:
-            vmem.fp[0].add(("pte", asid, vpn))
+        pte = vmem.entry(asid, vpn)
         key = (asid, vpn, pte.frame_id)
         closed = self.closed.get(key)
         if closed is None:
@@ -393,10 +391,8 @@ class DptiEngine:
         """Put every recorded mapping back exactly as found; wake stalled
         writers. If the frame is still inside another live protection window
         the application is killed instead."""
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[0].add("windows")
         for frame_id in record.frames:
-            if any(other is not record for other in self.by_frame[frame_id]):
+            if any(other is not record for other in self._windows(frame_id)):
                 self.kill(
                     task,
                     KillCause.CONCURRENT_USE,
@@ -414,23 +410,20 @@ class DptiEngine:
         """Let go of every mapping ``record`` holds closed; the last window
         over one puts its bits back. Returns how many."""
         vmem: Vmem = self.sim.vmem
-        if vmem.fp is not None:
-            vmem.fp[1].add("windows")
         restored = 0
         for closed in record.mappings:
             closed.windows -= 1
             if closed.windows:
                 continue
             del self.closed[closed.asid, closed.vpn, closed.frame_id]
-            space = vmem.spaces.get(closed.asid)  # None once replaced (exec) or torn down
-            pte = space.entries.get(closed.vpn) if space is not None else None
+            pte = vmem.entry(closed.asid, closed.vpn)  # None once replaced (exec) or torn down
             if pte is None or pte.frame_id != closed.frame_id:
                 continue
             vmem.set_perms(closed.asid, closed.vpn, closed.user, closed.writable, closed.executable)
             vmem.tlb_flush(closed.asid, closed.vpn)
             restored += 1
         for frame_id in record.frames:
-            records = self.by_frame[frame_id]
+            records = self._windows(frame_id, write=True)
             records.remove(record)
             if not records:
                 del self.by_frame[frame_id]
@@ -439,8 +432,6 @@ class DptiEngine:
     def unwind_group(self, tasks: Iterable) -> None:
         """Kill path: release the window of each of these tasks' in-flight
         syscalls, without the concurrent-use check, and wake its waiters."""
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[0].add("windows")
         for task in tasks:
             ctx = task.micro
             if isinstance(ctx, SyscallContext) and ctx.record is not None:
@@ -456,18 +447,16 @@ class DptiEngine:
         or 'killed' once the task's process is killed. A copy-on-write
         page is copied only if its flags take a write and no freeze holds
         the mapping."""
-        vmem: Vmem = self.sim.vmem
-        if vmem.fp is not None:
-            vmem.fp[0].add("windows")
         if fault.reason is FaultReason.COW_PENDING:
-            pte = vmem.spaces[fault.asid].entries[fault.vpn]
-            if pte.vm_write and (fault.asid, fault.vpn, pte.frame_id) not in self.closed:
+            pte = self.sim.vmem.pte(fault.asid, fault.vpn)
+            held = self._windows(pte.frame_id) and (fault.asid, fault.vpn, pte.frame_id) in self.closed
+            if pte.vm_write and not held:
                 self._resolve_cow(task.tid, fault.asid, fault.vpn)
                 return "retry"
             fault = replace(fault, reason=FaultReason.WRITE_PROT)  # Linux checks VM_WRITE before it copies
         stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
         frozen = self.variant is Variant.FREEZE and fault.reason is FaultReason.WRITE_PROT
-        if (stashed or frozen) and fault.frame_id is not None and self.by_frame.get(fault.frame_id):
+        if (stashed or frozen) and fault.frame_id is not None and self._windows(fault.frame_id):
             self.sim.stall_task(task, "frame", fault.frame_id)
             return "stalled"
         self.kill(task, KillCause.SEGFAULT, f"fault {fault.reason.value} at {fault.vaddr:#x}")
@@ -479,16 +468,9 @@ class DptiEngine:
         waits for the window's restore: applied inside the window, the
         restore would put back the bits an mprotect changed, and a fork
         would copy the closed entry into the child, which no window covers."""
-        vmem: Vmem = self.sim.vmem
-        fp = vmem.fp
-        if fp is not None:
-            fp[0].add("windows")
-        entries = vmem.spaces[task.asid].entries
         for vpn in vpns:
-            if fp is not None:
-                fp[0].add(("pte", task.asid, vpn))
-            pte = entries.get(vpn)
-            if pte is not None and self.by_frame.get(pte.frame_id):
+            pte = self.sim.vmem.entry(task.asid, vpn)
+            if pte is not None and self._windows(pte.frame_id):
                 return pte.frame_id
         return None
 
@@ -504,17 +486,15 @@ class DptiEngine:
             outcome = "denied"
         else:
             vmem: Vmem = self.sim.vmem
-            space = vmem.spaces.get(target.asid)
             # An empty write still needs the page at vaddr.
             vpns = [vpn for vpn, *_ in page_spans(vaddr, max(len(data), 1))]
-            if vmem.fp is not None:
-                vmem.fp[0].update(("pte", target.asid, vpn) for vpn in vpns)
-            if space is None or not all(vpn in space.entries for vpn in vpns):
+            ptes = [vmem.entry(target.asid, vpn) for vpn in vpns]
+            if not all(ptes):
                 outcome = "denied"
             else:
                 # Each page gets its own copy before any byte is written.
-                for vpn in vpns:
-                    if space.entries[vpn].cow:
+                for vpn, pte in zip(vpns, ptes):
+                    if pte.cow:
                         self._resolve_cow(writer.tid, target.asid, vpn)
                 vmem.poke(target.asid, vaddr, data)
                 outcome = "executed"

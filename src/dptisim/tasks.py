@@ -429,20 +429,14 @@ class Simulation:
         by ``tid`` would; UnmappedError, mapping nothing, if a page is gone."""
         start = vpn_of(spec.vaddr)
         vpns = range(start, start + spec.pages)
-        entries = self.vmem.spaces[asid].entries
-        fp = self.vmem.fp
         for vpn in vpns:
-            if fp is not None:
-                fp[0].add(("pte", asid, vpn))
-            if vpn in entries:
+            if self.vmem.entry(asid, vpn) is not None:
                 raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
         if spec.alias_of is None:
             frame_ids = [self.vmem.alloc_frame().frame_id for _ in vpns]
         else:
             label_asid, first = self.labels[spec.alias_of]
             label_vpns = range(first, first + spec.pages)
-            if fp is not None:
-                fp[0].update(("pte", label_asid, vpn) for vpn in label_vpns)
             ptes = [self.vmem.pte(label_asid, vpn) for vpn in label_vpns]  # or UnmappedError
             for vpn, pte in zip(label_vpns, ptes):
                 if pte.cow:
@@ -474,16 +468,16 @@ class Simulation:
     def stall_task(self, task: Task, kind: str, frame_id: int) -> None:
         if task.state is not TaskState.RUNNABLE:
             raise RuntimeError(f"cannot stall task {task.tid} in state {task.state.value}")
+        if self.vmem.fp is not None:
+            self.vmem.fp[1].add(("waitq", frame_id))
         task.state = TaskState.STALLED
         task.stall = (kind, frame_id)
         self.emit(StallEvent(tid=task.tid, kind=kind, frame_id=frame_id))
 
     def wake_frame_waiters(self, frames: set[int]) -> None:
-        # Which tasks wait depends on every task's state, not only on the
-        # state of those stalled now.
         fp = self.vmem.fp
         if fp is not None:
-            fp[0].update(("task", tid) for tid in self.tasks)
+            fp[1].update(("waitq", frame_id) for frame_id in frames)
         for task in self.tasks.values():
             if task.state is TaskState.STALLED and task.stall is not None and task.stall[1] in frames:
                 if fp is not None:
@@ -515,6 +509,7 @@ class Simulation:
         fp = self.vmem.fp
         if fp is not None:
             fp[1].update(("task", task.tid) for task in tasks)
+            fp[1].update(("waitq", task.stall[1]) for task in tasks if task.stall is not None)
             if filters is not None:
                 # a fork shares the table, so it is named by its first process
                 fp[1].add(("filters", next(p.tgid for p in self.processes.values() if p.filters is filters)))
@@ -644,10 +639,16 @@ class Simulation:
 
         A confined enclave's faults go to the enclave runtime; all others, an
         unconfined enclave's included, go to the engine.
+
+        A fault is retried only after a copy-on-write copy, which leaves the
+        page writable, no longer copy-on-write and flushed from every TLB, or
+        after an enclave lazy map, which leaves it mapped with its user,
+        write and exec bits set and flushed. Nothing else runs within one
+        access, so neither can fault on the same page twice: one retry per
+        spanned page is enough, and running out of them is a simulator fault.
         """
         confined = domain is not None and domain.variant is not None
         length = op.length if isinstance(op, ReadOp) else len(op.data)
-        # one fault per spanned page, each resolved before the retry
         for _ in range(pages_spanned(op.vaddr, length) + 1):
             if isinstance(op, ReadOp):
                 _, fault = self.vmem.read_bytes(
@@ -665,9 +666,9 @@ class Simulation:
                 outcome = self.engine.on_page_fault(task, fault)
             if outcome != "retry":
                 return outcome
-        cause = KillCause.ISOLATION_VIOLATION if confined else KillCause.SEGFAULT
-        self.kill_group(task.tgid, cause, "fault retry limit")
-        return "killed"
+        raise RuntimeError(
+            f"simulator fault: task {task.tid} still faults at {op.vaddr:#x} after a retry per page"
+        )
 
     # ------------------------------------------------------------------
     # drivers

@@ -25,12 +25,14 @@ EVERYTHING = "everything"
 
 # What one step reads and writes: (locations read, locations written). A
 # location is a frame's bytes ("frame", frame_id), a page-table entry with
-# its VM flags and every core's TLB entry for it ("pte", asid, vpn), a
-# frame's reverse-map entry ("rmap", frame_id), the frame allocator
-# ("alloc"), the engine's protection windows and the mappings they hold
-# closed ("windows"), a task's state ("task", tid), the reference count of a
-# filter table, named by the first process it was installed for ("filters",
-# tgid), or EVERYTHING.
+# its VM flags and every core's TLB entry for it ("pte", asid, vpn), whose
+# read Vmem.entry records, a frame's reverse-map entry ("rmap", frame_id),
+# the frame allocator ("alloc"), the protection windows over a frame and
+# the mappings of it they hold closed ("window", frame_id), the tasks
+# stalled on a frame ("waitq", frame_id), a task's state ("task", tid), the
+# reference count of a filter table, named by the first process it was
+# installed for ("filters", tgid), or EVERYTHING. Each is recorded by the
+# accessor that reads or writes its state.
 Footprint = tuple[set, set]
 
 
@@ -279,11 +281,19 @@ class Vmem:
     # ------------------------------------------------------------------
     # translation and access
 
+    def entry(self, asid: int, vpn: int) -> Optional[PageTableEntry]:
+        """The entry ``asid`` maps at ``vpn``, or None, also once the address
+        space is gone; a read of its location."""
+        if self.fp is not None:
+            self.fp[0].add(("pte", asid, vpn))
+        space = self.spaces.get(asid)
+        return space.entries.get(vpn) if space is not None else None
+
     def pte(self, asid: int, vpn: int) -> PageTableEntry:
-        try:
-            return self.spaces[asid].entries[vpn]
-        except KeyError:
-            raise UnmappedError(f"vpn {vpn:#x} not mapped in asid {asid}") from None
+        pte = self.entry(asid, vpn)
+        if pte is None:
+            raise UnmappedError(f"vpn {vpn:#x} not mapped in asid {asid}")
+        return pte
 
     def access(
         self, core: int, asid: int, mode: AccessMode, kind: AccessKind, vaddr: int

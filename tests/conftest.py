@@ -26,3 +26,32 @@ def shared_private_frames(sim) -> set[int]:
             if not pte.shared and not pte.cow:
                 found.add(frame_id)
     return found
+
+
+def pair_race(openers: int, racers: int, one_page: bool = False) -> dict:
+    """One sandboxed process whose opener threads each ``openat`` the path
+    "file1" on a page, while its racer threads each write "2" over byte 4 of
+    a page. On distinct pages opener i and racer i share a one-page mapping
+    of their own, the mappings adjacent; on one page every thread uses the
+    first. The rules allow ``read``, ``exit_group`` and ``openat`` of
+    "file1" only."""
+    pages = 1 if one_page else max(openers, racers)
+    vaddrs = [0x10000 + 0x1000 * i for i in range(pages)]
+    return {
+        "version": 1, "name": f"pair_race_{openers}+{racers}" + ("_one_page" if one_page else ""),
+        "filters": {"rules": [
+            {"nr": "read"}, {"nr": "exit_group"}, {"nr": "openat", "arg": 1, "strings": ["file1"]},
+        ]},
+        "processes": [{
+            "name": "p", "sandboxed": True,
+            "mappings": [{"vaddr": vaddr, "data": [{"at": vaddr, "string": "file1"}]} for vaddr in vaddrs],
+            "threads": [
+                {"name": f"opener{i}", "ops": [{"op": "syscall", "nr": "openat", "args": [0, vaddrs[i % pages], 0]}]}
+                for i in range(openers)
+            ] + [
+                {"name": f"racer{i}", "ops": [{"op": "write", "vaddr": vaddrs[i % pages] + 4, "string": "2"}]}
+                for i in range(racers)
+            ],
+        }],
+        "schedule": {"mode": "exhaustive", "max_steps": 400},
+    }

@@ -617,9 +617,9 @@ def _race_verdict(witness: bool, *causes: str) -> dict[str, Any]:
 
 
 # The verdict explore_all gives on each 2+2 pair race: from 432 to 6,632
-# interleavings, which take up to 2 s each. The checked window leaves no
-# witness, and on one page a second opener's restore finds the frame inside
-# the first one's window.
+# interleavings, which take up to 2 s each. Under stash and freeze the
+# window over the checked page leaves no witness, and on one page an
+# opener's restore can find the frame inside the other opener's window.
 TWO_TWO_VERDICTS = {
     ("distinct pages", "none"): _race_verdict(True, "filter_violation"),
     ("distinct pages", "stash"): _race_verdict(False, "filter_violation"),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Any, Optional, Sequence
 
-from .costmodel import BenchReport, CostTable, CycleTotals, accumulate, bench_report
+from .costmodel import DEFAULT_TABLE, BenchReport, CostTable, CycleTotals, accumulate, bench_report
 from .dpti import Variant
 from .events import EcallEvent, Event, OcallEvent, SeccompEvalEvent
 from .filters import SYSCALL_NRS, Disposition, SeccompProgram, SeccompRule, seccomp_eval
@@ -88,7 +88,7 @@ def _getppid_scenario(sandboxed: bool) -> Scenario:
 
 def getppid_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     """Latency of one fast, side-effect-free syscall under the three regimes."""
-    table = table or CostTable()
+    table = table or DEFAULT_TABLE
     vanilla_events = _events(_getppid_scenario(False), None)
 
     decision, scanned = seccomp_eval(simple_filter_program("getppid"), SYSCALL_NRS["getppid"], [0] * 6)
@@ -139,7 +139,7 @@ def string_sweep_suite(
 ) -> list[BenchReport]:
     """Deep-filter cost versus the position of the matching string: the
     correct value sits last, so n strings cost n comparisons."""
-    table = table or CostTable()
+    table = table or DEFAULT_TABLE
     rows = [("no-filter", _row(_string_scenario(syscall, None), variant, table))]
     rows += [(f"{n}-string", _row(_string_scenario(syscall, n), variant, table)) for n in counts]
     return [
@@ -174,7 +174,7 @@ def alias_sweep_suite(
     """Deep-filter cost versus the number of mappings of the argument page,
     including the one the syscall uses; every alias pays its own page-table
     manipulation and shootdown, twice."""
-    table = table or CostTable()
+    table = table or DEFAULT_TABLE
     rows = [(f"{m}-mapping", _row(_alias_scenario(syscall, m), variant, table)) for m in counts]
     return [
         bench_report(
@@ -221,7 +221,7 @@ def _sgx_scenario(with_ocall: bool, syscall_exit: bool) -> Scenario:
 
 def sgx_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     """Domain-transition latency: unconfined, page-fault exit, syscall exit."""
-    table = table or CostTable()
+    table = table or DEFAULT_TABLE
     reports = []
     for call, with_ocall, only in (("ecall", False, EcallEvent), ("ocall", True, OcallEvent)):
         rows = [
@@ -247,7 +247,7 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str], table: Optional[CostTable] = None) -> list[BenchReport]:
-    table = table or CostTable()
+    table = table or DEFAULT_TABLE
     reports: list[BenchReport] = []
     for name in names:
         reports.extend(SUITES[name](table))

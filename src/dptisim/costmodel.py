@@ -5,15 +5,22 @@ constant is fitted so that the canonical single-syscall benchmarks reproduce
 measured totals, and everything else follows additively from the charged
 components. Charges are exact (integers and rationals), so calibrated
 totals compare with zero tolerance.
+
+A run's charges are folded in integer units of 1/D cycle, where D is the
+lcm of the table's denominators (698 for the defaults), and each component
+and the total are converted back to an exact ``int`` or ``Fraction`` once:
+a ``Fraction`` operation per charged event made the fold about four times
+slower.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .events import (
     EcallEvent,
@@ -36,6 +43,12 @@ def _num(x: Cycles) -> Union[int, float]:
     return float(x)
 
 
+def _exact(units: int, d: int) -> Cycles:
+    """``units`` of 1/``d`` cycle: an int when integral, else a Fraction."""
+    cycles, rest = divmod(units, d)
+    return Fraction(units, d) if rest else cycles
+
+
 @dataclass(frozen=True)
 class CostTable:
     """Per-component cycle costs; the additive model charges a simulated run
@@ -46,6 +59,9 @@ class CostTable:
     one-page deep string filtering dominated by the two TLB shootdowns; and
     domain-transition overheads of +19.9%/+9.9% (call-in, fault vs syscall
     exit) and +44.0%/+24.0% (call-out).
+
+    A table is not changed once made (``base_syscall`` included): its ledger
+    is computed on first use and kept.
     """
 
     base_syscall: dict[str, Cycles] = field(
@@ -98,12 +114,32 @@ class CostTable:
                 raise CostError(f"unknown cost field {key!r}")
         return replace(self, **changed)
 
+    @cached_property
+    def _ledger(self) -> tuple[int, CostTable]:
+        """(D, this table in integer units of 1/D cycle), D the lcm of the
+        denominators of its costs."""
+        scalars = {name: getattr(self, name) for name in _SCALARS}
+        d = math.lcm(*(v.denominator for v in [*scalars.values(), *self.base_syscall.values()]))
+
+        def units(v: Cycles) -> int:
+            return v.numerator * (d // v.denominator)
+
+        return d, CostTable(
+            base_syscall={name: units(v) for name, v in self.base_syscall.items()},
+            **{name: units(v) for name, v in scalars.items()},
+        )
+
 
 class CostError(ValueError):
     """A malformed cost override."""
 
 
 _FIELDS = frozenset(f.name for f in fields(CostTable))
+_SCALARS = tuple(sorted(_FIELDS - {"base_syscall"}))
+
+# The calibrated table, shared by every caller that takes the defaults so
+# that its ledger is computed once per process.
+DEFAULT_TABLE = CostTable()
 
 
 def _is_int(value: Any) -> bool:
@@ -125,45 +161,58 @@ def _to_cycles(value: Any, where: str) -> Cycles:
     )
 
 
-def charge(event: Event, table: CostTable) -> dict[str, Cycles]:
-    """Component charges for one event; empty for uncharged event types."""
-    if isinstance(event, SyscallEvent):
-        out: dict[str, Cycles] = {"base": table.base_for(event.name)}
-        if event.sandboxed:
-            out["filter_lookup"] = table.filter_lookup_dpti
-        return out
-    if isinstance(event, ProtectEvent):
-        return {
-            "pt_resolve": table.pt_resolve * event.pages,
-            "pte_manipulate": table.pte_manipulate * event.mappings,
-            "tlb_flush": table.tlb_flush * event.mappings,
-        }
-    if isinstance(event, RestoreEvent):
-        return {
-            "pte_manipulate": table.pte_manipulate * event.mappings,
-            "tlb_flush": table.tlb_flush * event.mappings,
-        }
-    if isinstance(event, StringCheckEvent):
-        return {
-            "string_check": table.string_compare_cost(
-                event.arg_len, event.comparisons, event.matched
-            )
-        }
-    if isinstance(event, SeccompEvalEvent):
-        return {"seccomp_scan": event.scanned * table.seccomp_per_rule_scanned}
-    if isinstance(event, (EcallEvent, OcallEvent)):
-        ecall = isinstance(event, EcallEvent)
-        out = {"sgx_base": table.ecall_base if ecall else table.ocall_base}
-        if event.protected:
-            if ecall:
-                out["domain_enter"] = table.domain_enter
-            else:
-                out["domain_exit"] = table.ocall_exit_fixed
-            out[f"{event.exit_kind}_exit"] = (
-                table.fault_exit if event.exit_kind == "fault" else table.syscall_exit
-            )
-        return out
-    return {}
+# The charge of one event type: each adds its components, in the integer
+# units of the scaled table ``u`` (a table's ledger), into ``c``.
+
+
+def _charge_syscall(e: SyscallEvent, u: CostTable, c: dict[str, int]) -> None:
+    c["base"] = c.get("base", 0) + u.base_for(e.name)
+    if e.sandboxed:
+        c["filter_lookup"] = c.get("filter_lookup", 0) + u.filter_lookup_dpti
+
+
+def _charge_protect(e: ProtectEvent, u: CostTable, c: dict[str, int]) -> None:
+    c["pt_resolve"] = c.get("pt_resolve", 0) + u.pt_resolve * e.pages
+    _charge_restore(e, u, c)
+
+
+def _charge_restore(e: Union[ProtectEvent, RestoreEvent], u: CostTable, c: dict[str, int]) -> None:
+    c["pte_manipulate"] = c.get("pte_manipulate", 0) + u.pte_manipulate * e.mappings
+    c["tlb_flush"] = c.get("tlb_flush", 0) + u.tlb_flush * e.mappings
+
+
+def _charge_string_check(e: StringCheckEvent, u: CostTable, c: dict[str, int]) -> None:
+    c["string_check"] = c.get("string_check", 0) + u.string_compare_cost(e.arg_len, e.comparisons, e.matched)
+
+
+def _charge_seccomp_eval(e: SeccompEvalEvent, u: CostTable, c: dict[str, int]) -> None:
+    c["seccomp_scan"] = c.get("seccomp_scan", 0) + e.scanned * u.seccomp_per_rule_scanned
+
+
+def _charge_enclave_call(e: Union[EcallEvent, OcallEvent], u: CostTable, c: dict[str, int]) -> None:
+    ecall = type(e) is EcallEvent
+    charges = {"sgx_base": u.ecall_base if ecall else u.ocall_base}
+    if e.protected:
+        if ecall:
+            charges["domain_enter"] = u.domain_enter
+        else:
+            charges["domain_exit"] = u.ocall_exit_fixed
+        charges[f"{e.exit_kind}_exit"] = u.fault_exit if e.exit_kind == "fault" else u.syscall_exit
+    for component, units in charges.items():
+        c[component] = c.get(component, 0) + units
+
+
+# Every event type is a direct subclass of Event, so the exact type names
+# the charge; the types not listed are not charged.
+_CHARGES: dict[type, Callable[[Any, CostTable, dict[str, int]], None]] = {
+    SyscallEvent: _charge_syscall,
+    ProtectEvent: _charge_protect,
+    RestoreEvent: _charge_restore,
+    StringCheckEvent: _charge_string_check,
+    SeccompEvalEvent: _charge_seccomp_eval,
+    EcallEvent: _charge_enclave_call,
+    OcallEvent: _charge_enclave_call,
+}
 
 
 @dataclass
@@ -179,12 +228,19 @@ class CycleTotals:
 
 
 def accumulate(events: Iterable[Event], table: CostTable) -> CycleTotals:
-    components: dict[str, Cycles] = {}
+    """The components and total that ``table`` charges for ``events``."""
+    d, units = table._ledger
+    charges = _CHARGES
+    components: dict[str, int] = {}
     for event in events:
-        for component, cycles in charge(event, table).items():
-            components[component] = components.get(component, 0) + cycles
-    # Exact sums, so the total of the components is the total of the charges.
-    return CycleTotals(sum(components.values()), components)
+        charged = charges.get(type(event))
+        if charged is not None:
+            charged(event, units, components)
+    # Integer sums, so the total of the components is the total of the charges.
+    return CycleTotals(
+        _exact(sum(components.values()), d),
+        {component: _exact(u, d) for component, u in components.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +250,10 @@ def accumulate(events: Iterable[Event], table: CostTable) -> CycleTotals:
 def overhead_pct(value: Cycles, baseline: Cycles) -> Optional[float]:
     if baseline == 0:
         return None
-    return round(float(Fraction(value - baseline) / Fraction(baseline) * 100), 1)
+    vn, vd, bn, bd = value.numerator, value.denominator, baseline.numerator, baseline.denominator
+    # (value - baseline) / baseline * 100 as one ratio of integers, whose true
+    # division rounds correctly: float() of the exact Fraction, without one.
+    return round((vn * bd - bn * vd) * 100 / (vd * bn), 1)
 
 
 @dataclass

@@ -44,13 +44,15 @@ from .events import (
 )
 from .filters import SYSCALL_NAMES, Disposition, FilterRule, StringFilter
 from .vmem import (
-    PAGE_SIZE,
+    COW_PENDING,
     EVERYTHING,
-    AccessMode,
+    KERNEL_MODE,
+    PAGE_SIZE,
+    USER_BIT,
+    WRITABLE,
+    WRITE_PROT,
     DoubleMapError,
-    FaultReason,
     PageFault,
-    PteBit,
     UnmappedError,
     Vmem,
     page_offset,
@@ -72,6 +74,16 @@ class SyscallPhase(Enum):
     DEEP_CHECK = "deep_check"
     BODY = "body"
     RESTORE = "restore"
+
+
+# Per-step code compares against these module-level names: on CPython 3.11
+# a member read through its enum class (SyscallPhase.BODY) is a
+# Python-level call, several times slower than a global.
+LOOKUP, DEEP_CHECK, BODY, RESTORE = (
+    SyscallPhase.LOOKUP, SyscallPhase.DEEP_CHECK, SyscallPhase.BODY, SyscallPhase.RESTORE,
+)
+STASH, FREEZE = Variant.STASH, Variant.FREEZE
+DENY, ALLOW = Disposition.DENY, Disposition.ALLOW
 
 
 @dataclass(slots=True)
@@ -106,7 +118,7 @@ class SyscallContext:
     nr: int
     name: str
     args: list[int]
-    phase: SyscallPhase = SyscallPhase.LOOKUP
+    phase: SyscallPhase = LOOKUP
     rule: Optional[FilterRule] = None
     disposition: str = "unsandboxed"
     record: Optional[ProtectionRecord] = None  # the window, once an argument opens it
@@ -129,11 +141,13 @@ class DptiEngine:
     The engine mutates simulation state through the host object (`sim`),
     which provides tasks, memory, the event log, and kill/stall/wake hooks.
     The host owns the engine, which holds it weakly, so a simulation is
-    freed when its last reference goes.
+    freed when its last reference goes, and the host's one Vmem directly,
+    so that memory is reached without a call through the weak proxy.
     """
 
     def __init__(self, sim, variant: Optional[Variant], deny_mode: str = "kill"):
         self.sim = weakref.proxy(sim)
+        self.vmem: Vmem = sim.vmem
         self.variant = variant
         self.deny_mode = deny_mode
         # the open windows over each frame inside one, in the order they closed it
@@ -146,11 +160,11 @@ class DptiEngine:
     def step_syscall(self, task) -> str:
         """Advance one phase; returns 'again', 'stalled', or 'done'."""
         ctx: SyscallContext = task.micro
-        if ctx.phase is SyscallPhase.LOOKUP:
+        if ctx.phase is LOOKUP:
             return self._lookup_step(task, ctx)
-        if ctx.phase is SyscallPhase.DEEP_CHECK:
+        if ctx.phase is DEEP_CHECK:
             return self._deep_check_step(task, ctx)
-        if ctx.phase is SyscallPhase.BODY:
+        if ctx.phase is BODY:
             return self._body_step(task, ctx)
         return self._restore_step(task, ctx)
 
@@ -158,11 +172,11 @@ class DptiEngine:
         if not task.sandboxed or ctx.name in ("exit", "exit_group"):
             # exit/exit_group are the filter cleanup path and always proceed
             ctx.disposition = "unsandboxed" if not task.sandboxed else "allow"
-            ctx.phase = SyscallPhase.BODY
+            ctx.phase = BODY
             return self._body_step(task, ctx)
         rule = task.filters.lookup(ctx.nr)
         ctx.rule = rule
-        if rule.disposition is Disposition.DENY:
+        if rule.disposition is DENY:
             ctx.disposition = "deny"
             if self.deny_mode == "errno":
                 ctx.result = -1
@@ -170,9 +184,9 @@ class DptiEngine:
                 return "done"
             self.kill(task, KillCause.UNREGISTERED_SYSCALL, f"{ctx.name} not registered")
             return "done"
-        if rule.disposition is Disposition.ALLOW:
+        if rule.disposition is ALLOW:
             ctx.disposition = "allow"
-            ctx.phase = SyscallPhase.BODY
+            ctx.phase = BODY
             return "again"
         ctx.disposition = "allow_if"
         # Primitive argument values already live in registers; check in place.
@@ -185,9 +199,9 @@ class DptiEngine:
                 )
                 return "done"
         if rule.strings:
-            ctx.phase = SyscallPhase.DEEP_CHECK
+            ctx.phase = DEEP_CHECK
         else:
-            ctx.phase = SyscallPhase.BODY
+            ctx.phase = BODY
         return "again"
 
     def _deep_check_step(self, task, ctx: SyscallContext) -> str:
@@ -203,7 +217,7 @@ class DptiEngine:
                         f"{ctx.name} arg{sf.arg_index} string not allowed",
                     )
                 return "done"  # killed, by the fetch if not by the check
-        ctx.phase = SyscallPhase.BODY
+        ctx.phase = BODY
         return "again"
 
     def _body_step(self, task, ctx: SyscallContext) -> str:
@@ -213,7 +227,7 @@ class DptiEngine:
         if status == "killed":
             return "done"
         if ctx.record is not None:
-            ctx.phase = SyscallPhase.RESTORE
+            ctx.phase = RESTORE
             return "again"
         self._finish(task, ctx)
         return "done"
@@ -254,7 +268,7 @@ class DptiEngine:
         """
         if self.variant is None:
             return None
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         vaddr = ctx.args[arg_index]
         record = ctx.record
         if record is None:
@@ -278,7 +292,7 @@ class DptiEngine:
         self.sim.emit(
             ProtectEvent(
                 tid=task.tid,
-                variant=self.variant.value,
+                variant=self.variant._value_,
                 frames=record.frames[had_frames:],
                 mappings=len(record.mappings) - had_mappings,
                 pages=len(record.frames) - had_frames,
@@ -287,7 +301,7 @@ class DptiEngine:
         return record
 
     def _protect_page(self, task, record: ProtectionRecord, vpn: int) -> bool:
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         pte = vmem.entry(task.asid, vpn)
         if pte is None:
             self.kill(task, KillCause.BAD_POINTER, f"argument page {vpn:#x} unmapped")
@@ -299,7 +313,7 @@ class DptiEngine:
         frame_id = pte.frame_id
         if frame_id in record.frames:
             return True  # an earlier argument of this syscall closed it
-        if self.variant is Variant.STASH and pte.executable:
+        if self.variant is STASH and pte.executable:
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
         for asid, a_vpn in vmem.aliases_of(frame_id):
@@ -314,7 +328,7 @@ class DptiEngine:
         location. That location also holds the mappings of the frame that
         the windows hold closed, so every step that reads or writes either
         calls this for the frame."""
-        fp = self.sim.vmem.fp
+        fp = self.vmem.fp
         if fp is not None:
             fp[1 if write else 0].add(("window", frame_id))
         return self.by_frame.setdefault(frame_id, []) if write else self.by_frame.get(frame_id, [])
@@ -324,7 +338,7 @@ class DptiEngine:
         protection windows (an alias mapped mid-syscall): fold it into every
         covering record, so each window stays complete and the last to end
         returns the mapping to the permissions it was created with."""
-        frame_id = self.sim.vmem.pte(asid, vpn).frame_id
+        frame_id = self.vmem.pte(asid, vpn).frame_id
         if self._windows(frame_id):
             for record in self._windows(frame_id, write=True):
                 self._close_mapping(record, asid, vpn)
@@ -334,7 +348,7 @@ class DptiEngine:
         place in its page-table entry, and record the copy. A copy of a
         mapping that windows hold leaves their hold: it gets the bits saved
         for the mapping."""
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         old = vmem.pte(asid, vpn).frame_id
         # a mapping is held closed only while a window is over its frame
         closed = self._windows(old) and self.closed.get((asid, vpn, old))
@@ -346,16 +360,16 @@ class DptiEngine:
     def _close_mapping(self, record: ProtectionRecord, asid: int, vpn: int) -> None:
         """Hold one mapping closed for ``record``: the first window over it
         saves its bits, then stashes or freezes it; a later one only counts."""
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         pte = vmem.entry(asid, vpn)
         key = (asid, vpn, pte.frame_id)
         closed = self.closed.get(key)
         if closed is None:
             closed = self.closed[key] = ClosedMapping(*key, pte.user, pte.writable, pte.executable)
-            if self.variant is Variant.STASH:
+            if self.variant is STASH:
                 vmem.set_perms(asid, vpn, False, pte.writable, False)
             else:
-                vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
+                vmem.set_bit(asid, vpn, WRITABLE, False)
             vmem.tlb_flush(asid, vpn)
         closed.windows += 1
         record.mappings.append(closed)
@@ -409,7 +423,7 @@ class DptiEngine:
     def _apply_restore(self, record: ProtectionRecord) -> int:
         """Let go of every mapping ``record`` holds closed; the last window
         over one puts its bits back. Returns how many."""
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         restored = 0
         for closed in record.mappings:
             closed.windows -= 1
@@ -447,15 +461,15 @@ class DptiEngine:
         or 'killed' once the task's process is killed. A copy-on-write
         page is copied only if its flags take a write and no freeze holds
         the mapping."""
-        if fault.reason is FaultReason.COW_PENDING:
-            pte = self.sim.vmem.pte(fault.asid, fault.vpn)
+        if fault.reason is COW_PENDING:
+            pte = self.vmem.pte(fault.asid, fault.vpn)
             held = self._windows(pte.frame_id) and (fault.asid, fault.vpn, pte.frame_id) in self.closed
             if pte.vm_write and not held:
                 self._resolve_cow(task.tid, fault.asid, fault.vpn)
                 return "retry"
-            fault = replace(fault, reason=FaultReason.WRITE_PROT)  # Linux checks VM_WRITE before it copies
-        stashed = self.variant is Variant.STASH and fault.reason is FaultReason.USER_BIT
-        frozen = self.variant is Variant.FREEZE and fault.reason is FaultReason.WRITE_PROT
+            fault = replace(fault, reason=WRITE_PROT)  # Linux checks VM_WRITE before it copies
+        stashed = self.variant is STASH and fault.reason is USER_BIT
+        frozen = self.variant is FREEZE and fault.reason is WRITE_PROT
         if (stashed or frozen) and fault.frame_id is not None and self._windows(fault.frame_id):
             self.sim.stall_task(task, "frame", fault.frame_id)
             return "stalled"
@@ -469,7 +483,7 @@ class DptiEngine:
         restore would put back the bits an mprotect changed, and a fork
         would copy the closed entry into the child, which no window covers."""
         for vpn in vpns:
-            pte = self.sim.vmem.entry(task.asid, vpn)
+            pte = self.vmem.entry(task.asid, vpn)
             if pte is not None and self._windows(pte.frame_id):
                 return pte.frame_id
         return None
@@ -478,14 +492,14 @@ class DptiEngine:
         """Direct-memory interface: writes ignore page permissions, so the
         whole interface is shut for sandboxed tasks while filtering is
         active."""
-        if target is not None and self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[0].add(("task", target.tid))
+        if target is not None and self.vmem.fp is not None:
+            self.vmem.fp[0].add(("task", target.tid))
         if writer.sandboxed and self.variant is not None:
             outcome = "denied"
         elif target is None or not target.alive:
             outcome = "denied"
         else:
-            vmem: Vmem = self.sim.vmem
+            vmem = self.vmem
             # An empty write still needs the page at vaddr.
             vpns = [vpn for vpn, *_ in page_spans(vaddr, max(len(data), 1))]
             ptes = [vmem.entry(target.asid, vpn) for vpn in vpns]
@@ -517,8 +531,8 @@ class DptiEngine:
     def _fetch(self, task, ctx: SyscallContext, arg_index: int) -> Optional[bytes]:
         """The string argument ``arg_index``, read in kernel mode, or None
         once an unreadable one has killed the caller."""
-        s, _ = self.sim.vmem.read_cstring(
-            self.sim.core_of(task), task.asid, AccessMode.KERNEL,
+        s, _ = self.vmem.read_cstring(
+            self.sim.core_of(task), task.asid, KERNEL_MODE,
             ctx.args[arg_index], MAX_SPAN,
         )
         if s is None:
@@ -570,9 +584,9 @@ class DptiEngine:
         return "ok"
 
     def _body_fork(self, task, ctx: SyscallContext) -> str:
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[1].add(EVERYTHING)
-        blocking_frame = self._window_frame(task, self.sim.vmem.spaces[task.asid].entries)
+        if self.vmem.fp is not None:
+            self.vmem.fp[1].add(EVERYTHING)
+        blocking_frame = self._window_frame(task, self.vmem.spaces[task.asid].entries)
         if blocking_frame is not None:
             self.sim.stall_task(task, "fork", blocking_frame)
             return "stalled"
@@ -620,7 +634,7 @@ class DptiEngine:
             self.sim.stall_task(task, "mprotect", blocking_frame)
             self.sim.emit(MprotectEvent(tid=task.tid, vpns=vpns, outcome="stalled"))
             return "stalled"
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         entries = vmem.spaces[task.asid].entries
         for vpn in vpns:
             pte = entries.get(vpn)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from .costmodel import CostError, CostTable, _is_int
+from .costmodel import DEFAULT_TABLE, CostError, CostTable, _is_int
 from .dpti import Variant
 from .filters import (
     MAX_SYSCALL_NR, SYSCALL_NAMES, SYSCALL_NRS, CmpOp, FilterBuilder, FilterError, FilterTable,
@@ -270,7 +270,7 @@ def scenario_from_dict(raw: Any) -> Scenario:
     filter_table = None if filters is None else FilterTable.from_rules(build_filters(filters).build_rules())
     costs = raw.get("costs")
     try:
-        cost_table = CostTable() if costs is None else CostTable().with_overrides(costs)
+        cost_table = DEFAULT_TABLE if costs is None else DEFAULT_TABLE.with_overrides(costs)
     except CostError as exc:
         raise ScenarioError(f"costs: {exc}") from None
     expectations = raw.get("expectations")

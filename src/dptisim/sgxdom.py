@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
-from .dpti import Variant
+from .dpti import STASH, Variant
 from .events import (
     DiagnosticEvent,
     EcallEvent,
@@ -29,7 +29,7 @@ from .events import (
     SgxFaultEvent,
     StatEvent,
 )
-from .vmem import EVERYTHING, AddressSpace, PageFault, PteBit, Vmem, PAGE_SIZE, vpn_of
+from .vmem import EVERYTHING, PAGE_SIZE, WRITABLE, AddressSpace, PageFault, Vmem, vpn_of
 
 if TYPE_CHECKING:  # tasks imports this module
     from .tasks import ReadOp, WriteOp
@@ -190,7 +190,7 @@ def build_isolated_mapping(
         )
 
     isolated = vmem.new_address_space()
-    if variant is Variant.STASH:
+    if variant is STASH:
         vmem.map(isolated.asid, cbp_vpn, host.entries[cbp_vpn].frame_id,
                  user=True, writable=False, executable=True)
         for vpn in sorted(dbp_vpns):
@@ -224,11 +224,13 @@ def classify_eexit(domain: EnclaveDomain, target: int) -> CbpBehavior:
 class SgxRuntime:
     """Domain enter/exit transitions and the isolated-thread fault policy.
 
-    The simulation owns the runtime, which holds it weakly.
+    The simulation owns the runtime, which holds it weakly, and its one Vmem
+    directly.
     """
 
     def __init__(self, sim):
         self.sim = weakref.proxy(sim)
+        self.vmem: Vmem = sim.vmem
 
     # ------------------------------------------------------------------
     # transitions
@@ -243,7 +245,7 @@ class SgxRuntime:
         Every enclave step conflicts with every other step, so a search
         needs no model of what the runtime touches.
         """
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         if vmem.fp is not None:
             vmem.fp[1].add(EVERYTHING)
         aligned = task.cpu.rsp - (task.cpu.rsp % PAGE_SIZE)
@@ -275,32 +277,32 @@ class SgxRuntime:
         task.micro = EnclaveContext(domain, saved, permitted)
 
     def _attach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         host = vmem.spaces[domain.host_asid]
         for vpn in vpns:
-            if domain.variant is Variant.STASH:
+            if domain.variant is STASH:
                 if vpn not in vmem.spaces[domain.isolated_asid].entries:
                     vmem.map(domain.isolated_asid, vpn, host.entries[vpn].frame_id,
                              user=True, writable=True, executable=False)
             else:
-                vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, True)
+                vmem.set_bit(domain.isolated_asid, vpn, WRITABLE, True)
                 vmem.tlb_flush(domain.isolated_asid, vpn)
 
     def _detach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         for vpn in vpns:
-            if domain.variant is Variant.STASH:
+            if domain.variant is STASH:
                 if vpn in vmem.spaces[domain.isolated_asid].entries:
                     vmem.unmap(domain.isolated_asid, vpn)
                     vmem.tlb_flush(domain.isolated_asid, vpn)
             else:
-                vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, False)
+                vmem.set_bit(domain.isolated_asid, vpn, WRITABLE, False)
                 vmem.tlb_flush(domain.isolated_asid, vpn)
 
     def step(self, task) -> str:
         """Run one enclave-script op (or transition); 'again' or 'done'."""
-        if self.sim.vmem.fp is not None:
-            self.sim.vmem.fp[1].add(EVERYTHING)
+        if self.vmem.fp is not None:
+            self.vmem.fp[1].add(EVERYTHING)
         ctx: EnclaveContext = task.micro
         domain = ctx.domain
         if ctx.state == "ocall_out":
@@ -341,7 +343,7 @@ class SgxRuntime:
         """Faults from isolated threads: enclave pages map lazily ('retry');
         anything else means the enclave reached for data it was not given
         ('killed')."""
-        vmem: Vmem = self.sim.vmem
+        vmem = self.vmem
         if fault.vpn in domain.enclave_vpns:
             isolated = vmem.spaces[domain.isolated_asid]
             host = vmem.spaces[domain.host_asid]

@@ -36,7 +36,7 @@ from .events import (
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveDomain, SgxRuntime
 from .vmem import (
-    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Footprint, UnmappedError, Vmem, pages_spanned, vpn_of,
+    EVERYTHING, PAGE_SIZE, USER_MODE, DoubleMapError, Footprint, UnmappedError, Vmem, pages_spanned, vpn_of,
 )
 
 
@@ -205,6 +205,13 @@ class TaskState(Enum):
     DEAD = "dead"
 
 
+# Per-step code compares task states against these module-level names: on
+# CPython 3.11 a member read through its enum class (TaskState.RUNNABLE) is
+# a Python-level call, several times slower than a global.
+RUNNABLE, STALLED = TaskState.RUNNABLE, TaskState.STALLED
+FINISHED, DEAD = TaskState.FINISHED, TaskState.DEAD
+
+
 @dataclass
 class CpuState:
     rax: int = 0
@@ -225,13 +232,13 @@ class Task:
     sandboxed: bool = False
     filters: Optional[FilterTable] = None
     ip: int = 0
-    state: TaskState = TaskState.RUNNABLE
+    state: TaskState = RUNNABLE
     stall: Optional[tuple[str, int]] = None
     micro: Optional[object] = None  # SyscallContext | EnclaveContext
 
     @property
     def alive(self) -> bool:
-        return self.state is not TaskState.DEAD
+        return self.state is not DEAD
 
 
 @dataclass
@@ -417,7 +424,7 @@ class Simulation:
             sandboxed=proc.sandboxed, filters=proc.filters,
         )
         if not task.ops:
-            task.state = TaskState.FINISHED
+            task.state = FINISHED
         self.tasks[tid] = task
         self.tasks_by_name[task.name] = task
         return task
@@ -466,11 +473,11 @@ class Simulation:
         return (task.tid - 1) % self.vmem.cores
 
     def stall_task(self, task: Task, kind: str, frame_id: int) -> None:
-        if task.state is not TaskState.RUNNABLE:
+        if task.state is not RUNNABLE:
             raise RuntimeError(f"cannot stall task {task.tid} in state {task.state.value}")
         if self.vmem.fp is not None:
             self.vmem.fp[1].add(("waitq", frame_id))
-        task.state = TaskState.STALLED
+        task.state = STALLED
         task.stall = (kind, frame_id)
         self.emit(StallEvent(tid=task.tid, kind=kind, frame_id=frame_id))
 
@@ -479,10 +486,10 @@ class Simulation:
         if fp is not None:
             fp[1].update(("waitq", frame_id) for frame_id in frames)
         for task in self.tasks.values():
-            if task.state is TaskState.STALLED and task.stall is not None and task.stall[1] in frames:
+            if task.state is STALLED and task.stall is not None and task.stall[1] in frames:
                 if fp is not None:
                     fp[1].add(("task", task.tid))
-                task.state = TaskState.RUNNABLE
+                task.state = RUNNABLE
                 self.emit(WakeEvent(tid=task.tid, frame_id=task.stall[1]))
                 task.stall = None
 
@@ -514,7 +521,7 @@ class Simulation:
                 # a fork shares the table, so it is named by its first process
                 fp[1].add(("filters", next(p.tgid for p in self.processes.values() if p.filters is filters)))
         for task in tasks:
-            task.state = TaskState.DEAD
+            task.state = DEAD
             task.micro = None
             task.stall = None
         if filters is None or not tasks or not filters.release(len(tasks)):
@@ -565,22 +572,22 @@ class Simulation:
     # stepping
 
     def runnable_tids(self) -> list[int]:
-        return [tid for tid, task in self.tasks.items() if task.state is TaskState.RUNNABLE]
+        return [tid for tid, task in self.tasks.items() if task.state is RUNNABLE]
 
     def _advance(self, task: Task) -> None:
         task.ip += 1
-        if task.ip >= len(task.ops) and task.state is TaskState.RUNNABLE:
-            task.state = TaskState.FINISHED
+        if task.ip >= len(task.ops) and task.state is RUNNABLE:
+            task.state = FINISHED
 
     def step(self, tid: int) -> str:
         task = self.tasks[tid]
-        if task.state is not TaskState.RUNNABLE:
+        if task.state is not RUNNABLE:
             raise RuntimeError(f"stepping non-runnable task {tid}")
         self._current_tid = tid
         ctx = task.micro
         if isinstance(ctx, SyscallContext):
             label = f"syscall:{ctx.name}"
-            outcome = self._in_flight(task, ctx.phase.value, self.engine.step_syscall(task))
+            outcome = self._in_flight(task, ctx.phase._value_, self.engine.step_syscall(task))
         elif ctx is not None:
             label = f"enclave:{ctx.domain.name}"
             outcome = self._in_flight(task, ctx.state, self.sgx.step(task))
@@ -605,7 +612,7 @@ class Simulation:
                 else self.tasks_by_name.get(op.target)
             )
             outcome = self.engine.on_proc_mem_write(task, target, op.vaddr, op.data)
-            if task.state is TaskState.RUNNABLE:
+            if task.state is RUNNABLE:
                 self._advance(task)
             return f"proc_mem:{outcome}"
         if isinstance(op, EcallOp):
@@ -614,7 +621,7 @@ class Simulation:
             return "enclave_enter"
         # Everything else enters the kernel as a syscall.
         ctx = task.micro = make_syscall_context(op)
-        return self._in_flight(task, ctx.phase.value, self.engine.step_syscall(task))
+        return self._in_flight(task, ctx.phase._value_, self.engine.step_syscall(task))
 
     def _in_flight(self, task: Task, phase: str, status: str) -> str:
         """The trace outcome of one step of an in-flight syscall or enclave
@@ -626,7 +633,7 @@ class Simulation:
         if status == "again":
             return phase
         task.micro = None
-        if task.state is TaskState.RUNNABLE:
+        if task.state is RUNNABLE:
             self._advance(task)
         return f"{phase}:done"
 
@@ -652,11 +659,11 @@ class Simulation:
         for _ in range(pages_spanned(op.vaddr, length) + 1):
             if isinstance(op, ReadOp):
                 _, fault = self.vmem.read_bytes(
-                    self.core_of(task), task.asid, AccessMode.USER, op.vaddr, op.length
+                    self.core_of(task), task.asid, USER_MODE, op.vaddr, op.length
                 )
             else:
                 fault = self.vmem.write_bytes(
-                    self.core_of(task), task.asid, AccessMode.USER, op.vaddr, op.data
+                    self.core_of(task), task.asid, USER_MODE, op.vaddr, op.data
                 )
             if fault is None:
                 return "ok"
@@ -713,21 +720,21 @@ class Simulation:
 
     def _runnable_in(self, tids: Sequence[int]) -> list[int]:
         tasks = self.tasks
-        return [tid for tid in tids if tasks[tid].state is TaskState.RUNNABLE]
+        return [tid for tid in tids if tasks[tid].state is RUNNABLE]
 
     def _finalize(self) -> None:
         if self._finalized:
             return
         self._finalized = True
         for tid, task in self.tasks.items():
-            if task.state is TaskState.STALLED and task.stall is not None:
+            if task.state is STALLED and task.stall is not None:
                 self.emit(DeadlockEvent(tid=tid, kind=task.stall[0], frame_id=task.stall[1]))
 
     # ------------------------------------------------------------------
     # reporting
 
     def deadlocked_tids(self) -> list[int]:
-        return [tid for tid, task in self.tasks.items() if task.state is TaskState.STALLED]
+        return [tid for tid, task in self.tasks.items() if task.state is STALLED]
 
     def build_report(self) -> SimReport:
         cycles = None
@@ -959,7 +966,7 @@ def _search(
         if tids is None:
             deadlocked = sim.deadlocked_tids()
         else:
-            deadlocked = [tid for tid in tids if sim.tasks[tid].state is TaskState.STALLED]
+            deadlocked = [tid for tid in tids if sim.tasks[tid].state is STALLED]
         steps = sim.step_count - first
         longest = max(longest, steps)
         no_witness_yet = report.example_witness is None

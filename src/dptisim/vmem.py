@@ -109,6 +109,18 @@ class PteBit(Enum):
     EXECUTABLE = "executable"
 
 
+# Per-access code compares against these module-level names: on CPython 3.11
+# a member read through its enum class (AccessKind.WRITE) is a Python-level
+# call, several times slower than a global.
+USER_MODE, KERNEL_MODE = AccessMode.USER, AccessMode.KERNEL
+READ, WRITE, EXEC = AccessKind.READ, AccessKind.WRITE, AccessKind.EXEC
+NOT_PRESENT, USER_BIT, WRITE_PROT, EXEC_PROT, COW_PENDING = (
+    FaultReason.NOT_PRESENT, FaultReason.USER_BIT, FaultReason.WRITE_PROT,
+    FaultReason.EXEC_PROT, FaultReason.COW_PENDING,
+)
+WRITABLE = PteBit.WRITABLE
+
+
 @dataclass(slots=True)
 class PageTableEntry:
     """The hardware bits of one mapping, then the flags the program gave it,
@@ -322,7 +334,7 @@ class Vmem:
         assert pte is not None
         if fp is not None:
             # the caller reads or writes the bytes of the frame it gets
-            fp[1 if kind is AccessKind.WRITE else 0].add(("frame", pte.frame_id))
+            fp[1 if kind is WRITE else 0].add(("frame", pte.frame_id))
         if filled_from_walk:
             tlb.fill(asid, vpn, pte)
         return AccessResult(None, self.frames[pte.frame_id])
@@ -337,16 +349,16 @@ class Vmem:
         mode: AccessMode,
     ) -> Optional[PageFault]:
         if pte is None:
-            return PageFault(FaultReason.NOT_PRESENT, asid, vaddr, vpn, kind)
-        if mode is AccessMode.USER and not pte.user:
-            return PageFault(FaultReason.USER_BIT, asid, vaddr, vpn, kind, pte.frame_id)
-        if kind is AccessKind.WRITE:
+            return PageFault(NOT_PRESENT, asid, vaddr, vpn, kind)
+        if mode is USER_MODE and not pte.user:
+            return PageFault(USER_BIT, asid, vaddr, vpn, kind, pte.frame_id)
+        if kind is WRITE:
             if pte.cow:
-                return PageFault(FaultReason.COW_PENDING, asid, vaddr, vpn, kind, pte.frame_id)
+                return PageFault(COW_PENDING, asid, vaddr, vpn, kind, pte.frame_id)
             if not pte.writable:
-                return PageFault(FaultReason.WRITE_PROT, asid, vaddr, vpn, kind, pte.frame_id)
-        if kind is AccessKind.EXEC and not pte.executable:
-            return PageFault(FaultReason.EXEC_PROT, asid, vaddr, vpn, kind, pte.frame_id)
+                return PageFault(WRITE_PROT, asid, vaddr, vpn, kind, pte.frame_id)
+        if kind is EXEC and not pte.executable:
+            return PageFault(EXEC_PROT, asid, vaddr, vpn, kind, pte.frame_id)
         return None
 
     def read_bytes(
@@ -354,7 +366,7 @@ class Vmem:
     ) -> tuple[Optional[bytes], Optional[PageFault]]:
         out = b""
         for vpn, offset, start, end in page_spans(vaddr, length):
-            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
+            res = self.access(core, asid, mode, READ, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return None, res.fault
             out += res.frame.data[offset : offset + end - start]
@@ -364,7 +376,7 @@ class Vmem:
         self, core: int, asid: int, mode: AccessMode, vaddr: int, data: bytes
     ) -> Optional[PageFault]:
         for vpn, offset, start, end in page_spans(vaddr, len(data)):
-            res = self.access(core, asid, mode, AccessKind.WRITE, vpn * PAGE_SIZE + offset)
+            res = self.access(core, asid, mode, WRITE, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return res.fault
             res.frame.data[offset : offset + end - start] = data[start:end]
@@ -393,7 +405,7 @@ class Vmem:
         """
         out = b""
         for vpn, offset, _, _ in page_spans(vaddr, max_pages * PAGE_SIZE - page_offset(vaddr)):
-            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
+            res = self.access(core, asid, mode, READ, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return None, res.fault
             data = res.frame.data
@@ -415,8 +427,8 @@ class Vmem:
         if self.fp is not None:
             self.fp[1].add(("pte", asid, vpn))
         pte = self.pte(asid, vpn)
-        prev = getattr(pte, bit.value)
-        setattr(pte, bit.value, value)
+        prev = getattr(pte, bit._value_)
+        setattr(pte, bit._value_, value)
         return prev
 
     def set_perms(self, asid: int, vpn: int, user: bool, writable: bool, executable: bool) -> None:

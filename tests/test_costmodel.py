@@ -10,10 +10,18 @@ from dptisim.bench import (
     simple_filter_program,
     string_sweep_suite,
 )
-from dptisim.costmodel import CostError, CostTable, accumulate
-from dptisim.events import SeccompEvalEvent
+from dptisim.costmodel import DEFAULT_TABLE, CostError, CostTable, accumulate
+from dptisim.events import (
+    EcallEvent,
+    OcallEvent,
+    ProtectEvent,
+    RestoreEvent,
+    SeccompEvalEvent,
+    StringCheckEvent,
+    SyscallEvent,
+)
 from dptisim.filters import SYSCALL_NRS, Disposition, seccomp_eval
-from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
+from dptisim.scenario import _VARIANTS, build_simulation, load_scenario, scenario_from_dict
 from dptisim.dpti import Variant
 
 
@@ -175,3 +183,91 @@ class TestReportRendering:
         assert "vanilla" in text and "baseline" in text
         data = report.to_dict()
         assert data["rows"][0]["cycles"] == 295
+
+    def test_missing_row_label_raises(self):
+        with pytest.raises(KeyError, match="no-such-row"):
+            getppid_suite()[0].row("no-such-row")
+
+
+def reference_fold(events, table):
+    """The cycles ``table`` charges for ``events``, folded in Fraction
+    arithmetic event by event: (total, components), each an int when
+    integral and a Fraction otherwise."""
+    components = {}
+
+    def add(component, cycles):
+        components[component] = components.get(component, Fraction(0)) + Fraction(cycles)
+
+    for ev in events:
+        if isinstance(ev, SyscallEvent):
+            add("base", table.base_for(ev.name))
+            if ev.sandboxed:
+                add("filter_lookup", table.filter_lookup_dpti)
+        elif isinstance(ev, (ProtectEvent, RestoreEvent)):
+            if isinstance(ev, ProtectEvent):
+                add("pt_resolve", Fraction(table.pt_resolve) * ev.pages)
+            add("pte_manipulate", Fraction(table.pte_manipulate) * ev.mappings)
+            add("tlb_flush", Fraction(table.tlb_flush) * ev.mappings)
+        elif isinstance(ev, StringCheckEvent):
+            per_char = Fraction(table.string_compare_per_char) * ev.arg_len if ev.matched else 0
+            add("string_check", ev.comparisons * Fraction(table.string_compare_base) + per_char)
+        elif isinstance(ev, SeccompEvalEvent):
+            add("seccomp_scan", ev.scanned * Fraction(table.seccomp_per_rule_scanned))
+        elif isinstance(ev, (EcallEvent, OcallEvent)):
+            ecall = isinstance(ev, EcallEvent)
+            add("sgx_base", table.ecall_base if ecall else table.ocall_base)
+            if ev.protected:
+                add("domain_enter" if ecall else "domain_exit",
+                    table.domain_enter if ecall else table.ocall_exit_fixed)
+                add(f"{ev.exit_kind}_exit", table.fault_exit if ev.exit_kind == "fault" else table.syscall_exit)
+
+    def exact(cycles):
+        return int(cycles) if cycles.denominator == 1 else cycles
+
+    return exact(sum(components.values(), Fraction(0))), {k: exact(v) for k, v in components.items()}
+
+
+def typed(cycles):
+    return type(cycles).__name__, cycles
+
+
+AWKWARD = DEFAULT_TABLE.with_overrides(
+    {"seccomp_per_rule_scanned": [100, 349], "string_compare_per_char": 0.3, "pt_resolve": [7, 3]}
+)
+
+
+class TestLedgerOracle:
+    """The integer ledger against a Fraction fold of the same events: every
+    shipped scenario under every variant at seeds 0-4, and the sequential
+    scan's charge at a few scan lengths, which no scenario emits."""
+
+    @pytest.mark.parametrize("table", [DEFAULT_TABLE, AWKWARD], ids=["default", "awkward"])
+    def test_totals_and_components_equal_the_fraction_fold(self, table, scenarios_dir):
+        runs = {
+            f"scan {scanned}": [SeccompEvalEvent(nr=110, decision="allow", scanned=scanned)]
+            for scanned in (1, 100, 349)
+        }
+        for path in sorted(scenarios_dir.glob("*.json")):
+            sc = load_scenario(path)
+            for name, variant in _VARIANTS.items():
+                for seed in range(5):
+                    sim = build_simulation(sc, variant)
+                    sim.run(seed, sc.schedule.get("max_steps", 1000))
+                    runs[f"{path.stem}/{name}/{seed}"] = sim.events
+        mismatched = []
+        for key, events in runs.items():
+            got = accumulate(events, table)
+            total, components = reference_fold(events, table)
+            if typed(got.total) != typed(total) or (
+                {k: typed(v) for k, v in got.components.items()}
+                != {k: typed(v) for k, v in components.items()}
+            ):
+                mismatched.append((key, got, total, components))
+        assert len(runs) > 3
+        assert mismatched == []
+
+    def test_ledger_units_of_the_default_table(self):
+        d, units = DEFAULT_TABLE._ledger
+        assert d == 698
+        assert (units.seccomp_per_rule_scanned, units.string_compare_per_char) == (200, 349)
+        assert AWKWARD._ledger[0] == 349 * 10 * 3

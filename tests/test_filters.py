@@ -133,6 +133,15 @@ class TestRefcount:
         with pytest.raises(FilterError):
             table.release(2)
 
+    def test_freed_table_rejects_acquire_and_release(self):
+        table = listing_style_builder().install()
+        assert table.release() is True
+        with pytest.raises(FilterError, match="already freed"):
+            table.acquire()
+        with pytest.raises(FilterError, match="already freed"):
+            table.release()
+        assert (table.refcount, table.freed) == (0, True)
+
 
 class TestSeccomp:
     def test_empty_program_denies_with_zero_scanned(self):

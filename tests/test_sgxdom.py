@@ -240,6 +240,11 @@ class TestEexitDestinations:
                 else:
                     assert behavior.outcome == "legal"
 
+    @pytest.mark.parametrize("offset", [-1, PAGE_SIZE])
+    def test_offset_outside_the_bridge_page_rejected(self, offset):
+        with pytest.raises(ValueError, match="outside the bridge page"):
+            CbpContents(syscall_exit_stub=True).behavior(offset)
+
     def test_random_non_cbp_targets_all_kill(self):
         sim, proc, domain = host_sim(Variant.STASH, [])
         rng = random.Random(7)

@@ -1,5 +1,7 @@
 from math import comb
 
+import pytest
+
 from dptisim import (
     CmpOp,
     ExecImage,
@@ -134,6 +136,24 @@ class TestStallWake:
         report = sim.build_report()
         assert report.deadlocked == [2]
         assert any(e["type"] == "DeadlockEvent" for e in report.events)
+
+
+    def test_stalled_task_can_neither_stall_again_nor_step(self):
+        sim = self._window_sim([[WriteOp(PATH + 1, b"z")]])
+        sim.step(1); sim.step(1)
+        assert sim.step(2) == "stalled"
+        writer = sim.tasks[2]
+        with pytest.raises(RuntimeError, match="cannot stall task 2 in state stalled"):
+            sim.stall_task(writer, "frame", writer.stall[1])
+        with pytest.raises(RuntimeError, match="stepping non-runnable task 2"):
+            sim.step(2)
+        assert len(sim.trace) == 3  # neither call left a trace entry
+
+    def test_duplicate_thread_name_rejected(self):
+        sim = plain_sim([[ReadOp(PATH)]])
+        with pytest.raises(ValueError, match="duplicate thread name 't1'"):
+            sim.add_thread(sim.processes[1], [ReadOp(PATH)], name="t1")
+        assert list(sim.tasks_by_name) == ["t1"]
 
 
 class TestForkExit:

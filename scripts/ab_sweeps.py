@@ -80,10 +80,10 @@ class Side:
         sys.path.insert(0, str(src))
         program, workloads = _bench_modules(checkout / "perfbench")
         modules = {m: importlib.import_module(f"{self.package}.{m}") for m in program.MODULES}
-        variant = modules["dpti"].Variant
+        Variant = modules["dpti"].Variant
         prog = program.Program(
             modules=modules,
-            variants={v: None if v == "none" else variant(v) for v in program.VARIANT_NAMES},
+            variants={"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE},
         )
         prog.scenarios = program.load_scenarios(prog)
         program.warm_up(prog)

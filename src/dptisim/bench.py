@@ -67,7 +67,7 @@ def _one_thread(ops: list[dict[str, Any]], rules: Optional[list[dict[str, Any]]]
     return scenario_from_dict(raw)
 
 
-def _events(sc: Scenario, variant: Optional[Variant]) -> list[Event]:
+def _events(sc: Scenario, variant: Optional[str]) -> list[Event]:
     """The events of one seeded run of ``sc`` under ``variant``; no report
     is built."""
     sim = build_simulation(sc, variant_override=variant)
@@ -75,7 +75,7 @@ def _events(sc: Scenario, variant: Optional[Variant]) -> list[Event]:
     return sim.events
 
 
-def _row(sc: Scenario, variant: Optional[Variant], table: CostTable,
+def _row(sc: Scenario, variant: Optional[str], table: CostTable,
          only: Optional[type] = None) -> CycleTotals:
     events = _events(sc, variant)
     return accumulate(events if only is None else [e for e in events if isinstance(e, only)], table)
@@ -92,7 +92,7 @@ def getppid_suite(table: Optional[CostTable] = None) -> list[BenchReport]:
     vanilla_events = _events(_getppid_scenario(False), None)
 
     decision, scanned = seccomp_eval(simple_filter_program("getppid"), SYSCALL_NRS["getppid"], [0] * 6)
-    ev = SeccompEvalEvent(nr=SYSCALL_NRS["getppid"], decision=decision.value, scanned=scanned)
+    ev = SeccompEvalEvent(nr=SYSCALL_NRS["getppid"], decision=decision, scanned=scanned)
     return [
         bench_report(
             "getppid latency (cycles)",
@@ -135,7 +135,7 @@ def string_sweep_suite(
     table: Optional[CostTable] = None,
     syscall: str = "openat",
     counts: Sequence[int] = (1, 2, 5, 10),
-    variant: Variant = Variant.STASH,
+    variant: str = Variant.STASH,
 ) -> list[BenchReport]:
     """Deep-filter cost versus the position of the matching string: the
     correct value sits last, so n strings cost n comparisons."""
@@ -144,7 +144,7 @@ def string_sweep_suite(
     rows += [(f"{n}-string", _row(_string_scenario(syscall, n), variant, table)) for n in counts]
     return [
         bench_report(
-            f"{syscall} deep string filtering, {variant.value} (cycles)", rows,
+            f"{syscall} deep string filtering, {variant} (cycles)", rows,
             baseline="no-filter",
         )
     ]
@@ -169,7 +169,7 @@ def alias_sweep_suite(
     table: Optional[CostTable] = None,
     syscall: str = "openat",
     counts: Sequence[int] = (1, 2, 5, 10),
-    variant: Variant = Variant.STASH,
+    variant: str = Variant.STASH,
 ) -> list[BenchReport]:
     """Deep-filter cost versus the number of mappings of the argument page,
     including the one the syscall uses; every alias pays its own page-table
@@ -178,7 +178,7 @@ def alias_sweep_suite(
     rows = [(f"{m}-mapping", _row(_alias_scenario(syscall, m), variant, table)) for m in counts]
     return [
         bench_report(
-            f"{syscall} deep filtering by alias mappings, {variant.value} (cycles)",
+            f"{syscall} deep filtering by alias mappings, {variant} (cycles)",
             rows, baseline="1-mapping",
         )
     ]

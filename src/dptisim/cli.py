@@ -26,6 +26,13 @@ from .scenario import (
 from .tasks import explore, explore_all
 
 
+def _positive_int(text: str) -> int:
+    """``text`` as an integer of at least 1, or an argparse usage error."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dptisim",
@@ -38,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--variant", choices=sorted(_VARIANTS), help="override the scenario variant")
     run_p.add_argument("--seed", type=int, help="seed for the seeded scheduler")
     run_p.add_argument("--exhaustive", action="store_true", help="search every interleaving for the verdict")
-    run_p.add_argument("--max-steps", type=int, help="scheduler step bound")
+    run_p.add_argument("--max-steps", type=_positive_int, help="scheduler step bound")
     run_p.add_argument("--report-out", help="write the machine-readable report here")
     run_p.add_argument("--costs", help="JSON file with cost-table overrides")
 

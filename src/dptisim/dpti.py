@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Any, Iterable, Optional
 
 from .events import (
@@ -42,17 +41,15 @@ from .events import (
     SyscallEvent,
     WriteSyscallEvent,
 )
-from .filters import SYSCALL_NAMES, Disposition, FilterRule, StringFilter
+from .filters import COMPARE, SYSCALL_NAMES, Disposition, FilterRule, StringFilter
 from .vmem import (
-    COW_PENDING,
     EVERYTHING,
-    KERNEL_MODE,
     PAGE_SIZE,
-    USER_BIT,
-    WRITABLE,
-    WRITE_PROT,
+    AccessMode,
     DoubleMapError,
+    FaultReason,
     PageFault,
+    PteBit,
     UnmappedError,
     Vmem,
     page_offset,
@@ -64,26 +61,16 @@ from .vmem import (
 MAX_SPAN = 2
 
 
-class Variant(Enum):
+class Variant:
     STASH = "stash"
     FREEZE = "freeze"
 
 
-class SyscallPhase(Enum):
+class SyscallPhase:
     LOOKUP = "lookup"
     DEEP_CHECK = "deep_check"
     BODY = "body"
     RESTORE = "restore"
-
-
-# Per-step code compares against these module-level names: on CPython 3.11
-# a member read through its enum class (SyscallPhase.BODY) is a
-# Python-level call, several times slower than a global.
-LOOKUP, DEEP_CHECK, BODY, RESTORE = (
-    SyscallPhase.LOOKUP, SyscallPhase.DEEP_CHECK, SyscallPhase.BODY, SyscallPhase.RESTORE,
-)
-STASH, FREEZE = Variant.STASH, Variant.FREEZE
-DENY, ALLOW = Disposition.DENY, Disposition.ALLOW
 
 
 @dataclass(slots=True)
@@ -118,7 +105,7 @@ class SyscallContext:
     nr: int
     name: str
     args: list[int]
-    phase: SyscallPhase = LOOKUP
+    phase: str = SyscallPhase.LOOKUP
     rule: Optional[FilterRule] = None
     disposition: str = "unsandboxed"
     record: Optional[ProtectionRecord] = None  # the window, once an argument opens it
@@ -145,7 +132,7 @@ class DptiEngine:
     so that memory is reached without a call through the weak proxy.
     """
 
-    def __init__(self, sim, variant: Optional[Variant], deny_mode: str = "kill"):
+    def __init__(self, sim, variant: Optional[str], deny_mode: str = "kill"):
         self.sim = weakref.proxy(sim)
         self.vmem: Vmem = sim.vmem
         self.variant = variant
@@ -160,48 +147,43 @@ class DptiEngine:
     def step_syscall(self, task) -> str:
         """Advance one phase; returns 'again', 'stalled', or 'done'."""
         ctx: SyscallContext = task.micro
-        if ctx.phase is LOOKUP:
+        if ctx.phase == SyscallPhase.LOOKUP:
             return self._lookup_step(task, ctx)
-        if ctx.phase is DEEP_CHECK:
+        if ctx.phase == SyscallPhase.DEEP_CHECK:
             return self._deep_check_step(task, ctx)
-        if ctx.phase is BODY:
+        if ctx.phase == SyscallPhase.BODY:
             return self._body_step(task, ctx)
         return self._restore_step(task, ctx)
 
     def _lookup_step(self, task, ctx: SyscallContext) -> str:
         if not task.sandboxed or ctx.name in ("exit", "exit_group"):
             # exit/exit_group are the filter cleanup path and always proceed
-            ctx.disposition = "unsandboxed" if not task.sandboxed else "allow"
-            ctx.phase = BODY
+            ctx.disposition = "unsandboxed" if not task.sandboxed else Disposition.ALLOW
+            ctx.phase = SyscallPhase.BODY
             return self._body_step(task, ctx)
         rule = task.filters.lookup(ctx.nr)
         ctx.rule = rule
-        if rule.disposition is DENY:
-            ctx.disposition = "deny"
+        ctx.disposition = rule.disposition
+        if rule.disposition == Disposition.DENY:
             if self.deny_mode == "errno":
                 ctx.result = -1
                 self._finish(task, ctx, outcome="denied")
                 return "done"
             self.kill(task, KillCause.UNREGISTERED_SYSCALL, f"{ctx.name} not registered")
             return "done"
-        if rule.disposition is ALLOW:
-            ctx.disposition = "allow"
-            ctx.phase = BODY
+        if rule.disposition == Disposition.ALLOW:
+            ctx.phase = SyscallPhase.BODY
             return "again"
-        ctx.disposition = "allow_if"
         # Primitive argument values already live in registers; check in place.
         for prim in rule.primitives:
-            if not prim.op.evaluate(ctx.args[prim.arg_index], prim.value):
+            if not COMPARE[prim.op](ctx.args[prim.arg_index], prim.value):
                 self.kill(
                     task,
                     KillCause.FILTER_VIOLATION,
-                    f"{ctx.name} arg{prim.arg_index} fails {prim.op.value} {prim.value}",
+                    f"{ctx.name} arg{prim.arg_index} fails {prim.op} {prim.value}",
                 )
                 return "done"
-        if rule.strings:
-            ctx.phase = DEEP_CHECK
-        else:
-            ctx.phase = BODY
+        ctx.phase = SyscallPhase.DEEP_CHECK if rule.strings else SyscallPhase.BODY
         return "again"
 
     def _deep_check_step(self, task, ctx: SyscallContext) -> str:
@@ -217,7 +199,7 @@ class DptiEngine:
                         f"{ctx.name} arg{sf.arg_index} string not allowed",
                     )
                 return "done"  # killed, by the fetch if not by the check
-        ctx.phase = BODY
+        ctx.phase = SyscallPhase.BODY
         return "again"
 
     def _body_step(self, task, ctx: SyscallContext) -> str:
@@ -227,7 +209,7 @@ class DptiEngine:
         if status == "killed":
             return "done"
         if ctx.record is not None:
-            ctx.phase = RESTORE
+            ctx.phase = SyscallPhase.RESTORE
             return "again"
         self._finish(task, ctx)
         return "done"
@@ -292,7 +274,7 @@ class DptiEngine:
         self.sim.emit(
             ProtectEvent(
                 tid=task.tid,
-                variant=self.variant._value_,
+                variant=self.variant,
                 frames=record.frames[had_frames:],
                 mappings=len(record.mappings) - had_mappings,
                 pages=len(record.frames) - had_frames,
@@ -313,7 +295,7 @@ class DptiEngine:
         frame_id = pte.frame_id
         if frame_id in record.frames:
             return True  # an earlier argument of this syscall closed it
-        if self.variant is STASH and pte.executable:
+        if self.variant == Variant.STASH and pte.executable:
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
         for asid, a_vpn in vmem.aliases_of(frame_id):
@@ -366,10 +348,10 @@ class DptiEngine:
         closed = self.closed.get(key)
         if closed is None:
             closed = self.closed[key] = ClosedMapping(*key, pte.user, pte.writable, pte.executable)
-            if self.variant is STASH:
+            if self.variant == Variant.STASH:
                 vmem.set_perms(asid, vpn, False, pte.writable, False)
             else:
-                vmem.set_bit(asid, vpn, WRITABLE, False)
+                vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
             vmem.tlb_flush(asid, vpn)
         closed.windows += 1
         record.mappings.append(closed)
@@ -461,19 +443,19 @@ class DptiEngine:
         or 'killed' once the task's process is killed. A copy-on-write
         page is copied only if its flags take a write and no freeze holds
         the mapping."""
-        if fault.reason is COW_PENDING:
+        if fault.reason == FaultReason.COW_PENDING:
             pte = self.vmem.pte(fault.asid, fault.vpn)
             held = self._windows(pte.frame_id) and (fault.asid, fault.vpn, pte.frame_id) in self.closed
             if pte.vm_write and not held:
                 self._resolve_cow(task.tid, fault.asid, fault.vpn)
                 return "retry"
-            fault = replace(fault, reason=WRITE_PROT)  # Linux checks VM_WRITE before it copies
-        stashed = self.variant is STASH and fault.reason is USER_BIT
-        frozen = self.variant is FREEZE and fault.reason is WRITE_PROT
+            fault = replace(fault, reason=FaultReason.WRITE_PROT)  # Linux checks VM_WRITE before it copies
+        stashed = self.variant == Variant.STASH and fault.reason == FaultReason.USER_BIT
+        frozen = self.variant == Variant.FREEZE and fault.reason == FaultReason.WRITE_PROT
         if (stashed or frozen) and fault.frame_id is not None and self._windows(fault.frame_id):
             self.sim.stall_task(task, "frame", fault.frame_id)
             return "stalled"
-        self.kill(task, KillCause.SEGFAULT, f"fault {fault.reason.value} at {fault.vaddr:#x}")
+        self.kill(task, KillCause.SEGFAULT, f"fault {fault.reason} at {fault.vaddr:#x}")
         return "killed"
 
     def _window_frame(self, task, vpns: Iterable[int]) -> Optional[int]:
@@ -522,7 +504,7 @@ class DptiEngine:
         )
         return outcome
 
-    def kill(self, task, cause: KillCause, detail: str = "") -> None:
+    def kill(self, task, cause: str, detail: str = "") -> None:
         self.sim.kill_group(task.tgid, cause, detail)
 
     # ------------------------------------------------------------------
@@ -532,7 +514,7 @@ class DptiEngine:
         """The string argument ``arg_index``, read in kernel mode, or None
         once an unreadable one has killed the caller."""
         s, _ = self.vmem.read_cstring(
-            self.sim.core_of(task), task.asid, KERNEL_MODE,
+            self.sim.core_of(task), task.asid, AccessMode.KERNEL,
             ctx.args[arg_index], MAX_SPAN,
         )
         if s is None:

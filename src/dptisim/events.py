@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cache
 from typing import Any, Optional
 
 
-class KillCause(Enum):
+class KillCause:
     UNREGISTERED_SYSCALL = "unregistered_syscall"
     FILTER_VIOLATION = "filter_violation"
     BAD_POINTER = "bad_pointer"
@@ -26,17 +25,9 @@ class KillCause(Enum):
     ISOLATION_VIOLATION = "isolation_violation"
 
 
-# field values of these exact types go into the report unchanged
-_PLAIN = frozenset({int, bool, str, float, list, dict, type(None)})
-
-
 @cache
 def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _plain(value: Any) -> Any:
-    return value.value if isinstance(value, Enum) else value
 
 
 @dataclass
@@ -47,8 +38,7 @@ class Event:
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"type": type(self).__name__}
         for name in _field_names(type(self)):
-            value = getattr(self, name)
-            out[name] = value if type(value) in _PLAIN else _plain(value)
+            out[name] = getattr(self, name)
         return out
 
 
@@ -146,7 +136,7 @@ class KillEvent(Event):
     tid: int
     tgid: int
     process: str
-    cause: KillCause
+    cause: str  # a KillCause
     detail: str = ""
 
 

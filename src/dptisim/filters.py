@@ -9,8 +9,8 @@ rules are populated; the sequential program pays per rule scanned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence, Union
 
 MAX_SYSCALL_ARGS = 6
@@ -72,7 +72,7 @@ class StringTooLongError(FilterError):
     pass
 
 
-class CmpOp(Enum):
+class CmpOp:
     EQ = "EQ"
     NE = "NE"
     LT = "LT"
@@ -80,24 +80,18 @@ class CmpOp(Enum):
     GT = "GT"
     GE = "GE"
 
-    def evaluate(self, lhs: int, rhs: int) -> bool:
-        if self is CmpOp.EQ:
-            return lhs == rhs
-        if self is CmpOp.NE:
-            return lhs != rhs
-        if self is CmpOp.LT:
-            return lhs < rhs
-        if self is CmpOp.LE:
-            return lhs <= rhs
-        if self is CmpOp.GT:
-            return lhs > rhs
-        return lhs >= rhs
+
+# the comparison each CmpOp names, applied as COMPARE[op](argument, value)
+COMPARE = {
+    CmpOp.EQ: operator.eq, CmpOp.NE: operator.ne, CmpOp.LT: operator.lt,
+    CmpOp.LE: operator.le, CmpOp.GT: operator.gt, CmpOp.GE: operator.ge,
+}
 
 
 @dataclass(frozen=True)
 class PrimitiveFilter:
     arg_index: int
-    op: CmpOp
+    op: str  # a CmpOp
     value: int
 
 
@@ -107,7 +101,7 @@ class StringFilter:
     allowed: tuple[bytes, ...]  # non-empty; each at most MAX_ARG_STRING bytes
 
 
-class Disposition(Enum):
+class Disposition:
     DENY = "deny"
     ALLOW = "allow"
     ALLOW_IF = "allow_if"
@@ -115,7 +109,7 @@ class Disposition(Enum):
 
 @dataclass(frozen=True)
 class FilterRule:
-    disposition: Disposition
+    disposition: str  # a Disposition
     primitives: tuple[PrimitiveFilter, ...] = ()
     strings: tuple[StringFilter, ...] = ()
 
@@ -201,10 +195,12 @@ class FilterBuilder:
         return self
 
     def add_rule_primitive(
-        self, nr: Union[int, str], arg_index: int, op: CmpOp, value: int
+        self, nr: Union[int, str], arg_index: int, op: str, value: int
     ) -> FilterBuilder:
         self._check_mutable()
         self._check_arg_index(arg_index)
+        if op not in COMPARE:
+            raise FilterError(f"unknown comparison {op!r}")
         num = syscall_nr(nr)
         per_arg = self._primitives.setdefault(num, {})
         if arg_index in per_arg or arg_index in self._strings.get(num, {}):
@@ -215,11 +211,11 @@ class FilterBuilder:
         return self
 
     def add_rule_string(
-        self, nr: Union[int, str], arg_index: int, op: CmpOp, value: Union[str, bytes]
+        self, nr: Union[int, str], arg_index: int, op: str, value: Union[str, bytes]
     ) -> FilterBuilder:
         self._check_mutable()
         self._check_arg_index(arg_index)
-        if op is not CmpOp.EQ:
+        if op != CmpOp.EQ:
             raise FilterError("string filters support EQ only")
         raw = value.encode() if isinstance(value, str) else bytes(value)
         if len(raw) > MAX_ARG_STRING:
@@ -267,7 +263,7 @@ class FilterBuilder:
 class SeccompRule:
     nr: int
     predicates: tuple[PrimitiveFilter, ...]
-    action: Disposition  # ALLOW or DENY
+    action: str  # Disposition.ALLOW or Disposition.DENY
 
 
 class SeccompProgram:
@@ -279,7 +275,7 @@ class SeccompProgram:
     Rules for distinct numbers keep their relative order.
     """
 
-    def __init__(self, rules: Sequence[SeccompRule], default_action: Disposition = Disposition.DENY):
+    def __init__(self, rules: Sequence[SeccompRule], default_action: str = Disposition.DENY):
         ordered = list(rules)
         by_nr: dict[int, list[int]] = {}
         for idx, rule in enumerate(ordered):
@@ -288,7 +284,7 @@ class SeccompProgram:
             if len(indices) > 1:
                 group = sorted(
                     (ordered[i] for i in indices),
-                    key=lambda r: 0 if r.action is Disposition.DENY else 1,
+                    key=lambda r: 0 if r.action == Disposition.DENY else 1,
                 )
                 for slot, rule in zip(indices, group):
                     ordered[slot] = rule
@@ -301,7 +297,7 @@ class SeccompProgram:
 
 def seccomp_eval(
     program: SeccompProgram, nr: int, args: Sequence[int]
-) -> tuple[Disposition, int]:
+) -> tuple[str, int]:
     """Scan the program; the first rule matching nr and predicates decides.
 
     Returns (decision, number of rules visited); the scan count is what the
@@ -310,6 +306,6 @@ def seccomp_eval(
     for scanned, rule in enumerate(program.rules, start=1):
         if rule.nr != nr:
             continue
-        if all(p.op.evaluate(args[p.arg_index], p.value) for p in rule.predicates):
+        if all(COMPARE[p.op](args[p.arg_index], p.value) for p in rule.predicates):
             return rule.action, scanned
     return program.default_action, len(program.rules)

@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional, Union
 from .costmodel import DEFAULT_TABLE, CostError, CostTable, _is_int
 from .dpti import Variant
 from .filters import (
-    MAX_SYSCALL_NR, SYSCALL_NAMES, SYSCALL_NRS, CmpOp, FilterBuilder, FilterError, FilterTable,
+    COMPARE, MAX_SYSCALL_NR, SYSCALL_NAMES, SYSCALL_NRS, FilterBuilder, FilterError, FilterTable,
     syscall_nr,
 )
 from .sgxdom import (
@@ -213,7 +213,7 @@ class CompiledScenario:
 class Scenario:
     raw: dict[str, Any]
     name: str
-    variant: Optional[Variant]
+    variant: Optional[str]  # a Variant
     cores: int
     deny_mode: str
     schedule: dict[str, Any]
@@ -464,7 +464,7 @@ def build_filters(spec: Any) -> FilterBuilder:
         try:
             if "strings" in rule or "arg" in rule:
                 arg = _unsigned(rule, "arg", at)
-                op = CmpOp[_choice(rule, "op", at, CmpOp.__members__, "EQ")]
+                op = _choice(rule, "op", at, COMPARE, "EQ")
                 if "strings" in rule:
                     for s in _all(_str, rule, "strings", at):
                         fb.add_rule_string(nr, arg, op, s)
@@ -686,14 +686,13 @@ def build_simulation(
 # expectations
 
 
-def effective_expectations(sc: Scenario, variant: Optional[Variant]) -> Optional[dict[str, Any]]:
+def effective_expectations(sc: Scenario, variant: Optional[str]) -> Optional[dict[str, Any]]:
     """Base expectations merged with the per-variant override section."""
     exp = sc.raw.get("expectations")
     if exp is None:
         return None
     merged = {k: v for k, v in exp.items() if k != "by_variant"}
-    name = variant.value if variant is not None else "none"
-    merged.update(exp.get("by_variant", {}).get(name, {}))
+    merged.update(exp.get("by_variant", {}).get(variant or "none", {}))
     return merged or None
 
 

@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
-from .dpti import STASH, Variant
+from .dpti import Variant
 from .events import (
     DiagnosticEvent,
     EcallEvent,
@@ -29,7 +29,7 @@ from .events import (
     SgxFaultEvent,
     StatEvent,
 )
-from .vmem import EVERYTHING, PAGE_SIZE, WRITABLE, AddressSpace, PageFault, Vmem, vpn_of
+from .vmem import EVERYTHING, PAGE_SIZE, AddressSpace, PageFault, PteBit, Vmem, vpn_of
 
 if TYPE_CHECKING:  # tasks imports this module
     from .tasks import ReadOp, WriteOp
@@ -124,7 +124,7 @@ EnclaveOp = Union[
 @dataclass
 class EnclaveDomain:
     name: str
-    variant: Optional[Variant]  # None models an unconfined enclave
+    variant: Optional[str]  # a Variant; None models an unconfined enclave
     enclave_vpns: set[int]
     cbp_vpn: int
     host_asid: int
@@ -161,7 +161,7 @@ def build_isolated_mapping(
     enclave_vpns: set[int],
     cbp_vpn: int,
     dbp_vaddrs: list[int],
-    variant: Optional[Variant],
+    variant: Optional[str],
     syscall_exit: bool = False,
     script: Optional[list[EnclaveOp]] = None,
 ) -> EnclaveDomain:
@@ -190,7 +190,7 @@ def build_isolated_mapping(
         )
 
     isolated = vmem.new_address_space()
-    if variant is STASH:
+    if variant == Variant.STASH:
         vmem.map(isolated.asid, cbp_vpn, host.entries[cbp_vpn].frame_id,
                  user=True, writable=False, executable=True)
         for vpn in sorted(dbp_vpns):
@@ -280,23 +280,23 @@ class SgxRuntime:
         vmem = self.vmem
         host = vmem.spaces[domain.host_asid]
         for vpn in vpns:
-            if domain.variant is STASH:
+            if domain.variant == Variant.STASH:
                 if vpn not in vmem.spaces[domain.isolated_asid].entries:
                     vmem.map(domain.isolated_asid, vpn, host.entries[vpn].frame_id,
                              user=True, writable=True, executable=False)
             else:
-                vmem.set_bit(domain.isolated_asid, vpn, WRITABLE, True)
+                vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, True)
                 vmem.tlb_flush(domain.isolated_asid, vpn)
 
     def _detach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
         vmem = self.vmem
         for vpn in vpns:
-            if domain.variant is STASH:
+            if domain.variant == Variant.STASH:
                 if vpn in vmem.spaces[domain.isolated_asid].entries:
                     vmem.unmap(domain.isolated_asid, vpn)
                     vmem.tlb_flush(domain.isolated_asid, vpn)
             else:
-                vmem.set_bit(domain.isolated_asid, vpn, WRITABLE, False)
+                vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, False)
                 vmem.tlb_flush(domain.isolated_asid, vpn)
 
     def step(self, task) -> str:
@@ -358,7 +358,7 @@ class SgxRuntime:
         self.sim.emit(SgxFaultEvent(tid=task.tid, vaddr=fault.vaddr, classification="kill"))
         self.sim.kill_group(
             task.tgid, KillCause.ISOLATION_VIOLATION,
-            f"enclave touched non-bridge address {fault.vaddr:#x} ({fault.reason.value})",
+            f"enclave touched non-bridge address {fault.vaddr:#x} ({fault.reason})",
         )
         return "killed"
 

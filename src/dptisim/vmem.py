@@ -14,7 +14,6 @@ deterministic and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Optional
 
 PAGE_SIZE = 4096
@@ -84,18 +83,18 @@ class NotCowError(VmemError):
     pass
 
 
-class AccessMode(Enum):
+class AccessMode:
     USER = "user"
     KERNEL = "kernel"
 
 
-class AccessKind(Enum):
+class AccessKind:
     READ = "read"
     WRITE = "write"
     EXEC = "exec"
 
 
-class FaultReason(Enum):
+class FaultReason:
     NOT_PRESENT = "not_present"
     USER_BIT = "user_bit_violation"
     WRITE_PROT = "write_violation"
@@ -103,22 +102,10 @@ class FaultReason(Enum):
     COW_PENDING = "cow_pending"
 
 
-class PteBit(Enum):
+class PteBit:
     USER = "user"
     WRITABLE = "writable"
     EXECUTABLE = "executable"
-
-
-# Per-access code compares against these module-level names: on CPython 3.11
-# a member read through its enum class (AccessKind.WRITE) is a Python-level
-# call, several times slower than a global.
-USER_MODE, KERNEL_MODE = AccessMode.USER, AccessMode.KERNEL
-READ, WRITE, EXEC = AccessKind.READ, AccessKind.WRITE, AccessKind.EXEC
-NOT_PRESENT, USER_BIT, WRITE_PROT, EXEC_PROT, COW_PENDING = (
-    FaultReason.NOT_PRESENT, FaultReason.USER_BIT, FaultReason.WRITE_PROT,
-    FaultReason.EXEC_PROT, FaultReason.COW_PENDING,
-)
-WRITABLE = PteBit.WRITABLE
 
 
 @dataclass(slots=True)
@@ -152,11 +139,11 @@ class Frame:
 
 @dataclass(slots=True)
 class PageFault:
-    reason: FaultReason
+    reason: str  # a FaultReason
     asid: int
     vaddr: int
     vpn: int
-    kind: AccessKind
+    kind: str  # an AccessKind
     frame_id: Optional[int] = None
 
 
@@ -308,7 +295,7 @@ class Vmem:
         return pte
 
     def access(
-        self, core: int, asid: int, mode: AccessMode, kind: AccessKind, vaddr: int
+        self, core: int, asid: int, mode: str, kind: str, vaddr: int
     ) -> AccessResult:
         """Translate and permission-check one access; TLB first, fill on miss.
 
@@ -334,7 +321,7 @@ class Vmem:
         assert pte is not None
         if fp is not None:
             # the caller reads or writes the bytes of the frame it gets
-            fp[1 if kind is WRITE else 0].add(("frame", pte.frame_id))
+            fp[1 if kind == AccessKind.WRITE else 0].add(("frame", pte.frame_id))
         if filled_from_walk:
             tlb.fill(asid, vpn, pte)
         return AccessResult(None, self.frames[pte.frame_id])
@@ -345,38 +332,38 @@ class Vmem:
         asid: int,
         vaddr: int,
         vpn: int,
-        kind: AccessKind,
-        mode: AccessMode,
+        kind: str,
+        mode: str,
     ) -> Optional[PageFault]:
         if pte is None:
-            return PageFault(NOT_PRESENT, asid, vaddr, vpn, kind)
-        if mode is USER_MODE and not pte.user:
-            return PageFault(USER_BIT, asid, vaddr, vpn, kind, pte.frame_id)
-        if kind is WRITE:
+            return PageFault(FaultReason.NOT_PRESENT, asid, vaddr, vpn, kind)
+        if mode == AccessMode.USER and not pte.user:
+            return PageFault(FaultReason.USER_BIT, asid, vaddr, vpn, kind, pte.frame_id)
+        if kind == AccessKind.WRITE:
             if pte.cow:
-                return PageFault(COW_PENDING, asid, vaddr, vpn, kind, pte.frame_id)
+                return PageFault(FaultReason.COW_PENDING, asid, vaddr, vpn, kind, pte.frame_id)
             if not pte.writable:
-                return PageFault(WRITE_PROT, asid, vaddr, vpn, kind, pte.frame_id)
-        if kind is EXEC and not pte.executable:
-            return PageFault(EXEC_PROT, asid, vaddr, vpn, kind, pte.frame_id)
+                return PageFault(FaultReason.WRITE_PROT, asid, vaddr, vpn, kind, pte.frame_id)
+        if kind == AccessKind.EXEC and not pte.executable:
+            return PageFault(FaultReason.EXEC_PROT, asid, vaddr, vpn, kind, pte.frame_id)
         return None
 
     def read_bytes(
-        self, core: int, asid: int, mode: AccessMode, vaddr: int, length: int
+        self, core: int, asid: int, mode: str, vaddr: int, length: int
     ) -> tuple[Optional[bytes], Optional[PageFault]]:
         out = b""
         for vpn, offset, start, end in page_spans(vaddr, length):
-            res = self.access(core, asid, mode, READ, vpn * PAGE_SIZE + offset)
+            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return None, res.fault
             out += res.frame.data[offset : offset + end - start]
         return out, None
 
     def write_bytes(
-        self, core: int, asid: int, mode: AccessMode, vaddr: int, data: bytes
+        self, core: int, asid: int, mode: str, vaddr: int, data: bytes
     ) -> Optional[PageFault]:
         for vpn, offset, start, end in page_spans(vaddr, len(data)):
-            res = self.access(core, asid, mode, WRITE, vpn * PAGE_SIZE + offset)
+            res = self.access(core, asid, mode, AccessKind.WRITE, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return res.fault
             res.frame.data[offset : offset + end - start] = data[start:end]
@@ -396,7 +383,7 @@ class Vmem:
             self.frames[frame_id].data[offset : offset + end - start] = data[start:end]
 
     def read_cstring(
-        self, core: int, asid: int, mode: AccessMode, vaddr: int, max_pages: int
+        self, core: int, asid: int, mode: str, vaddr: int, max_pages: int
     ) -> tuple[Optional[bytes], Optional[PageFault]]:
         """Read a NUL-terminated string spanning at most max_pages pages.
 
@@ -405,7 +392,7 @@ class Vmem:
         """
         out = b""
         for vpn, offset, _, _ in page_spans(vaddr, max_pages * PAGE_SIZE - page_offset(vaddr)):
-            res = self.access(core, asid, mode, READ, vpn * PAGE_SIZE + offset)
+            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
             if res.fault is not None:
                 return None, res.fault
             data = res.frame.data
@@ -418,17 +405,19 @@ class Vmem:
     # ------------------------------------------------------------------
     # permission bits and TLB maintenance
 
-    def set_bit(self, asid: int, vpn: int, bit: PteBit, value: bool) -> bool:
+    def set_bit(self, asid: int, vpn: int, bit: str, value: bool) -> bool:
         """Set one permission bit; returns the previous value.
 
         Deliberately does not flush any TLB: callers own the flush step,
         mirroring the real two-step hazard.
         """
+        if bit not in (PteBit.USER, PteBit.WRITABLE, PteBit.EXECUTABLE):
+            raise VmemError(f"no permission bit {bit!r}")
         if self.fp is not None:
             self.fp[1].add(("pte", asid, vpn))
         pte = self.pte(asid, vpn)
-        prev = getattr(pte, bit._value_)
-        setattr(pte, bit._value_, value)
+        prev = getattr(pte, bit)
+        setattr(pte, bit, value)
         return prev
 
     def set_perms(self, asid: int, vpn: int, user: bool, writable: bool, executable: bool) -> None:

@@ -233,7 +233,7 @@ def test_criterion_6_stash_rejects_executable_pages():
         sc = load_scenario(SCENARIOS / "exec_page_argument.json")
         stash = build_simulation(sc, variant_override=Variant.STASH)
         stash.run_seeded(0)
-        assert [k["cause"] for k in extract_kills(stash.events)] == [KillCause.EXECUTABLE_PAGE.value]
+        assert [k["cause"] for k in extract_kills(stash.events)] == [KillCause.EXECUTABLE_PAGE]
 
         freeze = build_simulation(sc, variant_override=Variant.FREEZE)
         freeze.run_seeded(0)
@@ -274,7 +274,7 @@ def test_criterion_7_sgx_confinement():
             for variant in (Variant.STASH, Variant.FREEZE):
                 sim = build_simulation(sc, variant_override=variant)
                 sim.run_seeded(0)
-                assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.ISOLATION_VIOLATION.value]
+                assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.ISOLATION_VIOLATION]
                 assert check_expectations(sc, sim.build_report(), variant) == []
 
         # (b) register tamper ends in a stack-tamper kill, never a return
@@ -282,7 +282,7 @@ def test_criterion_7_sgx_confinement():
         for variant in (Variant.STASH, Variant.FREEZE):
             sim = build_simulation(sc, variant_override=variant)
             sim.run_seeded(0)
-            assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.STACK_TAMPER.value]
+            assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.STACK_TAMPER]
             returned = [
                 e for e in sim.events
                 if e.to_dict()["type"] == "EcallEvent" and e.outcome == "returned"
@@ -345,8 +345,8 @@ def test_criterion_9_visudo_flagship():
             report = sim.run_seeded(0)
             kills = {(k["process"], k["cause"]) for k in report.kills}
             assert kills == {
-                ("override", KillCause.FILTER_VIOLATION.value),
-                ("wrongfile", KillCause.FILTER_VIOLATION.value),
+                ("override", KillCause.FILTER_VIOLATION),
+                ("wrongfile", KillCause.FILTER_VIOLATION),
             }
             assert report.witnesses == [] and report.deadlocked == []
             assert check_expectations(sc, report, variant) == []

@@ -50,7 +50,7 @@ def _micro(ctx: Any) -> Any:
     if isinstance(ctx, SyscallContext):
         record = ctx.record
         return (
-            ctx.op, ctx.phase.value, ctx.rule is not None, ctx.disposition,
+            ctx.op, ctx.phase, ctx.rule is not None, ctx.disposition,
             None if record is None else tuple(record.frames),
             tuple(sorted(ctx.checked.items())), tuple(sorted(ctx.used.items())), ctx.result,
         )
@@ -103,7 +103,7 @@ def location_state(sim: Simulation) -> dict[Any, Any]:
         if task.state is TaskState.STALLED:
             waitqs.setdefault(task.stall[1], set()).add((tid, task.stall[0]))
         state["task", tid] = (
-            task.state.value, task.ip, task.stall, task.asid, astuple(task.cpu), task.sandboxed,
+            task.state, task.ip, task.stall, task.asid, astuple(task.cpu), task.sandboxed,
             None if task.filters is None else tables[id(task.filters)], tuple(task.ops),
             _micro(task.micro),
         )

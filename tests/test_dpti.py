@@ -70,7 +70,7 @@ VARIANTS = pytest.mark.parametrize(
 
 def assert_killed_once_for_a_bad_pointer(sim):
     """One kill, for the bad pointer, before any string was compared."""
-    assert kill_causes(sim) == [KillCause.BAD_POINTER.value]
+    assert kill_causes(sim) == [KillCause.BAD_POINTER]
     assert not [e for e in sim.events if isinstance(e, StringCheckEvent)]
 
 
@@ -89,7 +89,7 @@ class TestDispatchCases:
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(SYSCALL_NRS["socket"], ())]],
                            filters=basic_filters())
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.UNREGISTERED_SYSCALL.value]
+        assert kill_causes(sim) == [KillCause.UNREGISTERED_SYSCALL]
 
     def test_unregistered_syscall_errno_mode(self):
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(SYSCALL_NRS["socket"], ()),
@@ -108,7 +108,7 @@ class TestDispatchCases:
             filters=basic_filters(strings=("other",)),
         )
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.FILTER_VIOLATION.value]
+        assert kill_causes(sim) == [KillCause.FILTER_VIOLATION]
 
     def test_primitive_filter_checked_on_registers(self):
         fb = FilterBuilder()
@@ -123,7 +123,7 @@ class TestDispatchCases:
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(SYSCALL_NRS["read"], (8, 0, 0))]],
                            filters=fb.install())
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.FILTER_VIOLATION.value]
+        assert kill_causes(sim) == [KillCause.FILTER_VIOLATION]
 
     def test_unsandboxed_bypasses_filtering(self):
         sim = one_proc_sim(Variant.STASH, [[SyscallOp(SYSCALL_NRS["socket"], ())]],
@@ -171,7 +171,7 @@ class TestProtectRestore:
                               data=((PATH, b"file1\x00"),))],
         )
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.EXECUTABLE_PAGE.value]
+        assert kill_causes(sim) == [KillCause.EXECUTABLE_PAGE]
 
     def test_freeze_permits_executable_argument_page(self):
         sim = one_proc_sim(
@@ -276,7 +276,7 @@ class TestProtectRestore:
         sim.step(2); sim.step(2)
         sim.step(1)  # body
         sim.step(1)  # restore -> concurrent use violation
-        assert KillCause.CONCURRENT_USE.value in kill_causes(sim)
+        assert KillCause.CONCURRENT_USE in kill_causes(sim)
 
     def test_check_string_comparison_count(self):
         strings = tuple(f"no{i:07d}" for i in range(9)) + ("file1000",)
@@ -301,7 +301,7 @@ class TestFaultPolicy:
     def test_write_to_unmapped_address_kills(self):
         sim = one_proc_sim(None, [[WriteOp(0x999000, b"x")]], sandboxed=False)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.SEGFAULT.value]
+        assert kill_causes(sim) == [KillCause.SEGFAULT]
 
     def test_freeze_write_to_never_writable_page_kills(self):
         sim = one_proc_sim(
@@ -309,7 +309,7 @@ class TestFaultPolicy:
             mappings=[MapSpec(vaddr=PATH, pages=1, writable=False)],
         )
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.SEGFAULT.value]
+        assert kill_causes(sim) == [KillCause.SEGFAULT]
 
     def test_stalled_writer_resumes_and_succeeds_after_restore(self):
         sim = one_proc_sim(
@@ -510,7 +510,7 @@ class TestGenericBody:
         ev = next((e for e in sim.events if isinstance(e, SyscallEvent)), None)
         if variant is None:
             assert sim.trace[3][2:] == ["syscall:unlink", "body:done"]
-            assert kill_causes(sim) == [KillCause.BAD_POINTER.value] and ev is None
+            assert kill_causes(sim) == [KillCause.BAD_POINTER] and ev is None
         else:
             assert sim.trace[2][3] == "stalled"
             assert not extract_kills(sim.events)

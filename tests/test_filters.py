@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from dptisim.filters import (
     AlreadyInstalledError,
     CmpOp,
+    COMPARE,
     Disposition,
     DuplicateArgFilterError,
     FilterBuilder,
@@ -56,6 +57,21 @@ class TestBuilder:
             fb.add_rule_string("write", 6, CmpOp.EQ, "x")
         with pytest.raises(FilterError):
             fb.add_rule_primitive("write", -1, CmpOp.EQ, 0)
+
+    def test_comparisons_are_named_by_value(self):
+        """An op spelled at run time works as the constant; an unknown one,
+        or any but EQ for a string, is refused."""
+        fb = FilterBuilder()
+        fb.add_rule_primitive("read", 0, "".join(["N", "E"]), 1)
+        fb.add_rule_string("openat", 1, "".join(["E", "Q"]), "x")
+        with pytest.raises(FilterError, match="unknown comparison"):
+            fb.add_rule_primitive("write", 0, "NEQ", 1)
+        with pytest.raises(FilterError, match="EQ only"):
+            fb.add_rule_string("write", 1, CmpOp.NE, "x")
+        program = SeccompProgram([
+            SeccompRule(0, (), "".join(["al", "low"])), SeccompRule(0, (), "".join(["de", "ny"])),
+        ])
+        assert seccomp_eval(program, 0, [0] * 6) == (Disposition.DENY, 1)
 
     def test_string_too_long(self):
         fb = FilterBuilder()
@@ -192,7 +208,7 @@ class TestDecisionEquivalence:
                 st.integers(0, 12),  # syscall nr
                 st.one_of(
                     st.none(),
-                    st.tuples(st.integers(0, 5), st.sampled_from(list(CmpOp)), st.integers(0, 3)),
+                    st.tuples(st.integers(0, 5), st.sampled_from(list(COMPARE)), st.integers(0, 3)),
                 ),
             ),
             max_size=8,
@@ -232,7 +248,7 @@ class TestDecisionEquivalence:
             table_allows = True
         else:
             table_allows = all(
-                p.op.evaluate(args[p.arg_index], p.value) for p in rule.primitives
+                COMPARE[p.op](args[p.arg_index], p.value) for p in rule.primitives
             )
         decision, _ = seccomp_eval(program, nr, args)
         # the builder merges all rules for one nr (conjunction); the program

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -195,6 +197,16 @@ class TestCliRun:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["run"]) == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--exhaustive"]], ids=["seeded", "exhaustive"])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_max_steps_below_one_exits_2(self, scenarios_dir, capsys, mode, steps):
+        """A step bound must be positive: 0 does not fall back to the
+        scenario's bound, and a negative one does not run zero steps."""
+        argv = ["run", str(scenarios_dir / "exec_page_argument.json"), *mode, "--max-steps", steps]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--max-steps" in err and "positive integer" in err
 
     def test_fixture_passes_under_every_variant(self, scenarios_dir, capsys):
         for variant in ("none", "stash", "freeze"):
@@ -635,6 +647,17 @@ class TestCliBench:
 
     def test_unknown_target_exits_2(self, capsys):
         assert main(["bench", "nonesuch"]) == 2
+
+    @pytest.mark.parametrize("target, code", [("getppid", 0), ("nonesuch", 2)])
+    def test_module_run_exits_with_the_code_main_returns(self, target, code, monkeypatch, capsys):
+        """``python -m dptisim.cli`` passes main's return code to sys.exit."""
+        monkeypatch.setattr(sys, "argv", ["dptisim", "bench", target])
+        # run_module executes a fresh copy, as -m does, without the warning
+        # an already imported dptisim.cli would raise
+        monkeypatch.delitem(sys.modules, "dptisim.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("dptisim.cli", run_name="__main__")
+        assert exc.value.code == code
 
     def test_cost_override_file(self, tmp_path, capsys):
         costs = tmp_path / "c.json"

@@ -116,7 +116,7 @@ class TestEnterExit:
             script = [WriteOp(RSP + 8, b"ret")]
             sim, proc, domain = host_sim(variant, script)
             sim.run_seeded(0)
-            assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
+            assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION]
 
     def test_two_threads_share_isolated_mapping(self):
         sim, proc, domain = host_sim(
@@ -141,13 +141,13 @@ class TestEnterExit:
         script = [EnclaveSetReg("rbp", 0xDEAD), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.STACK_TAMPER.value]
+        assert kill_causes(sim) == [KillCause.STACK_TAMPER]
 
     def test_rsp_tamper_kills(self):
         script = [EnclaveSetReg("rsp", RSP - 64), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.FREEZE, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.STACK_TAMPER.value]
+        assert kill_causes(sim) == [KillCause.STACK_TAMPER]
 
     def test_unprotected_domain_skips_checks(self):
         script = [EnclaveSetReg("rbp", 0xDEAD), EnclaveEexit()]
@@ -180,7 +180,7 @@ class TestOcall:
         script = [EnclaveSetReg("rsp", RSP + 8), EnclaveOcall(), EnclaveEexit()]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.STACK_TAMPER.value]
+        assert kill_causes(sim) == [KillCause.STACK_TAMPER]
 
     def test_ocall_with_lower_rsp_round_trips(self):
         script = [EnclaveSetReg("rsp", RSP - 32), EnclaveOcall(),
@@ -215,7 +215,7 @@ class TestEexitDestinations:
         script = [EnclaveEexit(SECRET + 16)]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
+        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION]
 
     def test_misaligned_landing_in_nop_sled_slides_to_legal_exit(self):
         script = [EnclaveEexit(CBP + 1234)]
@@ -227,7 +227,7 @@ class TestEexitDestinations:
         script = [EnclaveEexit(CBP + ENTRY_STUB_END)]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
+        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION]
 
     def test_offset_behavior_table_is_total_and_two_valued(self):
         for optimized in (False, True):
@@ -318,13 +318,13 @@ class TestIsolatedFaults:
         script = [ReadOp(SECRET, 4)]
         sim, proc, domain = host_sim(Variant.STASH, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
+        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION]
 
     def test_freeze_permits_reads_denies_writes(self):
         script = [ReadOp(SECRET, 4), WriteOp(SECRET, b"x")]
         sim, proc, domain = host_sim(Variant.FREEZE, script)
         sim.run_seeded(0)
-        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
+        assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION]
         # the read step completed before the write was refused
         trace_outcomes = [t[3] for t in sim.trace]
         assert "running" in trace_outcomes
@@ -376,7 +376,7 @@ class TestWriteConfinement:
                 assert changed <= allowed_frames, (variant, program)
                 forbidden = [t for t in program if t not in self.ALLOWED]
                 if forbidden:
-                    assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION.value]
+                    assert kill_causes(sim) == [KillCause.ISOLATION_VIOLATION]
 
 
 class TestInterrupt:

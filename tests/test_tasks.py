@@ -20,6 +20,7 @@ from dptisim import (
 )
 from dptisim.events import ExecEvent, ExitEvent, ForkEvent, KillCause, WakeEvent
 from dptisim.filters import SYSCALL_NRS
+from dptisim.scenario import build_simulation, load_scenario
 from dptisim.tasks import extract_kills
 from dptisim.vmem import PAGE_SIZE, AccessKind, AccessMode
 
@@ -74,6 +75,23 @@ class TestDeterminism:
         assert not plain_sim([[ReadOp(PATH)] * 2]).run_seeded(0, max_steps=2).truncated
 
 
+class TestVariantValues:
+    """A variant is compared by value, so an equal string built at run time
+    behaves as the constant, and a string that names no variant is refused."""
+
+    def test_a_variant_built_at_run_time_runs_as_the_constant(self, scenarios_dir):
+        sc = load_scenario(scenarios_dir / "toctou_openat.json")
+        built = "".join(["st", "ash"])
+        assert built == Variant.STASH and built is not Variant.STASH
+        runs = [build_simulation(sc, variant_override=v).run_seeded(0) for v in (Variant.STASH, built)]
+        assert runs[0].hash_hex() == runs[1].hash_hex()
+
+    def test_an_unknown_variant_is_refused(self, scenarios_dir):
+        sc = load_scenario(scenarios_dir / "toctou_openat.json")
+        with pytest.raises(ValueError, match="stsah"):
+            build_simulation(sc, variant_override="stsah")
+
+
 class TestExhaustiveCompleteness:
     def test_two_threads_four_ops_visits_every_interleaving(self):
         def factory():
@@ -116,7 +134,7 @@ class TestStallWake:
         assert sim.step(2) == "stalled"
         sim.step(1)                        # body
         sim.step(1)                        # restore wakes the writer
-        assert sim.tasks[2].state.value == "runnable"
+        assert sim.tasks[2].state == "runnable"
         assert sim.step(2) == "ok"
 
     def test_restore_wakes_every_waiter_on_the_frame(self):
@@ -239,7 +257,7 @@ class TestExec:
         sim.map_region(proc.asid, MapSpec(vaddr=PATH, pages=1, data=((PATH, b"/usr/bin/emacs\x00"),)))
         sim.add_thread(proc, [ExecOp(PATH, ExecImage())], name="t1")
         sim.run_seeded(0)
-        assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.FILTER_VIOLATION.value]
+        assert [k["cause"] for k in extract_kills(sim.events)] == [KillCause.FILTER_VIOLATION]
 
     def test_exec_with_shared_cow_page_leaves_sibling_accessible(self):
         """A forked sibling shares the exec argument page copy-on-write; the
@@ -269,7 +287,7 @@ class TestExec:
         image = ExecImage(ops=(ExitOp(),))
         sim, proc = sandboxed_sim([[ExecOp(PATH, image)], [ReadOp(PATH)] * 30])
         sim.run_seeded(0)
-        assert sim.tasks[2].state.value == "dead"
+        assert sim.tasks[2].state == "dead"
         assert proc.filters.freed  # exec dropped the sibling, exit dropped the last
 
     def test_exec_counts_the_aliases_of_its_path_page_in_other_processes(self):

@@ -15,6 +15,7 @@ from dptisim.vmem import (
     PteBit,
     UnmappedError,
     Vmem,
+    VmemError,
 )
 
 USER = AccessMode.USER
@@ -152,6 +153,17 @@ class TestTlb:
         space, _ = make_space(vm)
         assert vm.set_bit(space.asid, 0x10, PteBit.WRITABLE, False) is True
         assert vm.set_bit(space.asid, 0x10, PteBit.WRITABLE, False) is False
+
+
+    def test_set_bit_takes_a_permission_bit_only(self):
+        """A bit is named by its string, so a name that is no permission bit
+        is refused, not set on the entry."""
+        vm = Vmem()
+        space, _ = make_space(vm)
+        assert vm.set_bit(space.asid, 0x10, "".join(["us", "er"]), False) is True
+        with pytest.raises(VmemError, match="frame_id"):
+            vm.set_bit(space.asid, 0x10, "frame_id", 7)
+        assert vm.pte(space.asid, 0x10).frame_id != 7
 
 
 class TestCow:

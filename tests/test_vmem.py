@@ -154,7 +154,6 @@ class TestTlb:
         assert vm.set_bit(space.asid, 0x10, PteBit.WRITABLE, False) is True
         assert vm.set_bit(space.asid, 0x10, PteBit.WRITABLE, False) is False
 
-
     def test_set_bit_takes_a_permission_bit_only(self):
         """A bit is named by its string, so a name that is no permission bit
         is refused, not set on the entry."""

@@ -8,7 +8,10 @@ files of ROOT/src/dptisim, the script runs, in this process:
 - ``pytest tests perfbench/tests -p no:cacheprovider`` from ROOT;
 - for every scenario under ROOT/scenarios and each variant: the seed-0
   seeded run, ``explore`` and ``explore_all``, visudo at ``max_steps`` 10
-  (its full search takes minutes) and every other scenario at its own.
+  (its full search takes minutes) and every other scenario at its own;
+- under each variant, ``explore`` of ``FORK_RACE``, whose fork writes
+  ``EVERYTHING`` below a branch point, so that the search rebuilds there
+  instead of undoing.
 
 It then prints, file by file, each line that some code object of the file
 maps an instruction to (``co_lines()``) and that never ran, with its
@@ -31,6 +34,19 @@ from checkout import checkout_root  # noqa: E402
 ROOT = checkout_root("python3 scripts/line_trace.py [ROOT]")
 PACKAGE = ROOT / "src" / "dptisim"
 EXPLORE_MAX_STEPS = {"visudo": 10}
+# One sandboxed process: one thread maps a fresh page while the other forks
+# a child that reads it.
+FORK_RACE = {
+    "version": 1, "name": "fork_race",
+    "filters": {"rules": [{"nr": "mmap"}, {"nr": "fork"}, {"nr": "exit_group"}]},
+    "processes": [{
+        "name": "p", "sandboxed": True,
+        "threads": [
+            {"name": "t0", "ops": [{"op": "mmap", "vaddr": 0x80000}]},
+            {"name": "t1", "ops": [{"op": "fork", "child": [{"op": "read", "vaddr": 0x80000}]}]},
+        ],
+    }],
+}
 
 
 def executable_lines(code: CodeType) -> set[int]:
@@ -72,7 +88,7 @@ class LineTracer:
 
 
 def run_scenarios() -> None:
-    from dptisim.scenario import _VARIANTS, build_simulation, load_scenario
+    from dptisim.scenario import _VARIANTS, build_simulation, load_scenario, scenario_from_dict
     from dptisim.tasks import explore, explore_all
 
     for path in sorted((ROOT / "scenarios").glob("*.json")):
@@ -83,6 +99,9 @@ def run_scenarios() -> None:
             max_steps = EXPLORE_MAX_STEPS.get(path.stem, sc.schedule.get("max_steps", 24))
             explore(factory, max_steps)
             explore_all(factory, max_steps)
+    race = scenario_from_dict(FORK_RACE)
+    for variant in _VARIANTS.values():
+        explore(lambda: build_simulation(race, variant), 200)
 
 
 def main() -> int:

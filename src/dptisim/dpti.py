@@ -96,6 +96,17 @@ class ProtectionRecord:
     frames: list[int] = field(default_factory=list)
     mappings: list[ClosedMapping] = field(default_factory=list)
 
+    def saved(self) -> tuple[ProtectionRecord, int, int]:
+        """What puts this record's lists, which only grow, back as they are
+        now, for ``put_back``."""
+        return self, len(self.frames), len(self.mappings)
+
+    @staticmethod
+    def put_back(saved: tuple[ProtectionRecord, int, int]) -> None:
+        record, frames, mappings = saved
+        del record.frames[frames:]
+        del record.mappings[mappings:]
+
 
 @dataclass
 class SyscallContext:
@@ -109,9 +120,26 @@ class SyscallContext:
     rule: Optional[FilterRule] = None
     disposition: str = "unsandboxed"
     record: Optional[ProtectionRecord] = None  # the window, once an argument opens it
+    # each replaced, never changed in place, so that ``saved`` may keep it
     checked: dict[int, bytes] = field(default_factory=dict)
     used: dict[int, bytes] = field(default_factory=dict)
     result: Optional[int] = None
+
+    def saved(self) -> tuple:
+        """What a step of this syscall may change of it, with its window's
+        record as ``ProtectionRecord.saved`` gives it, for ``put_back``."""
+        record = self.record
+        return (
+            self, self.phase, self.rule, self.disposition, record, self.checked, self.used,
+            self.result, record.saved() if record is not None else None,
+        )
+
+    @staticmethod
+    def put_back(saved: tuple) -> None:
+        (ctx, ctx.phase, ctx.rule, ctx.disposition, ctx.record, ctx.checked, ctx.used, ctx.result,
+         record) = saved
+        if record is not None:
+            ProtectionRecord.put_back(record)
 
 
 def make_syscall_context(op: Any) -> SyscallContext:
@@ -221,6 +249,7 @@ class DptiEngine:
         return "done"
 
     def _finish(self, task, ctx: SyscallContext, outcome: str = "executed") -> None:
+        checked, used = ctx.checked, ctx.used
         self.sim.emit(
             SyscallEvent(
                 tid=task.tid,
@@ -230,8 +259,8 @@ class DptiEngine:
                 disposition=ctx.disposition,
                 outcome=outcome,
                 result=ctx.result,
-                checked={k: v.decode("latin-1") for k, v in ctx.checked.items()} or None,
-                used={k: v.decode("latin-1") for k, v in ctx.used.items()} or None,
+                checked={k: v.decode("latin-1") for k, v in checked.items()} if checked else None,
+                used={k: v.decode("latin-1") for k, v in used.items()} if used else None,
             )
         )
 
@@ -298,10 +327,11 @@ class DptiEngine:
         if self.variant == Variant.STASH and pte.executable:
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
+        windows = self._windows(frame_id, write=True)
         for asid, a_vpn in vmem.aliases_of(frame_id):
             self._close_mapping(record, asid, a_vpn)
         record.frames.append(frame_id)
-        self._windows(frame_id, write=True).append(record)
+        windows.append(record)
         return True
 
     def _windows(self, frame_id: int, write: bool = False) -> list[ProtectionRecord]:
@@ -312,8 +342,37 @@ class DptiEngine:
         calls this for the frame."""
         fp = self.vmem.fp
         if fp is not None:
-            fp[1 if write else 0].add(("window", frame_id))
+            if write:
+                self.vmem.wrote(("window", frame_id))
+            else:
+                fp[0].add(("window", frame_id))
         return self.by_frame.setdefault(frame_id, []) if write else self.by_frame.get(frame_id, [])
+
+    def saved_window(self, loc: tuple) -> tuple:
+        """The journal entry of the windows over a frame as they are now,
+        with each one's record and the mappings of the frame they hold
+        closed."""
+        frame_id = loc[1]
+        records = self.by_frame.get(frame_id)
+        held = [record.saved() for record in records] if records is not None else None
+        closed = [
+            (key, mapping, mapping.windows) for key, mapping in self.closed.items() if key[2] == frame_id
+        ]
+        return self._put_window, frame_id, held, closed
+
+    def _put_window(self, entry: tuple) -> None:
+        _, frame_id, held, closed = entry
+        if held is None:
+            self.by_frame.pop(frame_id, None)
+        else:
+            self.by_frame[frame_id] = [saved[0] for saved in held]
+            for saved in held:
+                ProtectionRecord.put_back(saved)
+        for key in [key for key in self.closed if key[2] == frame_id]:
+            del self.closed[key]
+        for key, mapping, windows in closed:
+            mapping.windows = windows
+            self.closed[key] = mapping
 
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
         """A fresh mapping of a frame appeared while that frame is inside
@@ -363,7 +422,7 @@ class DptiEngine:
         s = self._fetch(task, ctx, sf.arg_index)
         if s is None:
             return None
-        ctx.checked[sf.arg_index] = s
+        ctx.checked = {**ctx.checked, sf.arg_index: s}
         # Candidates are compared in order up to the first match.
         try:
             comparisons = sf.allowed.index(s) + 1
@@ -388,13 +447,14 @@ class DptiEngine:
         writers. If the frame is still inside another live protection window
         the application is killed instead."""
         for frame_id in record.frames:
-            if any(other is not record for other in self._windows(frame_id)):
-                self.kill(
-                    task,
-                    KillCause.CONCURRENT_USE,
-                    f"frame {frame_id} still protected by another syscall",
-                )
-                return False
+            for other in self._windows(frame_id):
+                if other is not record:
+                    self.kill(
+                        task,
+                        KillCause.CONCURRENT_USE,
+                        f"frame {frame_id} still protected by another syscall",
+                    )
+                    return False
         restored = self._apply_restore(record)
         self.sim.emit(
             RestoreEvent(tid=task.tid, frames=list(record.frames), mappings=restored)
@@ -406,6 +466,10 @@ class DptiEngine:
         """Let go of every mapping ``record`` holds closed; the last window
         over one puts its bits back. Returns how many."""
         vmem = self.vmem
+        if vmem.fp is not None:
+            # the windows over these frames hold the mappings let go of below
+            for frame_id in record.frames:
+                vmem.wrote(("window", frame_id))
         restored = 0
         for closed in record.mappings:
             closed.windows -= 1
@@ -524,7 +588,7 @@ class DptiEngine:
     def _use_fetch(self, task, ctx: SyscallContext, arg_index: int) -> Optional[bytes]:
         s = self._fetch(task, ctx, arg_index)
         if s is not None:
-            ctx.used[arg_index] = s
+            ctx.used = {**ctx.used, arg_index: s}
         return s
 
     def _body_openat(self, task, ctx: SyscallContext) -> str:
@@ -567,7 +631,7 @@ class DptiEngine:
 
     def _body_fork(self, task, ctx: SyscallContext) -> str:
         if self.vmem.fp is not None:
-            self.vmem.fp[1].add(EVERYTHING)
+            self.vmem.wrote(EVERYTHING)
         blocking_frame = self._window_frame(task, self.vmem.spaces[task.asid].entries)
         if blocking_frame is not None:
             self.sim.stall_task(task, "fork", blocking_frame)

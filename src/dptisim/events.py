@@ -8,9 +8,7 @@ here with enough detail for a pure fold to reproduce the totals.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Any, Optional
 
 
@@ -25,21 +23,13 @@ class KillCause:
     ISOLATION_VIOLATION = "isolation_violation"
 
 
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 @dataclass
 class Event:
     step: int = field(default=-1, init=False)
     seq: int = field(default=-1, init=False)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"type": type(self).__name__}
-        for name in _field_names(type(self)):
-            out[name] = getattr(self, name)
-        return out
+        return {"type": type(self).__name__, **vars(self)}
 
 
 @dataclass

@@ -247,7 +247,7 @@ class SgxRuntime:
         """
         vmem = self.vmem
         if vmem.fp is not None:
-            vmem.fp[1].add(EVERYTHING)
+            vmem.wrote(EVERYTHING)
         aligned = task.cpu.rsp - (task.cpu.rsp % PAGE_SIZE)
         task.cpu.rsp = aligned
         saved = (aligned, task.cpu.rbp)
@@ -302,7 +302,7 @@ class SgxRuntime:
     def step(self, task) -> str:
         """Run one enclave-script op (or transition); 'again' or 'done'."""
         if self.vmem.fp is not None:
-            self.vmem.fp[1].add(EVERYTHING)
+            self.vmem.wrote(EVERYTHING)
         ctx: EnclaveContext = task.micro
         domain = ctx.domain
         if ctx.state == "ocall_out":

@@ -34,7 +34,8 @@ from .events import (
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveDomain, SgxRuntime
 from .vmem import (
-    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Footprint, UnmappedError, Vmem, pages_spanned, vpn_of,
+    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Entry, Footprint, Journal, Level, UnmappedError,
+    Vmem, pages_spanned, vpn_of,
 )
 
 
@@ -351,7 +352,10 @@ class Simulation:
         # label -> (asid, first vpn) of the mapping map_region gave it
         self.labels: dict[str, tuple[int, int]] = {}
         self.events: list[Event] = []
+        # The steps of the path the simulation is on, each at its index: the
+        # position an event's step, the step bound and a path's steps count.
         self.trace: list[list[Any]] = []
+        # Every step the simulation executed, those a search undid included.
         self.step_count = 0
         self.truncated = False
         self.cost_table = cost_table
@@ -366,6 +370,7 @@ class Simulation:
         self._next_pid = 1
         self._current_tid = -1
         self._finalized = False
+        self._journal: Optional[Journal] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -458,7 +463,7 @@ class Simulation:
     # hooks used by the engine and the enclave runtime
 
     def emit(self, ev: Event) -> None:
-        ev.step = self.step_count
+        ev.step = len(self.trace)
         ev.seq = len(self.events)
         self.events.append(ev)
 
@@ -475,13 +480,14 @@ class Simulation:
         self.emit(StallEvent(tid=task.tid, kind=kind, frame_id=frame_id))
 
     def wake_frame_waiters(self, frames: set[int]) -> None:
-        fp = self.vmem.fp
-        if fp is not None:
-            fp[1].update(("waitq", frame_id) for frame_id in frames)
+        vmem = self.vmem
+        if vmem.fp is not None:
+            for frame_id in frames:
+                vmem.fp[1].add(("waitq", frame_id))
         for task in self.tasks.values():
             if task.state == TaskState.STALLED and task.stall is not None and task.stall[1] in frames:
-                if fp is not None:
-                    fp[1].add(("task", task.tid))
+                if vmem.fp is not None:
+                    vmem.wrote(("task", task.tid))
                 task.state = TaskState.RUNNABLE
                 self.emit(WakeEvent(tid=task.tid, frame_id=task.stall[1]))
                 task.stall = None
@@ -497,7 +503,11 @@ class Simulation:
         self._end_tasks(tgid, self._live(tgid))
 
     def _live(self, tgid: int) -> list[Task]:
-        return [t for t in self.tasks.values() if t.tgid == tgid and t.alive]
+        live = []
+        for task in self.tasks.values():
+            if task.tgid == tgid and task.alive:
+                live.append(task)
+        return live
 
     def _end_tasks(self, tgid: int, tasks: list[Task]) -> bool:
         """Tear down ``tasks`` of process ``tgid``: end the protection window
@@ -506,13 +516,18 @@ class Simulation:
         filters."""
         self.engine.unwind_group(tasks)
         filters = self.processes[tgid].filters
-        fp = self.vmem.fp
-        if fp is not None:
-            fp[1].update(("task", task.tid) for task in tasks)
-            fp[1].update(("waitq", task.stall[1]) for task in tasks if task.stall is not None)
+        vmem = self.vmem
+        if vmem.fp is not None:
+            for task in tasks:
+                vmem.wrote(("task", task.tid))
+                if task.stall is not None:
+                    vmem.fp[1].add(("waitq", task.stall[1]))
             if filters is not None:
                 # a fork shares the table, so it is named by its first process
-                fp[1].add(("filters", next(p.tgid for p in self.processes.values() if p.filters is filters)))
+                for proc in self.processes.values():
+                    if proc.filters is filters:
+                        vmem.wrote(("filters", proc.tgid))
+                        break
         for task in tasks:
             task.state = TaskState.DEAD
             task.micro = None
@@ -562,10 +577,70 @@ class Simulation:
         return self._end_tasks(task.tgid, self._live(task.tgid) if group else [task])
 
     # ------------------------------------------------------------------
+    # undo, for a search
+
+    def open_level(self) -> Level:
+        """Open a journal level at this state, to which ``undo`` comes back:
+        from now on each write saves its location before it changes."""
+        if self._journal is None:
+            vmem = self.vmem
+            self._journal = Journal({
+                "frame": vmem.saved_frame, "pte": vmem.saved_pte, "rmap": vmem.saved_rmap,
+                "alloc": vmem.saved_alloc, "window": self.engine.saved_window,
+                "task": self._saved_task, "filters": self._saved_filters,
+            })
+        self.vmem.journal = self._journal
+        return self._journal.open((len(self.events), len(self.trace)))
+
+    def undo(self, level: Level, close: bool) -> None:
+        """Come back to the state at which ``level``, the innermost open
+        level, opened, with the events and the trace it had; then close the
+        level with ``close``, or go on journalling into it."""
+        journal = self._journal
+        journal.undo(level, close)
+        events, steps = level.at
+        del self.events[events:]
+        del self.trace[steps:]
+        if not journal.levels:
+            self.vmem.journal = None
+
+    def end_search(self) -> None:
+        """Give up every open journal level, as a step that writes
+        EVERYTHING does: the search will come back to none of them on this
+        simulation. The journal, which points back at the simulation, goes
+        with them."""
+        if self._journal is not None:
+            for level in self._journal.levels:
+                level.broken = True
+            self._journal = self.vmem.journal = None
+
+    def _saved_task(self, loc: tuple) -> Entry:
+        """What a step may change of a task: its place in its script, its
+        state and stall, and its syscall in flight. Its CPU state and
+        address space, and an enclave call in flight, change only in steps
+        that write EVERYTHING, which no level undoes."""
+        task = self.tasks[loc[1]]
+        ctx = task.micro
+        if ctx.__class__ is not SyscallContext:
+            return _put_task, task, task.ip, task.state, task.stall, ctx, None
+        return _put_task, task, task.ip, task.state, task.stall, ctx, ctx.saved()
+
+    def _saved_filters(self, loc: tuple) -> Entry:
+        table = self.processes[loc[1]].filters
+        return _put_filters, table, table.refcount, table.freed
+
+    # ------------------------------------------------------------------
     # stepping
 
     def runnable_tids(self) -> list[int]:
-        return [tid for tid, task in self.tasks.items() if task.state == TaskState.RUNNABLE]
+        # Loops, not comprehensions, here and in the other helpers that a
+        # search runs at every step or path end: in CPython 3.11 each
+        # comprehension is a function call of its own.
+        ready = []
+        for tid, task in self.tasks.items():
+            if task.state == TaskState.RUNNABLE:
+                ready.append(tid)
+        return ready
 
     def _advance(self, task: Task) -> None:
         task.ip += 1
@@ -588,7 +663,7 @@ class Simulation:
             op = task.ops[task.ip]
             label = op.label()
             outcome = self._exec_op(task, op)
-        self.trace.append([self.step_count, tid, label, outcome])
+        self.trace.append([len(self.trace), tid, label, outcome])
         self.step_count += 1
         return outcome
 
@@ -680,7 +755,7 @@ class Simulation:
     def run(self, seed: int = 0, max_steps: int = 1000) -> None:
         """The seeded schedule of ``run_seeded``, without building a report."""
         rng = random.Random(seed)
-        while self.step_count < max_steps:
+        while len(self.trace) < max_steps:
             runnable = self.runnable_tids()
             if not runnable:
                 break
@@ -695,7 +770,7 @@ class Simulation:
         """Follow branch-point decisions; returns the runnable set at the
         first undecided branch point, or None when the run completed."""
         consumed = 0
-        while self.step_count < max_steps:
+        while len(self.trace) < max_steps:
             ready = self.runnable_tids()
             if not ready:
                 break
@@ -707,7 +782,7 @@ class Simulation:
             else:
                 return ready
             self.step(tid)
-        self.truncated = self.step_count >= max_steps and bool(self.runnable_tids())
+        self.truncated = len(self.trace) >= max_steps and bool(self.runnable_tids())
         self._finalize()
         return None
 
@@ -727,7 +802,11 @@ class Simulation:
     # reporting
 
     def deadlocked_tids(self) -> list[int]:
-        return [tid for tid, task in self.tasks.items() if task.state == TaskState.STALLED]
+        stalled = []
+        for tid, task in self.tasks.items():
+            if task.state == TaskState.STALLED:
+                stalled.append(tid)
+        return stalled
 
     def build_report(self) -> SimReport:
         cycles = None
@@ -744,7 +823,7 @@ class Simulation:
             name=self.name,
             variant=self.engine.variant,
             schedule=dict(self.schedule_info),
-            steps=self.step_count,
+            steps=len(self.trace),
             truncated=self.truncated,
             trace=[list(entry) for entry in self.trace],
             events=[ev.to_dict() for ev in self.events],
@@ -809,41 +888,86 @@ class ExplorationReport(_Report):
     ) -> None:
         """Count one path, from the events it added itself."""
         witnesses = extract_witnesses(events)
-        kills = {(ev.process, ev.cause) for ev in events if isinstance(ev, KillEvent)}
+        kills = set()
+        for ev in events:
+            if ev.__class__ is KillEvent:
+                kills.add((ev.process, ev.cause))
         self.paths += 1
         self.truncated_paths += truncated
-        self.witnesses += len(witnesses)
         if witnesses:
+            self.witnesses += len(witnesses)
             self.witness_paths += 1
             if self.example_witness is None:
                 self.example_witness = dict(witnesses[0], decisions=list(decisions))
-        causes = {cause for _, cause in kills}
-        for cause in causes:
-            self.kills[cause] = self.kills.get(cause, 0) + 1
-        for process, cause in kills:
-            by_cause = self.process_kills.setdefault(process, {})
-            by_cause[cause] = by_cause.get(cause, 0) + 1
+        causes = []
+        if kills:
+            causes = {cause for _, cause in kills}
+            for cause in causes:
+                self.kills[cause] = self.kills.get(cause, 0) + 1
+            for process, cause in kills:
+                by_cause = self.process_kills.setdefault(process, {})
+                by_cause[cause] = by_cause.get(cause, 0) + 1
+            causes = sorted(causes)
         self.deadlock_paths += bool(deadlocked)
         self.per_path.append(
             {
                 "decisions": list(decisions),
                 "steps": steps,
                 "witnesses": len(witnesses),
-                "kills": sorted(causes),
+                "kills": causes,
                 "deadlocked": deadlocked,
             }
         )
 
 
+def _put_task(entry: Entry) -> None:
+    _, task, task.ip, task.state, task.stall, task.micro, context = entry
+    if context is not None:
+        SyscallContext.put_back(context)
+
+
+def _put_filters(entry: Entry) -> None:
+    _, table, table.refcount, table.freed = entry
+
+
 def _recorded_step(sim: Simulation, tid: int) -> Footprint:
     """Step ``tid`` and return what the step read and wrote; a step always
     writes its own task."""
-    fp = sim.vmem.fp = (set(), {("task", tid)})
+    vmem = sim.vmem
+    fp = vmem.fp = (set(), set())
     try:
+        vmem.wrote(("task", tid))
         sim.step(tid)
     finally:
-        sim.vmem.fp = None
+        vmem.fp = None
     return fp
+
+
+class _Unread:
+    """A footprint half that keeps nothing of what a step adds to it."""
+
+    __slots__ = ()
+
+    def add(self, loc: Any) -> None:
+        pass
+
+    def update(self, locs: Any) -> None:
+        pass
+
+
+_UNREAD = (_Unread(), _Unread())
+
+
+def _journalled_step(sim: Simulation, tid: int) -> None:
+    """Step ``tid`` while a journal level is open. The journal saves what a
+    step records, so the step records a footprint, which nothing reads."""
+    vmem = sim.vmem
+    vmem.fp = _UNREAD
+    try:
+        vmem.wrote(("task", tid))
+        sim.step(tid)
+    finally:
+        vmem.fp = None
 
 
 def _independent(a: Footprint, b: Footprint) -> bool:
@@ -857,31 +981,44 @@ def _independent(a: Footprint, b: Footprint) -> bool:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Branch:
-    """A branch point of a reduced search: the sleep set the search reached
-    it with, and the footprint of the first step of each choice explored
-    from it so far."""
+    """A branch point of a search with more than one choice: the sleep set
+    the search reached it with and the footprint of the first step of each
+    choice explored from it so far, which a reduced search keeps; how many
+    of its choices are left, how many steps its path took to reach it, and
+    the journal level that comes back to it."""
 
     sleep: dict[int, Footprint]
-    done: dict[int, Footprint] = field(default_factory=dict)
+    done: dict[int, Footprint]
+    pending: int
+    depth: int
+    level: Level
 
 
 def _search(
     factory: Callable[[], Simulation], root: Simulation, max_steps: int,
     report: ExplorationReport, tids: Optional[Sequence[int]] = None, reduce: bool = False,
-) -> Optional[int]:
+    bystanders: bool = False,
+) -> tuple[Optional[int], Simulation]:
     """Add to ``report`` every path of a depth-first search over the
     scheduling choices among ``tids``, or among every task when None, and
-    return the most steps a path took.
+    return the most steps a path took, with the simulation the search ended
+    on.
 
-    The search starts on ``root`` and builds one simulation per later path:
-    at a branch point the live simulation carries on into the first choice,
-    which is explored next, and each later choice is explored on a new build
-    from ``factory`` that first steps the tids the branch point's path
-    stepped. Only ``tids`` step, and each path runs at most ``max_steps``
-    steps of them. The first path ends on ``root``. Each path's facts are
-    what it added itself: its events, and its stalled tasks among ``tids``.
+    The search runs on ``root``. At a branch point it opens a journal level
+    and carries on into the first choice; it comes back for each later
+    choice by undoing what the steps since wrote, and cutting the events
+    and the trace back (Visser et al., "Model Checking Programs", ASE 2000).
+    A step that writes ``EVERYTHING`` cannot be undone by location, so it
+    breaks every open level: a later choice of their branch points is
+    explored on a new build from ``factory`` that first steps the tids the
+    branch point's path stepped, and the search goes on there. Only ``tids``
+    step, and each path runs at most ``max_steps`` steps of them. Each
+    path's facts are what it added itself: its events, and its stalled
+    tasks among ``tids``. Its first witness is the one its path gives with
+    ``tids`` scheduled first on a fresh build, on which some task outside
+    ``tids`` is runnable if ``bystanders``.
 
     With ``reduce``, the search keeps sleep sets: a thread sleeps, and is not
     chosen, while all it would do next was already explored from an earlier
@@ -897,20 +1034,27 @@ def _search(
         runnable = Simulation.runnable_tids
     else:
         runnable = partial(Simulation._runnable_in, tids=tids)
-    # (decisions, the simulation to carry on or None to build one, the tids
-    # to step on that build, where the path's events and steps begin, and
-    # the branch point and the choice to step first, if any)
-    stack: list[tuple[
-        tuple[int, ...], Optional[Simulation], list[int], tuple[int, int],
-        Optional[_Branch], Optional[int],
-    ]] = [((), root, [], (len(root.events), root.step_count), None, None)]
+    sim = root
+    # where the paths on ``sim`` begin: its events, and its trace
+    events, first = len(sim.events), len(sim.trace)
+    # (the branch point and the choice to step first, or None for the first
+    # path; the decisions)
+    stack: list[tuple[Optional[_Branch], Optional[int], tuple[int, ...]]] = [(None, None, ())]
     while stack:
-        prefix, sim, replay, start, branch, choice = stack.pop()
-        if sim is None:
-            sim = factory()
-            for tid in replay:
-                sim.step(tid)
-        events, first = start
+        branch, choice, prefix = stack.pop()
+        if branch is not None:
+            branch.pending -= 1
+            if not branch.level.broken:
+                sim.undo(branch.level, close=not branch.pending)
+            else:
+                stepped = [tid for _, tid, _, _ in sim.trace[first:first + branch.depth]]
+                sim.end_search()  # its levels are broken already
+                sim = factory()
+                for tid in stepped:
+                    sim.step(tid)
+                events = first = 0
+                if branch.pending:
+                    branch.level = sim.open_level()
         limit = first + max_steps
         sleep: dict[int, Footprint] = {}
         blocked = False
@@ -918,16 +1062,22 @@ def _search(
             if choice is not None:
                 if reduce:
                     fp = _recorded_step(sim, choice)
-                    sleep = {
-                        tid: other for tid, other in (branch.sleep | branch.done).items()
-                        if _independent(other, fp)
-                    }
-                    branch.done[choice] = fp
-                else:
+                    if branch is not None:
+                        sleep = branch.sleep | branch.done
+                        branch.done[choice] = fp
+                    if sleep:
+                        asleep = sleep
+                        sleep = {}
+                        for tid, other in asleep.items():
+                            if _independent(other, fp):
+                                sleep[tid] = other
+                elif sim.vmem.journal is None:
                     sim.step(choice)
+                else:
+                    _journalled_step(sim, choice)
                 choice = None
             ready = runnable(sim)
-            if not ready or sim.step_count >= limit:
+            if not ready or len(sim.trace) >= limit:
                 break
             if len(ready) == 1:
                 # Only a step that writes a sleeper's task can end or stall it,
@@ -937,49 +1087,59 @@ def _search(
                 if tid in sleep:
                     blocked = True
                     break
-                sim.step(tid)
+                if sim.vmem.journal is None:
+                    sim.step(tid)
+                else:
+                    _journalled_step(sim, tid)
                 continue
-            awake = [tid for tid in ready if tid not in sleep]
+            awake = [tid for tid in ready if tid not in sleep] if sleep else ready
             if not awake:
                 blocked = True
                 break
             report.reduced |= reduce
-            branch = _Branch(sleep)
+            # a branch point with one choice awake is never come back to
+            branch = None
             if len(awake) > 1:
-                stepped = [tid for _, tid, _, _ in sim.trace[first:]]
+                branch = _Branch(sleep, {}, len(awake) - 1, len(sim.trace) - first, sim.open_level())
                 for tid in reversed(awake[1:]):
-                    stack.append((prefix + (tid,), None, stepped, (0, 0), branch, tid))
+                    stack.append((branch, tid, prefix + (tid,)))
             choice = awake[0]
             prefix += (choice,)
         if blocked:
             continue  # some path explored is equivalent to every path it leads to
         truncated = bool(ready)
         if truncated and reduce:
-            return None
+            sim.end_search()
+            return None, sim
         if tids is None:
             deadlocked = sim.deadlocked_tids()
         else:
             deadlocked = [tid for tid in tids if sim.tasks[tid].state == TaskState.STALLED]
-        steps = sim.step_count - first
+        steps = len(sim.trace) - first
         longest = max(longest, steps)
         no_witness_yet = report.example_witness is None
         report._add(prefix, steps, truncated, sim.events[events:] if events else sim.events, deadlocked)
         if no_witness_yet and report.example_witness is not None and tids is not None:
-            report.example_witness = _witness_first(factory, [tid for _, tid, _, _ in sim.trace[first:]])
-    return longest
+            _witness_first(report.example_witness, first, sim.trace[first:], bystanders)
+    sim.end_search()
+    return longest, sim
 
 
-def _witness_first(factory: Callable[[], Simulation], stepped: list[int]) -> dict[str, Any]:
-    """The first witness of a group's path that stepped the tids ``stepped``,
-    replayed on a fresh build with that group scheduled first, and the
-    branch-point decisions with which ``run_prefix`` replays it."""
-    sim = factory()
-    decisions = []
-    for tid in stepped:
-        if len(sim.runnable_tids()) > 1:
-            decisions.append(tid)
-        sim.step(tid)
-    return dict(extract_witnesses(sim.events)[0], decisions=decisions)
+def _witness_first(
+    witness: dict[str, Any], first: int, path: list[list[Any]], bystanders: bool,
+) -> None:
+    """Make ``witness``, the first of a group's path that began at step
+    ``first`` and whose trace is ``path``, what that path gives with its
+    group scheduled first on a fresh build: its step counted from the
+    path's start, and the branch-point decisions of the whole simulation
+    with which ``run_prefix`` replays it. No other task steps before the
+    group there, and none of the group's steps changes another group's
+    task. So with ``bystanders``, some task of another group runnable on a
+    fresh build, every step of the path is a decision; without, the
+    decisions are the group's own."""
+    witness["step"] -= first
+    if bystanders:
+        witness["decisions"] = [tid for _, tid, _, _ in path]
 
 
 def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> ExplorationReport:
@@ -987,8 +1147,8 @@ def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> Explo
 
     A branch point is a step with more than one runnable thread; forced steps
     don't branch, so the number of explored paths equals the number of
-    distinct interleavings of the scenario. The search builds one simulation
-    per path.
+    distinct interleavings of the scenario. The search builds once, and
+    again only below a step that writes ``EVERYTHING``.
     """
     root = factory()
     report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
@@ -1010,21 +1170,23 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     interleaving is one path of each group, and a witness, kill or deadlock
     exists if it exists in some group. The groups are searched in order, the
     first on the first build and each next one on the simulation where the
-    previous group's first path ended: its tasks have not stepped there yet.
+    previous group's search ended: its tasks have not stepped there yet.
     The counts are over the paths run. A path that truncates, or groups
     whose longest paths add up to more than ``max_steps``, would make some
     interleaving truncate; then every interleaving is enumerated instead,
     on a fresh build.
     """
-    root = factory()
-    groups = root.groups or (tuple(root.tasks),)
+    sim = factory()
+    groups = sim.groups or (tuple(sim.tasks),)
+    runnable = set(sim.runnable_tids())
     report = ExplorationReport(groups=[
-        list(dict.fromkeys(root.processes[root.tasks[tid].tgid].name for tid in tids))
+        list(dict.fromkeys(sim.processes[sim.tasks[tid].tgid].name for tid in tids))
         for tids in groups
     ])
     budget = max_steps
     for tids in groups if len(groups) > 1 else [None]:
-        longest = _search(factory, root, budget, report, tids, reduce=True)
+        bystanders = tids is not None and not runnable.issubset(tids)
+        longest, sim = _search(factory, sim, budget, report, tids, reduce=True, bystanders=bystanders)
         if longest is None:
             return explore_all(factory, max_steps)
         budget -= longest

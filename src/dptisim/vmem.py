@@ -14,7 +14,8 @@ deterministic and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Optional
 
 PAGE_SIZE = 4096
 
@@ -31,7 +32,7 @@ EVERYTHING = "everything"
 # stalled on a frame ("waitq", frame_id), a task's state ("task", tid), the
 # reference count of a filter table, named by the first process it was
 # installed for ("filters", tgid), or EVERYTHING. Each is recorded by the
-# accessor that reads or writes its state.
+# accessor that reads or writes its state, a write through Vmem.wrote.
 Footprint = tuple[set, set]
 
 
@@ -190,16 +191,97 @@ class Tlb:
             del self.cached[key]
 
 
+# A journal entry: a tuple whose first item, called with the entry, puts one
+# location back as it was when its saver made the entry.
+Entry = tuple
+
+
+@dataclass(slots=True, eq=False)
+class Level:
+    """One open branch point of a journal: where its entries begin on the
+    trail, the locations the level around it had journalled when it opened,
+    what its owner keeps besides locations, and whether a step since wrote
+    ``EVERYTHING``, which no entry puts back."""
+
+    mark: int
+    outer: set
+    at: Any
+    broken: bool = False
+
+
+class Journal:
+    """The old value of every location written since each open branch point
+    of a search, so that the search can come back to a branch point by
+    putting them back instead of rebuilding and replaying its path.
+
+    A write journals its location once per level: the first write of it
+    since the innermost open level opened saves it, with the saver of its
+    kind, before it changes. Entries are put back newest first, so the
+    oldest entry of a location since a level opened, its value then, is the
+    one that stays. A wait queue has no saver: its state is its stalled
+    tasks', which are saved as tasks.
+    """
+
+    def __init__(self, savers: dict[str, Callable[[Any], Optional[Entry]]]):
+        self.savers = savers
+        self.trail: list[Entry] = []
+        self.levels: list[Level] = []
+        self.seen: set = set()
+
+    def save(self, loc: Any) -> None:
+        """Save ``loc``, about to be written, unless it was saved already
+        since the innermost open level opened."""
+        if loc in self.seen:
+            return
+        self.seen.add(loc)
+        if loc.__class__ is tuple:
+            entry = self.savers[loc[0]](loc)
+        elif loc == EVERYTHING:
+            for level in self.levels:
+                level.broken = True
+            return
+        else:
+            entry = self.savers[loc](loc)
+        if entry is not None:
+            self.trail.append(entry)
+
+    def open(self, at: Any) -> Level:
+        """Open a level at the end of the trail, keeping ``at`` for its owner."""
+        level = Level(len(self.trail), self.seen, at)
+        self.levels.append(level)
+        self.seen = set()
+        return level
+
+    def undo(self, level: Level, close: bool) -> None:
+        """Put back every location written since ``level``, the innermost
+        open level, opened; then close it, or with ``close`` false journal
+        afresh from here."""
+        assert level is self.levels[-1] and not level.broken
+        entries = self.trail[level.mark:]
+        del self.trail[level.mark:]
+        for entry in reversed(entries):
+            entry[0](entry)
+        if close:
+            self.levels.pop()
+            self.seen = level.outer
+        else:
+            self.seen = set()
+
+
 class Vmem:
     def __init__(self, cores: int = 2):
         self.frames: dict[int, Frame] = {}
         self.spaces: dict[int, AddressSpace] = {}
         self.tlbs: list[Tlb] = [Tlb() for _ in range(cores)]
+        self._caches = [tlb.cached for tlb in self.tlbs]  # what saved_pte saves of each TLB
         # frame_id -> {(asid, vpn) of every mapping of the frame}
         self.rmap: dict[int, set[tuple[int, int]]] = {}
         # The footprint of the step being recorded, or None when no search
         # asks for one. Each layer adds the locations it touches itself.
         self.fp: Optional[Footprint] = None
+        # While a search has a branch point open, the journal each write
+        # recorded in fp saves its location in first; otherwise None.
+        self.journal: Optional[Journal] = None
         self._next_asid = 1
         self._next_frame = 1
 
@@ -207,12 +289,52 @@ class Vmem:
     def cores(self) -> int:
         return len(self.tlbs)
 
+    def wrote(self, loc: Any) -> None:
+        """Record a write of ``loc`` in ``fp``, which must be set, before it
+        happens, journalling the location first if a journal is open."""
+        self.fp[1].add(loc)
+        if self.journal is not None:
+            self.journal.save(loc)
+
+    # ------------------------------------------------------------------
+    # savers: each returns the journal entry of its location as it is now
+
+    def saved_frame(self, loc: tuple) -> Entry:
+        data = self.frames[loc[1]].data
+        return _put_bytes, data, bytes(data)
+
+    def saved_pte(self, loc: tuple) -> Entry:
+        """The entry with its fields, and every core's TLB entry for it. Put
+        back, the entry is the same object again, with those fields."""
+        _, asid, vpn = loc
+        key = (asid, vpn)
+        entries = self.spaces[asid].entries
+        pte = entries.get(vpn)
+        cached = [(c, c.get(key)) for c in self._caches]
+        return _put_pte, entries, vpn, pte, _pte_fields(pte) if pte is not None else None, key, cached
+
+    def saved_rmap(self, loc: tuple) -> Entry:
+        mappings = self.rmap.get(loc[1])
+        return _put_item, self.rmap, loc[1], set(mappings) if mappings is not None else None
+
+    def saved_alloc(self, loc: str) -> Entry:
+        """The allocator; put back, it also drops every frame it gave out
+        since, with the reverse-map entry of that frame's copy-on-write copy."""
+        return self._put_alloc, self._next_frame
+
+    def _put_alloc(self, entry: Entry) -> None:
+        next_frame = entry[1]
+        for frame_id in range(next_frame, self._next_frame):
+            del self.frames[frame_id]
+            self.rmap.pop(frame_id, None)
+        self._next_frame = next_frame
+
     # ------------------------------------------------------------------
     # allocation
 
     def new_address_space(self) -> AddressSpace:
         if self.fp is not None:
-            self.fp[1].add(EVERYTHING)
+            self.wrote(EVERYTHING)
         space = AddressSpace(self._next_asid)
         self._next_asid += 1
         self.spaces[space.asid] = space
@@ -221,7 +343,7 @@ class Vmem:
     def alloc_frame(self, fill: bytes = b"") -> Frame:
         """A new frame, zeroed past ``fill``."""
         if self.fp is not None:
-            self.fp[1].add("alloc")
+            self.wrote("alloc")
         data = bytearray(PAGE_SIZE)
         data[: len(fill)] = fill[:PAGE_SIZE]
         frame = Frame(self._next_frame, data)
@@ -245,13 +367,14 @@ class Vmem:
         space = self.spaces[asid]
         if vpn in space.entries:
             raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
+        if self.fp is not None:
+            self.wrote(("pte", asid, vpn))
+            self.wrote(("rmap", frame_id))
         pte = PageTableEntry(
             frame_id, user, writable, executable, vm_write=writable, vm_exec=executable, shared=shared
         )
         space.entries[vpn] = pte
         self.rmap.setdefault(frame_id, set()).add((asid, vpn))
-        if self.fp is not None:
-            self.fp[1].update((("pte", asid, vpn), ("rmap", frame_id)))
         return pte
 
     def unmap(self, asid: int, vpn: int) -> None:
@@ -263,7 +386,7 @@ class Vmem:
 
     def destroy_address_space(self, asid: int) -> None:
         if self.fp is not None:
-            self.fp[1].add(EVERYTHING)
+            self.wrote(EVERYTHING)
         space = self.spaces.pop(asid)
         for vpn, pte in space.entries.items():
             self._unlink(pte.frame_id, asid, vpn)
@@ -321,8 +444,14 @@ class Vmem:
         assert pte is not None
         if fp is not None:
             # the caller reads or writes the bytes of the frame it gets
-            fp[1 if kind == AccessKind.WRITE else 0].add(("frame", pte.frame_id))
+            if kind == AccessKind.WRITE:
+                self.wrote(("frame", pte.frame_id))
+            else:
+                fp[0].add(("frame", pte.frame_id))
         if filled_from_walk:
+            if fp is not None and self.journal is not None:
+                # a fill reads its entry, but the journal puts the TLB back too
+                self.journal.save(("pte", asid, vpn))
             tlb.fill(asid, vpn, pte)
         return AccessResult(None, self.frames[pte.frame_id])
 
@@ -379,7 +508,7 @@ class Vmem:
             frame_id = entries[vpn].frame_id
             if fp is not None:
                 fp[0].add(("pte", asid, vpn))
-                fp[1].add(("frame", frame_id))
+                self.wrote(("frame", frame_id))
             self.frames[frame_id].data[offset : offset + end - start] = data[start:end]
 
     def read_cstring(
@@ -414,7 +543,7 @@ class Vmem:
         if bit not in (PteBit.USER, PteBit.WRITABLE, PteBit.EXECUTABLE):
             raise VmemError(f"no permission bit {bit!r}")
         if self.fp is not None:
-            self.fp[1].add(("pte", asid, vpn))
+            self.wrote(("pte", asid, vpn))
         pte = self.pte(asid, vpn)
         prev = getattr(pte, bit)
         setattr(pte, bit, value)
@@ -423,13 +552,13 @@ class Vmem:
     def set_perms(self, asid: int, vpn: int, user: bool, writable: bool, executable: bool) -> None:
         """Set all three permission bits; like ``set_bit``, flushes no TLB."""
         if self.fp is not None:
-            self.fp[1].add(("pte", asid, vpn))
+            self.wrote(("pte", asid, vpn))
         pte = self.pte(asid, vpn)
         pte.user, pte.writable, pte.executable = user, writable, executable
 
     def tlb_flush(self, asid: int, vpn: int) -> None:
         if self.fp is not None:
-            self.fp[1].add(("pte", asid, vpn))
+            self.wrote(("pte", asid, vpn))
         for tlb in self.tlbs:
             tlb.flush(asid, vpn)
 
@@ -444,7 +573,8 @@ class Vmem:
         old = self.frames[pte.frame_id]
         if self.fp is not None:
             self.fp[0].add(("frame", old.frame_id))
-            self.fp[1].update((("pte", asid, vpn), ("rmap", old.frame_id)))
+            self.wrote(("pte", asid, vpn))
+            self.wrote(("rmap", old.frame_id))
         fresh = self.alloc_frame(bytes(old.data))
         self._unlink(pte.frame_id, asid, vpn)
         pte.frame_id = fresh.frame_id
@@ -485,3 +615,41 @@ class Vmem:
             for vpn, pte in space.entries.items():
                 rebuilt.setdefault(pte.frame_id, set()).add((asid, vpn))
         return rebuilt
+
+
+# ---------------------------------------------------------------------------
+# journal entries
+
+
+def _put_bytes(entry: Entry) -> None:
+    _, data, old = entry
+    data[:] = old
+
+
+def _put_item(entry: Entry) -> None:
+    """Give ``key`` of ``table`` the value ``old``, or none if None."""
+    _, table, key, old = entry
+    if old is None:
+        table.pop(key, None)
+    else:
+        table[key] = old
+
+
+_pte_fields = attrgetter(
+    "frame_id", "user", "writable", "executable", "cow", "vm_write", "vm_exec", "shared",
+)
+
+
+def _put_pte(entry: Entry) -> None:
+    _, entries, vpn, pte, old, key, cached = entry
+    if old is None:
+        entries.pop(vpn, None)
+    else:
+        entries[vpn] = pte
+        (pte.frame_id, pte.user, pte.writable, pte.executable, pte.cow, pte.vm_write, pte.vm_exec,
+         pte.shared) = old
+    for tlb, filled in cached:
+        if filled is None:
+            tlb.pop(key, None)
+        else:
+            tlb[key] = filled

@@ -139,7 +139,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
     ctx = make_syscall_context(SyscallOp(SYSCALL_NRS["openat"], (0, vaddr, 0)))
     record = sim.engine.protect_argument(task, ctx, 1)
     if record is False:
-        assert variant is Variant.STASH and executable, "only stash+exec may kill here"
+        assert variant == Variant.STASH and executable, "only stash+exec may kill here"
         return "killed"
     assert record is not None
     assert sim.engine.restore(task, record)
@@ -316,7 +316,7 @@ def test_criterion_7_sgx_confinement():
                     sim, _ = _confinement_sim(variant, [op], host_pages=16)
                     sim.run_seeded(0)
                     killed = bool(extract_kills(sim.events))
-                    expected = not (variant is Variant.FREEZE and kind == "read")
+                    expected = not (variant == Variant.FREEZE and kind == "read")
                     assert killed == expected, (page, kind, variant)
 
 

@@ -100,7 +100,7 @@ def location_state(sim: Simulation) -> dict[Any, Any]:
             state["filters", tables[id(proc.filters)]] = (proc.filters.refcount, proc.filters.freed)
     waitqs: dict[int, set] = {}
     for tid, task in sim.tasks.items():
-        if task.state is TaskState.STALLED:
+        if task.state == TaskState.STALLED:
             waitqs.setdefault(task.stall[1], set()).add((tid, task.stall[0]))
         state["task", tid] = (
             task.state, task.ip, task.stall, task.asid, astuple(task.cpu), task.sandboxed,

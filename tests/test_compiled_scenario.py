@@ -11,6 +11,7 @@ import itertools
 import json
 import weakref
 from functools import partial
+from typing import Any, Optional
 
 import pytest
 
@@ -230,7 +231,11 @@ class ProgramBits:
     touches them. A process's mapping that no open window holds has the user and exec
     bits the program gave it, and unless it is copy-on-write its write bit
     too, in its PTE and every TLB entry for it. No entry, in any page table
-    or TLB, is both writable and copy-on-write."""
+    or TLB, is both writable and copy-on-write.
+
+    The bits follow the path the simulation is on: each change is kept with
+    the step that made it, and ``rewind`` drops the changes of the steps a
+    search undid."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -239,32 +244,51 @@ class ProgramBits:
             (asid, vpn): (pte.vm_write, pte.user, pte.executable)
             for asid, space in sim.vmem.spaces.items() for vpn, pte in space.entries.items()
         }
+        # (the step, the key and its flags before) of every change
+        self.changes: list[tuple[int, tuple[int, int], Any]] = []
         map_region, fork_task = sim.map_region, sim.fork_task
 
         def recording_map_region(asid, spec, *args):
             frames = map_region(asid, spec, *args)
             start = spec.vaddr // PAGE_SIZE
             for vpn in range(start, start + len(frames)):
-                self.flags[(asid, vpn)] = (spec.writable, spec.user, spec.executable)
+                self.set((asid, vpn), (spec.writable, spec.user, spec.executable))
             return frames
 
         def recording_fork_task(parent, child_ops):
             child = fork_task(parent, child_ops)
-            self.flags.update({
-                (child.asid, vpn): flag for (asid, vpn), flag in list(self.flags.items()) if asid == parent.asid
-            })
+            for (asid, vpn), flag in list(self.flags.items()):
+                if asid == parent.asid:
+                    self.set((child.asid, vpn), flag)
             return child
 
         sim.map_region = recording_map_region
         sim.fork_task = recording_fork_task
 
-    def stepped(self, task, op, events):
-        """Record the bits an applied mprotect ``op`` of ``task`` set."""
+    def set(self, key: tuple[int, int], flag: tuple[bool, bool, bool], step: Optional[int] = None) -> None:
+        """Give ``key`` the flags ``flag`` at ``step``, by default the step
+        running now."""
+        self.changes.append((len(self.sim.trace) if step is None else step, key, self.flags.get(key)))
+        self.flags[key] = flag
+
+    def rewind(self) -> None:
+        """Drop the changes of every step at or past the simulation's path
+        position: steps a search undid."""
+        position = len(self.sim.trace)
+        while self.changes and self.changes[-1][0] >= position:
+            _, key, flag = self.changes.pop()
+            if flag is None:
+                del self.flags[key]
+            else:
+                self.flags[key] = flag
+
+    def stepped(self, task, op, events, step: int):
+        """Record the bits an applied mprotect ``op`` of ``task`` set at ``step``."""
         if isinstance(op, MprotectOp) and any(
             isinstance(ev, MprotectEvent) and ev.outcome == "applied" for ev in events
         ):
             for vpn in op.vpns:
-                self.flags[(task.asid, vpn)] = (op.writable, op.user, op.executable)
+                self.set((task.asid, vpn), (op.writable, op.user, op.executable), step)
 
     def problems(self):
         vmem, closed = self.sim.vmem, self.sim.engine.closed
@@ -308,9 +332,10 @@ def check_every_step(sim) -> list[int]:
 
     def checking_step(tid):
         task = sim.tasks[tid]
-        op, seen = op_of(task), len(sim.events)
+        program_bits.rewind()
+        op, seen, position = op_of(task), len(sim.events), len(sim.trace)
         outcome = step(tid)
-        program_bits.stepped(task, op, sim.events[seen:])
+        program_bits.stepped(task, op, sim.events[seen:], position)
         at = f"step {sim.step_count - 1}"
         vmem = sim.vmem
         assert vmem.rmap == vmem.rebuild_reverse_map(), at
@@ -319,7 +344,7 @@ def check_every_step(sim) -> list[int]:
         # the page table and in every core's TLB alike.
         for what, views in open_window_mappings(sim):
             for view in views:
-                if sim.engine.variant is Variant.STASH:
+                if sim.engine.variant == Variant.STASH:
                     assert not view.user and not view.executable, (at, what, view)
                 else:
                     assert not view.writable, (at, what, view)

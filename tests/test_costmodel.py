@@ -99,7 +99,7 @@ class TestSimpleFilterBench:
         program = simple_filter_program("getppid")
         assert len(program) == 349
         decision, scanned = seccomp_eval(program, SYSCALL_NRS["getppid"], [0] * 6)
-        assert decision is Disposition.ALLOW and scanned == 349
+        assert decision == Disposition.ALLOW and scanned == 349
         total = accumulate([SeccompEvalEvent(nr=110, decision="allow", scanned=349)], table).total
         assert total == Fraction(100)
 

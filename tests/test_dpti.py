@@ -652,7 +652,7 @@ class TestWindowInvariants:
             sim.step(2)                # mmap alias mid-window (one-step? allowed case-2)
             sim.step(2)                # mmap body completes
             new_pte = sim.vmem.pte(proc.asid, 0x50000 // PAGE_SIZE)
-            if variant is Variant.STASH:
+            if variant == Variant.STASH:
                 assert not new_pte.user
             else:
                 assert not new_pte.writable

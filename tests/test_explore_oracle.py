@@ -5,8 +5,9 @@ The reference is the plain form of exhaustive enumeration: pop a decision
 prefix, build a fresh simulation, replay the prefix, and push one child per
 runnable thread at the next branch point. It builds once per node of the
 tree: 2P-1 times for P paths when every branch point has two choices.
-``explore_all`` carries the live simulation into the first child and so
-builds once per path; its report must stay byte-identical.
+``explore_all`` carries the live simulation into the first child and
+undoes its way back to each later one, so it builds once per search; its
+report must stay byte-identical.
 
 ``explore`` searches each group of processes that may interact on its own,
 and within a group one path per class of interleavings that differ only in
@@ -28,7 +29,7 @@ from dptisim import MapSpec, ReadOp, Simulation, tasks
 from dptisim.dpti import Variant
 from dptisim.events import FiltersFreedEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
-from dptisim.tasks import ExplorationReport, explore, explore_all, extract_kills, extract_witnesses
+from dptisim.tasks import ExplorationReport, TaskState, explore, explore_all, extract_kills, extract_witnesses
 from dptisim.vmem import EVERYTHING
 
 from conftest import SCENARIOS, pair_race
@@ -118,7 +119,9 @@ def test_explore_matches_rebuild_every_node_reference(path, variant):
     report = explore_all(factory, _bound(path, sc))
     reference = reference_explore(CountingFactory(sc, VARIANTS[variant]), _bound(path, sc))
     assert report.to_json() == reference.to_json()
-    assert factory.builds == report.paths
+    # one build per search: no shipped fixture branches above a step that
+    # writes EVERYTHING, the one step the search cannot undo
+    assert factory.builds == 1
     if len(sc.compiled.groups) == 1:
         # explore of one group gives full enumeration's verdict, with no
         # extra build
@@ -247,14 +250,22 @@ def test_visudo_split_abandoned_below_its_longest_paths(variant, bound, monkeypa
     assert_hands_over(load_scenario(SCENARIOS / "visudo.json"), VARIANTS[variant], bound, monkeypatch)
 
 
-def with_bystander(sc) -> Any:
-    """``sc`` with one more process, whose one thread writes to a page of
-    its own."""
+# What the bystander's one thread does: write to a page of its own, or
+# nothing, so that it is never runnable.
+BYSTANDER_OPS = {
+    "busy": [{"op": "write", "vaddr": 0x70000, "string": "x"}],
+    "idle": [],
+}
+
+
+def with_bystander(sc, ops: str = "busy", first: bool = False) -> Any:
+    """``sc`` with one more process, ``first`` or last, whose one thread
+    does ``BYSTANDER_OPS[ops]``."""
     raw = copy.deepcopy(sc.raw)
-    raw["processes"].append({
+    raw["processes"].insert(0 if first else len(raw["processes"]), {
         "name": "bystander",
         "mappings": [{"vaddr": 0x70000}],
-        "threads": [{"name": "bystander-main", "ops": [{"op": "write", "vaddr": 0x70000, "string": "x"}]}],
+        "threads": [{"name": "bystander-main", "ops": BYSTANDER_OPS[ops]}],
     })
     return scenario_from_dict(raw)
 
@@ -275,6 +286,51 @@ def test_split_with_a_bystander_gives_the_reference_verdict(path, variant):
     example = dict(report.example_witness)
     decisions = example.pop("decisions")
     sim = build_simulation(sc, VARIANTS[variant])
+    sim.run_prefix(decisions, sc.schedule["max_steps"])
+    assert extract_witnesses(sim.events)[0] == example
+
+
+def witness_with_its_group_first(sc, report: ExplorationReport) -> dict[str, Any]:
+    """The first witness of ``report``, a split search of ``sc`` under no
+    protection, as a fresh build gives it when only the steps of the
+    witness's path run: the path that the branch-point decisions of its
+    ``per_path`` entry, among the tasks of its group, give. With the
+    decisions at each step where more than one task of the whole
+    simulation is runnable."""
+    chosen = next(path for path in report.per_path if path["witnesses"])["decisions"]
+    sim = build_simulation(sc, None)
+    tids = next(group for group in sim.groups if chosen[0] in group)
+    decisions = []
+    while len(sim.trace) < sc.schedule["max_steps"]:
+        ready = [tid for tid in tids if sim.tasks[tid].state == TaskState.RUNNABLE]
+        if not ready:
+            break
+        tid = chosen.pop(0) if len(ready) > 1 else ready[0]
+        if len(sim.runnable_tids()) > 1:
+            decisions.append(tid)
+        sim.step(tid)
+    return dict(extract_witnesses(sim.events)[0], decisions=decisions)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["bystander first", "bystander last"])
+@pytest.mark.parametrize("ops", sorted(BYSTANDER_OPS))
+@pytest.mark.parametrize("path", TOCTOU, ids=lambda p: p.stem)
+def test_split_witness_replays_with_its_group_first(path, ops, first):
+    """A split search reports its first witness as its path gives it with
+    the witness's group scheduled first on a fresh build, on its one build:
+    the witness's decisions replay there through ``run_prefix`` to the same
+    witness. That holds whether the bystander's group ran before it on the
+    search's build or runs after, and whether the bystander is runnable on a
+    fresh build, which makes each step of the path a decision, or never."""
+    sc = with_bystander(load_scenario(path), ops, first)
+    factory = CountingFactory(sc, None)
+    report = explore(factory, sc.schedule["max_steps"])
+    assert len(report.groups) == 2 and ["bystander"] in report.groups
+    assert factory.builds == 1
+    assert report.example_witness == witness_with_its_group_first(sc, report)
+    example = dict(report.example_witness)
+    decisions = example.pop("decisions")
+    sim = build_simulation(sc, None)
     sim.run_prefix(decisions, sc.schedule["max_steps"])
     assert extract_witnesses(sim.events)[0] == example
 

@@ -30,9 +30,9 @@ class TestBuilder:
     def test_install_produces_two_populated_rules(self):
         table = listing_style_builder().install()
         assert table.populated == 2
-        assert table.lookup(SYSCALL_NRS["read"]).disposition is Disposition.ALLOW
+        assert table.lookup(SYSCALL_NRS["read"]).disposition == Disposition.ALLOW
         rule = table.lookup(SYSCALL_NRS["write"])
-        assert rule.disposition is Disposition.ALLOW_IF
+        assert rule.disposition == Disposition.ALLOW_IF
         assert rule.strings[0].allowed == (b"teststring",)
 
     def test_install_twice_rejected(self):
@@ -115,18 +115,18 @@ class TestBuilder:
         with pytest.raises(FilterError, match=f"outside 0..{MAX_SYSCALL_NR}"):
             fb.add_rule_primitive(nr, 0, CmpOp.EQ, 0)
         fb.add_rule(MAX_SYSCALL_NR)
-        assert fb.install().lookup(MAX_SYSCALL_NR).disposition is Disposition.ALLOW
+        assert fb.install().lookup(MAX_SYSCALL_NR).disposition == Disposition.ALLOW
 
 
 class TestLookup:
     def test_unregistered_is_deny(self):
         table = listing_style_builder().install()
-        assert table.lookup(SYSCALL_NRS["openat"]).disposition is Disposition.DENY
+        assert table.lookup(SYSCALL_NRS["openat"]).disposition == Disposition.DENY
 
     def test_out_of_range_is_deny(self):
         table = listing_style_builder().install()
-        assert table.lookup(100000).disposition is Disposition.DENY
-        assert table.lookup(-1).disposition is Disposition.DENY
+        assert table.lookup(100000).disposition == Disposition.DENY
+        assert table.lookup(-1).disposition == Disposition.DENY
 
 
 class TestRefcount:
@@ -174,7 +174,7 @@ class TestSeccomp:
             decision, scanned = seccomp_eval(
                 program_with_allow_at(position), SYSCALL_NRS["getppid"], [0] * 6
             )
-            assert decision is Disposition.ALLOW
+            assert decision == Disposition.ALLOW
             assert scanned == position
 
     def test_least_permissive_wins_for_same_nr(self):
@@ -184,7 +184,7 @@ class TestSeccomp:
         ]
         program = SeccompProgram(rules)
         decision, _ = seccomp_eval(program, 39, [0] * 6)
-        assert decision is Disposition.DENY
+        assert decision == Disposition.DENY
 
     def test_predicates_must_match(self):
         from dptisim.filters import PrimitiveFilter
@@ -193,8 +193,8 @@ class TestSeccomp:
             SeccompRule(1, (PrimitiveFilter(0, CmpOp.EQ, 5),), Disposition.ALLOW),
         ]
         program = SeccompProgram(rules)
-        assert seccomp_eval(program, 1, [5, 0, 0, 0, 0, 0])[0] is Disposition.ALLOW
-        assert seccomp_eval(program, 1, [6, 0, 0, 0, 0, 0])[0] is Disposition.DENY
+        assert seccomp_eval(program, 1, [5, 0, 0, 0, 0, 0])[0] == Disposition.ALLOW
+        assert seccomp_eval(program, 1, [6, 0, 0, 0, 0, 0])[0] == Disposition.DENY
 
 
 class TestDecisionEquivalence:
@@ -242,9 +242,9 @@ class TestDecisionEquivalence:
 
         nr, args = call
         rule = table.lookup(nr)
-        if rule.disposition is Disposition.DENY:
+        if rule.disposition == Disposition.DENY:
             table_allows = False
-        elif rule.disposition is Disposition.ALLOW:
+        elif rule.disposition == Disposition.ALLOW:
             table_allows = True
         else:
             table_allows = all(
@@ -256,4 +256,4 @@ class TestDecisionEquivalence:
         # and allow/deny cases, which is where equivalence is defined
         per_nr = [r for r in seccomp_rules if r.nr == nr]
         if len(per_nr) <= 1:
-            assert (decision is Disposition.ALLOW) == table_allows
+            assert (decision == Disposition.ALLOW) == table_allows

@@ -75,13 +75,13 @@ class TestAccess:
         vm = Vmem()
         space, _ = make_space(vm, user=False)
         res = vm.access(0, space.asid, USER, READ, 0x10 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.USER_BIT
+        assert res.fault.reason == FaultReason.USER_BIT
 
     def test_user_write_to_readonly_faults(self):
         vm = Vmem()
         space, _ = make_space(vm, writable=False)
         res = vm.access(0, space.asid, USER, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.WRITE_PROT
+        assert res.fault.reason == FaultReason.WRITE_PROT
 
     def test_kernel_ignores_user_bit(self):
         vm = Vmem()
@@ -92,19 +92,19 @@ class TestAccess:
         vm = Vmem()
         space, _ = make_space(vm, writable=False)
         res = vm.access(0, space.asid, KERNEL, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.WRITE_PROT
+        assert res.fault.reason == FaultReason.WRITE_PROT
 
     def test_unmapped_not_present(self):
         vm = Vmem()
         space, _ = make_space(vm)
         res = vm.access(0, space.asid, USER, READ, 0x99 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.NOT_PRESENT
+        assert res.fault.reason == FaultReason.NOT_PRESENT
 
     def test_exec_requires_executable_bit(self):
         vm = Vmem()
         space, _ = make_space(vm)
         res = vm.access(0, space.asid, USER, EXEC, 0x10 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.EXEC_PROT
+        assert res.fault.reason == FaultReason.EXEC_PROT
 
     def test_read_write_roundtrip(self):
         vm = Vmem()
@@ -124,7 +124,7 @@ class TestTlb:
         assert prev is True
         # warm core still translates from its snapshot; cold core walks the PTE
         assert vm.access(0, space.asid, USER, READ, addr).ok
-        assert vm.access(1, space.asid, USER, READ, addr).fault.reason is FaultReason.USER_BIT
+        assert vm.access(1, space.asid, USER, READ, addr).fault.reason == FaultReason.USER_BIT
 
     def test_flush_all_cores_enforces_new_bits(self):
         vm = Vmem(cores=2)
@@ -134,7 +134,7 @@ class TestTlb:
         vm.set_bit(space.asid, 0x10, PteBit.USER, False)
         vm.tlb_flush(space.asid, 0x10)
         for core in (0, 1):
-            assert vm.access(core, space.asid, USER, READ, addr).fault.reason is FaultReason.USER_BIT
+            assert vm.access(core, space.asid, USER, READ, addr).fault.reason == FaultReason.USER_BIT
 
     def test_flush_then_access_refills_from_current_pte(self):
         vm = Vmem(cores=1)
@@ -172,7 +172,7 @@ class TestCow:
         vm.write_bytes(0, parent.asid, KERNEL, 0x10 * PAGE_SIZE, b"orig")
         child = vm.fork_address_space(parent.asid)
         res = vm.access(0, child.asid, USER, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.COW_PENDING
+        assert res.fault.reason == FaultReason.COW_PENDING
         new_frame = vm.cow_resolve(child.asid, 0x10)
         assert new_frame != frame.frame_id
         vm.write_bytes(0, child.asid, USER, 0x10 * PAGE_SIZE, b"MINE")
@@ -200,7 +200,7 @@ class TestCow:
         vm.write_bytes(0, parent.asid, KERNEL, 0x10 * PAGE_SIZE, b"orig")
         child = vm.fork_address_space(parent.asid)
         res = vm.access(0, parent.asid, USER, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason is FaultReason.COW_PENDING
+        assert res.fault.reason == FaultReason.COW_PENDING
         vm.cow_resolve(parent.asid, 0x10)
         vm.write_bytes(0, parent.asid, USER, 0x10 * PAGE_SIZE, b"NEW!")
         data, _ = vm.read_bytes(0, child.asid, KERNEL, 0x10 * PAGE_SIZE, 4)
@@ -255,11 +255,11 @@ def _predicted(vm, asid, vpn, mode, kind):
     pte = space.entries.get(vpn)
     if pte is None:
         return FaultReason.NOT_PRESENT
-    if mode is USER and not pte.user:
+    if mode == USER and not pte.user:
         return FaultReason.USER_BIT
-    if kind is WRITE and pte.cow:
+    if kind == WRITE and pte.cow:
         return FaultReason.COW_PENDING
-    if kind is WRITE and not pte.writable:
+    if kind == WRITE and not pte.writable:
         return FaultReason.WRITE_PROT
     return None
 

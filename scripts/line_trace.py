@@ -9,9 +9,9 @@ files of ROOT/src/dptisim, the script runs, in this process:
 - for every scenario under ROOT/scenarios and each variant: the seed-0
   seeded run, ``explore`` and ``explore_all``, visudo at ``max_steps`` 10
   (its full search takes minutes) and every other scenario at its own;
-- under each variant, ``explore`` of ``FORK_RACE``, whose fork writes
-  ``EVERYTHING`` below a branch point, so that the search rebuilds there
-  instead of undoing.
+- under each variant, ``explore`` of ``FORK_RACE`` and of sgx_data_only
+  with the host thread ``ENCLAVE_RACE_THREAD``, so that the search undoes
+  a fork and enclave steps below a branch point.
 
 It then prints, file by file, each line that some code object of the file
 maps an instruction to (``co_lines()``) and that never ran, with its
@@ -23,6 +23,7 @@ lacks src/dptisim or scenarios/. A full run takes minutes.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -46,6 +47,12 @@ FORK_RACE = {
             {"name": "t1", "ops": [{"op": "fork", "child": [{"op": "read", "vaddr": 0x80000}]}]},
         ],
     }],
+}
+# sgx_data_only with a second host thread, which writes the data bridge
+# page while the enclave runs and then reads the secret page.
+ENCLAVE_RACE_THREAD = {
+    "name": "other", "rsp": 0x302000,
+    "ops": [{"op": "write", "vaddr": 0x201000, "string": "zz"}, {"op": "read", "vaddr": 0x80000, "len": 4}],
 }
 
 
@@ -99,9 +106,11 @@ def run_scenarios() -> None:
             max_steps = EXPLORE_MAX_STEPS.get(path.stem, sc.schedule.get("max_steps", 24))
             explore(factory, max_steps)
             explore_all(factory, max_steps)
-    race = scenario_from_dict(FORK_RACE)
-    for variant in _VARIANTS.values():
-        explore(lambda: build_simulation(race, variant), 200)
+    enclave_race = json.loads((ROOT / "scenarios" / "sgx_data_only.json").read_text())
+    enclave_race["processes"][0]["threads"].append(ENCLAVE_RACE_THREAD)
+    for race in (scenario_from_dict(FORK_RACE), scenario_from_dict(enclave_race)):
+        for variant in _VARIANTS.values():
+            explore(lambda: build_simulation(race, variant), 200)
 
 
 def main() -> int:

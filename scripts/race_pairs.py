@@ -1,16 +1,19 @@
-"""Time ``explore`` of generated pair races on two commits, in alternating runs.
+"""Time ``explore`` of generated races on two commits, in alternating runs.
 
     python3 scripts/race_pairs.py --base a971c26 --head HEAD --runs 5 --out BENCH_undo.json
 
-Each commit is exported with ``git archive`` into its own temporary
-directory. Each run is a new process that imports that checkout's simulator
-and the ``pair_race`` generator of its ``tests/conftest.py``, and times one
-``explore`` of a race at bound 400 on a factory that counts its builds and
-the steps they executed (``step_count``, summed over builds). Runs alternate
-which commit goes first. The script sets the key ``generated_races`` of the
-JSON file ``--out`` (created if missing, every other key kept): per race,
-each side's median seconds over ``--runs`` runs, every run's seconds, and
-its paths, builds and executed steps, which are the same on every run.
+The races are the pair races and the enclave bystanders of this
+repository's ``tests/conftest.py`` (``pair_race``, ``enclave_bystanders``),
+so both commits run the same scenarios. Each commit is exported with ``git
+archive`` into its own temporary directory. Each run is a new process that
+imports that checkout's simulator, reads the race's scenario from its
+standard input, and times one ``explore`` of it at bound 400 on a factory
+that counts its builds and the steps they executed (``step_count``, summed
+over builds). Runs alternate which commit goes first. The script sets the
+key ``generated_races`` of the JSON file ``--out`` (created if missing,
+every other key kept): per race, each side's median seconds over ``--runs``
+runs, every run's seconds, and its paths, builds and executed steps, which
+are the same on every run.
 """
 
 from __future__ import annotations
@@ -26,21 +29,30 @@ from typing import Any
 
 from bench_pairs import export, git
 
-# (openers, racers, on one page, variant)
-RACES = [(3, 2, True, "stash"), (3, 3, False, "stash"), (4, 4, False, "stash")]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import enclave_bystanders, pair_race  # noqa: E402
 
-# Run in a checkout: time one explore of the race given as arguments and
-# print its seconds, paths, builds and executed steps as JSON.
+# name -> (scenario, variant)
+RACES = {
+    "3+2 one page stash": (pair_race(3, 2, True), "stash"),
+    "3+3 distinct pages stash": (pair_race(3, 3), "stash"),
+    "4+4 distinct pages stash": (pair_race(4, 4), "stash"),
+    "3 enclave bystanders none": (enclave_bystanders(3), "none"),
+    "3 enclave bystanders stash": (enclave_bystanders(3), "stash"),
+}
+
+# Run in a checkout: time one explore of the race read from standard input,
+# a JSON list of the scenario and the variant, and print its seconds, paths,
+# builds and executed steps as JSON.
 CHILD = """
 import json, sys, time
-sys.path[:0] = ["src", "tests"]
-from conftest import pair_race
+sys.path[:0] = ["src"]
 from dptisim.dpti import Variant
 from dptisim.scenario import build_simulation, scenario_from_dict
 from dptisim.tasks import explore
 
-openers, racers, one_page, variant = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1", sys.argv[4]
-sc = scenario_from_dict(pair_race(openers, racers, one_page))
+raw, variant = json.load(sys.stdin)
+sc = scenario_from_dict(raw)
 variant = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}[variant]
 built = []
 
@@ -56,10 +68,9 @@ print(json.dumps({"seconds": seconds, "paths": report.paths, "builds": len(built
 """
 
 
-def run_once(checkout: Path, race: tuple[int, int, bool, str]) -> dict[str, Any]:
-    openers, racers, one_page, variant = race
+def run_once(checkout: Path, race: tuple[dict, str]) -> dict[str, Any]:
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(openers), str(racers), str(int(one_page)), variant],
+        [sys.executable, "-c", CHILD], input=json.dumps(race),
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -79,9 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: Path(tmp) / side for side in commits}
         for side, commit in commits.items():
             export(commit, checkouts[side])
-        for race in RACES:
-            openers, racers, one_page, variant = race
-            name = f"{openers}+{racers} {'one page' if one_page else 'distinct pages'} {variant}"
+        for name, race in RACES.items():
             runs: dict[str, list[dict[str, Any]]] = {"base": [], "head": []}
             for i in range(args.runs):
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
@@ -95,8 +104,10 @@ def main(argv: list[str] | None = None) -> int:
                 for side, side_runs in runs.items()
             }
             base, head = races[name]["base"], races[name]["head"]
-            print(f"{name}: base {base['median_s']:.3f} s, {base['builds']} builds, {base['steps']} steps; "
-                  f"head {head['median_s']:.3f} s, {head['builds']} builds, {head['steps']} steps")
+            print(f"{name}: " + "; ".join(
+                f"{side} {r['median_s']:.3f} s, {r['paths']} paths, {r['builds']} builds, {r['steps']} steps"
+                for side, r in (("base", base), ("head", head))
+            ))
     out = Path(args.out)
     result = json.loads(out.read_text()) if out.exists() else {}
     result["generated_races"] = {"commits": commits, "runs": args.runs, "races": races}

@@ -43,7 +43,6 @@ from .events import (
 )
 from .filters import COMPARE, SYSCALL_NAMES, Disposition, FilterRule, StringFilter
 from .vmem import (
-    EVERYTHING,
     PAGE_SIZE,
     AccessMode,
     DoubleMapError,
@@ -630,9 +629,7 @@ class DptiEngine:
         return "ok"
 
     def _body_fork(self, task, ctx: SyscallContext) -> str:
-        if self.vmem.fp is not None:
-            self.vmem.wrote(EVERYTHING)
-        blocking_frame = self._window_frame(task, self.vmem.spaces[task.asid].entries)
+        blocking_frame = self._window_frame(task, self.vmem.mapped(task.asid))
         if blocking_frame is not None:
             self.sim.stall_task(task, "fork", blocking_frame)
             return "stalled"

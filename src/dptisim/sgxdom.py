@@ -29,7 +29,7 @@ from .events import (
     SgxFaultEvent,
     StatEvent,
 )
-from .vmem import EVERYTHING, PAGE_SIZE, AddressSpace, PageFault, PteBit, Vmem, vpn_of
+from .vmem import PAGE_SIZE, AddressSpace, PageFault, PteBit, Vmem, vpn_of
 
 if TYPE_CHECKING:  # tasks imports this module
     from .tasks import ReadOp, WriteOp
@@ -146,12 +146,20 @@ class EnclaveContext:
     """Micro-state of one thread executing inside a domain."""
 
     domain: EnclaveDomain
-    saved: tuple[int, int]  # (rsp, rbp) at entry
+    at_entry: tuple[int, int]  # (rsp, rbp)
     # the thread's stack pages below the saved rsp, which the isolation lends it
     stack_vpns: list[int] = field(default_factory=list)
     ip: int = 0
     state: str = "running"  # running | ocall_out | exiting
     exit_kind: Optional[str] = None
+
+    def saved(self) -> tuple:
+        """What a step of this call may change of it, for ``put_back``."""
+        return self, self.ip, self.state, self.exit_kind
+
+    @staticmethod
+    def put_back(saved: tuple) -> None:
+        ctx, ctx.ip, ctx.state, ctx.exit_kind = saved
 
 
 def build_isolated_mapping(
@@ -241,13 +249,8 @@ class SgxRuntime:
         The stack pointer is aligned down to a page boundary; pages at and
         above it (holding return addresses) are withheld from the isolation,
         pages below stay usable for outcall argument passing.
-
-        Every enclave step conflicts with every other step, so a search
-        needs no model of what the runtime touches.
         """
         vmem = self.vmem
-        if vmem.fp is not None:
-            vmem.wrote(EVERYTHING)
         aligned = task.cpu.rsp - (task.cpu.rsp % PAGE_SIZE)
         task.cpu.rsp = aligned
         saved = (aligned, task.cpu.rbp)
@@ -256,16 +259,19 @@ class SgxRuntime:
             return
         # The stack lent is the mapped run of pages below the aligned stack
         # pointer that has the flags of the page just below it.
-        entries = vmem.spaces[domain.host_asid].entries
+        host = domain.host_asid
         top = start = vpn_of(aligned)
-        below = entries.get(top - 1)
+        below = vmem.entry(host, top - 1)
         flags = below and (below.vm_write, below.vm_exec, below.shared)
-        while (pte := entries.get(start - 1)) is not None and (pte.vm_write, pte.vm_exec, pte.shared) == flags:
+        while (pte := vmem.entry(host, start - 1)) is not None and (
+                pte.vm_write, pte.vm_exec, pte.shared) == flags:
             start -= 1
         permitted = list(range(start, top))
-        self._attach_stack(domain, permitted)
+        self._lend_stack(domain, permitted, True)
         for vpn in permitted:
-            frame = vmem.frames[entries[vpn].frame_id]
+            frame = vmem.frames[vmem.entry(host, vpn).frame_id]
+            if vmem.fp is not None:
+                vmem.fp[0].add(("frame", frame.frame_id))
             if frame.data.count(0) != len(frame.data):  # any non-zero byte
                 self.sim.emit(
                     DiagnosticEvent(
@@ -276,39 +282,29 @@ class SgxRuntime:
         task.asid = domain.isolated_asid
         task.micro = EnclaveContext(domain, saved, permitted)
 
-    def _attach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
-        vmem = self.vmem
-        host = vmem.spaces[domain.host_asid]
+    def _lend_stack(self, domain: EnclaveDomain, vpns: list[int], lend: bool) -> None:
+        """Lend the stack pages ``vpns`` to the isolation, or take them back:
+        map or unmap them under stashing, let or stop writes under freezing."""
+        vmem, asid = self.vmem, domain.isolated_asid
         for vpn in vpns:
-            if domain.variant == Variant.STASH:
-                if vpn not in vmem.spaces[domain.isolated_asid].entries:
-                    vmem.map(domain.isolated_asid, vpn, host.entries[vpn].frame_id,
-                             user=True, writable=True, executable=False)
-            else:
-                vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, True)
-                vmem.tlb_flush(domain.isolated_asid, vpn)
-
-    def _detach_stack(self, domain: EnclaveDomain, vpns: list[int]) -> None:
-        vmem = self.vmem
-        for vpn in vpns:
-            if domain.variant == Variant.STASH:
-                if vpn in vmem.spaces[domain.isolated_asid].entries:
-                    vmem.unmap(domain.isolated_asid, vpn)
-                    vmem.tlb_flush(domain.isolated_asid, vpn)
-            else:
-                vmem.set_bit(domain.isolated_asid, vpn, PteBit.WRITABLE, False)
-                vmem.tlb_flush(domain.isolated_asid, vpn)
+            if domain.variant == Variant.FREEZE:
+                vmem.set_bit(asid, vpn, PteBit.WRITABLE, lend)
+                vmem.tlb_flush(asid, vpn)
+            elif lend and vmem.entry(asid, vpn) is None:
+                vmem.map(asid, vpn, vmem.entry(domain.host_asid, vpn).frame_id,
+                         user=True, writable=True, executable=False)
+            elif not lend and vmem.entry(asid, vpn) is not None:
+                vmem.unmap(asid, vpn)
+                vmem.tlb_flush(asid, vpn)
 
     def step(self, task) -> str:
         """Run one enclave-script op (or transition); 'again' or 'done'."""
-        if self.vmem.fp is not None:
-            self.vmem.wrote(EVERYTHING)
         ctx: EnclaveContext = task.micro
         domain = ctx.domain
         if ctx.state == "ocall_out":
             # Outcall body finished; re-enter the isolation.
             if domain.variant is not None:
-                self._attach_stack(domain, ctx.stack_vpns)
+                self._lend_stack(domain, ctx.stack_vpns, True)
                 task.asid = domain.isolated_asid
             ctx.state = "running"
             return "again"
@@ -345,12 +341,10 @@ class SgxRuntime:
         ('killed')."""
         vmem = self.vmem
         if fault.vpn in domain.enclave_vpns:
-            isolated = vmem.spaces[domain.isolated_asid]
-            host = vmem.spaces[domain.host_asid]
-            if fault.vpn in isolated.entries:
+            if vmem.entry(domain.isolated_asid, fault.vpn) is not None:
                 vmem.set_perms(domain.isolated_asid, fault.vpn, True, True, True)
             else:
-                vmem.map(domain.isolated_asid, fault.vpn, host.entries[fault.vpn].frame_id,
+                vmem.map(domain.isolated_asid, fault.vpn, vmem.entry(domain.host_asid, fault.vpn).frame_id,
                          user=True, writable=True, executable=True)
             vmem.tlb_flush(domain.isolated_asid, fault.vpn)
             self.sim.emit(EnclaveLazyMapEvent(tid=task.tid, vpn=fault.vpn))
@@ -364,7 +358,7 @@ class SgxRuntime:
 
     def _ocall(self, task, ctx: EnclaveContext) -> str:
         domain = ctx.domain
-        saved_rsp, _ = ctx.saved
+        saved_rsp, _ = ctx.at_entry
         if task.cpu.rsp > saved_rsp:
             self.sim.kill_group(
                 task.tgid, KillCause.STACK_TAMPER,
@@ -374,7 +368,7 @@ class SgxRuntime:
         if domain.variant is not None:
             # The thread's own stack leaves the isolated mapping for the
             # duration, so sibling enclave threads cannot alter it.
-            self._detach_stack(domain, ctx.stack_vpns)
+            self._lend_stack(domain, ctx.stack_vpns, False)
             task.asid = domain.host_asid
         self.sim.emit(
             OcallEvent(
@@ -429,7 +423,7 @@ class SgxRuntime:
 
     def _ecall_return(self, task, ctx: EnclaveContext) -> str:
         domain = ctx.domain
-        saved_rsp, saved_rbp = ctx.saved
+        saved_rsp, saved_rbp = ctx.at_entry
         protected = domain.variant is not None
         if protected and (task.cpu.rsp != saved_rsp or task.cpu.rbp != saved_rbp):
             self.sim.kill_group(
@@ -440,7 +434,7 @@ class SgxRuntime:
             return "done"
         task.cpu.rsp, task.cpu.rbp = saved_rsp, saved_rbp
         if protected:
-            self._detach_stack(domain, ctx.stack_vpns)
+            self._lend_stack(domain, ctx.stack_vpns, False)
             task.asid = domain.host_asid
         exit_kind = ctx.exit_kind or (domain.legal_exit_kind() if protected else None)
         self.sim.emit(

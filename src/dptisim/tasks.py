@@ -18,6 +18,7 @@ import json
 import random
 from dataclasses import InitVar, dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import costmodel
@@ -34,7 +35,7 @@ from .events import (
 from .filters import SYSCALL_NAMES, SYSCALL_NRS, FilterTable
 from .sgxdom import EnclaveDomain, SgxRuntime
 from .vmem import (
-    EVERYTHING, PAGE_SIZE, AccessMode, DoubleMapError, Entry, Footprint, Journal, Level, UnmappedError,
+    PAGE_SIZE, AccessMode, DoubleMapError, Entry, Footprint, Journal, Level, UnmappedError,
     Vmem, pages_spanned, vpn_of,
 )
 
@@ -388,6 +389,8 @@ class Simulation:
         self, name: str, asid: int, sandboxed: bool, filters: Optional[FilterTable],
     ) -> ProcessInfo:
         """A process in address space ``asid``, under the next pid."""
+        if self.vmem.fp is not None:
+            self.vmem.wrote("ids")
         pid = self._next_pid
         self._next_pid += 1
         info = self.processes[pid] = ProcessInfo(pid, name, asid, sandboxed, filters)
@@ -414,6 +417,8 @@ class Simulation:
     ) -> Task:
         """A task of ``proc`` under the next tid, named ``name`` or after its
         process and tid; finished at once if it has no ops."""
+        if self.vmem.fp is not None:
+            self.vmem.wrote("ids")
         tid = self._next_tid
         self._next_tid += 1
         task = Task(
@@ -522,12 +527,7 @@ class Simulation:
                 vmem.wrote(("task", task.tid))
                 if task.stall is not None:
                     vmem.fp[1].add(("waitq", task.stall[1]))
-            if filters is not None:
-                # a fork shares the table, so it is named by its first process
-                for proc in self.processes.values():
-                    if proc.filters is filters:
-                        vmem.wrote(("filters", proc.tgid))
-                        break
+            self._wrote_filters(filters)
         for task in tasks:
             task.state = TaskState.DEAD
             task.micro = None
@@ -536,6 +536,16 @@ class Simulation:
             return False
         self.emit(FiltersFreedEvent(tgid=tgid))
         return True
+
+    def _wrote_filters(self, filters: Optional[FilterTable]) -> None:
+        """Record a write of the reference count of ``filters``, if any, which
+        a fork shares: it is named by the first process it was installed for."""
+        if self.vmem.fp is None or filters is None:
+            return
+        for proc in self.processes.values():
+            if proc.filters is filters:
+                self.vmem.wrote(("filters", proc.tgid))
+                return
 
     # ------------------------------------------------------------------
     # lifecycle bodies (called from the dispatch engine)
@@ -546,6 +556,7 @@ class Simulation:
         info = self._new_process(proc.name, child_space.asid, proc.sandboxed, proc.filters)
         info.name += f".child{info.tgid}"
         if info.filters is not None:
+            self._wrote_filters(info.filters)
             info.filters.acquire()
         return self._new_task(info, child_ops, replace(parent.cpu), parent_pid=parent.tgid)
 
@@ -562,8 +573,9 @@ class Simulation:
             return False
         self._end_tasks(task.tgid, [t for t in self._live(task.tgid) if t is not task])
         old_asid = task.asid
-        proc = self.processes[task.tgid]
-        proc.asid = space.asid
+        if self.vmem.fp is not None:
+            self.vmem.wrote(("process", task.tgid))
+        self.processes[task.tgid].asid = space.asid
         task.asid = space.asid
         self.vmem.destroy_address_space(old_asid)
         task.ops = list(image.ops)
@@ -585,11 +597,12 @@ class Simulation:
         if self._journal is None:
             vmem = self.vmem
             self._journal = Journal({
-                "frame": vmem.saved_frame, "pte": vmem.saved_pte, "rmap": vmem.saved_rmap,
-                "alloc": vmem.saved_alloc, "window": self.engine.saved_window,
-                "task": self._saved_task, "filters": self._saved_filters,
+                "frame": vmem.saved_frame, "pte": vmem.saved_pte, "space": vmem.saved_space,
+                "rmap": vmem.saved_rmap, "alloc": vmem.saved_alloc, "ids": self._saved_ids,
+                "window": self.engine.saved_window, "task": self._saved_task,
+                "process": self._saved_process, "filters": self._saved_filters,
             })
-        self.vmem.journal = self._journal
+        self.vmem.journal, self.vmem.fp = self._journal, _UNREAD
         return self._journal.open((len(self.events), len(self.trace)))
 
     def undo(self, level: Level, close: bool) -> None:
@@ -602,28 +615,42 @@ class Simulation:
         del self.events[events:]
         del self.trace[steps:]
         if not journal.levels:
-            self.vmem.journal = None
+            self.vmem.journal = self.vmem.fp = None
 
     def end_search(self) -> None:
-        """Give up every open journal level, as a step that writes
-        EVERYTHING does: the search will come back to none of them on this
-        simulation. The journal, which points back at the simulation, goes
-        with them."""
-        if self._journal is not None:
-            for level in self._journal.levels:
-                level.broken = True
-            self._journal = self.vmem.journal = None
+        """Give up every open journal level: the search comes back to none
+        of them. The journal, which points back at the simulation, goes with
+        them."""
+        self._journal = self.vmem.journal = self.vmem.fp = None
 
     def _saved_task(self, loc: tuple) -> Entry:
-        """What a step may change of a task: its place in its script, its
-        state and stall, and its syscall in flight. Its CPU state and
-        address space, and an enclave call in flight, change only in steps
-        that write EVERYTHING, which no level undoes."""
+        """What a step may change of a task: its script and its place in
+        it, its state and stall, its address space and CPU state, and the
+        syscall or enclave call in flight."""
         task = self.tasks[loc[1]]
-        ctx = task.micro
-        if ctx.__class__ is not SyscallContext:
-            return _put_task, task, task.ip, task.state, task.stall, ctx, None
-        return _put_task, task, task.ip, task.state, task.stall, ctx, ctx.saved()
+        ctx, cpu = task.micro, task.cpu
+        return (_put_task, task, task.ip, task.state, task.stall, task.asid, task.ops, cpu, _registers(cpu),
+                ctx, None if ctx is None else ctx.saved())
+
+    def _saved_ids(self, loc: str) -> Entry:
+        """The id counters; put back, they also drop every address space,
+        process and task made since, as ``Vmem.saved_alloc`` drops frames."""
+        return self._put_ids, self.vmem._next_asid, self._next_pid, self._next_tid
+
+    def _put_ids(self, entry: Entry) -> None:
+        _, asid, pid, tid = entry
+        vmem = self.vmem
+        for made in range(asid, vmem._next_asid):
+            vmem.spaces.pop(made, None)  # or destroyed already
+        for made in range(pid, self._next_pid):
+            del self.processes[made]
+        for made in range(tid, self._next_tid):
+            del self.tasks_by_name[self.tasks.pop(made).name]
+        vmem._next_asid, self._next_pid, self._next_tid = asid, pid, tid
+
+    def _saved_process(self, loc: tuple) -> Entry:
+        proc = self.processes[loc[1]]
+        return _put_process, proc, proc.asid
 
     def _saved_filters(self, loc: tuple) -> Entry:
         table = self.processes[loc[1]].filters
@@ -651,6 +678,8 @@ class Simulation:
         task = self.tasks[tid]
         if task.state != TaskState.RUNNABLE:
             raise RuntimeError(f"stepping non-runnable task {tid}")
+        if self.vmem.fp is not None:
+            self.vmem.wrote(("task", tid))  # a step always writes its own task
         self._current_tid = tid
         ctx = task.micro
         if isinstance(ctx, SyscallContext):
@@ -920,10 +949,19 @@ class ExplorationReport(_Report):
         )
 
 
+_registers = attrgetter("rax", "rbx", "rsp", "rbp")
+
+
 def _put_task(entry: Entry) -> None:
-    _, task, task.ip, task.state, task.stall, task.micro, context = entry
+    _, task, task.ip, task.state, task.stall, task.asid, task.ops, cpu, registers, task.micro, context = entry
+    task.cpu = cpu
+    cpu.rax, cpu.rbx, cpu.rsp, cpu.rbp = registers
     if context is not None:
-        SyscallContext.put_back(context)
+        context[0].put_back(context)
+
+
+def _put_process(entry: Entry) -> None:
+    _, proc, proc.asid = entry
 
 
 def _put_filters(entry: Entry) -> None:
@@ -931,54 +969,34 @@ def _put_filters(entry: Entry) -> None:
 
 
 def _recorded_step(sim: Simulation, tid: int) -> Footprint:
-    """Step ``tid`` and return what the step read and wrote; a step always
-    writes its own task."""
+    """Step ``tid`` and return what the step read and wrote."""
     vmem = sim.vmem
-    fp = vmem.fp = (set(), set())
+    outer, vmem.fp = vmem.fp, (set(), set())
     try:
-        vmem.wrote(("task", tid))
         sim.step(tid)
+        return vmem.fp
     finally:
-        vmem.fp = None
-    return fp
+        vmem.fp = outer
 
 
 class _Unread:
-    """A footprint half that keeps nothing of what a step adds to it."""
+    """A footprint half that keeps nothing: while a journal level is open,
+    a step records a footprint for the journal alone."""
 
     __slots__ = ()
 
     def add(self, loc: Any) -> None:
         pass
 
-    def update(self, locs: Any) -> None:
-        pass
-
 
 _UNREAD = (_Unread(), _Unread())
-
-
-def _journalled_step(sim: Simulation, tid: int) -> None:
-    """Step ``tid`` while a journal level is open. The journal saves what a
-    step records, so the step records a footprint, which nothing reads."""
-    vmem = sim.vmem
-    vmem.fp = _UNREAD
-    try:
-        vmem.wrote(("task", tid))
-        sim.step(tid)
-    finally:
-        vmem.fp = None
 
 
 def _independent(a: Footprint, b: Footprint) -> bool:
     """Whether two steps, by different threads, commute: neither writes a
     location the other reads or writes."""
     (reads_a, writes_a), (reads_b, writes_b) = a, b
-    return (
-        EVERYTHING not in writes_a and EVERYTHING not in writes_b
-        and writes_a.isdisjoint(reads_b) and writes_a.isdisjoint(writes_b)
-        and writes_b.isdisjoint(reads_a)
-    )
+    return writes_a.isdisjoint(reads_b) and writes_a.isdisjoint(writes_b) and writes_b.isdisjoint(reads_a)
 
 
 @dataclass(slots=True)
@@ -986,39 +1004,32 @@ class _Branch:
     """A branch point of a search with more than one choice: the sleep set
     the search reached it with and the footprint of the first step of each
     choice explored from it so far, which a reduced search keeps; how many
-    of its choices are left, how many steps its path took to reach it, and
-    the journal level that comes back to it."""
+    of its choices are left, and the journal level that comes back to it."""
 
     sleep: dict[int, Footprint]
     done: dict[int, Footprint]
     pending: int
-    depth: int
     level: Level
 
 
 def _search(
-    factory: Callable[[], Simulation], root: Simulation, max_steps: int,
-    report: ExplorationReport, tids: Optional[Sequence[int]] = None, reduce: bool = False,
-    bystanders: bool = False,
-) -> tuple[Optional[int], Simulation]:
+    sim: Simulation, max_steps: int, report: ExplorationReport,
+    tids: Optional[Sequence[int]] = None, reduce: bool = False, bystanders: bool = False,
+) -> Optional[int]:
     """Add to ``report`` every path of a depth-first search over the
     scheduling choices among ``tids``, or among every task when None, and
-    return the most steps a path took, with the simulation the search ended
-    on.
+    return the most steps a path took.
 
-    The search runs on ``root``. At a branch point it opens a journal level
-    and carries on into the first choice; it comes back for each later
-    choice by undoing what the steps since wrote, and cutting the events
-    and the trace back (Visser et al., "Model Checking Programs", ASE 2000).
-    A step that writes ``EVERYTHING`` cannot be undone by location, so it
-    breaks every open level: a later choice of their branch points is
-    explored on a new build from ``factory`` that first steps the tids the
-    branch point's path stepped, and the search goes on there. Only ``tids``
-    step, and each path runs at most ``max_steps`` steps of them. Each
-    path's facts are what it added itself: its events, and its stalled
-    tasks among ``tids``. Its first witness is the one its path gives with
-    ``tids`` scheduled first on a fresh build, on which some task outside
-    ``tids`` is runnable if ``bystanders``.
+    The search runs on ``sim`` and leaves it where its last path ended. At
+    a branch point it opens a journal level and carries on into the first
+    choice; it comes back for each later choice by undoing what the steps
+    since wrote, and cutting the events and the trace back (Visser et al.,
+    "Model Checking Programs", ASE 2000). Only ``tids`` step, and each path
+    runs at most ``max_steps`` steps of them. Each path's facts are what it
+    added itself: its events, and its stalled tasks among ``tids``. Its
+    first witness is the one its path gives with ``tids`` scheduled first on
+    a fresh build, on which some task outside ``tids`` is runnable if
+    ``bystanders``.
 
     With ``reduce``, the search keeps sleep sets: a thread sleeps, and is not
     chosen, while all it would do next was already explored from an earlier
@@ -1034,7 +1045,6 @@ def _search(
         runnable = Simulation.runnable_tids
     else:
         runnable = partial(Simulation._runnable_in, tids=tids)
-    sim = root
     # where the paths on ``sim`` begin: its events, and its trace
     events, first = len(sim.events), len(sim.trace)
     # (the branch point and the choice to step first, or None for the first
@@ -1044,17 +1054,7 @@ def _search(
         branch, choice, prefix = stack.pop()
         if branch is not None:
             branch.pending -= 1
-            if not branch.level.broken:
-                sim.undo(branch.level, close=not branch.pending)
-            else:
-                stepped = [tid for _, tid, _, _ in sim.trace[first:first + branch.depth]]
-                sim.end_search()  # its levels are broken already
-                sim = factory()
-                for tid in stepped:
-                    sim.step(tid)
-                events = first = 0
-                if branch.pending:
-                    branch.level = sim.open_level()
+            sim.undo(branch.level, close=not branch.pending)
         limit = first + max_steps
         sleep: dict[int, Footprint] = {}
         blocked = False
@@ -1071,10 +1071,8 @@ def _search(
                         for tid, other in asleep.items():
                             if _independent(other, fp):
                                 sleep[tid] = other
-                elif sim.vmem.journal is None:
-                    sim.step(choice)
                 else:
-                    _journalled_step(sim, choice)
+                    sim.step(choice)
                 choice = None
             ready = runnable(sim)
             if not ready or len(sim.trace) >= limit:
@@ -1087,10 +1085,7 @@ def _search(
                 if tid in sleep:
                     blocked = True
                     break
-                if sim.vmem.journal is None:
-                    sim.step(tid)
-                else:
-                    _journalled_step(sim, tid)
+                sim.step(tid)
                 continue
             awake = [tid for tid in ready if tid not in sleep] if sleep else ready
             if not awake:
@@ -1100,7 +1095,7 @@ def _search(
             # a branch point with one choice awake is never come back to
             branch = None
             if len(awake) > 1:
-                branch = _Branch(sleep, {}, len(awake) - 1, len(sim.trace) - first, sim.open_level())
+                branch = _Branch(sleep, {}, len(awake) - 1, sim.open_level())
                 for tid in reversed(awake[1:]):
                     stack.append((branch, tid, prefix + (tid,)))
             choice = awake[0]
@@ -1110,7 +1105,7 @@ def _search(
         truncated = bool(ready)
         if truncated and reduce:
             sim.end_search()
-            return None, sim
+            return None
         if tids is None:
             deadlocked = sim.deadlocked_tids()
         else:
@@ -1122,7 +1117,7 @@ def _search(
         if no_witness_yet and report.example_witness is not None and tids is not None:
             _witness_first(report.example_witness, first, sim.trace[first:], bystanders)
     sim.end_search()
-    return longest, sim
+    return longest
 
 
 def _witness_first(
@@ -1147,12 +1142,11 @@ def explore_all(factory: Callable[[], Simulation], max_steps: int = 24) -> Explo
 
     A branch point is a step with more than one runnable thread; forced steps
     don't branch, so the number of explored paths equals the number of
-    distinct interleavings of the scenario. The search builds once, and
-    again only below a step that writes ``EVERYTHING``.
+    distinct interleavings of the scenario. The search builds once.
     """
-    root = factory()
-    report = ExplorationReport(groups=[[p.name for p in root.processes.values()]])
-    _search(factory, root, max_steps, report)
+    sim = factory()
+    report = ExplorationReport(groups=[[p.name for p in sim.processes.values()]])
+    _search(sim, max_steps, report)
     return report
 
 
@@ -1186,7 +1180,7 @@ def explore(factory: Callable[[], Simulation], max_steps: int = 24) -> Explorati
     budget = max_steps
     for tids in groups if len(groups) > 1 else [None]:
         bystanders = tids is not None and not runnable.issubset(tids)
-        longest, sim = _search(factory, sim, budget, report, tids, reduce=True, bystanders=bystanders)
+        longest = _search(sim, budget, report, tids, reduce=True, bystanders=bystanders)
         if longest is None:
             return explore_all(factory, max_steps)
         budget -= longest

@@ -19,20 +19,18 @@ from typing import Any, Callable, Iterator, Optional
 
 PAGE_SIZE = 4096
 
-# The location a step writes when it conflicts with every other step: it
-# forks, execs, creates or destroys an address space, or runs enclave code.
-EVERYTHING = "everything"
-
 # What one step reads and writes: (locations read, locations written). A
 # location is a frame's bytes ("frame", frame_id), a page-table entry with
 # its VM flags and every core's TLB entry for it ("pte", asid, vpn), whose
-# read Vmem.entry records, a frame's reverse-map entry ("rmap", frame_id),
-# the frame allocator ("alloc"), the protection windows over a frame and
-# the mappings of it they hold closed ("window", frame_id), the tasks
-# stalled on a frame ("waitq", frame_id), a task's state ("task", tid), the
-# reference count of a filter table, named by the first process it was
-# installed for ("filters", tgid), or EVERYTHING. Each is recorded by the
-# accessor that reads or writes its state, a write through Vmem.wrote.
+# read Vmem.entry records, the set of vpns an address space maps ("space",
+# asid), a frame's reverse-map entry ("rmap", frame_id), the frame
+# allocator ("alloc"), the asid, pid and tid counters ("ids"), the
+# protection windows over a frame and the mappings of it they hold closed
+# ("window", frame_id), the tasks stalled on a frame ("waitq", frame_id), a
+# task's state ("task", tid), a process's address space ("process", tgid),
+# or the reference count of a filter table, named by the first process it
+# was installed for ("filters", tgid). Each is recorded by the accessor that
+# reads or writes its state, a write through Vmem.wrote.
 Footprint = tuple[set, set]
 
 
@@ -200,13 +198,11 @@ Entry = tuple
 class Level:
     """One open branch point of a journal: where its entries begin on the
     trail, the locations the level around it had journalled when it opened,
-    what its owner keeps besides locations, and whether a step since wrote
-    ``EVERYTHING``, which no entry puts back."""
+    and what its owner keeps besides locations."""
 
     mark: int
     outer: set
     at: Any
-    broken: bool = False
 
 
 class Journal:
@@ -234,16 +230,7 @@ class Journal:
         if loc in self.seen:
             return
         self.seen.add(loc)
-        if loc.__class__ is tuple:
-            entry = self.savers[loc[0]](loc)
-        elif loc == EVERYTHING:
-            for level in self.levels:
-                level.broken = True
-            return
-        else:
-            entry = self.savers[loc](loc)
-        if entry is not None:
-            self.trail.append(entry)
+        self.trail.append(self.savers[loc[0] if loc.__class__ is tuple else loc](loc))
 
     def open(self, at: Any) -> Level:
         """Open a level at the end of the trail, keeping ``at`` for its owner."""
@@ -256,7 +243,7 @@ class Journal:
         """Put back every location written since ``level``, the innermost
         open level, opened; then close it, or with ``close`` false journal
         afresh from here."""
-        assert level is self.levels[-1] and not level.broken
+        assert level is self.levels[-1]
         entries = self.trail[level.mark:]
         del self.trail[level.mark:]
         for entry in reversed(entries):
@@ -277,7 +264,8 @@ class Vmem:
         # frame_id -> {(asid, vpn) of every mapping of the frame}
         self.rmap: dict[int, set[tuple[int, int]]] = {}
         # The footprint of the step being recorded, or None when no search
-        # asks for one. Each layer adds the locations it touches itself.
+        # asks for one; while a journal is open and none is asked for, one
+        # whose halves keep nothing. Each layer adds what it touches itself.
         self.fp: Optional[Footprint] = None
         # While a search has a branch point open, the journal each write
         # recorded in fp saves its location in first; otherwise None.
@@ -317,6 +305,10 @@ class Vmem:
         mappings = self.rmap.get(loc[1])
         return _put_item, self.rmap, loc[1], set(mappings) if mappings is not None else None
 
+    def saved_space(self, loc: tuple) -> Entry:
+        """The address space, or its absence; its entries are saved apart."""
+        return _put_item, self.spaces, loc[1], self.spaces.get(loc[1])
+
     def saved_alloc(self, loc: str) -> Entry:
         """The allocator; put back, it also drops every frame it gave out
         since, with the reverse-map entry of that frame's copy-on-write copy."""
@@ -334,7 +326,7 @@ class Vmem:
 
     def new_address_space(self) -> AddressSpace:
         if self.fp is not None:
-            self.wrote(EVERYTHING)
+            self.wrote("ids")  # a new space's locations are new, as a new frame's are
         space = AddressSpace(self._next_asid)
         self._next_asid += 1
         self.spaces[space.asid] = space
@@ -368,6 +360,7 @@ class Vmem:
         if vpn in space.entries:
             raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
         if self.fp is not None:
+            self.wrote(("space", asid))
             self.wrote(("pte", asid, vpn))
             self.wrote(("rmap", frame_id))
         pte = PageTableEntry(
@@ -378,20 +371,26 @@ class Vmem:
         return pte
 
     def unmap(self, asid: int, vpn: int) -> None:
-        space = self.spaces[asid]
-        pte = space.entries.pop(vpn, None)
-        if pte is None:
-            raise UnmappedError(f"vpn {vpn:#x} not mapped in asid {asid}")
-        self._unlink(pte.frame_id, asid, vpn)
+        self._unlink_entries(asid, {vpn: self.pte(asid, vpn)})
+        del self.spaces[asid].entries[vpn]
 
     def destroy_address_space(self, asid: int) -> None:
-        if self.fp is not None:
-            self.wrote(EVERYTHING)
-        space = self.spaces.pop(asid)
-        for vpn, pte in space.entries.items():
-            self._unlink(pte.frame_id, asid, vpn)
+        """Drop the space ``asid``, its mappings and their TLB entries."""
+        self._unlink_entries(asid, self.spaces[asid].entries)
+        del self.spaces[asid]
         for tlb in self.tlbs:
             tlb.flush_asid(asid)
+
+    def _unlink_entries(self, asid: int, entries: dict[int, PageTableEntry]) -> None:
+        """Record that ``entries``, mappings of ``asid`` by vpn, go, then
+        drop them from the reverse map; the caller drops the entries."""
+        if self.fp is not None:
+            self.wrote(("space", asid))
+            for vpn, pte in entries.items():
+                self.wrote(("pte", asid, vpn))
+                self.wrote(("rmap", pte.frame_id))
+        for vpn, pte in entries.items():
+            self._unlink(pte.frame_id, asid, vpn)
 
     def _unlink(self, frame_id: int, asid: int, vpn: int) -> None:
         """Drop one mapping of ``frame_id`` from the reverse map."""
@@ -402,6 +401,12 @@ class Vmem:
 
     # ------------------------------------------------------------------
     # translation and access
+
+    def mapped(self, asid: int) -> dict[int, PageTableEntry]:
+        """The entries of ``asid`` by vpn; a read of its space location."""
+        if self.fp is not None:
+            self.fp[0].add(("space", asid))
+        return self.spaces[asid].entries
 
     def entry(self, asid: int, vpn: int) -> Optional[PageTableEntry]:
         """The entry ``asid`` maps at ``vpn``, or None, also once the address
@@ -588,13 +593,17 @@ class Vmem:
         """COW snapshot of a parent space: every private page, read-only too,
         becomes copy-on-write in both parent and child; shared ones stay shared.
         """
-        parent = self.spaces[parent_asid]
         child = self.new_address_space()
-        for vpn, ppte in parent.entries.items():
+        fp = self.fp
+        for vpn, ppte in self.mapped(parent_asid).items():
+            if fp is not None:
+                fp[0].add(("pte", parent_asid, vpn))
+                self.wrote(("pte", child.asid, vpn))
+                self.wrote(("rmap", ppte.frame_id))
             if not ppte.shared:
+                self.tlb_flush(parent_asid, vpn)  # records the write of the entry first
                 ppte.cow = True
                 ppte.writable = False
-                self.tlb_flush(parent_asid, vpn)
             child.entries[vpn] = cpte = ppte.snapshot()
             self.rmap[cpte.frame_id].add((child.asid, vpn))
         return child

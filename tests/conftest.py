@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,36 @@ def pair_race(openers: int, racers: int, one_page: bool = False) -> dict:
         }],
         "schedule": {"mode": "exhaustive", "max_steps": 400},
     }
+
+
+def sgx_data_only_with(name: str, threads: list[dict], mappings: tuple[dict, ...] = ()) -> dict:
+    """sgx_data_only, named ``name``, with ``threads`` and ``mappings`` added
+    to its host process."""
+    raw = json.loads((SCENARIOS / "sgx_data_only.json").read_text())
+    raw["name"] = name
+    host = raw["processes"][0]
+    host["mappings"] += mappings
+    host["threads"] += threads
+    return raw
+
+
+def enclave_race() -> dict:
+    """sgx_data_only with a second host thread that writes the data bridge
+    page while the enclave runs, then reads the secret page."""
+    return sgx_data_only_with("enclave_race", [{
+        "name": "other", "rsp": 0x302000,
+        "ops": [{"op": "write", "vaddr": 0x201000, "string": "zz"}, {"op": "read", "vaddr": 0x80000, "len": 4}],
+    }])
+
+
+def enclave_bystanders(k: int) -> dict:
+    """sgx_data_only plus ``k`` host threads, each writing one byte of a page
+    of its own and then reading it back. Nothing else maps those pages."""
+    vaddrs = [0x400000 + 0x1000 * i for i in range(k)]
+    return sgx_data_only_with(
+        f"enclave_bystanders_{k}",
+        [{"name": f"bystander{i}", "ops": [{"op": "write", "vaddr": vaddr, "string": "b"},
+                                           {"op": "read", "vaddr": vaddr, "len": 1}]}
+         for i, vaddr in enumerate(vaddrs)],
+        tuple({"vaddr": vaddr} for vaddr in vaddrs),
+    )

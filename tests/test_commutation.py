@@ -3,19 +3,22 @@ they name, location by location.
 
 ``location_state`` is the state of a simulation keyed by footprint
 location: a frame's bytes, a page-table entry with every core's TLB entry
-for it, a frame's reverse-map entry, the frame allocator, the windows over
-a frame with the mappings of it they hold closed, the tasks stalled on a
-frame, each task, each filter table, and under ``EVERYTHING`` what only a
-step that conflicts with every other may change (processes, address spaces,
-enclaves, labels and the id allocators). The events are kept apart, as a
-multiset without ``step`` and ``seq``: no location holds them, but two
-orders of commuting steps must emit the same ones.
+for it, the vpns each address space maps, a frame's reverse-map entry, the
+frame allocator, the id counters, the windows over a frame with the
+mappings of it they hold closed, the tasks stalled on a frame, each task,
+each process's address space and each filter table. The labels and the
+enclave domains, which no step changes, are kept under keys of their own
+that no footprint names. The events are kept apart, as a multiset without
+``step`` and ``seq``: no location holds them, but two orders of commuting
+steps must emit the same ones.
 
 At every state reached from a case's initial one, two checks run:
 
 - the write check: every location a step changed is in its write set. A
-  TLB fill is allowed under a read of its entry, and a location of a frame
-  that did not exist before is allowed under a write of ``"alloc"``;
+  TLB fill is allowed under a read of its entry, a location of a frame
+  that did not exist before under a write of ``"alloc"``, and the location
+  of an address space, process or task that did not exist before under a
+  write of ``"ids"``;
 - the pair check: every two runnable steps that ``_independent`` calls
   independent commute. Neither disables the other, and both orders reach
   the same state.
@@ -36,9 +39,8 @@ from dptisim import tasks
 from dptisim.dpti import SyscallContext
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import Simulation, TaskState
-from dptisim.vmem import EVERYTHING
 
-from conftest import pair_race
+from conftest import enclave_bystanders, enclave_race, pair_race, sgx_data_only_with
 from test_explore_oracle import MUTANTS, PATHS, SHRUNK, VARIANTS, _bound, _dropping
 
 FIXTURES = [path for path in PATHS if path.stem != "visudo"]
@@ -54,7 +56,7 @@ def _micro(ctx: Any) -> Any:
             None if record is None else tuple(record.frames),
             tuple(sorted(ctx.checked.items())), tuple(sorted(ctx.used.items())), ctx.result,
         )
-    return (ctx.domain.name, ctx.saved, tuple(ctx.stack_vpns), ctx.ip, ctx.state, ctx.exit_kind)
+    return (ctx.domain.name, ctx.at_entry, tuple(ctx.stack_vpns), ctx.ip, ctx.state, ctx.exit_kind)
 
 
 def location_state(sim: Simulation) -> dict[Any, Any]:
@@ -72,8 +74,13 @@ def location_state(sim: Simulation) -> dict[Any, Any]:
         state["pte", asid, vpn] = (
             pte and astuple(pte), tuple(entry and astuple(entry) for entry in cached),
         )
+    state.update((("space", asid), frozenset(space.entries)) for asid, space in vmem.spaces.items())
     state.update((("rmap", fid), frozenset(mappings)) for fid, mappings in vmem.rmap.items())
     state["alloc"] = vmem._next_frame
+    state["ids"] = (vmem._next_asid, sim._next_pid, sim._next_tid)
+    state.update((("process", p.tgid), (p.name, p.asid, p.sandboxed)) for p in sim.processes.values())
+    state["labels"] = tuple(sorted(sim.labels.items()))
+    state["enclaves"] = repr(sorted(sim.enclaves.items()))
 
     owners = {
         id(task.micro.record): tid for tid, task in sim.tasks.items()
@@ -108,12 +115,6 @@ def location_state(sim: Simulation) -> dict[Any, Any]:
             _micro(task.micro),
         )
     state.update((("waitq", fid), frozenset(waiters)) for fid, waiters in waitqs.items())
-
-    state[EVERYTHING] = (
-        tuple((p.tgid, p.name, p.asid, p.sandboxed) for p in sim.processes.values()),
-        tuple(sorted(vmem.spaces)), vmem._next_asid, sim._next_tid, sim._next_pid,
-        tuple(sorted(sim.labels.items())), repr(sorted(sim.enclaves.items())),
-    )
     events = Counter()
     for ev in sim.events:
         out = ev.to_dict()
@@ -127,16 +128,17 @@ def unlisted_writes(before: dict, after: dict, footprint) -> set:
     """The locations a step changed from ``before`` to ``after`` that its
     ``footprint`` does not account for."""
     reads, writes = footprint
-    if EVERYTHING in writes:
-        return set()
-    new_frames = {loc[1] for loc in after if loc[0] == "frame"} - {loc[1] for loc in before if loc[0] == "frame"}
+    new = after.keys() - before.keys()
+    new_frames = {loc[1] for loc in new if loc[0] == "frame"}
     out = set()
     for loc in before.keys() | after.keys():
         if loc == "events" or before.get(loc) == after.get(loc) or loc in writes:
             continue
         if loc[0] == "pte" and loc in reads and loc in before and _filled(before[loc], after[loc]):
             continue
-        if "alloc" in writes and isinstance(loc, tuple) and loc[1] in new_frames and loc[0] != "pte":
+        if "alloc" in writes and loc[0] in ("frame", "rmap", "window", "waitq") and loc[1] in new_frames:
+            continue
+        if "ids" in writes and loc in new and loc[0] in ("space", "process", "task"):
             continue
         out.add(loc)
     return out
@@ -226,13 +228,74 @@ TWO_OPENERS = {
     ],
 }
 
+# Under stash and freeze, a thread of the second process stalls on the
+# window the first process's openat holds over their shared page, while its
+# sibling ends their process.
+STALLED_KILL = {
+    "version": 1, "name": "stalled_kill",
+    "filters": {"rules": [{"nr": "exit_group"}, {"nr": "openat", "arg": 1, "strings": ["file1"]}]},
+    "processes": [
+        {"name": "a", "sandboxed": True,
+         "mappings": [{"vaddr": 0x10000, "label": "buf", "data": [{"at": 0x10000, "string": "file1"}]}],
+         "threads": [{"name": "opener", "ops": [{"op": "syscall", "nr": "openat", "args": [0, 0x10000, 0]}]}]},
+        {"name": "b",
+         "mappings": [{"vaddr": 0x20000, "alias_of": "buf"}],
+         "threads": [{"name": "writer", "ops": [{"op": "write", "vaddr": 0x20000, "string": "file2"}]},
+                     {"name": "exiter", "ops": [{"op": "exit", "group": True}]}]},
+    ],
+}
+
+# A thread execs an image that aliases the process's labelled page while
+# another thread writes that page.
+EXEC_RACE = {
+    "version": 1, "name": "exec_race",
+    "processes": [{
+        "name": "p",
+        "mappings": [{"vaddr": 0x10000, "label": "buf", "data": [{"at": 0x10000, "string": "/bin/next"}]}],
+        "threads": [
+            {"name": "execer", "ops": [{"op": "exec", "path_vaddr": 0x10000, "image": {
+                "mappings": [{"vaddr": 0x40000, "alias_of": "buf"}],
+                "ops": [{"op": "read", "vaddr": 0x40000, "len": 4}],
+            }}]},
+            {"name": "writer", "ops": [{"op": "write", "vaddr": 0x10000, "string": "/x"}]},
+        ],
+    }],
+}
+
+# A thread takes write away from a shared page while another forks, which
+# copies the page's entry into the child without making it copy-on-write.
+SHARED_FORK = {
+    "version": 1, "name": "shared_fork",
+    "processes": [{
+        "name": "p",
+        "mappings": [{"vaddr": 0x10000, "shared": True}],
+        "threads": [
+            {"name": "protector", "ops": [{"op": "mprotect", "vaddr": 0x10000, "write": False}]},
+            {"name": "forker", "ops": [
+                {"op": "fork", "child": [{"op": "write", "vaddr": 0x10000, "string": "c"}]},
+            ]},
+        ],
+    }],
+}
+
 # The generated cases, each under every variant, with their step bound:
-# the one fork among them is the race of an mmap and a fork whose child
-# reads the new page.
+# the race of an mmap and a fork whose child reads the new page, an mprotect
+# racing a fork, an exec racing a write, a stalled thread killed by its
+# sibling, and the enclave cases, one with a host thread that writes the
+# stack page the enclave call is lent.
 CASES = {
     "two openers": (TWO_OPENERS, 40),
     "2+1 one page": (pair_race(2, 1, one_page=True), 400),
-    "mmap and fork": (SHRUNK["conflict with everything"][0], 200),
+    "mmap and fork": (SHRUNK["space writes"][0], 200),
+    "mprotect and fork": (SHARED_FORK, 200),
+    "exec and write": (EXEC_RACE, 200),
+    "stalled and killed": (STALLED_KILL, 200),
+    "enclave race": (enclave_race(), 80),
+    "enclave and stack writer": (sgx_data_only_with("enclave_stack_race", [
+        {"name": "other", "ops": [{"op": "write", "vaddr": 0x301000, "string": "x"}]},
+    ]), 80),
+    "1 enclave bystander": (enclave_bystanders(1), 80),
+    "2 enclave bystanders": (enclave_bystanders(2), 80),
 }
 
 

@@ -30,9 +30,8 @@ from dptisim.dpti import Variant
 from dptisim.events import FiltersFreedEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import ExplorationReport, TaskState, explore, explore_all, extract_kills, extract_witnesses
-from dptisim.vmem import EVERYTHING
 
-from conftest import SCENARIOS, pair_race
+from conftest import SCENARIOS, pair_race, sgx_data_only_with
 from test_compiled_scenario import check_every_step
 
 VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
@@ -119,15 +118,13 @@ def test_explore_matches_rebuild_every_node_reference(path, variant):
     report = explore_all(factory, _bound(path, sc))
     reference = reference_explore(CountingFactory(sc, VARIANTS[variant]), _bound(path, sc))
     assert report.to_json() == reference.to_json()
-    # one build per search: no shipped fixture branches above a step that
-    # writes EVERYTHING, the one step the search cannot undo
+    # one build per search: the search undoes every step
     assert factory.builds == 1
     if len(sc.compiled.groups) == 1:
-        # explore of one group gives full enumeration's verdict, with no
-        # extra build
+        # explore of one group gives full enumeration's verdict, on one build
         reduced = CountingFactory(sc, VARIANTS[variant])
         assert explore(reduced, _bound(path, sc)).verdict() == report.verdict()
-        assert reduced.builds <= factory.builds
+        assert reduced.builds == 1
 
 
 def test_filter_rules_compiled_once_across_builds(scenarios_dir, monkeypatch):
@@ -177,7 +174,7 @@ def assert_same_verdict(sc, variant, max_steps) -> ExplorationReport:
     report = explore(factory, max_steps)
     assert report.verdict() == explore_all(full, max_steps).verdict()
     assert len(report.groups) > 1, report.groups
-    assert factory.builds <= full.builds
+    assert factory.builds == full.builds == 1
     return report
 
 
@@ -600,18 +597,21 @@ def one_process_race(threads: list[list[dict]]) -> dict:
 
 
 def assert_checked_reduction(raw, variant) -> ExplorationReport:
-    """The reduced search of ``raw`` gives full enumeration's verdict, and
-    every step it takes keeps the memory and window invariants; returns its
-    report."""
+    """The reduced search of ``raw`` gives full enumeration's verdict, each
+    on one build, and every step it takes keeps the memory and window
+    invariants; returns its report."""
     sc = scenario_from_dict(raw)
+    built = []
 
     def checked():
-        sim = build_simulation(sc, VARIANTS[variant])
-        check_every_step(sim)
-        return sim
+        built.append(build_simulation(sc, VARIANTS[variant]))
+        check_every_step(built[-1])
+        return built[-1]
 
     report = explore(checked, 200)
-    assert report.verdict() == explore_all(lambda: build_simulation(sc, VARIANTS[variant]), 200).verdict()
+    full = CountingFactory(sc, VARIANTS[variant])
+    assert report.verdict() == explore_all(full, 200).verdict()
+    assert len(built) == full.builds == 1
     return report
 
 
@@ -627,8 +627,8 @@ def test_generated_races_reduce_to_the_full_enumeration_verdict(raw, variant):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(one_process_races(FORK_RACE_OPS), st.sampled_from(sorted(VARIANTS)))
 def test_generated_races_with_a_fork_reduce_to_the_full_enumeration_verdict(raw, variant):
-    """The same with a fork among the ops, whose step conflicts with every
-    other."""
+    """The same with a fork among the ops, which reads every entry of its
+    parent's space and writes each one it makes copy-on-write."""
     assert_checked_reduction(raw, variant)
 
 
@@ -639,13 +639,11 @@ def test_generated_races_with_a_fork_reduce_to_the_full_enumeration_verdict(raw,
 ], ids=["host-writer", "second-caller"])
 def test_enclave_races_reduce_to_the_full_enumeration_verdict(other, variant):
     """sgx_data_only with a second host thread, which writes the data bridge
-    page while the enclave runs or calls the enclave too: enclave steps
-    conflict with every other step."""
-    raw = copy.deepcopy(load_scenario(SCENARIOS / "sgx_data_only.json").raw)
-    raw["processes"][0]["threads"].append({"name": "other", "rsp": 0x302000, "ops": other})
-    sc = scenario_from_dict(raw)
-    factory = lambda: build_simulation(sc, VARIANTS[variant])  # noqa: E731
-    assert explore(factory, 80).verdict() == explore_all(factory, 80).verdict()
+    page while the enclave runs or calls the enclave too."""
+    sc = scenario_from_dict(sgx_data_only_with("enclave_race", [{"name": "other", "rsp": 0x302000, "ops": other}]))
+    factory, full = CountingFactory(sc, VARIANTS[variant]), CountingFactory(sc, VARIANTS[variant])
+    assert explore(factory, 80).verdict() == explore_all(full, 80).verdict()
+    assert factory.builds == full.builds == 1
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +660,7 @@ def test_small_pair_races_reduce_to_the_full_enumeration_verdict(openers, racers
     sc = scenario_from_dict(pair_race(openers, racers, LAYOUTS[layout]))
     factory, full = CountingFactory(sc, VARIANTS[variant]), CountingFactory(sc, VARIANTS[variant])
     assert explore(factory, 400).verdict() == explore_all(full, 400).verdict()
-    assert factory.builds <= full.builds
+    assert factory.builds == full.builds == 1
 
 
 def _race_verdict(witness: bool, *causes: str) -> dict[str, Any]:
@@ -735,15 +733,19 @@ def _dropping(drop):
 # search without one of them still gives full enumeration's verdict, since
 # a restore both writes the window of each of its frames and wakes that
 # frame's queue, so either kind alone still orders the steps it must. The
-# write check of tests/test_commutation.py catches each of the five.
+# id and process writes are left to the write check too: only a fork or an
+# exec writes them, and each also writes the space it reads or makes. The
+# write check of tests/test_commutation.py catches each of the eight.
 MUTANTS = {
     "frame writes": lambda loc, written: written and loc[0] == "frame",
     "page-table writes": lambda loc, written: written and loc[0] == "pte",
-    "conflict with everything": lambda loc, written: loc == EVERYTHING,
+    "space writes": lambda loc, written: written and loc[0] == "space",
     "window writes": lambda loc, written: written and loc[0] == "window",
     "wait-queue writes": lambda loc, written: written and loc[0] == "waitq",
+    "id writes": lambda loc, written: written and loc == "ids",
+    "process writes": lambda loc, written: written and loc[0] == "process",
 }
-VERDICT_MUTANTS = ("frame writes", "page-table writes", "conflict with everything")
+VERDICT_MUTANTS = ("frame writes", "page-table writes", "space writes")
 
 
 # For each mutant that no shipped fixture catches, the case a search for one
@@ -756,7 +758,7 @@ SHRUNK = {
         ]),
         "freeze",
     ),
-    "conflict with everything": (
+    "space writes": (
         one_process_race([
             [{"op": "mmap", "vaddr": ALIAS}],
             [{"op": "fork", "child": [{"op": "read", "vaddr": ALIAS}]}],

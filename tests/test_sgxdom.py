@@ -101,7 +101,7 @@ class TestEnterExit:
     def test_enter_aligns_and_saves_stack_pointer(self):
         sim, proc, domain = host_sim(Variant.STASH, [EnclaveEexit()], rsp=RSP + 24)
         sim.step(1)
-        assert sim.tasks[1].micro.saved == (RSP, 0)
+        assert sim.tasks[1].micro.at_entry == (RSP, 0)
         assert sim.tasks[1].cpu.rsp == RSP
 
     def test_pages_below_aligned_sp_stay_writable(self):

@@ -9,13 +9,11 @@ undo to the branch point as when the search first reached it, and the
 events and the trace must be cut back to where they were. A journal that
 misses one kind of write fails this check: the mutants below each skip one.
 
-A step that writes ``EVERYTHING`` cannot be undone by location, so the
-branch points above it are come back to by a new build that replays their
-path; a search of a fork race and of an enclave race does so and still
-gives the report of the reference that rebuilds at every node.
+Every step is undone so, a fork, an exec and an enclave step too: a search
+of a fork race, of an enclave race and of enclave bystanders builds once
+and still gives the report of the reference that rebuilds at every node.
 """
 
-import copy
 from typing import Any, Callable, Iterator
 
 import pytest
@@ -24,7 +22,7 @@ from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import Simulation, explore, explore_all
 from dptisim.vmem import Journal, Vmem, vpn_of
 
-from conftest import SCENARIOS, pair_race
+from conftest import SCENARIOS, enclave_bystanders, enclave_race, pair_race
 from test_commutation import location_state
 from test_explore_oracle import PAGE, SHRUNK, VARIANTS, CountingFactory, one_process_race, reference_explore
 
@@ -43,13 +41,18 @@ def _state(sim: Simulation) -> tuple:
     return state, len(sim.events), len(sim.trace)
 
 
+class _Differs(Exception):
+    """An undo did not come back to the state its level opened at."""
+
+
 def undo_failures(
     search: Callable[..., Any], factory: Callable[[], Simulation], max_steps: int,
     monkeypatch: pytest.MonkeyPatch,
 ) -> Iterator[str]:
-    """Run ``search`` of ``factory`` and yield one line per undo that did not
-    come back to the state its level opened at; the last line counts the
-    undos checked."""
+    """Run ``search`` of ``factory`` until an undo does not come back to the
+    state its level opened at, which would leave the search on a state no
+    path reaches, and yield a line for it; the last line counts the undos
+    checked."""
     opened: dict[Any, tuple] = {}
     failures: list[str] = []
     checked = 0
@@ -69,11 +72,15 @@ def undo_failures(
             differ = sorted((loc for loc in want[0].keys() | got[0].keys()
                              if want[0].get(loc) != got[0].get(loc)), key=repr)
             failures.append(f"undo at step {want[2]}: differs on {differ}, events/trace {got[1:]} for {want[1:]}")
+            raise _Differs
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "open_level", opening)
         patch.setattr(Simulation, "undo", undoing)
-        search(factory, max_steps)
+        try:
+            search(factory, max_steps)
+        except _Differs:
+            pass
     yield from failures
     yield f"{checked} undos checked"
 
@@ -143,63 +150,60 @@ def _skipping(kind: str):
     save = Journal.save
 
     def mutant(journal: Journal, loc) -> None:
-        if loc[0] != kind:
+        if (loc[0] if loc.__class__ is tuple else loc) != kind:
             save(journal, loc)
 
     return mutant
 
 
+# The races of a fork, of an enclave with a host thread, and of enclave
+# bystanders, with their bounds.
+RACES = {
+    "fork race": (scenario_from_dict(SHRUNK["space writes"][0]), 200),
+    "enclave race": (scenario_from_dict(enclave_race()), 80),
+    "1 enclave bystander": (scenario_from_dict(enclave_bystanders(1)), 80),
+    "2 enclave bystanders": (scenario_from_dict(enclave_bystanders(2)), 80),
+    "3 enclave bystanders": (scenario_from_dict(enclave_bystanders(3)), 80),
+}
+
 # Each mutant patches one method so that the journal skips one kind of
-# write.
+# write, and names the cases that must tell it: the fixtures, or the races.
 MUTANTS = {
-    "TLB fills": (Vmem, "access", _skipping_fills(Vmem.access)),
-    "frame writes": (Journal, "save", _skipping("frame")),
+    "TLB fills": (Vmem, "access", _skipping_fills(Vmem.access), "fixtures"),
+    "frame writes": (Journal, "save", _skipping("frame"), "fixtures"),
+    "id counters": (Journal, "save", _skipping("ids"), "races"),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_the_undo_check_catches_a_journal_that_skips_a_write(mutant, monkeypatch):
-    owner, attr, patched = MUTANTS[mutant]
+    owner, attr, patched, where = MUTANTS[mutant]
     monkeypatch.setattr(owner, attr, patched)
-    cases = [(load_scenario(path), variant) for path in TOCTOU for variant in sorted(VARIANTS)]
+    if where == "fixtures":
+        cases = [(sc, sc.schedule["max_steps"]) for sc in map(load_scenario, TOCTOU)]
+    else:
+        cases = list(RACES.values())
     assert any(
         not line.endswith("undos checked")
-        for sc, variant in cases
-        for line in undo_failures(explore_all, _factory(sc, variant), sc.schedule["max_steps"], monkeypatch)
-    ), f"no fixture tells a journal that skips {mutant}"
+        for sc, max_steps in cases for variant in sorted(VARIANTS)
+        for line in undo_failures(explore_all, _factory(sc, variant), max_steps, monkeypatch)
+    ), f"no case tells a journal that skips {mutant}"
 
 
-# ---------------------------------------------------------------------------
-# the rebuild below EVERYTHING
-
-
-def _enclave_race() -> Any:
-    """sgx_data_only with a second host thread that writes the data bridge
-    page while the enclave runs."""
-    raw = copy.deepcopy(load_scenario(SCENARIOS / "sgx_data_only.json").raw)
-    raw["processes"][0]["threads"].append({
-        "name": "other", "rsp": 0x302000,
-        "ops": [{"op": "write", "vaddr": 0x201000, "string": "zz"}, {"op": "read", "vaddr": 0x80000, "len": 4}],
-    })
-    return scenario_from_dict(raw)
-
-
-FALLBACK_RACES = {
-    "fork race": (scenario_from_dict(SHRUNK["conflict with everything"][0]), 200),
-    "enclave race": (_enclave_race(), 80),
-}
-
-
+@pytest.mark.parametrize("search", [explore, explore_all], ids=["explore", "explore_all"])
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("race", sorted(FALLBACK_RACES))
-def test_a_step_that_writes_everything_falls_back_to_a_rebuild(race, variant, monkeypatch):
-    sc, max_steps = FALLBACK_RACES[race]
+@pytest.mark.parametrize("race", sorted(RACES))
+def test_a_fork_or_enclave_race_undoes_on_one_build(race, variant, search, monkeypatch):
+    """Every branch point of the race is come back to by undoing, so the
+    search builds once; full enumeration still gives the reference's report
+    byte for byte."""
+    sc, max_steps = RACES[race]
     factory = CountingFactory(sc, VARIANTS[variant])
-    report = explore_all(factory, max_steps)
-    assert factory.builds > 1, "no branch point above a step that writes EVERYTHING"
-    assert report.to_json() == reference_explore(CountingFactory(sc, VARIANTS[variant]), max_steps).to_json()
-    # every enclave step writes EVERYTHING, so the enclave race undoes nothing
-    assert_undoes(explore_all, factory, max_steps, monkeypatch, some=race == "fork race")
+    report = search(factory, max_steps)
+    assert factory.builds == 1
+    if search is explore_all and race in ("fork race", "enclave race"):
+        assert report.to_json() == reference_explore(CountingFactory(sc, VARIANTS[variant]), max_steps).to_json()
+        assert_undoes(explore_all, factory, max_steps, monkeypatch, some=True)
 
 
 # ---------------------------------------------------------------------------

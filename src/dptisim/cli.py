@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from .bench import SUITES, run_suites, scenario_matrix
 from .costmodel import CostError, CostTable
@@ -69,6 +69,18 @@ def _load_costs(path: Optional[str]) -> Optional[CostTable]:
 def _scenario_costs(sc: Scenario, table: Optional[CostTable]) -> CostTable:
     """The ``--costs`` table, then the scenario's own costs over it."""
     return sc.cost_table if table is None else table.with_overrides(sc.raw.get("costs") or {})
+
+
+def _write_report(path: str, payload: Any) -> bool:
+    """Write ``payload`` as JSON to the ``--report-out`` path; False, with
+    the error on stderr, if that path cannot be written."""
+    try:
+        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2))
+    except OSError as exc:
+        print(f"error: --report-out {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"report written to {path}")
+    return True
 
 
 def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
@@ -135,9 +147,8 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     if sc.raw.get("expectations") and not failures:
         print("expectations: all hold")
 
-    if args.report_out:
-        Path(args.report_out).write_text(json.dumps(payload, sort_keys=True, indent=2))
-        print(f"report written to {args.report_out}")
+    if args.report_out and not _write_report(args.report_out, payload):
+        return 2
     return 1 if failures else 0
 
 
@@ -163,11 +174,8 @@ def _cmd_bench(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
     for report in reports:
         print(report.render_text())
         print()
-    if args.report_out:
-        Path(args.report_out).write_text(
-            json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
-        )
-        print(f"report written to {args.report_out}")
+    if args.report_out and not _write_report(args.report_out, [r.to_dict() for r in reports]):
+        return 2
     return 0
 
 

@@ -287,10 +287,10 @@ class DptiEngine:
         for vpn, offset, _, _ in page_spans(vaddr, MAX_SPAN * PAGE_SIZE - page_offset(vaddr)):
             if not self._protect_page(task, record, vpn):
                 return False
-            frame = vmem.frames[vmem.spaces[task.asid].entries[vpn].frame_id]
+            frame_id = vmem.spaces[task.asid].entries[vpn].frame_id
             if vmem.fp is not None:
-                vmem.fp[0].add(("frame", frame.frame_id))
-            if frame.data.find(0, offset) >= 0:
+                vmem.fp[0].add(("frame", frame_id))
+            if vmem.frames[frame_id].find(0, offset) >= 0:
                 break
         else:
             self.kill(

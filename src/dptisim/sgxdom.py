@@ -269,10 +269,10 @@ class SgxRuntime:
         permitted = list(range(start, top))
         self._lend_stack(domain, permitted, True)
         for vpn in permitted:
-            frame = vmem.frames[vmem.entry(host, vpn).frame_id]
+            frame_id = vmem.entry(host, vpn).frame_id
             if vmem.fp is not None:
-                vmem.fp[0].add(("frame", frame.frame_id))
-            if frame.data.count(0) != len(frame.data):  # any non-zero byte
+                vmem.fp[0].add(("frame", frame_id))
+            if vmem.frames[frame_id].count(0) != PAGE_SIZE:  # any non-zero byte
                 self.sim.emit(
                     DiagnosticEvent(
                         tid=task.tid,

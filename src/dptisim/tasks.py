@@ -443,7 +443,7 @@ class Simulation:
             if self.vmem.entry(asid, vpn) is not None:
                 raise DoubleMapError(f"vpn {vpn:#x} already mapped in asid {asid}")
         if spec.alias_of is None:
-            frame_ids = [self.vmem.alloc_frame().frame_id for _ in vpns]
+            frame_ids = [self.vmem.alloc_frame() for _ in vpns]
         else:
             label_asid, first = self.labels[spec.alias_of]
             label_vpns = range(first, first + spec.pages)

@@ -1,14 +1,16 @@
 """Simulated physical memory, per-process page tables, per-core TLBs, and a
-frame-to-mappings reverse map.
+frame-to-mappings reverse map, all plain data.
 
 The model keeps exactly the machinery that page-permission protection windows
 are built on: permission bits and the program's VM flags per page-table
-entry, TLB snapshots that go stale unless explicitly flushed, copy-on-write sharing across fork, and alias
-mappings of one physical frame in one or several address spaces.
+entry, TLB snapshots that go stale unless explicitly flushed, copy-on-write
+sharing across fork, and alias mappings of one physical frame in one or
+several address spaces.
 
-Page tables are flat vpn->entry dicts (no radix walk) and TLBs have unbounded
+A frame is a bytearray, page tables are flat vpn->entry dicts (no radix
+walk) and a core's TLB is an (asid, vpn)->entry-snapshot dict, of unbounded
 capacity with explicit-flush-only invalidation, so stale-entry hazards are
-deterministic and testable.
+deterministic and testable. An access returns ``(fault, bytes)``.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from typing import Any, Callable, Iterator, Optional
 PAGE_SIZE = 4096
 
 # What one step reads and writes: (locations read, locations written). A
-# location is a frame's bytes ("frame", frame_id), a page-table entry with
-# its VM flags and every core's TLB entry for it ("pte", asid, vpn), whose
-# read Vmem.entry records, the set of vpns an address space maps ("space",
-# asid), a frame's reverse-map entry ("rmap", frame_id), the frame
-# allocator ("alloc"), the asid, pid and tid counters ("ids"), the
-# protection windows over a frame and the mappings of it they hold closed
-# ("window", frame_id), the tasks stalled on a frame ("waitq", frame_id), a
-# task's state ("task", tid), a process's address space ("process", tgid),
-# or the reference count of a filter table, named by the first process it
-# was installed for ("filters", tgid). Each is recorded by the accessor that
-# reads or writes its state, a write through Vmem.wrote.
+# location is a frame's bytearray ("frame", frame_id), a page-table entry
+# with its VM flags and the snapshot of it in each core's TLB dict ("pte",
+# asid, vpn), whose read Vmem.entry records, the set of vpns an address
+# space maps ("space", asid), a frame's reverse-map entry ("rmap",
+# frame_id), the frame allocator ("alloc"), the asid, pid and tid counters
+# ("ids"), the protection windows over a frame and the mappings of it they
+# hold closed ("window", frame_id), the tasks stalled on a frame ("waitq",
+# frame_id), a task's state ("task", tid), a process's address space
+# ("process", tgid), or the reference count of a filter table, named by the
+# first process it was installed for ("filters", tgid). Each is recorded by
+# the accessor that reads or writes its state, a write through Vmem.wrote.
 Footprint = tuple[set, set]
 
 
@@ -131,12 +133,6 @@ class PageTableEntry:
 
 
 @dataclass(slots=True)
-class Frame:
-    frame_id: int
-    data: bytearray
-
-
-@dataclass(slots=True)
 class PageFault:
     reason: str  # a FaultReason
     asid: int
@@ -146,47 +142,12 @@ class PageFault:
     frame_id: Optional[int] = None
 
 
-@dataclass(slots=True)
-class AccessResult:
-    fault: Optional[PageFault]
-    frame: Optional[Frame]
-
-    @property
-    def ok(self) -> bool:
-        return self.fault is None
-
-
 class AddressSpace:
     """One process's mapping table. The asid is the CR3-switch unit."""
 
     def __init__(self, asid: int):
         self.asid = asid
         self.entries: dict[int, PageTableEntry] = {}
-
-
-class Tlb:
-    """Per-core translation cache of PTE snapshots.
-
-    An entry is filled only by a successful access and only replaced by an
-    explicit flush, so a cached translation always equals the PTE snapshot
-    at last fill, never a mixture.
-    """
-
-    def __init__(self) -> None:
-        self.cached: dict[tuple[int, int], PageTableEntry] = {}
-
-    def lookup(self, asid: int, vpn: int) -> Optional[PageTableEntry]:
-        return self.cached.get((asid, vpn))
-
-    def fill(self, asid: int, vpn: int, pte: PageTableEntry) -> None:
-        self.cached[(asid, vpn)] = pte.snapshot()
-
-    def flush(self, asid: int, vpn: int) -> None:
-        self.cached.pop((asid, vpn), None)
-
-    def flush_asid(self, asid: int) -> None:
-        for key in [k for k in self.cached if k[0] == asid]:
-            del self.cached[key]
 
 
 # A journal entry: a tuple whose first item, called with the entry, puts one
@@ -257,10 +218,14 @@ class Journal:
 
 class Vmem:
     def __init__(self, cores: int = 2):
-        self.frames: dict[int, Frame] = {}
+        self.frames: dict[int, bytearray] = {}  # frame_id -> its PAGE_SIZE bytes
         self.spaces: dict[int, AddressSpace] = {}
-        self.tlbs: list[Tlb] = [Tlb() for _ in range(cores)]
-        self._caches = [tlb.cached for tlb in self.tlbs]  # what saved_pte saves of each TLB
+        # One translation cache per core, (asid, vpn) -> a snapshot of that
+        # entry. An entry is filled only by a successful access and only
+        # dropped by an explicit flush, so a cached translation always equals
+        # the entry at its last fill, never a mixture.
+        self.tlbs: list[dict[tuple[int, int], PageTableEntry]] = [{} for _ in range(cores)]
+        self.cores = cores
         # frame_id -> {(asid, vpn) of every mapping of the frame}
         self.rmap: dict[int, set[tuple[int, int]]] = {}
         # The footprint of the step being recorded, or None when no search
@@ -273,10 +238,6 @@ class Vmem:
         self._next_asid = 1
         self._next_frame = 1
 
-    @property
-    def cores(self) -> int:
-        return len(self.tlbs)
-
     def wrote(self, loc: Any) -> None:
         """Record a write of ``loc`` in ``fp``, which must be set, before it
         happens, journalling the location first if a journal is open."""
@@ -288,7 +249,7 @@ class Vmem:
     # savers: each returns the journal entry of its location as it is now
 
     def saved_frame(self, loc: tuple) -> Entry:
-        data = self.frames[loc[1]].data
+        data = self.frames[loc[1]]
         return _put_bytes, data, bytes(data)
 
     def saved_pte(self, loc: tuple) -> Entry:
@@ -298,7 +259,7 @@ class Vmem:
         key = (asid, vpn)
         entries = self.spaces[asid].entries
         pte = entries.get(vpn)
-        cached = [(c, c.get(key)) for c in self._caches]
+        cached = [(tlb, tlb.get(key)) for tlb in self.tlbs]
         return _put_pte, entries, vpn, pte, _pte_fields(pte) if pte is not None else None, key, cached
 
     def saved_rmap(self, loc: tuple) -> Entry:
@@ -332,16 +293,16 @@ class Vmem:
         self.spaces[space.asid] = space
         return space
 
-    def alloc_frame(self, fill: bytes = b"") -> Frame:
-        """A new frame, zeroed past ``fill``."""
+    def alloc_frame(self, fill: bytes = b"") -> int:
+        """The id of a new frame, zeroed past ``fill``."""
         if self.fp is not None:
             self.wrote("alloc")
         data = bytearray(PAGE_SIZE)
         data[: len(fill)] = fill[:PAGE_SIZE]
-        frame = Frame(self._next_frame, data)
+        frame_id = self._next_frame
         self._next_frame += 1
-        self.frames[frame.frame_id] = frame
-        return frame
+        self.frames[frame_id] = data
+        return frame_id
 
     # ------------------------------------------------------------------
     # mapping
@@ -379,7 +340,8 @@ class Vmem:
         self._unlink_entries(asid, self.spaces[asid].entries)
         del self.spaces[asid]
         for tlb in self.tlbs:
-            tlb.flush_asid(asid)
+            for key in [key for key in tlb if key[0] == asid]:
+                del tlb[key]
 
     def _unlink_entries(self, asid: int, entries: dict[int, PageTableEntry]) -> None:
         """Record that ``entries``, mappings of ``asid`` by vpn, go, then
@@ -424,17 +386,17 @@ class Vmem:
 
     def access(
         self, core: int, asid: int, mode: str, kind: str, vaddr: int
-    ) -> AccessResult:
+    ) -> tuple[Optional[PageFault], Optional[bytearray]]:
         """Translate and permission-check one access; TLB first, fill on miss.
 
-        Returns a handle to the backing frame on success, a PageFault value
-        otherwise. A successful translation served from a stale TLB snapshot
-        deliberately bypasses the current PTE: this is the hazard that makes
-        explicit flushes mandatory.
+        Returns ``(None, bytes)``, the backing frame's bytearray, on success
+        and ``(fault, None)`` otherwise. A successful translation served from
+        a stale TLB snapshot deliberately bypasses the current PTE: this is
+        the hazard that makes explicit flushes mandatory.
         """
         vpn = vpn_of(vaddr)
         tlb = self.tlbs[core]
-        pte = tlb.lookup(asid, vpn)
+        pte = tlb.get((asid, vpn))
         filled_from_walk = False
         if pte is None:
             space = self.spaces.get(asid)
@@ -445,7 +407,7 @@ class Vmem:
         if fp is not None:
             fp[0].add(("pte", asid, vpn))
         if fault is not None:
-            return AccessResult(fault, None)
+            return fault, None
         assert pte is not None
         if fp is not None:
             # the caller reads or writes the bytes of the frame it gets
@@ -457,8 +419,8 @@ class Vmem:
             if fp is not None and self.journal is not None:
                 # a fill reads its entry, but the journal puts the TLB back too
                 self.journal.save(("pte", asid, vpn))
-            tlb.fill(asid, vpn, pte)
-        return AccessResult(None, self.frames[pte.frame_id])
+            tlb[asid, vpn] = pte.snapshot()
+        return None, self.frames[pte.frame_id]
 
     @staticmethod
     def _check(
@@ -487,20 +449,20 @@ class Vmem:
     ) -> tuple[Optional[bytes], Optional[PageFault]]:
         out = b""
         for vpn, offset, start, end in page_spans(vaddr, length):
-            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
-            if res.fault is not None:
-                return None, res.fault
-            out += res.frame.data[offset : offset + end - start]
+            fault, data = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
+            if fault is not None:
+                return None, fault
+            out += data[offset : offset + end - start]
         return out, None
 
     def write_bytes(
         self, core: int, asid: int, mode: str, vaddr: int, data: bytes
     ) -> Optional[PageFault]:
         for vpn, offset, start, end in page_spans(vaddr, len(data)):
-            res = self.access(core, asid, mode, AccessKind.WRITE, vpn * PAGE_SIZE + offset)
-            if res.fault is not None:
-                return res.fault
-            res.frame.data[offset : offset + end - start] = data[start:end]
+            fault, frame = self.access(core, asid, mode, AccessKind.WRITE, vpn * PAGE_SIZE + offset)
+            if fault is not None:
+                return fault
+            frame[offset : offset + end - start] = data[start:end]
         return None
 
     def poke(self, asid: int, vaddr: int, data: bytes) -> None:
@@ -514,7 +476,7 @@ class Vmem:
             if fp is not None:
                 fp[0].add(("pte", asid, vpn))
                 self.wrote(("frame", frame_id))
-            self.frames[frame_id].data[offset : offset + end - start] = data[start:end]
+            self.frames[frame_id][offset : offset + end - start] = data[start:end]
 
     def read_cstring(
         self, core: int, asid: int, mode: str, vaddr: int, max_pages: int
@@ -526,10 +488,9 @@ class Vmem:
         """
         out = b""
         for vpn, offset, _, _ in page_spans(vaddr, max_pages * PAGE_SIZE - page_offset(vaddr)):
-            res = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
-            if res.fault is not None:
-                return None, res.fault
-            data = res.frame.data
+            fault, data = self.access(core, asid, mode, AccessKind.READ, vpn * PAGE_SIZE + offset)
+            if fault is not None:
+                return None, fault
             nul = data.find(0, offset)
             if nul >= 0:
                 return out + data[offset:nul], None
@@ -565,7 +526,7 @@ class Vmem:
         if self.fp is not None:
             self.wrote(("pte", asid, vpn))
         for tlb in self.tlbs:
-            tlb.flush(asid, vpn)
+            tlb.pop((asid, vpn), None)
 
     # ------------------------------------------------------------------
     # copy-on-write and fork
@@ -575,19 +536,19 @@ class Vmem:
         pte = self.pte(asid, vpn)
         if not pte.cow:
             raise NotCowError(f"vpn {vpn:#x} in asid {asid} is not copy-on-write")
-        old = self.frames[pte.frame_id]
+        old = pte.frame_id
         if self.fp is not None:
-            self.fp[0].add(("frame", old.frame_id))
+            self.fp[0].add(("frame", old))
             self.wrote(("pte", asid, vpn))
-            self.wrote(("rmap", old.frame_id))
-        fresh = self.alloc_frame(bytes(old.data))
-        self._unlink(pte.frame_id, asid, vpn)
-        pte.frame_id = fresh.frame_id
+            self.wrote(("rmap", old))
+        fresh = self.alloc_frame(self.frames[old])
+        self._unlink(old, asid, vpn)
+        pte.frame_id = fresh
         pte.cow = False
         pte.writable = pte.vm_write
-        self.rmap[fresh.frame_id] = {(asid, vpn)}
+        self.rmap[fresh] = {(asid, vpn)}
         self.tlb_flush(asid, vpn)
-        return fresh.frame_id
+        return fresh
 
     def fork_address_space(self, parent_asid: int) -> AddressSpace:
         """COW snapshot of a parent space: every private page, read-only too,

@@ -107,7 +107,7 @@ def _restoration_round(rng: random.Random, variant: Variant):
     while pos < len(payload):
         frame = frame_data[frames[(addr // PAGE_SIZE) - base // PAGE_SIZE]]
         chunk = min(len(payload) - pos, PAGE_SIZE - addr % PAGE_SIZE)
-        frame.data[addr % PAGE_SIZE : addr % PAGE_SIZE + chunk] = payload[pos : pos + chunk]
+        frame[addr % PAGE_SIZE : addr % PAGE_SIZE + chunk] = payload[pos : pos + chunk]
         addr += chunk
         pos += chunk
 
@@ -128,10 +128,8 @@ def _restoration_round(rng: random.Random, variant: Variant):
             for vpn in space.entries:
                 for mode in (AccessMode.USER, AccessMode.KERNEL):
                     for kind in (AccessKind.READ, AccessKind.WRITE, AccessKind.EXEC):
-                        res = sim.vmem.access(1, space.asid, mode, kind, vpn * PAGE_SIZE)
-                        out[(space.asid, vpn, mode, kind)] = (
-                            None if res.ok else res.fault.reason
-                        )
+                        fault, _ = sim.vmem.access(1, space.asid, mode, kind, vpn * PAGE_SIZE)
+                        out[(space.asid, vpn, mode, kind)] = fault and fault.reason
         return out
 
     before = snapshot()

@@ -64,13 +64,13 @@ def location_state(sim: Simulation) -> dict[Any, Any]:
     ``"events"``; every value is hashable, so the items of two states can
     be compared and remembered."""
     vmem, engine = sim.vmem, sim.engine
-    state: dict[Any, Any] = {("frame", fid): bytes(frame.data) for fid, frame in vmem.frames.items()}
+    state: dict[Any, Any] = {("frame", fid): bytes(data) for fid, data in vmem.frames.items()}
     ptes = {(asid, vpn) for asid, space in vmem.spaces.items() for vpn in space.entries}
-    ptes.update(key for tlb in vmem.tlbs for key in tlb.cached)
+    ptes.update(key for tlb in vmem.tlbs for key in tlb)
     for asid, vpn in ptes:
         space = vmem.spaces.get(asid)
         pte = space.entries.get(vpn) if space is not None else None
-        cached = tuple(tlb.cached.get((asid, vpn)) for tlb in vmem.tlbs)
+        cached = tuple(tlb.get((asid, vpn)) for tlb in vmem.tlbs)
         state["pte", asid, vpn] = (
             pte and astuple(pte), tuple(entry and astuple(entry) for entry in cached),
         )

@@ -154,7 +154,7 @@ def test_a_write_after_a_fork_leaves_the_childs_page_alone(probe, variant):
 
     def buf(proc):
         frame_id = sim.vmem.spaces[proc.asid].entries[0x10000 // PAGE_SIZE].frame_id
-        return bytes(sim.vmem.frames[frame_id].data[:5])
+        return bytes(sim.vmem.frames[frame_id][:5])
 
     parent, child = sim.processes.values()
     assert (buf(parent), buf(child)) == (b"Xile1", b"file1")
@@ -218,7 +218,7 @@ def open_window_mappings(sim):
         pte = space.entries.get(closed.vpn) if space is not None else None
         if pte is None or pte.frame_id != closed.frame_id:
             continue
-        tlb_entries = [tlb.lookup(closed.asid, closed.vpn) for tlb in vmem.tlbs]
+        tlb_entries = [tlb.get((closed.asid, closed.vpn)) for tlb in vmem.tlbs]
         views = [pte] + [entry for entry in tlb_entries if entry is not None]
         yield repr(closed), views
 
@@ -294,7 +294,7 @@ class ProgramBits:
         vmem, closed = self.sim.vmem, self.sim.engine.closed
         entries = itertools.chain(
             (pte for space in vmem.spaces.values() for pte in space.entries.values()),
-            (entry for tlb in vmem.tlbs for entry in tlb.cached.values()),
+            (entry for tlb in vmem.tlbs for entry in tlb.values()),
         )
         for entry in entries:
             if entry.writable and entry.cow:
@@ -306,7 +306,7 @@ class ProgramBits:
                     yield f"{proc.name} vpn {vpn:#x}: {pte} lacks the flags the program last set"
                 if (proc.asid, vpn, pte.frame_id) in closed:
                     continue
-                tlb_entries = [tlb.lookup(proc.asid, vpn) for tlb in vmem.tlbs]
+                tlb_entries = [tlb.get((proc.asid, vpn)) for tlb in vmem.tlbs]
                 views = [pte] + [entry for entry in tlb_entries if entry is not None]
                 for view in views:
                     # a copy-on-write entry stays read-only whatever the program set
@@ -339,7 +339,7 @@ def check_every_step(sim) -> list[int]:
         at = f"step {sim.step_count - 1}"
         vmem = sim.vmem
         assert vmem.rmap == vmem.rebuild_reverse_map(), at
-        assert all(len(frame.data) == PAGE_SIZE for frame in vmem.frames.values())
+        assert all(len(frame) == PAGE_SIZE for frame in vmem.frames.values())
         # While a window is open, every mapping it closed stays closed, in
         # the page table and in every core's TLB alike.
         for what, views in open_window_mappings(sim):

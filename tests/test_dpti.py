@@ -219,7 +219,7 @@ class TestProtectRestore:
         )
         # fill both pages without any terminator
         for frame in sim.vmem.frames.values():
-            frame.data[:] = b"x" * PAGE_SIZE
+            frame[:] = b"x" * PAGE_SIZE
         sim.run_seeded(0)
         assert_killed_once_for_a_bad_pointer(sim)
 
@@ -575,7 +575,7 @@ class TestProcMem:
         vaddr = PATH + PAGE_SIZE - 4
         sim.add_thread(proc, [ProcMemWriteOp("t1", vaddr, b"0123456789")], name="t1")
         sim.run_seeded(0)
-        assert all(len(frame.data) == PAGE_SIZE for frame in sim.vmem.frames.values())
+        assert all(len(frame) == PAGE_SIZE for frame in sim.vmem.frames.values())
         tail, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, PATH + PAGE_SIZE, 6)
         assert tail == b"456789"
         data, _ = sim.vmem.read_bytes(0, proc.asid, AccessMode.KERNEL, vaddr, 10)
@@ -697,9 +697,9 @@ class TestWindowInvariants:
             assert sim.engine.by_frame
             for asid, vpn in sim.vmem.aliases_of(frames[0]):
                 for core in range(sim.vmem.cores):
-                    res = sim.vmem.access(core, asid, AccessMode.USER,
-                                          AccessKind.WRITE, vpn * PAGE_SIZE)
-                    assert not res.ok, (variant, asid)
+                    fault, _ = sim.vmem.access(core, asid, AccessMode.USER,
+                                               AccessKind.WRITE, vpn * PAGE_SIZE)
+                    assert fault is not None, (variant, asid)
 
 
 RENAME = SYSCALL_NRS["rename"]

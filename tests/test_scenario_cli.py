@@ -695,3 +695,19 @@ class TestCliBench:
         assert main(["bench", str(scenarios_dir / "toctou_openat.json")]) == 0
         out = capsys.readouterr().out
         assert "variant cost matrix" in out
+
+
+class TestCliReportOut:
+    @pytest.mark.parametrize("command", [["run", "toctou_openat.json"], ["bench", "getppid"]],
+                             ids=["run", "bench"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_an_unwritable_report_out_exits_2(self, command, where, scenarios_dir, tmp_path, capsys):
+        """A report that cannot be written is a usage error, not a traceback."""
+        out = tmp_path / "no" / "such" / "r.json" if where == "missing directory" else tmp_path
+        verb, target = command
+        if verb == "run":
+            target = str(scenarios_dir / target)
+        assert main([verb, target, "--report-out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --report-out {out}: " in captured.err
+        assert "report written" not in captured.out

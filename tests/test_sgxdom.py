@@ -362,11 +362,11 @@ class TestWriteConfinement:
                 script = [WriteOp(self.TARGETS[t], b"!") for t in program]
                 script.append(EnclaveEexit())
                 sim, proc, domain = host_sim(variant, script)
-                before = {fid: bytes(f.data) for fid, f in sim.vmem.frames.items()}
+                before = {fid: bytes(data) for fid, data in sim.vmem.frames.items()}
                 sim.run_seeded(0)
                 changed = {
-                    fid for fid, f in sim.vmem.frames.items()
-                    if fid in before and bytes(f.data) != before[fid]
+                    fid for fid, data in sim.vmem.frames.items()
+                    if fid in before and data != before[fid]
                 }
                 host = sim.vmem.spaces[proc.asid]
                 allowed_frames = set()

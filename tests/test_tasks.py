@@ -279,8 +279,8 @@ class TestExec:
         assert not extract_kills(sim.events)
         parent = sim.tasks[1]
         # parent still owns its pre-fork view, fully user-accessible
-        res = sim.vmem.access(0, parent.asid, AccessMode.USER, AccessKind.READ, PATH)
-        assert res.ok
+        fault, _ = sim.vmem.access(0, parent.asid, AccessMode.USER, AccessKind.READ, PATH)
+        assert fault is None
         assert not report.deadlocked
 
     def test_multithreaded_exec_kills_sibling_threads(self):

@@ -29,9 +29,9 @@ def make_space(vm: Vmem, pages: int = 1, **perms):
     space = vm.new_address_space()
     frames = []
     for vpn in range(0x10, 0x10 + pages):
-        frame = vm.alloc_frame()
-        vm.map(space.asid, vpn, frame.frame_id, **perms)
-        frames.append(frame)
+        frame_id = vm.alloc_frame()
+        vm.map(space.asid, vpn, frame_id, **perms)
+        frames.append(frame_id)
     return space, frames
 
 
@@ -39,28 +39,28 @@ class TestMapping:
     def test_map_updates_reverse_map(self):
         vm = Vmem()
         space, (frame,) = make_space(vm)
-        assert vm.aliases_of(frame.frame_id) == [(space.asid, 0x10)]
+        assert vm.aliases_of(frame) == [(space.asid, 0x10)]
 
     def test_two_spaces_same_frame_are_aliases(self):
         vm = Vmem()
         s1, (frame,) = make_space(vm)
         s2 = vm.new_address_space()
-        vm.map(s2.asid, 0x99, frame.frame_id)
-        assert len(vm.aliases_of(frame.frame_id)) == 2
+        vm.map(s2.asid, 0x99, frame)
+        assert len(vm.aliases_of(frame)) == 2
 
     def test_double_map_rejected(self):
         vm = Vmem()
         space, (frame,) = make_space(vm)
         with pytest.raises(DoubleMapError):
-            vm.map(space.asid, 0x10, frame.frame_id)
+            vm.map(space.asid, 0x10, frame)
 
     def test_unmap_shrinks_alias_list(self):
         vm = Vmem()
         s1, (frame,) = make_space(vm)
         s2 = vm.new_address_space()
-        vm.map(s2.asid, 0x20, frame.frame_id)
+        vm.map(s2.asid, 0x20, frame)
         vm.unmap(s2.asid, 0x20)
-        assert len(vm.aliases_of(frame.frame_id)) == 1
+        assert len(vm.aliases_of(frame)) == 1
         assert vm.rmap == vm.rebuild_reverse_map()
 
     def test_unmap_unmapped_raises(self):
@@ -74,37 +74,46 @@ class TestAccess:
     def test_user_read_of_kernel_page_faults(self):
         vm = Vmem()
         space, _ = make_space(vm, user=False)
-        res = vm.access(0, space.asid, USER, READ, 0x10 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.USER_BIT
+        fault, _ = vm.access(0, space.asid, USER, READ, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.USER_BIT
 
     def test_user_write_to_readonly_faults(self):
         vm = Vmem()
         space, _ = make_space(vm, writable=False)
-        res = vm.access(0, space.asid, USER, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.WRITE_PROT
+        fault, _ = vm.access(0, space.asid, USER, WRITE, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.WRITE_PROT
 
     def test_kernel_ignores_user_bit(self):
         vm = Vmem()
         space, _ = make_space(vm, user=False)
-        assert vm.access(0, space.asid, KERNEL, READ, 0x10 * PAGE_SIZE).ok
+        assert vm.access(0, space.asid, KERNEL, READ, 0x10 * PAGE_SIZE)[0] is None
 
     def test_kernel_write_respects_write_protection(self):
         vm = Vmem()
         space, _ = make_space(vm, writable=False)
-        res = vm.access(0, space.asid, KERNEL, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.WRITE_PROT
+        fault, _ = vm.access(0, space.asid, KERNEL, WRITE, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.WRITE_PROT
 
     def test_unmapped_not_present(self):
         vm = Vmem()
         space, _ = make_space(vm)
-        res = vm.access(0, space.asid, USER, READ, 0x99 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.NOT_PRESENT
+        fault, _ = vm.access(0, space.asid, USER, READ, 0x99 * PAGE_SIZE)
+        assert fault.reason == FaultReason.NOT_PRESENT
 
     def test_exec_requires_executable_bit(self):
         vm = Vmem()
         space, _ = make_space(vm)
-        res = vm.access(0, space.asid, USER, EXEC, 0x10 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.EXEC_PROT
+        fault, _ = vm.access(0, space.asid, USER, EXEC, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.EXEC_PROT
+
+    def test_access_returns_the_fault_or_the_frames_bytes(self):
+        vm = Vmem()
+        space, (frame,) = make_space(vm, writable=False)
+        assert isinstance(frame, int)
+        fault, data = vm.access(0, space.asid, USER, READ, 0x10 * PAGE_SIZE + 5)
+        assert fault is None and data is vm.frames[frame] and len(data) == PAGE_SIZE
+        fault, data = vm.access(0, space.asid, USER, WRITE, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.WRITE_PROT and data is None
 
     def test_read_write_roundtrip(self):
         vm = Vmem()
@@ -119,12 +128,12 @@ class TestTlb:
         vm = Vmem(cores=2)
         space, _ = make_space(vm)
         addr = 0x10 * PAGE_SIZE
-        assert vm.access(0, space.asid, USER, READ, addr).ok  # warm core 0
+        assert vm.access(0, space.asid, USER, READ, addr)[0] is None  # warm core 0
         prev = vm.set_bit(space.asid, 0x10, PteBit.USER, False)
         assert prev is True
         # warm core still translates from its snapshot; cold core walks the PTE
-        assert vm.access(0, space.asid, USER, READ, addr).ok
-        assert vm.access(1, space.asid, USER, READ, addr).fault.reason == FaultReason.USER_BIT
+        assert vm.access(0, space.asid, USER, READ, addr)[0] is None
+        assert vm.access(1, space.asid, USER, READ, addr)[0].reason == FaultReason.USER_BIT
 
     def test_flush_all_cores_enforces_new_bits(self):
         vm = Vmem(cores=2)
@@ -134,7 +143,7 @@ class TestTlb:
         vm.set_bit(space.asid, 0x10, PteBit.USER, False)
         vm.tlb_flush(space.asid, 0x10)
         for core in (0, 1):
-            assert vm.access(core, space.asid, USER, READ, addr).fault.reason == FaultReason.USER_BIT
+            assert vm.access(core, space.asid, USER, READ, addr)[0].reason == FaultReason.USER_BIT
 
     def test_flush_then_access_refills_from_current_pte(self):
         vm = Vmem(cores=1)
@@ -146,7 +155,7 @@ class TestTlb:
         # oracle: direct PTE walk
         pte = vm.pte(space.asid, 0x10)
         expect_ok = pte.writable
-        assert vm.access(0, space.asid, USER, WRITE, addr).ok == expect_ok
+        assert (vm.access(0, space.asid, USER, WRITE, addr)[0] is None) == expect_ok
 
     def test_set_bit_idempotent_returns_previous(self):
         vm = Vmem()
@@ -171,10 +180,10 @@ class TestCow:
         parent, (frame,) = make_space(vm)
         vm.write_bytes(0, parent.asid, KERNEL, 0x10 * PAGE_SIZE, b"orig")
         child = vm.fork_address_space(parent.asid)
-        res = vm.access(0, child.asid, USER, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.COW_PENDING
+        fault, _ = vm.access(0, child.asid, USER, WRITE, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.COW_PENDING
         new_frame = vm.cow_resolve(child.asid, 0x10)
-        assert new_frame != frame.frame_id
+        assert new_frame != frame
         vm.write_bytes(0, child.asid, USER, 0x10 * PAGE_SIZE, b"MINE")
         data, _ = vm.read_bytes(0, parent.asid, KERNEL, 0x10 * PAGE_SIZE, 4)
         assert data == b"orig"
@@ -189,9 +198,9 @@ class TestCow:
         vm = Vmem()
         parent, (frame,) = make_space(vm)
         child = vm.fork_address_space(parent.asid)
-        assert len(vm.aliases_of(frame.frame_id)) == 2
+        assert len(vm.aliases_of(frame)) == 2
         vm.cow_resolve(child.asid, 0x10)
-        assert (child.asid, 0x10) not in vm.aliases_of(frame.frame_id)
+        assert (child.asid, 0x10) not in vm.aliases_of(frame)
         assert vm.rmap == vm.rebuild_reverse_map()
 
     def test_parent_write_after_fork_preserves_child_view(self):
@@ -199,8 +208,8 @@ class TestCow:
         parent, _ = make_space(vm)
         vm.write_bytes(0, parent.asid, KERNEL, 0x10 * PAGE_SIZE, b"orig")
         child = vm.fork_address_space(parent.asid)
-        res = vm.access(0, parent.asid, USER, WRITE, 0x10 * PAGE_SIZE)
-        assert res.fault.reason == FaultReason.COW_PENDING
+        fault, _ = vm.access(0, parent.asid, USER, WRITE, 0x10 * PAGE_SIZE)
+        assert fault.reason == FaultReason.COW_PENDING
         vm.cow_resolve(parent.asid, 0x10)
         vm.write_bytes(0, parent.asid, USER, 0x10 * PAGE_SIZE, b"NEW!")
         data, _ = vm.read_bytes(0, child.asid, KERNEL, 0x10 * PAGE_SIZE, 4)
@@ -210,10 +219,10 @@ class TestCow:
         vm = Vmem()
         parent = vm.new_address_space()
         frame = vm.alloc_frame()
-        vm.map(parent.asid, 0x10, frame.frame_id, shared=True)
+        vm.map(parent.asid, 0x10, frame, shared=True)
         child = vm.fork_address_space(parent.asid)
         assert not child.entries[0x10].cow
-        assert child.entries[0x10].frame_id == frame.frame_id
+        assert child.entries[0x10].frame_id == frame
 
 
 class TestReverseMapSoundness:
@@ -228,7 +237,7 @@ class TestReverseMapSoundness:
             vpn = 0x10 + (arg % 3)
             if action == 0:
                 if vpn not in space.entries:
-                    vm.map(space.asid, vpn, frames[arg % 3].frame_id)
+                    vm.map(space.asid, vpn, frames[arg % 3])
             elif action == 1:
                 if vpn in space.entries:
                     vm.unmap(space.asid, vpn)
@@ -237,7 +246,7 @@ class TestReverseMapSoundness:
                     vm.set_bit(space.asid, vpn, PteBit.WRITABLE, bool(arg % 2))
             else:
                 if vpn not in space.entries:
-                    vm.map(space.asid, vpn, frames[(arg + 1) % 3].frame_id, user=bool(arg % 2))
+                    vm.map(space.asid, vpn, frames[(arg + 1) % 3], user=bool(arg % 2))
         assert vm.rmap == vm.rebuild_reverse_map()
 
     def test_fork_and_cow_keep_reverse_map_sound(self):
@@ -247,6 +256,28 @@ class TestReverseMapSoundness:
         vm.cow_resolve(child.asid, 0x11)
         vm.unmap(parent.asid, 0x12)
         assert vm.rmap == vm.rebuild_reverse_map()
+
+
+class TestDestroy:
+    def test_destroy_drops_only_the_destroyed_spaces_mappings(self):
+        """Two spaces alias one frame and both cores are warm on both; the
+        destroyed space leaves no TLB entry, and the other keeps its own."""
+        vm = Vmem(cores=2)
+        gone, (frame,) = make_space(vm)
+        kept = vm.new_address_space()
+        vm.map(kept.asid, 0x20, frame)
+        for core in (0, 1):
+            for asid, vpn in ((gone.asid, 0x10), (kept.asid, 0x20)):
+                assert vm.access(core, asid, USER, READ, vpn * PAGE_SIZE)[0] is None
+        kept_tlbs = [dict(tlb) for tlb in vm.tlbs]
+        for tlb in kept_tlbs:
+            del tlb[gone.asid, 0x10]
+        vm.destroy_address_space(gone.asid)
+        assert gone.asid not in vm.spaces
+        assert all(asid != gone.asid for tlb in vm.tlbs for asid, _ in tlb)
+        assert vm.tlbs == kept_tlbs and all((kept.asid, 0x20) in tlb for tlb in vm.tlbs)
+        assert vm.rmap == {frame: {(kept.asid, 0x20)}} == vm.rebuild_reverse_map()
+        assert vm.access(0, gone.asid, USER, READ, 0x10 * PAGE_SIZE)[0].reason == FaultReason.NOT_PRESENT
 
 
 def _predicted(vm, asid, vpn, mode, kind):
@@ -291,14 +322,14 @@ class TestTlbCoherence:
             else:
                 kind = READ if op == "user_read" else WRITE
                 for core in (0, 1):
-                    res = vm.access(core, space.asid, USER, kind, addr)
+                    fault, _ = vm.access(core, space.asid, USER, kind, addr)
                     if coherent[core]:
                         expected = _predicted(vm, space.asid, 0x10, USER, kind)
-                        got = None if res.ok else res.fault.reason
+                        got = None if fault is None else fault.reason
                         assert got == expected, (seq, op, core)
                     # a successful access warms the TLB; that snapshot is
                     # coherent with the current PTE only if nothing changed
-                    if res.ok:
+                    if fault is None:
                         coherent[core] = coherent[core] or False
 
     def test_exhaustive_short_sequences(self):
@@ -318,7 +349,7 @@ class TestAccessMonotonicity:
         addr = 0x10 * PAGE_SIZE
         out = set()
         for kind in (READ, WRITE, EXEC):
-            if vm.access(0, asid, USER, kind, addr).ok:
+            if vm.access(0, asid, USER, kind, addr)[0] is None:
                 out.add(kind)
         return out
 
@@ -370,7 +401,7 @@ class TestPageWalk:
         other, written_frames = make_space(written, pages=4)
         poked.poke(space.asid, BASE + offset, data)
         assert written.write_bytes(0, other.asid, KERNEL, BASE + offset, data) is None
-        assert [f.data for f in poked_frames] == [f.data for f in written_frames]
+        assert [poked.frames[f] for f in poked_frames] == [written.frames[f] for f in written_frames]
 
     @settings(max_examples=150, deadline=None)
     @given(ranges(), st.integers(1, 4))

@@ -20,10 +20,9 @@ from .scenario import (
     ScenarioError,
     build_simulation,
     check_expectations,
-    effective_expectations,
     load_scenario,
 )
-from .tasks import explore, explore_all
+from .tasks import explore
 
 
 def _positive_int(text: str) -> int:
@@ -98,10 +97,7 @@ def _cmd_run(args: argparse.Namespace, costs: Optional[CostTable]) -> int:
         # build_simulation raises what only building can find: overlapping
         # mappings and bad enclave bridge pages.
         if mode == "exhaustive":
-            # a paths bound counts interleavings, which only full
-            # enumeration runs
-            counts_paths = "paths" in (effective_expectations(sc, variant) or {})
-            result = (explore_all if counts_paths else explore)(
+            result = explore(
                 lambda: build_simulation(sc, variant_override=variant, cost_table=table),
                 max_steps=args.max_steps or sc.schedule.get("max_steps", 24),
             )

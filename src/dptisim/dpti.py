@@ -88,28 +88,11 @@ class ClosedMapping:
 
 
 @dataclass(eq=False)
-class ProtectionRecord:
-    """One syscall's protection window: the frames it closed, and every
-    mapping of them it holds closed. Its syscall context is its one owner."""
-
-    frames: list[int] = field(default_factory=list)
-    mappings: list[ClosedMapping] = field(default_factory=list)
-
-    def saved(self) -> tuple[ProtectionRecord, int, int]:
-        """What puts this record's lists, which only grow, back as they are
-        now, for ``put_back``."""
-        return self, len(self.frames), len(self.mappings)
-
-    @staticmethod
-    def put_back(saved: tuple[ProtectionRecord, int, int]) -> None:
-        record, frames, mappings = saved
-        del record.frames[frames:]
-        del record.mappings[mappings:]
-
-
-@dataclass
 class SyscallContext:
-    """One in-flight syscall; phases are the schedulable preemption points."""
+    """One in-flight syscall; phases are the schedulable preemption points.
+    It is its own protection window: the frames it closed, and every mapping
+    of them it holds closed. Each engine list of windows holds contexts,
+    which compare by identity."""
 
     op: Any  # the thread op that entered the kernel; bodies read operands from it
     nr: int
@@ -118,27 +101,28 @@ class SyscallContext:
     phase: str = SyscallPhase.LOOKUP
     rule: Optional[FilterRule] = None
     disposition: str = "unsandboxed"
-    record: Optional[ProtectionRecord] = None  # the window, once an argument opens it
+    # the window, empty until an argument opens it; each list only grows
+    frames: list[int] = field(default_factory=list)
+    mappings: list[ClosedMapping] = field(default_factory=list)
     # each replaced, never changed in place, so that ``saved`` may keep it
     checked: dict[int, bytes] = field(default_factory=dict)
     used: dict[int, bytes] = field(default_factory=dict)
     result: Optional[int] = None
 
     def saved(self) -> tuple:
-        """What a step of this syscall may change of it, with its window's
-        record as ``ProtectionRecord.saved`` gives it, for ``put_back``."""
-        record = self.record
+        """What a step of this syscall may change of it, its window's
+        lengths included, for ``put_back``."""
         return (
-            self, self.phase, self.rule, self.disposition, record, self.checked, self.used,
-            self.result, record.saved() if record is not None else None,
+            self, self.phase, self.rule, self.disposition, self.checked, self.used, self.result,
+            len(self.frames), len(self.mappings),
         )
 
     @staticmethod
     def put_back(saved: tuple) -> None:
-        (ctx, ctx.phase, ctx.rule, ctx.disposition, ctx.record, ctx.checked, ctx.used, ctx.result,
-         record) = saved
-        if record is not None:
-            ProtectionRecord.put_back(record)
+        (ctx, ctx.phase, ctx.rule, ctx.disposition, ctx.checked, ctx.used, ctx.result,
+         frames, mappings) = saved
+        del ctx.frames[frames:]
+        del ctx.mappings[mappings:]
 
 
 def make_syscall_context(op: Any) -> SyscallContext:
@@ -165,8 +149,9 @@ class DptiEngine:
         self.variant = variant
         self.deny_mode = deny_mode
         # the open windows over each frame inside one, in the order they closed it
-        self.by_frame: dict[int, list[ProtectionRecord]] = {}
-        self.closed: dict[tuple[int, int, int], ClosedMapping] = {}  # by (asid, vpn, frame_id)
+        self.by_frame: dict[int, list[SyscallContext]] = {}
+        # the mappings the windows over each such frame hold closed, by (asid, vpn)
+        self.closed: dict[int, dict[tuple[int, int], ClosedMapping]] = {}
 
     # ------------------------------------------------------------------
     # dispatch state machine
@@ -235,7 +220,7 @@ class DptiEngine:
             return "stalled"
         if status == "killed":
             return "done"
-        if ctx.record is not None:
+        if ctx.frames:
             ctx.phase = SyscallPhase.RESTORE
             return "again"
         self._finish(task, ctx)
@@ -243,7 +228,7 @@ class DptiEngine:
 
     def _restore_step(self, task, ctx: SyscallContext) -> str:
         # A kill here means concurrent use of a protected frame.
-        if self.restore(task, ctx.record):
+        if self.restore(task, ctx):
             self._finish(task, ctx)
         return "done"
 
@@ -273,19 +258,16 @@ class DptiEngine:
 
         Pages are protected one by one while scanning for the terminator, so
         a byte is only trusted once its page can no longer change. Returns
-        the window, None when protection is disabled, or False if the caller
+        ``ctx``, None when protection is disabled, or False if the caller
         was killed (bad pointer, executable page under stashing).
         """
         if self.variant is None:
             return None
         vmem = self.vmem
         vaddr = ctx.args[arg_index]
-        record = ctx.record
-        if record is None:
-            record = ctx.record = ProtectionRecord()
-        had_frames, had_mappings = len(record.frames), len(record.mappings)
+        had_frames, had_mappings = len(ctx.frames), len(ctx.mappings)
         for vpn, offset, _, _ in page_spans(vaddr, MAX_SPAN * PAGE_SIZE - page_offset(vaddr)):
-            if not self._protect_page(task, record, vpn):
+            if not self._protect_page(task, ctx, vpn):
                 return False
             frame_id = vmem.spaces[task.asid].entries[vpn].frame_id
             if vmem.fp is not None:
@@ -303,14 +285,14 @@ class DptiEngine:
             ProtectEvent(
                 tid=task.tid,
                 variant=self.variant,
-                frames=record.frames[had_frames:],
-                mappings=len(record.mappings) - had_mappings,
-                pages=len(record.frames) - had_frames,
+                frames=ctx.frames[had_frames:],
+                mappings=len(ctx.mappings) - had_mappings,
+                pages=len(ctx.frames) - had_frames,
             )
         )
-        return record
+        return ctx
 
-    def _protect_page(self, task, record: ProtectionRecord, vpn: int) -> bool:
+    def _protect_page(self, task, ctx: SyscallContext, vpn: int) -> bool:
         vmem = self.vmem
         pte = vmem.entry(task.asid, vpn)
         if pte is None:
@@ -321,19 +303,19 @@ class DptiEngine:
             # process and survives an exec by the sharing sibling.
             self._resolve_cow(task.tid, task.asid, vpn)
         frame_id = pte.frame_id
-        if frame_id in record.frames:
+        if frame_id in ctx.frames:
             return True  # an earlier argument of this syscall closed it
         if self.variant == Variant.STASH and pte.executable:
             self.kill(task, KillCause.EXECUTABLE_PAGE, f"stash refused executable page {vpn:#x}")
             return False
         windows = self._windows(frame_id, write=True)
         for asid, a_vpn in vmem.aliases_of(frame_id):
-            self._close_mapping(record, asid, a_vpn)
-        record.frames.append(frame_id)
-        windows.append(record)
+            self._close_mapping(ctx, asid, a_vpn)
+        ctx.frames.append(frame_id)
+        windows.append(ctx)
         return True
 
-    def _windows(self, frame_id: int, write: bool = False) -> list[ProtectionRecord]:
+    def _windows(self, frame_id: int, write: bool = False) -> list[SyscallContext]:
         """The open windows over ``frame_id``, in the order they closed it,
         recorded as a read, or with ``write`` a write, of the frame's window
         location. That location also holds the mappings of the frame that
@@ -349,39 +331,39 @@ class DptiEngine:
 
     def saved_window(self, loc: tuple) -> tuple:
         """The journal entry of the windows over a frame as they are now,
-        with each one's record and the mappings of the frame they hold
-        closed."""
+        with the lengths of each one's lists and the mappings of the frame
+        they hold closed."""
         frame_id = loc[1]
-        records = self.by_frame.get(frame_id)
-        held = [record.saved() for record in records] if records is not None else None
-        closed = [
-            (key, mapping, mapping.windows) for key, mapping in self.closed.items() if key[2] == frame_id
-        ]
+        windows = self.by_frame.get(frame_id)
+        if not windows:
+            return self._put_window, frame_id, None, None
+        held = [(ctx, len(ctx.frames), len(ctx.mappings)) for ctx in windows]
+        closed = [(mapping, mapping.windows) for mapping in self.closed[frame_id].values()]
         return self._put_window, frame_id, held, closed
 
     def _put_window(self, entry: tuple) -> None:
         _, frame_id, held, closed = entry
         if held is None:
             self.by_frame.pop(frame_id, None)
-        else:
-            self.by_frame[frame_id] = [saved[0] for saved in held]
-            for saved in held:
-                ProtectionRecord.put_back(saved)
-        for key in [key for key in self.closed if key[2] == frame_id]:
-            del self.closed[key]
-        for key, mapping, windows in closed:
+            self.closed.pop(frame_id, None)
+            return
+        self.by_frame[frame_id] = [ctx for ctx, _, _ in held]
+        for ctx, frames, mappings in held:
+            del ctx.frames[frames:]
+            del ctx.mappings[mappings:]
+        self.closed[frame_id] = {(mapping.asid, mapping.vpn): mapping for mapping, _ in closed}
+        for mapping, windows in closed:
             mapping.windows = windows
-            self.closed[key] = mapping
 
     def cover_new_mapping(self, asid: int, vpn: int) -> None:
         """A fresh mapping of a frame appeared while that frame is inside
         protection windows (an alias mapped mid-syscall): fold it into every
-        covering record, so each window stays complete and the last to end
-        returns the mapping to the permissions it was created with."""
+        covering window, so each stays complete and the last to end returns
+        the mapping to the permissions it was created with."""
         frame_id = self.vmem.pte(asid, vpn).frame_id
         if self._windows(frame_id):
-            for record in self._windows(frame_id, write=True):
-                self._close_mapping(record, asid, vpn)
+            for ctx in self._windows(frame_id, write=True):
+                self._close_mapping(ctx, asid, vpn)
 
     def _resolve_cow(self, tid: int, asid: int, vpn: int) -> None:
         """Give ``asid`` its own copy of the copy-on-write page ``vpn``, in
@@ -391,28 +373,31 @@ class DptiEngine:
         vmem = self.vmem
         old = vmem.pte(asid, vpn).frame_id
         # a mapping is held closed only while a window is over its frame
-        closed = self._windows(old) and self.closed.get((asid, vpn, old))
+        closed = self._windows(old) and self.closed[old].get((asid, vpn))
         if closed:
             vmem.set_perms(asid, vpn, closed.user, False, closed.executable)
         new = vmem.cow_resolve(asid, vpn)
         self.sim.emit(CowEvent(tid=tid, asid=asid, vpn=vpn, old_frame=old, new_frame=new))
 
-    def _close_mapping(self, record: ProtectionRecord, asid: int, vpn: int) -> None:
-        """Hold one mapping closed for ``record``: the first window over it
-        saves its bits, then stashes or freezes it; a later one only counts."""
+    def _close_mapping(self, ctx: SyscallContext, asid: int, vpn: int) -> None:
+        """Hold one mapping closed for the window ``ctx``: the first window
+        over it saves its bits, then stashes or freezes it; a later one only
+        counts."""
         vmem = self.vmem
         pte = vmem.entry(asid, vpn)
-        key = (asid, vpn, pte.frame_id)
-        closed = self.closed.get(key)
+        held = self.closed.setdefault(pte.frame_id, {})
+        closed = held.get((asid, vpn))
         if closed is None:
-            closed = self.closed[key] = ClosedMapping(*key, pte.user, pte.writable, pte.executable)
+            closed = held[asid, vpn] = ClosedMapping(
+                asid, vpn, pte.frame_id, pte.user, pte.writable, pte.executable
+            )
             if self.variant == Variant.STASH:
                 vmem.set_perms(asid, vpn, False, pte.writable, False)
             else:
                 vmem.set_bit(asid, vpn, PteBit.WRITABLE, False)
             vmem.tlb_flush(asid, vpn)
         closed.windows += 1
-        record.mappings.append(closed)
+        ctx.mappings.append(closed)
 
     def check_string(self, task, ctx: SyscallContext, sf: StringFilter) -> Optional[bool]:
         """The check fetch: read the argument, unmodifiable once protected,
@@ -441,51 +426,52 @@ class DptiEngine:
         )
         return matched
 
-    def restore(self, task, record: ProtectionRecord) -> bool:
-        """Put every recorded mapping back exactly as found; wake stalled
-        writers. If the frame is still inside another live protection window
-        the application is killed instead."""
-        for frame_id in record.frames:
+    def restore(self, task, ctx: SyscallContext) -> bool:
+        """Put every mapping the window ``ctx`` holds back exactly as found;
+        wake stalled writers. If the frame is still inside another live
+        protection window the application is killed instead."""
+        for frame_id in ctx.frames:
             for other in self._windows(frame_id):
-                if other is not record:
+                if other is not ctx:
                     self.kill(
                         task,
                         KillCause.CONCURRENT_USE,
                         f"frame {frame_id} still protected by another syscall",
                     )
                     return False
-        restored = self._apply_restore(record)
+        restored = self._apply_restore(ctx)
         self.sim.emit(
-            RestoreEvent(tid=task.tid, frames=list(record.frames), mappings=restored)
+            RestoreEvent(tid=task.tid, frames=list(ctx.frames), mappings=restored)
         )
-        self.sim.wake_frame_waiters(set(record.frames))
+        self.sim.wake_frame_waiters(set(ctx.frames))
         return True
 
-    def _apply_restore(self, record: ProtectionRecord) -> int:
-        """Let go of every mapping ``record`` holds closed; the last window
-        over one puts its bits back. Returns how many."""
+    def _apply_restore(self, ctx: SyscallContext) -> int:
+        """Let go of every mapping the window ``ctx`` holds closed; the last
+        window over one puts its bits back. Returns how many."""
         vmem = self.vmem
         if vmem.fp is not None:
             # the windows over these frames hold the mappings let go of below
-            for frame_id in record.frames:
+            for frame_id in ctx.frames:
                 vmem.wrote(("window", frame_id))
         restored = 0
-        for closed in record.mappings:
+        for closed in ctx.mappings:
             closed.windows -= 1
             if closed.windows:
                 continue
-            del self.closed[closed.asid, closed.vpn, closed.frame_id]
+            del self.closed[closed.frame_id][closed.asid, closed.vpn]
             pte = vmem.entry(closed.asid, closed.vpn)  # None once replaced (exec) or torn down
             if pte is None or pte.frame_id != closed.frame_id:
                 continue
             vmem.set_perms(closed.asid, closed.vpn, closed.user, closed.writable, closed.executable)
             vmem.tlb_flush(closed.asid, closed.vpn)
             restored += 1
-        for frame_id in record.frames:
-            records = self._windows(frame_id, write=True)
-            records.remove(record)
-            if not records:
+        for frame_id in ctx.frames:
+            windows = self._windows(frame_id, write=True)
+            windows.remove(ctx)
+            if not windows:
                 del self.by_frame[frame_id]
+                del self.closed[frame_id]
         return restored
 
     def unwind_group(self, tasks: Iterable) -> None:
@@ -493,9 +479,9 @@ class DptiEngine:
         syscalls, without the concurrent-use check, and wake its waiters."""
         for task in tasks:
             ctx = task.micro
-            if isinstance(ctx, SyscallContext) and ctx.record is not None:
-                self._apply_restore(ctx.record)
-                self.sim.wake_frame_waiters(set(ctx.record.frames))
+            if isinstance(ctx, SyscallContext) and ctx.frames:
+                self._apply_restore(ctx)
+                self.sim.wake_frame_waiters(set(ctx.frames))
 
     # ------------------------------------------------------------------
     # fault and interface policy
@@ -508,7 +494,7 @@ class DptiEngine:
         the mapping."""
         if fault.reason == FaultReason.COW_PENDING:
             pte = self.vmem.pte(fault.asid, fault.vpn)
-            held = self._windows(pte.frame_id) and (fault.asid, fault.vpn, pte.frame_id) in self.closed
+            held = self._windows(pte.frame_id) and (fault.asid, fault.vpn) in self.closed[pte.frame_id]
             if pte.vm_write and not held:
                 self._resolve_cow(task.tid, fault.asid, fault.vpn)
                 return "retry"
@@ -617,8 +603,7 @@ class DptiEngine:
         path = self._use_fetch(task, ctx, 0)
         if path is None:
             return "killed"
-        record = ctx.record
-        restored = 0 if record is None else sum(closed.asid != task.asid for closed in record.mappings)
+        restored = sum(closed.asid != task.asid for closed in ctx.mappings)
         if not self.sim.exec_task(task, ctx.op.image):
             ctx.result = -1
             return "ok"

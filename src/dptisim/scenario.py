@@ -166,7 +166,7 @@ _MAPPING_KEYS = {"vaddr", "pages", "write", "exec", "user", "shared", "label", "
 # No op can alias a label that an exec image would map, so an image takes none.
 _IMAGE_MAPPING_KEYS = _MAPPING_KEYS - {"label"}
 # expectation -> the bounds it takes
-_BOUNDS = {"witnesses": {"equals", "min", "max"}, "deadlocks": {"equals"}, "paths": {"min"}}
+_BOUNDS = {"witnesses": {"equals", "min", "max"}, "deadlocks": {"equals"}}
 
 # default for variant overrides: "use the variant the scenario declares"
 _SCENARIO_VARIANT = object()
@@ -326,10 +326,11 @@ def scenario_from_dict(raw: Any) -> Scenario:
 def _groups(plans: list[_ProcessPlan], names: _Names) -> tuple[tuple[int, ...], ...]:
     """The tids of the threads of each connected component of "may interact"
     over the processes. Two processes may interact if they map a common
-    label, if one names a thread of the other in ``proc_mem_write``, or if
-    they share an enclave (its host or an ``ecall`` to it). A ``fork``
-    anywhere makes every process one group: a child's pid, tid and name
-    come from counters all share."""
+    label, or if one names a thread of the other in ``proc_mem_write``. An
+    ``ecall`` joins no processes: a call from outside the enclave's host's
+    address space kills the caller and changes nothing of the host. A
+    ``fork`` anywhere makes every process one group: a child's pid, tid and
+    name come from counters all share."""
     root = list(range(len(plans)))
 
     def find(i: int) -> int:
@@ -344,7 +345,6 @@ def _groups(plans: list[_ProcessPlan], names: _Names) -> tuple[tuple[int, ...], 
     # it: 1, 2, ... in this order
     threads = [(name, i) for i, plan in enumerate(plans) for name, *_ in plan.threads]
     thread_owner = {**dict(threads), **{tid: i for tid, (_, i) in enumerate(threads, 1)}}
-    host = {enc.name: enc.host for enc in names.enclaves.values()}
 
     def link(i: int, specs: tuple[MapSpec, ...]) -> None:
         for spec in specs:
@@ -364,8 +364,6 @@ def _groups(plans: list[_ProcessPlan], names: _Names) -> tuple[tuple[int, ...], 
                     return False
             elif isinstance(op, ProcMemWriteOp) and op.target in thread_owner:
                 join(i, thread_owner[op.target])
-            elif isinstance(op, EcallOp):
-                join(i, host[op.enclave])
         return True
 
     for i, plan in enumerate(plans):
@@ -686,16 +684,6 @@ def build_simulation(
 # expectations
 
 
-def effective_expectations(sc: Scenario, variant: Optional[str]) -> Optional[dict[str, Any]]:
-    """Base expectations merged with the per-variant override section."""
-    exp = sc.raw.get("expectations")
-    if exp is None:
-        return None
-    merged = {k: v for k, v in exp.items() if k != "by_variant"}
-    merged.update(exp.get("by_variant", {}).get(variant or "none", {}))
-    return merged or None
-
-
 def check_expectations(
     sc: Scenario,
     result: Union[SimReport, ExplorationReport],
@@ -704,21 +692,31 @@ def check_expectations(
     """Returns a list of human-readable failures; empty means all hold."""
     if variant is _SCENARIO_VARIANT:
         variant = sc.variant
-    exp = effective_expectations(sc, variant)
+    exp = sc.raw.get("expectations") or {}
+    # the base expectations with the variant's own section over them
+    by_variant = exp.get("by_variant", {})
+    exp = {k: v for k, v in exp.items() if k != "by_variant"} | by_variant.get(variant or "none", {})
     if not exp:
         return []
     failures: list[str] = []
     exploring = isinstance(result, ExplorationReport)
-    # A search of groups apart, or one cut by sleep sets, counts only the
-    # paths it ran, so a witness or deadlock bound reads as existence: none,
-    # or at least one.
-    apart = len(result.groups) if exploring and len(result.groups) > 1 else 0
-    reduced = apart or (exploring and result.reduced)
+    if exploring:
+        # A search runs one path per class of equivalent interleavings, so
+        # its answer is its verdict, and a witness or deadlock bound reads
+        # as existence: none, or at least one.
+        verdict = result.verdict()
+        witnesses, deadlocked = int(verdict["witness"]), int(verdict["deadlock"])
+        # (process, cause) of every kill on some path
+        killed = {
+            (process, cause) for process, causes in verdict["process_kills"].items() for cause in causes
+        }
+    else:
+        witnesses, deadlocked = len(result.witnesses), len(result.deadlocked)
+        killed = {(k["process"], k["cause"]) for k in result.kills}
 
     def counted(n: int) -> int:
-        return min(n, 1) if reduced else n
+        return min(n, 1) if exploring else n
 
-    witnesses = counted(result.witnesses if exploring else len(result.witnesses))
     bounds = exp.get("witnesses")
     if bounds:
         if "equals" in bounds and witnesses != counted(bounds["equals"]):
@@ -727,15 +725,6 @@ def check_expectations(
             failures.append(f"witnesses: expected at least {bounds['min']}, found {witnesses}")
         if "max" in bounds and witnesses > counted(bounds["max"]):
             failures.append(f"witnesses: expected at most {bounds['max']}, found {witnesses}")
-    # (process, cause) of every kill in the seeded run, or on some path of
-    # the exploration
-    if exploring:
-        killed = {
-            (process, cause)
-            for process, causes in result.process_kills.items() for cause in causes
-        }
-    else:
-        killed = {(k["process"], k["cause"]) for k in result.kills}
     for want in exp.get("kills", []):
         if not any(
             ("process" not in want or process == want["process"])
@@ -749,22 +738,6 @@ def check_expectations(
         if bad:
             failures.append(f"no_kills: kills occurred: {bad}")
     deadlocks = exp.get("deadlocks")
-    if deadlocks is not None:
-        count = counted(result.deadlock_paths if exploring else len(result.deadlocked))
-        if count != counted(deadlocks.get("equals", 0)):
-            failures.append(
-                f"deadlocks: expected {deadlocks.get('equals', 0)}, found {count}"
-            )
-    paths = exp.get("paths")
-    if paths is not None and reduced:
-        how = (
-            f"{apart} groups were explored apart" if apart
-            else "one path was explored per class of equivalent interleavings"
-        )
-        failures.append(
-            f"paths: {how}, so the path count is not the number of "
-            "interleavings; explore every interleaving (explore_all) to bound it"
-        )
-    elif paths is not None and exploring and result.paths < paths.get("min", 1):
-        failures.append(f"paths: expected at least {paths.get('min', 1)}, explored {result.paths}")
+    if deadlocks is not None and deadlocked != counted(deadlocks.get("equals", 0)):
+        failures.append(f"deadlocks: expected {deadlocks.get('equals', 0)}, found {deadlocked}")
     return failures

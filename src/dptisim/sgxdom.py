@@ -243,20 +243,28 @@ class SgxRuntime:
     # ------------------------------------------------------------------
     # transitions
 
-    def enter(self, task, domain: EnclaveDomain) -> None:
-        """Switch the calling thread onto the isolated mapping.
+    def enter(self, task, domain: EnclaveDomain) -> bool:
+        """Switch the calling thread onto the isolated mapping; False once
+        the caller is killed instead. An enclave lives in the one address
+        space it was built in, so a call from any other is a segfault.
 
         The stack pointer is aligned down to a page boundary; pages at and
         above it (holding return addresses) are withheld from the isolation,
         pages below stay usable for outcall argument passing.
         """
+        if task.asid != domain.host_asid:
+            self.sim.kill_group(
+                task.tgid, KillCause.SEGFAULT,
+                f"ecall to enclave {domain.name} from outside its host's address space",
+            )
+            return False
         vmem = self.vmem
         aligned = task.cpu.rsp - (task.cpu.rsp % PAGE_SIZE)
         task.cpu.rsp = aligned
         saved = (aligned, task.cpu.rbp)
         if domain.variant is None:
             task.micro = EnclaveContext(domain, saved)
-            return
+            return True
         # The stack lent is the mapped run of pages below the aligned stack
         # pointer that has the flags of the page just below it.
         host = domain.host_asid
@@ -281,6 +289,7 @@ class SgxRuntime:
                 )
         task.asid = domain.isolated_asid
         task.micro = EnclaveContext(domain, saved, permitted)
+        return True
 
     def _lend_stack(self, domain: EnclaveDomain, vpns: list[int], lend: bool) -> None:
         """Lend the stack pages ``vpns`` to the isolation, or take them back:

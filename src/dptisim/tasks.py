@@ -713,9 +713,7 @@ class Simulation:
                 self._advance(task)
             return f"proc_mem:{outcome}"
         if isinstance(op, EcallOp):
-            domain = self.enclaves[op.enclave]
-            self.sgx.enter(task, domain)
-            return "enclave_enter"
+            return "enclave_enter" if self.sgx.enter(task, self.enclaves[op.enclave]) else "killed"
         # Everything else enters the kernel as a syscall.
         ctx = task.micro = make_syscall_context(op)
         return self._in_flight(task, ctx.phase, self.engine.step_syscall(task))

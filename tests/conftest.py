@@ -58,6 +58,17 @@ def pair_race(openers: int, racers: int, one_page: bool = False) -> dict:
     }
 
 
+def double_write_racer() -> dict:
+    """The 1+1 one-page pair race whose racer writes "1" at byte 4 and then
+    "2". The first write leaves "file1" intact and fills the racer core's
+    TLB entry for the page before the window opens."""
+    raw = pair_race(1, 1, one_page=True)
+    raw["name"] = "double_write_racer"
+    racer = raw["processes"][0]["threads"][1]
+    racer["ops"].insert(0, dict(racer["ops"][0], string="1"))
+    return raw
+
+
 def sgx_data_only_with(name: str, threads: list[dict], mappings: tuple[dict, ...] = ()) -> dict:
     """sgx_data_only, named ``name``, with ``threads`` and ``mappings`` added
     to its host process."""
@@ -89,3 +100,32 @@ def enclave_bystanders(k: int) -> dict:
          for i, vaddr in enumerate(vaddrs)],
         tuple({"vaddr": vaddr} for vaddr in vaddrs),
     )
+
+
+def enclave_outsider(caller: str) -> dict:
+    """sgx_data_only whose enclave only exits, called from outside the
+    address space it was built in by ``caller``:
+
+    - "fork child": the child of the host's thread, which then writes
+      "child" over the host's secret;
+    - "guest": the thread of a process of its own, beside the host's caller;
+    - "exec": the host's thread, after an exec.
+
+    The guest and the exec'd thread then read a page of their own at
+    0x600000, which the host does not map."""
+    raw = json.loads((SCENARIOS / "sgx_data_only.json").read_text())
+    raw["name"] = f"enclave_outsider_{caller.replace(' ', '_')}"
+    raw["enclaves"][0]["script"] = [{"op": "eexit", "target": "legal"}]
+    host = raw["processes"][0]["threads"][0]
+    ecall, own_page = {"op": "ecall", "enclave": "evil"}, {"vaddr": 0x600000, "pages": 4}
+    read = {"op": "read", "vaddr": 0x600000, "len": 1}
+    if caller == "fork child":
+        host["ops"] = [{"op": "fork", "child": [ecall, {"op": "write", "vaddr": 0x80000, "string": "child"}]}]
+    elif caller == "guest":
+        raw["processes"].append({
+            "name": "guest", "mappings": [own_page],
+            "threads": [{"name": "guest-main", "rsp": 0x602000, "ops": [ecall, read]}],
+        })
+    else:
+        host["ops"] = [{"op": "exec", "path_vaddr": 0x80000, "image": {"mappings": [own_page], "ops": [ecall, read]}}]
+    return raw

@@ -40,7 +40,7 @@ from dptisim.dpti import SyscallContext
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import Simulation, TaskState
 
-from conftest import enclave_bystanders, enclave_race, pair_race, sgx_data_only_with
+from conftest import enclave_bystanders, enclave_outsider, enclave_race, pair_race, sgx_data_only_with
 from test_explore_oracle import MUTANTS, PATHS, SHRUNK, VARIANTS, _bound, _dropping
 
 FIXTURES = [path for path in PATHS if path.stem != "visudo"]
@@ -50,10 +50,8 @@ def _micro(ctx: Any) -> Any:
     if ctx is None:
         return None
     if isinstance(ctx, SyscallContext):
-        record = ctx.record
         return (
-            ctx.op, ctx.phase, ctx.rule is not None, ctx.disposition,
-            None if record is None else tuple(record.frames),
+            ctx.op, ctx.phase, ctx.rule is not None, ctx.disposition, tuple(ctx.frames),
             tuple(sorted(ctx.checked.items())), tuple(sorted(ctx.used.items())), ctx.result,
         )
     return (ctx.domain.name, ctx.at_entry, tuple(ctx.stack_vpns), ctx.ip, ctx.state, ctx.exit_kind)
@@ -83,20 +81,20 @@ def location_state(sim: Simulation) -> dict[Any, Any]:
     state["enclaves"] = repr(sorted(sim.enclaves.items()))
 
     owners = {
-        id(task.micro.record): tid for tid, task in sim.tasks.items()
-        if isinstance(task.micro, SyscallContext) and task.micro.record is not None
+        id(task.micro): tid for tid, task in sim.tasks.items()
+        if isinstance(task.micro, SyscallContext) and task.micro.frames
     }
-    frames = set(engine.by_frame) | {closed.frame_id for closed in engine.closed.values()}
+    frames = set(engine.by_frame) | set(engine.closed)
     for fid in frames:
         state["window", fid] = (
             tuple(
-                (owners.get(id(record)),
-                 tuple((c.asid, c.vpn) for c in record.mappings if c.frame_id == fid))
-                for record in engine.by_frame.get(fid, [])
+                (owners.get(id(ctx)),
+                 tuple((c.asid, c.vpn) for c in ctx.mappings if c.frame_id == fid))
+                for ctx in engine.by_frame.get(fid, [])
             ),
             frozenset(
                 (c.asid, c.vpn, c.user, c.writable, c.executable, c.windows)
-                for c in engine.closed.values() if c.frame_id == fid
+                for c in engine.closed.get(fid, {}).values()
             ),
         )
 
@@ -296,6 +294,7 @@ CASES = {
     ]), 80),
     "1 enclave bystander": (enclave_bystanders(1), 80),
     "2 enclave bystanders": (enclave_bystanders(2), 80),
+    "enclave guest": (enclave_outsider("guest"), 80),
 }
 
 

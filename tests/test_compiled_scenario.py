@@ -213,7 +213,7 @@ def open_window_mappings(sim):
     frame they closed, as (description, its PTE and every TLB entry for
     it)."""
     vmem = sim.vmem
-    for closed in sim.engine.closed.values():
+    for closed in (c for held in sim.engine.closed.values() for c in held.values()):
         space = vmem.spaces.get(closed.asid)
         pte = space.entries.get(closed.vpn) if space is not None else None
         if pte is None or pte.frame_id != closed.frame_id:
@@ -304,7 +304,7 @@ class ProgramBits:
                 write, user, executable = self.flags[proc.asid, vpn]
                 if (pte.vm_write, pte.vm_exec) != (write, executable):
                     yield f"{proc.name} vpn {vpn:#x}: {pte} lacks the flags the program last set"
-                if (proc.asid, vpn, pte.frame_id) in closed:
+                if (proc.asid, vpn) in closed.get(pte.frame_id, ()):
                     continue
                 tlb_entries = [tlb.get((proc.asid, vpn)) for tlb in vmem.tlbs]
                 views = [pte] + [entry for entry in tlb_entries if entry is not None]

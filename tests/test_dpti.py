@@ -629,7 +629,7 @@ class TestWindowInvariants:
         while sim.runnable_tids() and sim.step_count < 200:
             runnable = sim.runnable_tids()
             sim.step(runnable[rng.randrange(len(runnable))])
-            for closed in sim.engine.closed.values():
+            for closed in (c for held in sim.engine.closed.values() for c in held.values()):
                 pte = sim.vmem.spaces[closed.asid].entries[closed.vpn]
                 assert not pte.executable and not pte.user
         assert not extract_kills(sim.events)

@@ -31,7 +31,7 @@ from dptisim.events import FiltersFreedEvent
 from dptisim.scenario import build_simulation, load_scenario, scenario_from_dict
 from dptisim.tasks import ExplorationReport, TaskState, explore, explore_all, extract_kills, extract_witnesses
 
-from conftest import SCENARIOS, pair_race, sgx_data_only_with
+from conftest import SCENARIOS, enclave_outsider, pair_race, sgx_data_only_with
 from test_compiled_scenario import check_every_step
 
 VARIANTS = {"none": None, "stash": Variant.STASH, "freeze": Variant.FREEZE}
@@ -471,16 +471,19 @@ class TestGroups:
             )
         assert self.groups(scenario_from_dict(raw)) == [["a", "b"]]
 
-    def test_an_ecall_joins_the_enclave_host(self):
-        raw = json.loads((SCENARIOS / "sgx_data_only.json").read_text())
-        raw["processes"].append({
-            "name": "guest", "threads": [{"name": "guest-main", "ops": [{"op": "ecall", "enclave": "evil"}]}],
-        })
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_an_ecall_from_another_process_joins_no_group(self, variant):
+        """A call from outside the enclave's host's address space kills the
+        caller and changes nothing of the host, so the guest is a group of
+        its own."""
+        raw = enclave_outsider("guest")
         raw["processes"].append({"name": "other", "threads": []})
         sc = scenario_from_dict(raw)
         # a process with no thread is in no group: it has nothing to step
-        assert self.groups(sc) == [["host", "guest"]]
-        assert build_simulation(sc).groups == ((1, 2),)
+        assert self.groups(sc) == [["host"], ["guest"]]
+        assert build_simulation(sc).groups == ((1,), (2,))
+        factory = lambda: build_simulation(sc, VARIANTS[variant])  # noqa: E731
+        assert explore(factory, 80).verdict() == explore_all(factory, 80).verdict()
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @pytest.mark.parametrize("path", PATHS, ids=lambda p: p.stem)

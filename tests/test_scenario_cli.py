@@ -15,7 +15,7 @@ from dptisim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from dptisim.tasks import explore, explore_all
+from dptisim.tasks import explore
 
 
 def minimal_scenario(**overrides):
@@ -321,36 +321,17 @@ class TestExpectationsApart:
         raw["expectations"] = {"witnesses": {"max": 0}}
         assert check_expectations(scenario_from_dict(raw), report, None) != []
 
-    def test_paths_bound_asks_for_full_enumeration(self):
-        sc = two_independent_processes({"paths": {"min": 1}})
-        (failure,) = check_expectations(sc, explore(lambda: build_simulation(sc), 40))
-        assert "2 groups were explored apart" in failure and "explore_all" in failure
-        full = explore_all(lambda: build_simulation(sc), 40)
-        assert full.paths == 3 and check_expectations(sc, full) == []
-
-    def test_paths_bound_fails_a_reduced_search_and_a_short_enumeration(self):
-        """Two threads of one process reading one page: ``explore`` cuts
-        their interleavings to one class, so a paths bound fails there; under
-        ``explore_all`` it fails when fewer interleavings exist."""
-        raw = minimal_scenario(expectations={"paths": {"min": 3}})
-        raw["processes"][0]["threads"].append(
-            {"name": "t2", "ops": [{"op": "read", "vaddr": 65536}]}
-        )
-        sc = scenario_from_dict(raw)
-        reduced = explore(lambda: build_simulation(sc), 40)
-        assert reduced.reduced and len(reduced.groups) == 1
-        (failure,) = check_expectations(sc, reduced)
-        assert "one path was explored per class" in failure and "explore_all" in failure
-        full = explore_all(lambda: build_simulation(sc), 40)
-        assert full.paths == 2
-        assert check_expectations(sc, full) == ["paths: expected at least 3, explored 2"]
-
-    def test_run_enumerates_every_interleaving_for_a_paths_bound(self, tmp_path, capsys):
-        path = tmp_path / "two.json"
-        path.write_text(json.dumps(two_independent_processes({"paths": {"min": 3}}).raw))
-        assert main(["run", str(path), "--exhaustive", "--max-steps", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "explored 3 interleavings" in out and "expectations: all hold" in out
+    @pytest.mark.parametrize("expectations, where", [
+        ({"paths": {"min": 1}}, "expectations"),
+        ({"by_variant": {"stash": {"paths": {"min": 1}}}}, "expectations.by_variant.stash"),
+    ])
+    def test_a_paths_bound_is_an_unknown_key(self, tmp_path, capsys, expectations, where):
+        """An exploration's answer is its verdict, so no expectation counts
+        its paths."""
+        path = tmp_path / "paths.json"
+        path.write_text(json.dumps(minimal_scenario(expectations=expectations)))
+        assert main(["run", str(path), "--exhaustive"]) == 2
+        assert f"{where}: unknown key(s) ['paths']" in capsys.readouterr().err
 
 
 def _add_thread(raw, **thread):

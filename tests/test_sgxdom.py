@@ -26,8 +26,11 @@ from dptisim.sgxdom import (
     build_isolated_mapping,
     classify_eexit,
 )
+from dptisim.scenario import build_simulation, scenario_from_dict
 from dptisim.tasks import extract_kills
 from dptisim.vmem import PAGE_SIZE, AccessMode
+
+from conftest import enclave_outsider
 
 ENCLAVE = 0x100000
 CBP = 0x200000
@@ -173,6 +176,29 @@ class TestEnterExit:
         diagnostics = [ev.message for ev in sim.events if isinstance(ev, DiagnosticEvent)]
         stale = f"stale non-zero bytes on stack page {RSP // PAGE_SIZE - 1:#x} below the aligned stack pointer"
         assert diagnostics == ([] if variant is None else [stale])
+
+
+class TestCallsFromOutsideTheHost:
+    """An enclave lives in the address space it was built in: a call from
+    any other is a segfault of the caller's process, under every variant,
+    and changes nothing of the host."""
+
+    @pytest.mark.parametrize("variant", [None, Variant.STASH, Variant.FREEZE], ids=["none", "stash", "freeze"])
+    @pytest.mark.parametrize("caller, process", [
+        ("fork child", "host.child2"), ("guest", "guest"), ("exec", "host"),
+    ])
+    def test_the_call_kills_its_caller(self, caller, process, variant):
+        sim = build_simulation(scenario_from_dict(enclave_outsider(caller)), variant_override=variant)
+        host = sim.processes[1]
+        secret = sim.vmem.entry(host.asid, SECRET // PAGE_SIZE).frame_id
+        sim.run_seeded(0, 200)
+        (kill,) = [k for k in extract_kills(sim.events) if k["process"] == process]
+        assert kill["cause"] == KillCause.SEGFAULT and "enclave evil" in kill["detail"]
+        (killed,) = [step for step in sim.trace if step[2:] == ["ecall:evil", "killed"]]
+        assert sim.processes[sim.tasks[killed[1]].tgid].name == process
+        ecalls = [ev.tid for ev in sim.events if isinstance(ev, EcallEvent)]
+        assert killed[1] not in ecalls
+        assert bytes(sim.vmem.frames[secret][:11]) == b"host secret"
 
 
 class TestOcall:

@@ -186,6 +186,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, CostError) as exc:
         print(f"error: --costs {args.costs}: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: --costs {args.costs}: nested too deeply", file=sys.stderr)
+        return 2
     if args.command == "run":
         return _cmd_run(args, costs)
     return _cmd_bench(args, costs)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from fractions import Fraction
-from numbers import Rational
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .events import (
@@ -37,10 +36,9 @@ Cycles = Union[int, Fraction]
 
 
 def _num(x: Cycles) -> Union[int, float]:
-    """JSON-friendly value: exact int when integral, float otherwise."""
-    if isinstance(x, Rational) and x.denominator == 1:
-        return int(x)
-    return float(x)
+    """JSON-friendly value: the int, or the float of a Fraction, which
+    ``_exact`` makes only when the value is not integral."""
+    return x if isinstance(x, int) else float(x)
 
 
 def _exact(units: int, d: int) -> Cycles:

@@ -21,6 +21,11 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence, Union
 
+try:  # the optional ``fast`` extra
+    import orjson
+except ImportError:
+    orjson = None
+
 from . import costmodel
 from .dpti import DptiEngine, SyscallContext, Variant, make_syscall_context
 from .events import (
@@ -248,7 +253,39 @@ class ProcessInfo:
 
 
 def _dumps(obj: Any) -> str:
+    """The canonical encoding: sorted keys, no spaces, ASCII escapes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _floats_agree(x: Any) -> bool:
+    """Whether orjson writes every float in ``x`` as the stdlib does. Both
+    write the shortest digits that read back, but in the same notation only
+    for 1e-4 <= |f| < 1e16; outside it, and for NaN and the infinities, they
+    differ."""
+    if isinstance(x, float):
+        return 1e-4 <= abs(x) < 1e16
+    if isinstance(x, dict):
+        return all(map(_floats_agree, x.values()))
+    return True
+
+
+def _encode(rest: dict[str, Any]) -> bytes:
+    """``_dumps(rest)`` as bytes, written by orjson when its bytes are
+    provably the same. Of a report's per-run fields only ``cycles`` holds
+    floats (``costmodel._num``). The only integer keys are argument indexes
+    (``SyscallEvent.checked`` and ``used``), below ``MAX_SYSCALL_ARGS`` = 6,
+    so orjson's text order of them is the stdlib's numeric order."""
+    if orjson is not None and _floats_agree(rest.get("cycles")):
+        try:
+            out = orjson.dumps(rest, option=orjson.OPT_SORT_KEYS | orjson.OPT_NON_STR_KEYS)
+        except orjson.JSONEncodeError:  # an integer outside 64 bits
+            pass
+        else:
+            # The stdlib escapes DEL and every non-ASCII character; orjson
+            # writes them raw. All other ASCII encodes the same.
+            if out.isascii() and b"\x7f" not in out:
+                return out
+    return _dumps(rest).encode()
 
 
 class _Report:
@@ -285,12 +322,22 @@ class SimReport(_Report):
     def __post_init__(self, config_json: Optional[str]) -> None:
         self._config_json = config_json
 
-    def to_json(self) -> str:
-        config = self._config_json if self._config_json is not None else _dumps(self.config)
-        # "config" sorts before every other field, so its text leads.
-        rest = self.to_dict()
+    def _json(self) -> bytes:
+        # The instance dict holds the fields and ``_config_json``; copying it
+        # costs far less than ``to_dict``.
+        rest = vars(self).copy()
+        config = rest.pop("_config_json")
+        if config is None:
+            config = _dumps(rest["config"])
         del rest["config"]
-        return '{"config":' + config + "," + _dumps(rest)[1:]
+        # "config" sorts before every other field, so its text leads.
+        return b'{"config":' + config.encode() + b"," + _encode(rest)[1:]
+
+    def to_json(self) -> str:
+        return self._json().decode()
+
+    def hash_hex(self) -> str:
+        return hashlib.sha256(self._json()).hexdigest()
 
 
 def extract_witnesses(events: Sequence[Event]) -> list[dict[str, Any]]:
@@ -602,7 +649,10 @@ class Simulation:
                 "window": self.engine.saved_window, "task": self._saved_task,
                 "process": self._saved_process, "filters": self._saved_filters,
             })
-        self.vmem.journal, self.vmem.fp = self._journal, _UNREAD
+        # While a level is open every step records its footprint, for the
+        # journal; one that ``_recorded_step`` does not record writes it into
+        # sets that nothing reads.
+        self.vmem.journal, self.vmem.fp = self._journal, (set(), set())
         return self._journal.open((len(self.events), len(self.trace)))
 
     def undo(self, level: Level, close: bool) -> None:
@@ -975,19 +1025,6 @@ def _recorded_step(sim: Simulation, tid: int) -> Footprint:
         return vmem.fp
     finally:
         vmem.fp = outer
-
-
-class _Unread:
-    """A footprint half that keeps nothing: while a journal level is open,
-    a step records a footprint for the journal alone."""
-
-    __slots__ = ()
-
-    def add(self, loc: Any) -> None:
-        pass
-
-
-_UNREAD = (_Unread(), _Unread())
 
 
 def _independent(a: Footprint, b: Footprint) -> bool:

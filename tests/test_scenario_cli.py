@@ -553,6 +553,21 @@ class TestCliMalformedCosts:
             err = capsys.readouterr().err
             assert "--costs" in err and where in err and "Traceback" not in err
 
+    def _deep(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        return str(deep)
+
+    def test_deeply_nested_costs_file_exits_2_for_run(self, scenarios_dir, tmp_path, capsys):
+        deep = self._deep(tmp_path)
+        assert main(["run", str(scenarios_dir / "toctou_openat.json"), "--costs", deep]) == 2
+        assert f"error: --costs {deep}: nested too deeply" in capsys.readouterr().err
+
+    def test_deeply_nested_costs_file_exits_2_for_bench(self, tmp_path, capsys):
+        deep = self._deep(tmp_path)
+        assert main(["bench", "getppid", "--costs", deep]) == 2
+        assert f"error: --costs {deep}: nested too deeply" in capsys.readouterr().err
+
 
 # ops run by an exec image of the process that maps the label x, at 0x10000
 # -> each syscall's (name, result). Once its process has exec'd, a label maps
